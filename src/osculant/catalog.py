@@ -17,28 +17,66 @@ Each G~alpha has self-intersection -1 and canonical degree -1, so genus
 0 by adjunction.  In characteristic p only those with alpha^(1) <= p
 survive.  The unit vectors alpha = e_i recover the fiber-component
 images: pullback F - s_i - r_i.
+
+Every class here is built straight from its coefficients through the
+validating DivisorClass constructor.  The nine characteristic-0 rows
+of the (-2)-catalog are built once per process; C~p is built per call,
+so no cache grows with p.
 """
 
 from dataclasses import dataclass
 from math import isqrt
 
 from .errors import CharPExcluded, ParityViolation, RhoEven, RhoOutOfRange, DomainError
-from .lattice import C, F, S, R, DivisorClass, QuotientClass
+from .lattice import F, S, R, DivisorClass, QuotientClass
 from .vectors import Vec4, coord_sum, fmt_vec, minority_index, norm_sq, vec4
 
 
+# Miller-Rabin over the first 12 prime bases is exact below
+# psi_12 = 318665857834031151167461 ~ 3.2e23, the least strong
+# pseudoprime to all twelve (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality of an odd n with 3 <= n < _MR_BOUND."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def validate_char_p(p: int | None) -> int | None:
-    """Characteristic config: None (char 0) or an odd prime >= 3."""
+    """Characteristic config: None (char 0) or an odd prime >= 3 below
+    _MR_BOUND, the range where primality is decided exactly."""
     if p is None:
         return None
     p = int(p)
     if p < 3 or p % 2 == 0:
         raise DomainError(f"characteristic must be an odd prime >= 3, got {p}",
                           constraint="char-p-config")
-    for q in range(3, isqrt(p) + 1, 2):
-        if p % q == 0:
-            raise DomainError(f"characteristic {p} is not prime",
-                              constraint="char-p-config")
+    if p >= _MR_BOUND:
+        raise DomainError(f"characteristic {p} is beyond {_MR_BOUND}, where "
+                          f"primality is no longer decided exactly",
+                          constraint="char-p-config")
+    if not _is_prime(p):
+        raise DomainError(f"characteristic {p} is not prime",
+                          constraint="char-p-config")
     return p
 
 
@@ -69,8 +107,8 @@ class ExceptionalSpec:
         return cls(alpha, (sq - 1) // 2, minority_index(alpha))
 
     def pullback(self) -> DivisorClass:
-        return self.a * C + F - S[self.k] - sum(
-            (a * R[i] for i, a in enumerate(self.alpha)), DivisorClass())
+        s = tuple(-1 if i == self.k else 0 for i in range(4))
+        return DivisorClass(self.a, 1, s, tuple(-a for a in self.alpha))
 
     def quotient_class(self) -> QuotientClass:
         return QuotientClass(self.pullback())
@@ -106,7 +144,7 @@ def enumerate_exceptional(max_sq: int, p: int | None = None) -> list[Exceptional
 
 def section_image() -> QuotientClass:
     """C~o: image of the zero section, pullback C - s0-s1-s2-s3."""
-    return QuotientClass(C - S[0] - S[1] - S[2] - S[3])
+    return QuotientClass(DivisorClass(c=1, s=(-1, -1, -1, -1)))
 
 
 def s_branch(i: int) -> QuotientClass:
@@ -124,23 +162,37 @@ def char_p_section(p: int) -> QuotientClass:
     pullback p*C - r0-r1-r2-r3."""
     p = validate_char_p(p)
     assert p is not None
-    return QuotientClass(p * C - R[0] - R[1] - R[2] - R[3])
+    return QuotientClass(DivisorClass(c=p, r=(-1, -1, -1, -1)))
+
+
+def _catalog_row(name: str, cls: QuotientClass
+                 ) -> tuple[str, QuotientClass, int]:
+    return name, cls, cls.self_intersection()
+
+
+# the nine characteristic-0 rows are constant: built once, shared by
+# every call (rows are immutable)
+_BASE_CATALOG = (
+    _catalog_row("C~o", section_image()),
+    *(_catalog_row(f"s~{i}", s_branch(i)) for i in range(4)),
+    *(_catalog_row(f"r~{i}", r_branch(i)) for i in range(4)),
+)
 
 
 def negative_curve_catalog(p: int | None = None) -> list[tuple[str, QuotientClass, int]]:
     """The finite (-2)-catalog as (name, class, self-intersection) rows.
 
     Nine entries in characteristic 0; C~p joins in characteristic p.
-    Self-intersections are recomputed here, not hardcoded, so the list
-    doubles as a sanity check on the lattice arithmetic.
+    Self-intersections are computed from the lattice, not hardcoded, so
+    the list doubles as a sanity check on the lattice arithmetic.  The
+    nine base rows are built once per process; only C~p is built per
+    call, and every call returns a fresh list.
     """
     p = validate_char_p(p)
-    rows = [("C~o", section_image())]
-    rows += [(f"s~{i}", s_branch(i)) for i in range(4)]
-    rows += [(f"r~{i}", r_branch(i)) for i in range(4)]
+    rows = list(_BASE_CATALOG)
     if p is not None:
-        rows.append((f"C~{p}", char_p_section(p)))
-    return [(name, cls, cls.self_intersection()) for name, cls in rows]
+        rows.append(_catalog_row(f"C~{p}", char_p_section(p)))
+    return rows
 
 
 def fiber_component_class(i: int) -> DivisorClass:
@@ -174,5 +226,5 @@ def gamma_perp_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
     if any(g < 0 for g in gamma):
         raise DomainError(f"gamma={fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
-    return n * C + (2 * d - 1) * F - rho * S[0] - sum(
-        (g * R[i] for i, g in enumerate(gamma)), DivisorClass())
+    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0),
+                        tuple(-g for g in gamma))

@@ -214,11 +214,12 @@ def _cmd_zdiv(args, cfg):
 
 def _cmd_dims(args, cfg):
     spec = LambdaSpec(args.n, args.d, args.gamma)
-    dim_l, dim_lc = linear_system_dims(spec, p=cfg.char_p,
-                                       radius=cfg.search_radius)
+    report = nef_check(spec, mode="brute", p=cfg.char_p,
+                       radius=cfg.search_radius)
+    dim_l, dim_lc = linear_system_dims(spec, p=cfg.char_p, report=report)
     payload = {"dim_lambda": dim_l, "dim_lambda_minus_co": dim_lc,
                "dim_moduli": moduli_dimension(spec, p=cfg.char_p,
-                                              radius=cfg.search_radius)}
+                                              report=report)}
     return _render(payload, cfg.output), 0
 
 

@@ -19,11 +19,10 @@ from math import isqrt
 from .catalog import gamma_perp_class, validate_char_p
 from .covers import genus_tilde
 from .errors import DomainError, IdentityFailure, NoSolutions, ParityViolation
-from .lattice import C, F, R, S, DivisorClass
+from .lattice import C, R, S, DivisorClass
 from .nef import (
     DEFAULT_RADIUS,
     LambdaSpec,
-    decompose_type,
     n_for_type,
     nef_check,
 )
@@ -148,9 +147,8 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
 def _z_template(nu: Vec4, base: int) -> DivisorClass:
     sq = norm_sq(nu)
     assert sq % 2 == 1, f"template vector {nu} must have odd square sum"
-    m = (sq - 1) // 2
-    return m * C + F - S[base] - sum((x * R[i] for i, x in enumerate(nu)),
-                                     DivisorClass())
+    s = tuple(-1 if i == base else 0 for i in range(4))
+    return DivisorClass((sq - 1) // 2, 1, s, tuple(-x for x in nu))
 
 
 @dataclass(frozen=True)
@@ -333,10 +331,9 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
 
 def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
                    radius: int, pair_reading: str) -> CensusRecord:
-    spec = LambdaSpec(n, d, gamma)
-    dec = decompose_type(gamma, d)
-    report = nef_check(spec, mode="both", p=p, radius=radius,
-                       pair_reading=pair_reading)
+    report = nef_check(LambdaSpec(n, d, gamma), mode="both", p=p,
+                       radius=radius, pair_reading=pair_reading)
+    dec = report.decomposition
     closed_ok = all(c.passed for c in report.conditions)
     brute_ok = report.is_nef()
     if d == 1:

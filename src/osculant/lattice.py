@@ -26,11 +26,15 @@ upstairs.  QuotientClass performs that division and raises OddPairing
 when it does not come out exact, which is the cheap certificate that an
 operand was not actually a pullback.  The quotient canonical class
 pulls back to -2C.
+
+Classes are validated once, when DivisorClass(...) is called; the
+arithmetic on them (+, -, unary -, integer multiples, dot) works on the
+stored int tuples with the pairing written out term by term.
 """
 
 from dataclasses import dataclass
 
-from .errors import OddPairing
+from .errors import InternalCheckFailure, OddPairing
 from .vectors import Vec4, vec4
 
 
@@ -38,7 +42,12 @@ from .vectors import Vec4, vec4
 class DivisorClass:
     """Integer class a*C + b*F - sum x_i s_i - sum y_i r_i ... except that
     the stored s/r coefficients are the plain basis coefficients, signs
-    included.  DivisorClass(c=2, s=(1,0,0,0)) is 2C + s0."""
+    included.  DivisorClass(c=2, s=(1,0,0,0)) is 2C + s0.
+
+    The constructor validates its coefficients once; the arithmetic
+    below works on the stored int tuples and builds its results through
+    the unchecked _make, since sums and multiples of valid classes are
+    valid."""
 
     c: int = 0
     f: int = 0
@@ -56,30 +65,32 @@ class DivisorClass:
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return DivisorClass(
-            self.c + other.c,
-            self.f + other.f,
-            tuple(a + b for a, b in zip(self.s, other.s)),
-            tuple(a + b for a, b in zip(self.r, other.r)),
-        )
+        s, t, r, u = self.s, other.s, self.r, other.r
+        return _make(self.c + other.c, self.f + other.f,
+                     (s[0] + t[0], s[1] + t[1], s[2] + t[2], s[3] + t[3]),
+                     (r[0] + u[0], r[1] + u[1], r[2] + u[2], r[3] + u[3]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return self + (-other)
+        s, t, r, u = self.s, other.s, self.r, other.r
+        return _make(self.c - other.c, self.f - other.f,
+                     (s[0] - t[0], s[1] - t[1], s[2] - t[2], s[3] - t[3]),
+                     (r[0] - u[0], r[1] - u[1], r[2] - u[2], r[3] - u[3]))
 
     def __neg__(self) -> "DivisorClass":
-        return -1 * self
+        s, r = self.s, self.r
+        return _make(-self.c, -self.f, (-s[0], -s[1], -s[2], -s[3]),
+                     (-r[0], -r[1], -r[2], -r[3]))
 
     def __mul__(self, n: int) -> "DivisorClass":
         if not isinstance(n, int):
             return NotImplemented
-        return DivisorClass(
-            n * self.c,
-            n * self.f,
-            tuple(n * x for x in self.s),
-            tuple(n * x for x in self.r),
-        )
+        n = int(n)
+        s, r = self.s, self.r
+        return _make(n * self.c, n * self.f,
+                     (n * s[0], n * s[1], n * s[2], n * s[3]),
+                     (n * r[0], n * r[1], n * r[2], n * r[3]))
 
     __rmul__ = __mul__
 
@@ -87,27 +98,39 @@ class DivisorClass:
 
     def dot(self, other: "DivisorClass") -> int:
         """Intersection number under the hyperbolic-plus-diagonal form."""
-        return (
-            self.c * other.f
-            + self.f * other.c
-            - sum(a * b for a, b in zip(self.s, other.s))
-            - sum(a * b for a, b in zip(self.r, other.r))
-        )
+        s, t, r, u = self.s, other.s, self.r, other.r
+        return (self.c * other.f + self.f * other.c
+                - s[0] * t[0] - s[1] * t[1] - s[2] * t[2] - s[3] * t[3]
+                - r[0] * u[0] - r[1] * u[1] - r[2] * u[2] - r[3] * u[3])
 
     def self_intersection(self) -> int:
         return self.dot(self)
 
     def genus(self) -> int:
         """Arithmetic genus by adjunction, 1 + (D.D + D.K)/2."""
-        num = self.dot(self) + self.dot(K)
-        assert num % 2 == 0, f"adjunction numerator odd for {self}"
-        return 1 + num // 2
+        return 1 + _half(self.dot(self) + self.dot(K), self)
 
     def is_zero(self) -> bool:
         return self == ZERO
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.c, self.f, *self.s, *self.r)
+
+
+def _make(c: int, f: int, s: Vec4, r: Vec4) -> DivisorClass:
+    """DivisorClass from coefficients already known to be valid ints,
+    without the constructor's checks."""
+    obj = object.__new__(DivisorClass)
+    obj.__dict__.update(c=c, f=f, s=s, r=r)
+    return obj
+
+
+def _half(num: int, cls) -> int:
+    """num // 2 for an adjunction numerator, which is even for every
+    integer class; an odd one means the lattice arithmetic is broken."""
+    if num % 2:
+        raise InternalCheckFailure(f"adjunction numerator odd for {cls}")
+    return num // 2
 
 
 def _unit(i: int) -> Vec4:
@@ -127,7 +150,8 @@ def canonical_class() -> DivisorClass:
 
 
 K = canonical_class()
-assert K.dot(K) == -8
+if K.dot(K) != -8:
+    raise InternalCheckFailure(f"K.K = {K.dot(K)}, expected -8")
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
@@ -165,9 +189,7 @@ class QuotientClass:
     def genus(self) -> int:
         """Arithmetic genus downstairs: 1 + (D.D + D.K)/2 with both
         pairings taken on the quotient."""
-        num = self.dot(self) + self.dot(K_TILDE)
-        assert num % 2 == 0, f"adjunction numerator odd for {self}"
-        return 1 + num // 2
+        return 1 + _half(self.dot(self) + self.dot(K_TILDE), self)
 
     def __add__(self, other: "QuotientClass") -> "QuotientClass":
         if not isinstance(other, QuotientClass):

@@ -20,7 +20,10 @@ k(alpha) != 0 with threshold w^2 + 3 - 2w.  The brute oracle performs
 those minimizations by scanning a box around mu (q is a separable
 positive quadratic, so real minimizers hug mu; the scan asserts the
 minimum is away from the artificial box faces and enlarges the box if
-not).  The closed criterion tests three integer inequalities on eps:
+not).  Within one box the minima are taken coordinate by coordinate for
+each parity code, unless the char-p bound cuts the box; then every
+point is visited.  The closed criterion tests three integer
+inequalities on eps:
 
     eps-norm:  eps^(2) >= d^2 - d + 1
     eps-sum:   w * sum|eps_i| <= 3d^2 - 3d + eps^(2)
@@ -33,10 +36,9 @@ candidate minimizers mu, nat_mu and flat_mu, which is why closed and
 brute verdicts agree.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from itertools import product
 
 from .catalog import (
     ExceptionalSpec,
@@ -45,7 +47,7 @@ from .catalog import (
     section_image,
     validate_char_p,
 )
-from .covers import Check
+from .covers import Check, validate_type
 from .errors import (
     AnticanonicalDegreeTooSmall,
     CharPExcluded,
@@ -92,7 +94,7 @@ class LambdaSpec:
             raise RhoEven(f"rho = {rho} must be odd")
         if not 1 <= rho <= 2 * d - 1:
             raise RhoOutOfRange(f"rho = {rho} outside 1..{2 * d - 1}")
-        bad = _parity_violations(n, gamma)
+        bad = validate_type(n, gamma)
         if bad:
             raise ParityViolation("; ".join(bad))
         if rho == 1:
@@ -111,16 +113,6 @@ class LambdaSpec:
         if p is not None and coord_sum(self.gamma) > p * self.w:
             raise CharPExcluded(
                 f"gamma^(1) = {coord_sum(self.gamma)} > p(2d-1) = {p * self.w}")
-
-
-def _parity_violations(n: int, gamma) -> list[str]:
-    out = []
-    if (gamma[0] + 1 - n) % 2:
-        out.append(f"gamma_0 = {gamma[0]} must differ from n = {n} mod 2")
-    for i in (1, 2, 3):
-        if (gamma[i] - n) % 2:
-            out.append(f"gamma_{i} = {gamma[i]} must match n = {n} mod 2")
-    return out
 
 
 def n_for_type(d: int, gamma) -> int | None:
@@ -183,11 +175,16 @@ def decompose_type(gamma, d: int) -> Decomposition:
         if (g - m) % 2:
             m += 1
         e2 = g - w * m
-        assert e2 % 2 == 0 and abs(e2) <= 2 * d - 2 and m >= 0, (gamma, d)
+        if e2 % 2 or abs(e2) > 2 * d - 2 or m < 0:
+            raise InternalCheckFailure(
+                f"no window decomposition of gamma = {fmt_vec(gamma)} "
+                f"at d = {d}")
         mu.append(m)
         eps.append(e2 // 2)
     nat = [m + (1 if e >= 0 else -1) for m, e in zip(mu, eps)]
-    assert all(x >= 0 for x in nat), (gamma, d)
+    if any(x < 0 for x in nat):
+        raise InternalCheckFailure(
+            f"nat_mu {fmt_vec(nat)} negative for gamma = {fmt_vec(gamma)}")
 
     a = [abs(e) for e in eps]
     best = max(a[i] + a[j] for i in range(4) for j in range(i + 1, 4))
@@ -239,6 +236,11 @@ def _k_of_code(code: int) -> int:
 
 
 _K_BY_CODE = tuple(_k_of_code(c) for c in range(16))
+_BITS_BY_CODE = tuple(((c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1, c & 1)
+                      for c in range(16))
+# parity codes of the k = 0 class, then of the k != 0 class
+_CLASS_CODES = (tuple(c for c in range(16) if _K_BY_CODE[c] == 0),
+                tuple(c for c in range(16) if _K_BY_CODE[c] > 0))
 
 
 @dataclass(frozen=True)
@@ -262,12 +264,14 @@ def _scan_once(gamma: Vec4, d: int, mu: Vec4, radius: int,
     w = 2 * d - 1
     axes = [list(range(max(0, mu[i] - radius), mu[i] + radius + 1))
             for i in range(4)]
-    big = max(abs(gamma[i] - w * a) for i in range(4)
-              for a in (axes[i][0], axes[i][-1]))
-    if engine == "auto":
-        engine = "numpy" if big < 1 << 30 and (p is None or p < 1 << 40) else "pure"
+    if engine == "auto" and (p is None or sum(ax[-1] for ax in axes) <= p):
+        # the char-p bound alpha^(1) <= p does not cut this box, so the
+        # box is the product of its axes
+        results = _separable_minima(gamma, w, axes)
+    elif engine == "numpy":
+        # full-grid reference engine; int64, so only for moderate entries
+        import numpy as np
 
-    if engine == "numpy":
         per = [np.array([(gamma[i] - w * a) ** 2 for a in axes[i]],
                         dtype=np.int64) for i in range(4)]
         ax = [np.array(axes[i], dtype=np.int64) for i in range(4)]
@@ -327,10 +331,55 @@ def _scan_once(gamma: Vec4, d: int, mu: Vec4, radius: int,
     return scan, onface
 
 
+def _separable_minima(gamma: Vec4, w: int, axes: list[list[int]]
+                      ) -> list[tuple[int | None, tuple[Vec4, ...]]]:
+    """(minimum, sorted argmins) of q over the k = 0 and k != 0 classes
+    of the box that is the product of ``axes``.
+
+    q is a sum of one term per coordinate, and the parity code of alpha
+    is the tuple of its coordinate parities.  So over the points of one
+    code the minimum of q is the sum of per-coordinate minima over that
+    parity, attained exactly on the product of the per-coordinate
+    minimizer sets.  Codes of one class cover disjoint points.
+    """
+    best = []   # best[i][b]: (min term, minimizers) on axis i, parity b
+    for g, axis in zip(gamma, axes):
+        per: list = [None, None]
+        for a in axis:
+            term = (g - w * a) ** 2
+            cur = per[a & 1]
+            if cur is None or term < cur[0]:
+                per[a & 1] = (term, [a])
+            elif term == cur[0]:
+                cur[1].append(a)
+        best.append(per)
+    results = []
+    for codes in _CLASS_CODES:
+        low, hits = None, []
+        for code in codes:
+            parts = [best[i][b] for i, b in enumerate(_BITS_BY_CODE[code])]
+            if None in parts:
+                continue
+            value = sum(part[0] for part in parts)
+            if low is None or value < low:
+                low, hits = value, [parts]
+            elif value == low:
+                hits.append(parts)
+        results.append((low, tuple(sorted(
+            pt for parts in hits
+            for pt in product(*(part[1] for part in parts))))))
+    return results
+
+
 def scan_box(gamma, d: int, mu, radius: int = DEFAULT_RADIUS,
              p: int | None = None, engine: str = "auto") -> BoxScan:
     """Minimize q over each parity class near mu, growing the box until
-    every minimizer is strictly inside the artificial faces."""
+    every minimizer is strictly inside the artificial faces.
+
+    All engines return the same scan.  "auto" takes per-coordinate
+    minima (_separable_minima) unless the char-p bound cuts the box, and
+    then visits every point ("pure", exact integers).  "numpy" evaluates
+    the full grid in int64 and is kept as a reference."""
     gamma, mu = vec4(gamma), vec4(mu)
     if radius < 2:
         raise DomainError(f"search radius must be >= 2, got {radius}",
@@ -361,8 +410,18 @@ def _value(q: int, d: int, k_zero: bool) -> Fraction:
 # nef criterion
 
 
+def _carried():
+    """A value the report carries for reuse; not part of its equality,
+    repr or JSON form."""
+    return field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class NefReport:
+    """Verdict of one nef check.  It also carries what it was made from
+    (spec, p) and what it computed (decomposition, brute scan), so
+    callers can reuse the work instead of redoing it."""
+
     verdict: str                      # "nef" | "not_nef"
     mode: str                         # "closed" | "brute" | "both"
     failing_constraint: str | None    # first failed closed condition
@@ -370,6 +429,10 @@ class NefReport:
     boundary_contacts: tuple[Vec4, ...]   # brute alphas with pairing 0
     agreement: bool | None            # set in both mode
     conditions: tuple[Check, ...] = ()
+    spec: LambdaSpec | None = _carried()
+    p: int | None = _carried()
+    decomposition: Decomposition | None = _carried()
+    scan: BoxScan | None = _carried()   # None in closed mode
 
     def is_nef(self) -> bool:
         return self.verdict == "nef"
@@ -437,6 +500,7 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     brute_verdict = None
     witness = None
     contacts: tuple[Vec4, ...] = ()
+    scan = None
     if mode in ("brute", "both"):
         lam = lambda_class(spec, p)
         for name, cls, _ in negative_curve_catalog(p):
@@ -482,6 +546,10 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
         boundary_contacts=contacts,
         agreement=agreement,
         conditions=conditions,
+        spec=spec,
+        p=p,
+        decomposition=dec,
+        scan=scan,
     )
 
 
@@ -521,7 +589,10 @@ def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None,
     spec.check_char_p(p)
     dec = decompose_type(spec.gamma, spec.d)
     w = spec.w
-    assert (4 * dec.eps_sq - 3) % w == 0, "congruence must follow from the spec"
+    if (4 * dec.eps_sq - 3) % w:
+        raise InternalCheckFailure(
+            f"4 eps^(2) - 3 = {4 * dec.eps_sq - 3} not divisible by w = {w}; "
+            f"the spec should force this congruence")
 
     def qval(alpha: Vec4) -> int:
         return sum((g - w * x) ** 2 for g, x in zip(spec.gamma, alpha))
@@ -547,6 +618,23 @@ def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None,
     counterexamples = () if holds else argmins
     return MinimizerReport(holds, vmin, argmins, tuple(cand_rows),
                            counterexamples)
+
+
+def _check_report(report: NefReport, spec: LambdaSpec,
+                  p: int | None) -> None:
+    """Reject a report that is not a brute-route verdict on (spec, p)."""
+    if report.spec != spec or report.p != p or report.scan is None:
+        raise DomainError(
+            f"report was made for spec {report.spec}, p = {report.p} in "
+            f"{report.mode} mode; need a brute or both report for {spec}, "
+            f"p = {p}", constraint="report-mismatch")
+
+
+def _require_nef(report: NefReport) -> None:
+    if not report.is_nef():
+        spec = report.spec
+        raise NotNef(f"Lambda({spec.n},{spec.d},{spec.rho},"
+                     f"{fmt_vec(spec.gamma)}) is not nef")
 
 
 @dataclass(frozen=True)
@@ -575,9 +663,7 @@ def z_divisor(spec: LambdaSpec, p: int | None = None,
     the certified box and any violation reported as an anomaly rather
     than silently truncated."""
     report = nef_check(spec, mode="brute", p=p, radius=radius)
-    if not report.is_nef():
-        raise NotNef(f"Lambda({spec.n},{spec.d},{spec.rho},"
-                     f"{fmt_vec(spec.gamma)}) is not nef")
+    _require_nef(report)
     by_k: dict[int, list[Vec4]] = {1: [], 2: [], 3: []}
     for alpha in report.boundary_contacts:
         k = ExceptionalSpec.from_alpha(alpha).k
@@ -593,24 +679,31 @@ def z_divisor(spec: LambdaSpec, p: int | None = None,
 
 
 def linear_system_dims(spec: LambdaSpec, p: int | None = None,
-                       radius: int = DEFAULT_RADIUS) -> tuple[int, int]:
+                       radius: int = DEFAULT_RADIUS, *,
+                       report: NefReport | None = None) -> tuple[int, int]:
     """Dimensions of |Lambda| and |Lambda - C~o| by the anticanonical
     dimension formula dim|D| = D.(D - K~)/2, cross-checked against the
-    closed forms 2d-2 and d-2."""
+    closed forms 2d-2 and d-2.
+
+    Pass the brute or both nef_check report of (spec, p) as ``report``
+    to reuse its verdict; one made for another spec or p is rejected
+    (``report-mismatch``)."""
     _require_unramified(spec)
     lam = lambda_class(spec, p)
     deg = -K_TILDE.dot(lam)
     if deg < 2:
         raise AnticanonicalDegreeTooSmall(
             f"-K~.Lambda = {deg} < 2; the dimension formula needs >= 2")
-    report = nef_check(spec, mode="brute", p=p, radius=radius)
-    if not report.is_nef():
-        raise NotNef(f"Lambda({spec.n},{spec.d},{spec.rho},"
-                     f"{fmt_vec(spec.gamma)}) is not nef")
+    if report is None:
+        report = nef_check(spec, mode="brute", p=p, radius=radius)
+    else:
+        _check_report(report, spec, p)
+    _require_nef(report)
 
     def harbourne(q: QuotientClass) -> int:
         v = q.dot(q) - q.dot(K_TILDE)
-        assert v % 2 == 0
+        if v % 2:
+            raise InternalCheckFailure(f"D.(D - K~) = {v} odd for {q}")
         return v // 2
 
     dim_l = harbourne(lam)
@@ -624,17 +717,21 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None,
 
 
 def moduli_dimension(spec: LambdaSpec, p: int | None = None,
-                     radius: int = DEFAULT_RADIUS) -> int:
+                     radius: int = DEFAULT_RADIUS, *,
+                     report: NefReport | None = None) -> int:
     """Dimension of the moduli space the spec defines: d-1 for nef
-    specs with d >= 2, and 0 for d = 1 (a single cover, gamma = mu)."""
+    specs with d >= 2, and 0 for d = 1 (a single cover, gamma = mu).
+
+    ``report`` is reused as in linear_system_dims."""
     _require_unramified(spec)
     spec.check_char_p(p)
+    if report is not None:
+        _check_report(report, spec, p)
     if spec.d == 1:
         # the spec invariants already force gamma = mu and
         # gamma^(2) = 2n+1 at d = 1; the moduli space is one point
         return 0
-    report = nef_check(spec, mode="brute", p=p, radius=radius)
-    if not report.is_nef():
-        raise NotNef(f"Lambda({spec.n},{spec.d},{spec.rho},"
-                     f"{fmt_vec(spec.gamma)}) is not nef")
+    if report is None:
+        report = nef_check(spec, mode="brute", p=p, radius=radius)
+    _require_nef(report)
     return spec.d - 1

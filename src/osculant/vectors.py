@@ -5,21 +5,37 @@ four integers.  Only two aggregates of such a vector ever enter a
 formula: the coordinate sum and the sum of squares.
 """
 
-from .errors import ParityViolation
+from operator import index
+
+from .errors import DomainError, ParityViolation
 
 Vec4 = tuple[int, int, int, int]
 
 
+def _coord(x) -> int:
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"non-integer coordinate {x!r}",
+                      constraint="vec-integer")
+
+
 def vec4(v) -> Vec4:
-    """Coerce to a 4-tuple of Python ints, rejecting anything else."""
+    """Coerce to a 4-tuple of Python ints, rejecting anything else.
+
+    Integer-like values (anything with ``__index__``) are accepted; a
+    bool or a non-integer such as 3.0 raises ``vec-integer``, a wrong
+    length ``vec-length``.
+    """
     t = tuple(v)
     if len(t) != 4:
-        raise ValueError(f"expected 4 coordinates, got {len(t)}")
-    out = tuple(int(x) for x in t)
-    for orig, coerced in zip(t, out):
-        if coerced != orig:
-            raise ValueError(f"non-integer coordinate {orig!r}")
-    return out  # type: ignore[return-value]
+        raise DomainError(f"expected 4 coordinates, got {len(t)}",
+                          constraint="vec-length")
+    if type(t[0]) is type(t[1]) is type(t[2]) is type(t[3]) is int:
+        return t  # type: ignore[return-value]
+    return tuple(map(_coord, t))  # type: ignore[return-value]
 
 
 def coord_sum(v) -> int:
@@ -44,10 +60,6 @@ def minority_index(alpha) -> int:
     raise ParityViolation(
         f"alpha={tuple(alpha)} has even square sum; no odd-one-out index"
     )
-
-
-def is_odd_square(alpha) -> bool:
-    return norm_sq(alpha) % 2 == 1
 
 
 def fmt_vec(v) -> str:

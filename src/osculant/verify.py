@@ -7,8 +7,9 @@ The heavier criteria share one exhaustive sweep: every valid spec with
 d in [2, 5] built from mu patterns with components at most 3 (both
 parity orientations) and every eps window vector whose congruence class
 admits an integral degree.  For each spec the sweep stores the dual
-nef report and the raw box scan, so agreement, adjunction, dimension,
-minimizer and contact checks all read the same data.
+nef report, which carries its decomposition and box scan, so agreement,
+adjunction, dimension, minimizer and contact checks all read the same
+data.
 """
 
 import random
@@ -29,9 +30,7 @@ from .families import census, census_csv, construction_kit, generate_nef_types, 
     generate_non_nef_types
 from .lattice import K_TILDE, DivisorClass
 from .nef import (
-    BoxScan,
     DEFAULT_RADIUS,
-    Decomposition,
     LambdaSpec,
     NefReport,
     decompose_type,
@@ -41,7 +40,6 @@ from .nef import (
     moduli_dimension,
     n_for_type,
     nef_check,
-    scan_box,
 )
 from .vectors import Vec4, fmt_vec, norm_sq
 
@@ -60,14 +58,6 @@ class CriterionResult:
 # shared sweep
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    spec: LambdaSpec
-    dec: Decomposition
-    report: NefReport
-    scan: BoxScan
-
-
 def mu_patterns(mu_max: int) -> list[Vec4]:
     """All mu in N^4 with components <= mu_max and the one-against-three
     parity split at coordinate 0, in both orientations."""
@@ -82,7 +72,9 @@ def mu_patterns(mu_max: int) -> list[Vec4]:
 
 def build_sweep(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
                 radius: int = DEFAULT_RADIUS,
-                pair_reading: str = "factored") -> list[SweepRow]:
+                pair_reading: str = "factored") -> list[NefReport]:
+    """The both-mode nef report of every spec in the grid; each report
+    carries its spec, decomposition and box scan."""
     rows = []
     for d in range(d_lo, d_hi + 1):
         w = 2 * d - 1
@@ -97,12 +89,9 @@ def build_sweep(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
                 assert n is not None, "congruence filter guarantees this"
                 if n < 1:
                     continue
-                spec = LambdaSpec(n, d, gamma)
-                dec = decompose_type(gamma, d)
-                report = nef_check(spec, mode="both", radius=radius,
-                                   pair_reading=pair_reading)
-                scan = scan_box(gamma, d, dec.mu, radius)
-                rows.append(SweepRow(spec, dec, report, scan))
+                rows.append(nef_check(LambdaSpec(n, d, gamma), mode="both",
+                                      radius=radius,
+                                      pair_reading=pair_reading))
     return rows
 
 
@@ -198,18 +187,18 @@ def criterion_pairing_closed_form(seed: int = 0, trials: int = 1000
 # criteria over the shared sweep
 
 
-def criterion_nef_agreement(sweep: list[SweepRow],
+def criterion_nef_agreement(sweep: list[NefReport],
                             pair_reading: str = "factored") -> CriterionResult:
-    bad = [row for row in sweep if row.report.agreement is not True]
+    bad = [row for row in sweep if row.agreement is not True]
     detail = (f"{len(sweep)} specs (d 2..5, mu <= 3, full eps window), "
               f"{pair_reading} reading: {len(bad)} disagreements")
     for row in bad[:3]:
         conds = "; ".join(
             f"{c.id}: {c.lhs} vs {c.rhs} ({'ok' if c.passed else 'FAIL'})"
-            for c in row.report.conditions)
+            for c in row.conditions)
         detail += (f" | {_spec_tag(row.spec)} closed said "
-                   f"{[c.passed for c in row.report.conditions]}, brute said "
-                   f"{row.report.verdict}; {conds}")
+                   f"{[c.passed for c in row.conditions]}, brute said "
+                   f"{row.verdict}; {conds}")
     return CriterionResult("nef-criterion-agreement", not bad, detail)
 
 
@@ -253,7 +242,7 @@ def criterion_family_generators(radius: int = DEFAULT_RADIUS
     return CriterionResult("family-generators", not bad, detail)
 
 
-def criterion_adjunction(sweep: list[SweepRow]) -> CriterionResult:
+def criterion_adjunction(sweep: list[NefReport]) -> CriterionResult:
     bad = []
     for row in sweep:
         s = row.spec
@@ -267,20 +256,21 @@ def criterion_adjunction(sweep: list[SweepRow]) -> CriterionResult:
     return CriterionResult("adjunction-consistency", not bad, detail)
 
 
-def criterion_dimensions(sweep: list[SweepRow],
+def criterion_dimensions(sweep: list[NefReport],
                          radius: int = DEFAULT_RADIUS) -> CriterionResult:
     bad = []
     checked = 0
     for row in sweep:
-        if not row.report.is_nef():
+        if not row.is_nef():
             continue
         checked += 1
         s = row.spec
         try:
-            dims = linear_system_dims(s, radius=radius)
+            dims = linear_system_dims(s, radius=radius, report=row)
             if dims != (2 * s.d - 2, s.d - 2):
                 bad.append(f"{_spec_tag(s)}: dims {dims}")
-            if moduli_dimension(s, radius=radius) != s.d - 1:
+            if moduli_dimension(s, radius=radius,
+                                report=row) != s.d - 1:
                 bad.append(f"{_spec_tag(s)}: moduli != d-1")
         except InternalCheckFailure as exc:
             bad.append(f"{_spec_tag(s)}: {exc}")
@@ -291,10 +281,10 @@ def criterion_dimensions(sweep: list[SweepRow],
     return CriterionResult("dimension-formulas", not bad, detail)
 
 
-def criterion_minimizer(sweep: list[SweepRow]) -> CriterionResult:
+def criterion_minimizer(sweep: list[NefReport]) -> CriterionResult:
     bad = []
     for row in sweep:
-        s, dec = row.spec, row.dec
+        s, dec = row.spec, row.decomposition
         argmins = row.scan.argmins()
         values = {a: lambda_dot_exceptional_closed(s.d, s.gamma, a)
                   for a in argmins}
@@ -313,15 +303,15 @@ def criterion_minimizer(sweep: list[SweepRow]) -> CriterionResult:
     return CriterionResult("minimizer-claim", not bad, detail)
 
 
-def criterion_contacts(sweep: list[SweepRow]) -> CriterionResult:
+def criterion_contacts(sweep: list[NefReport]) -> CriterionResult:
     bad = []
     checked = 0
     for row in sweep:
-        if not row.report.is_nef():
+        if not row.is_nef():
             continue
         checked += 1
         per_k = {1: [], 2: [], 3: []}
-        for alpha in row.report.boundary_contacts:
+        for alpha in row.boundary_contacts:
             k = ExceptionalSpec.from_alpha(alpha).k
             if k in per_k:
                 per_k[k].append(alpha)

@@ -114,6 +114,70 @@ def test_validate_char_p():
             validate_char_p(bad)
 
 
+def _is_odd_prime_by_trial_division(n: int) -> bool:
+    if n < 3 or n % 2 == 0:
+        return False
+    q = 3
+    while q * q <= n:
+        if n % q == 0:
+            return False
+        q += 2
+    return True
+
+
+def _accepts(p: int) -> bool:
+    try:
+        return validate_char_p(p) == p
+    except DomainError as exc:
+        assert exc.constraint == "char-p-config"
+        return False
+
+
+def test_validate_char_p_matches_trial_division():
+    for n in range(-2, 200_000):
+        assert _accepts(n) == _is_odd_prime_by_trial_division(n), n
+
+
+def test_validate_char_p_rejects_pseudoprimes():
+    # Carmichael numbers and strong pseudoprimes to the leading bases
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not _accepts(n), n
+
+
+def test_validate_char_p_accepts_large_primes():
+    for p in (1000000000039, 2 ** 61 - 1):
+        assert validate_char_p(p) == p
+
+
+def test_validate_char_p_rejects_above_exact_bound():
+    # psi_12, the least strong pseudoprime to the first 12 prime bases,
+    # and a Mersenne prime beyond it: primality is not decided there
+    for n in (318665857834031151167461, 2 ** 89 - 1):
+        with pytest.raises(DomainError) as info:
+            validate_char_p(n)
+        assert info.value.constraint == "char-p-config"
+        assert "decided exactly" in str(info.value)
+
+
+def test_catalog_rows_are_shared_but_lists_are_fresh():
+    first, second = negative_curve_catalog(), negative_curve_catalog()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.append(("extra", section_image(), -2))
+    assert len(negative_curve_catalog()) == 9
+    # C~p is built per call, for each p
+    assert negative_curve_catalog(7)[-1][1] == char_p_section(7)
+
+
+def test_direct_builders_match_basis_sums():
+    assert section_image().pullback == C - S[0] - S[1] - S[2] - S[3]
+    assert char_p_section(5).pullback == 5 * C - R[0] - R[1] - R[2] - R[3]
+    es = ExceptionalSpec.from_alpha((2, 1, 0, 2))
+    assert es.pullback() == 4 * C + F - S[1] - (2 * R[0] + R[1] + 2 * R[3])
+    assert gamma_perp_class(4, 2, 1, (3, 2, 2, 2)) == (
+        4 * C + 3 * F - S[0] - 3 * R[0] - 2 * R[1] - 2 * R[2] - 2 * R[3])
+
+
 def test_fiber_component():
     s0 = fiber_component_class(0)
     assert s0 == F - S[0] - R[0]

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, run configuration
 resolution, output formats, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,34 @@ def test_nef_verdicts(capsys):
     assert payload["verdict"] == "not_nef"
     assert payload["witness"] == [1, 0, 0, 0]
     assert payload["failing_constraint"] == "eps-norm"
+
+
+# `osculant nef 4 2 3,2,2,2` output, recorded before NefReport carried
+# its decomposition and scan; the JSON must not change with them
+NEF_REF_JSON = {
+    "agreement": True,
+    "boundary_contacts": [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 1, 1],
+                          [1, 1, 0, 1], [1, 1, 1, 0], [2, 1, 1, 1]],
+    "conditions": [
+        {"id": "eps-norm", "lhs": 3, "pass": True, "rhs": 3},
+        {"id": "eps-sum", "lhs": 9, "pass": True, "rhs": 9},
+        {"id": "eps-pair", "lhs": 6, "note": "factored reading",
+         "pass": True, "rhs": 6},
+    ],
+    "failing_constraint": None,
+    "mode": "both",
+    "verdict": "nef",
+    "witness": None,
+}
+NEF_REF_SHA256 = \
+    "34b463c24451ceeaecb048448914293b0e9bcff525a75f9bca1bbdce11db94c0"
+
+
+def test_nef_json_is_unchanged(capsys):
+    code, out, err = run_cli(capsys, "nef", "4", "2", "3,2,2,2")
+    assert code == 0, err
+    assert json.loads(out) == NEF_REF_JSON
+    assert hashlib.sha256(out.encode()).hexdigest() == NEF_REF_SHA256
 
 
 def test_minimizer(capsys):

@@ -1,5 +1,6 @@
 """Family generators, the construction kit, and the census sweep."""
 
+import hashlib
 import json
 
 import pytest
@@ -198,3 +199,11 @@ def test_census_json_serializable():
     assert payload[0].keys() == {
         "n", "d", "gamma", "mu", "eps", "nef_closed", "nef_brute",
         "agreement", "dim_moduli", "genus_g", "genus_tilde"}
+
+
+def test_census_csv_golden():
+    # recorded before the evaluate-once refactor; any byte change fails
+    text = census_csv(census(range(1, 31), range(1, 7), 60))
+    assert text.count("\n") - 1 == 6010
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "375f5ad688460caa845d818f9ac2f753d70b88b819688378d3ae0d7c2e035d9e")

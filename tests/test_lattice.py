@@ -13,6 +13,7 @@ from osculant import (
     S,
     ZERO,
     DivisorClass,
+    DomainError,
     OddPairing,
     QuotientClass,
     arithmetic_genus,
@@ -21,6 +22,7 @@ from osculant import (
     quotient_genus,
     quotient_intersect,
 )
+from osculant.vectors import vec4
 
 coef = st.integers(min_value=-50, max_value=50)
 classes = st.builds(
@@ -120,3 +122,56 @@ def test_adjunction_parity(d):
 def test_doubled_class_has_even_pairings(d):
     q = QuotientClass(2 * d)
     assert q.self_intersection() == 2 * d.dot(d)
+
+
+def _rebuilt(d):
+    """The same coefficients through the validating constructor."""
+    return DivisorClass(d.c, d.f, d.s, d.r)
+
+
+@given(classes, classes, st.integers(-9, 9))
+def test_arithmetic_matches_validated_construction(a, b, t):
+    for result in (a + b, a - b, -a, t * a, a * t):
+        assert result == _rebuilt(result)
+        assert hash(result) == hash(_rebuilt(result))
+        assert all(type(x) is int for x in result.coefficients())
+    assert (a + b).coefficients() == tuple(
+        x + y for x, y in zip(a.coefficients(), b.coefficients()))
+    assert (t * a).coefficients() == tuple(t * x for x in a.coefficients())
+
+
+@given(classes, classes)
+def test_dot_matches_gram_matrix(a, b):
+    gram = [[0] * 10 for _ in range(10)]
+    gram[0][1] = gram[1][0] = 1
+    for i in range(2, 10):
+        gram[i][i] = -1
+    x, y = a.coefficients(), b.coefficients()
+    assert a.dot(b) == sum(x[i] * gram[i][j] * y[j]
+                           for i in range(10) for j in range(10))
+
+
+def test_vec4_rejects_wrong_length():
+    for bad in ((1, 2, 3), (1, 2, 3, 4, 5), ()):
+        with pytest.raises(DomainError) as info:
+            vec4(bad)
+        assert info.value.constraint == "vec-length"
+    with pytest.raises(DomainError) as info:
+        DivisorClass(s=(1, 2, 3))
+    assert info.value.constraint == "vec-length"
+
+
+def test_vec4_rejects_bool():
+    with pytest.raises(DomainError) as info:
+        vec4((1, True, 0, 0))
+    assert info.value.constraint == "vec-integer"
+
+
+def test_vec4_rejects_non_integer():
+    for bad in ((3.0, 0, 0, 0), (0, 0, 0, 0.5), (0, "1", 0, 0)):
+        with pytest.raises(DomainError) as info:
+            vec4(bad)
+        assert info.value.constraint == "vec-integer"
+    with pytest.raises(DomainError) as info:
+        DivisorClass(r=(1, 2, 3.0, 4))
+    assert info.value.constraint == "vec-integer"

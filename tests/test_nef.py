@@ -1,6 +1,8 @@
 """Nef criterion, both routes: spec validation, type decomposition,
 the closed pairing form, the box scan, and the derived reports."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from osculant import (
     Decomposition,
     DomainError,
     LambdaSpec,
+    NefReport,
     NotNef,
     ParityViolation,
     RationalImageViolation,
@@ -27,9 +30,11 @@ from osculant import (
     nef_check,
     scan_box,
     thresholds,
+    validate_type,
     verify_minimizer_claim,
     z_divisor,
 )
+from osculant import lattice, nef
 from osculant.catalog import exceptional_class
 
 
@@ -140,6 +145,19 @@ def test_scan_box_engines_agree():
         fast = scan_box(gamma, d, mu, engine="numpy")
         pure = scan_box(gamma, d, mu, engine="pure")
         assert fast == pure
+        assert scan_box(gamma, d, mu) == pure
+
+
+@given(st.integers(1, 40), st.tuples(*[st.integers(0, 3000)] * 4),
+       st.integers(2, 5), st.sampled_from([None, 3, 5, 11, 53, 1009]))
+@settings(max_examples=300, deadline=None)
+def test_separable_scan_matches_full_grid(d, gamma, radius, p):
+    # the default engine takes per-coordinate minima; the nested loop
+    # and the numpy grid visit every point of the box
+    mu = decompose_type(gamma, d).mu
+    ref = scan_box(gamma, d, mu, radius, p, engine="pure")
+    assert scan_box(gamma, d, mu, radius, p) == ref
+    assert scan_box(gamma, d, mu, radius, p, engine="numpy") == ref
 
 
 def test_scan_box_huge_entries_use_pure_path():
@@ -329,3 +347,94 @@ def test_scan_is_radius_stable(spec):
     a = scan_box(spec.gamma, spec.d, dec.mu, radius=2)
     b = scan_box(spec.gamma, spec.d, dec.mu, radius=5)
     assert (a.min_k0, a.min_other) == (b.min_k0, b.min_other)
+
+
+# ---------------------------------------------------------------------------
+# what a report carries, and its reuse
+
+
+NEF_REPORT_KEYS = ["verdict", "mode", "failing_constraint", "witness",
+                   "boundary_contacts", "agreement", "conditions"]
+
+
+def test_report_dict_and_equality_ignore_carried_values():
+    report = nef_check(REF, mode="both")
+    assert list(report.to_dict()) == NEF_REPORT_KEYS
+    assert report.spec == REF and report.p is None
+    assert report.decomposition == decompose_type(REF.gamma, REF.d)
+    # a report rebuilt without the carried values is still equal
+    bare = NefReport(report.verdict, report.mode, report.failing_constraint,
+                     report.witness, report.boundary_contacts,
+                     report.agreement, report.conditions)
+    assert bare == report and hash(bare) == hash(report)
+    assert repr(bare) == repr(report)
+    assert nef_check(REF, mode="closed").scan is None
+
+
+@given(valid_specs(), st.sampled_from([None, 3, 5, 7, 1000000000039]))
+@settings(max_examples=80, deadline=None)
+def test_report_scan_equals_fresh_scan(spec, p):
+    if spec is None:
+        return
+    try:
+        spec.check_char_p(p)
+    except CharPExcluded:
+        return
+    for mode in ("brute", "both"):
+        report = nef_check(spec, mode=mode, p=p)
+        dec = decompose_type(spec.gamma, spec.d)
+        assert report.decomposition == dec
+        assert report.scan == scan_box(spec.gamma, spec.d, dec.mu, p=p)
+
+
+def test_report_reuse_gives_same_dimensions():
+    for spec in (REF, LambdaSpec(8, 3, (5, 4, 4, 4)),
+                 LambdaSpec(2, 1, (1, 2, 0, 0))):
+        for mode in ("brute", "both"):
+            report = nef_check(spec, mode=mode)
+            assert moduli_dimension(spec, report=report) == \
+                moduli_dimension(spec)
+            if spec.d > 1:
+                assert linear_system_dims(spec, report=report) == \
+                    linear_system_dims(spec)
+    not_nef = LambdaSpec(6, 3, (7, 2, 0, 0))
+    report = nef_check(not_nef, mode="both")
+    with pytest.raises(NotNef):
+        linear_system_dims(not_nef, report=report)
+    with pytest.raises(NotNef):
+        moduli_dimension(not_nef, report=report)
+
+
+def test_mismatched_report_is_rejected():
+    other = LambdaSpec(8, 3, (5, 4, 4, 4))
+    wrong = [nef_check(other, mode="both"),          # another spec
+             nef_check(REF, mode="both", p=3),       # another p
+             nef_check(REF, mode="closed")]          # no brute verdict
+    for report in wrong:
+        for call in (linear_system_dims, moduli_dimension):
+            with pytest.raises(DomainError) as info:
+                call(REF, report=report)
+            assert info.value.constraint == "report-mismatch"
+    d_one = LambdaSpec(2, 1, (1, 2, 0, 0))
+    with pytest.raises(DomainError) as info:
+        moduli_dimension(d_one, report=nef_check(REF))
+    assert info.value.constraint == "report-mismatch"
+    assert linear_system_dims(REF, p=3,
+                              report=nef_check(REF, p=3)) == (2, 0)
+
+
+def test_parity_violation_lists_each_coordinate():
+    with pytest.raises(ParityViolation) as info:
+        LambdaSpec(4, 2, (2, 3, 2, 2))
+    rows = validate_type(4, (2, 3, 2, 2))
+    assert len(rows) == 2
+    assert info.value.args[0] == "; ".join(rows)
+
+
+@pytest.mark.parametrize("module", [lattice, nef])
+def test_no_assert_statements(module):
+    # cross-checks must raise InternalCheckFailure, which python -O keeps
+    tree = ast.parse(inspect.getsource(module))
+    asserts = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
