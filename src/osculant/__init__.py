@@ -49,7 +49,6 @@ from .errors import (
     RationalImageViolation,
     RhoEven,
     RhoOutOfRange,
-    SearchBoxExhausted,
     UnknownSymbol,
 )
 from .expr import format as format_divisor
@@ -118,7 +117,7 @@ __all__ = [
     "NotDivisible", "NotNef", "OddPairing", "ParityViolation",
     "QuotientClass", "R", "RationalImageViolation", "RhoEven",
     "RhoOutOfRange", "S",
-    "SearchBoxExhausted", "UnknownSymbol", "ZERO", "arithmetic_genus",
+    "UnknownSymbol", "ZERO", "arithmetic_genus",
     "canonical_class", "census", "census_csv", "census_json",
     "char_p_section", "closed_conditions", "construction_kit",
     "decompose_type", "enumerate_exceptional", "exceptional_class",

@@ -161,7 +161,9 @@ def char_p_section(p: int) -> QuotientClass:
     """C~p: the extra (-2)-section in odd characteristic p,
     pullback p*C - r0-r1-r2-r3."""
     p = validate_char_p(p)
-    assert p is not None
+    if p is None:
+        raise DomainError("C~p needs a characteristic p, got None",
+                          constraint="char-p-config")
     return QuotientClass(DivisorClass(c=p, r=(-1, -1, -1, -1)))
 
 

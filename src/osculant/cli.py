@@ -31,7 +31,6 @@ from .families import (
 )
 from .lattice import K_TILDE, DivisorClass, arithmetic_genus
 from .nef import (
-    DEFAULT_RADIUS,
     LambdaSpec,
     decompose_type,
     lambda_class,
@@ -49,7 +48,6 @@ _ENV_PREFIX = "OSCULANT_"
 @dataclass(frozen=True)
 class RunConfig:
     char_p: int | None = None
-    search_radius: int = DEFAULT_RADIUS
     pair_reading: str = "factored"
     output: str = "json"
     seed: int = 0
@@ -72,10 +70,6 @@ class RunConfig:
 
         char_p = pick("char_p", None, int)
         validate_char_p(char_p)
-        radius = pick("search_radius", DEFAULT_RADIUS, int)
-        if radius < 2:
-            raise DomainError(f"search radius must be >= 2, got {radius}",
-                              constraint="search-radius")
         reading = pick("pair_reading", "factored", str)
         if reading not in ("factored", "literal"):
             raise DomainError(f"unknown pair reading {reading!r}",
@@ -85,7 +79,7 @@ class RunConfig:
             raise DomainError(f"unknown output format {output!r}",
                               constraint="output-format")
         seed = pick("seed", 0, int)
-        return cls(char_p, radius, reading, output, seed)
+        return cls(char_p, reading, output, seed)
 
 
 def _vec_arg(text: str):
@@ -194,28 +188,25 @@ def _cmd_decompose(args, cfg):
 def _cmd_nef(args, cfg):
     spec = LambdaSpec(args.n, args.d, args.gamma)
     report = nef_check(spec, mode=args.mode, p=cfg.char_p,
-                       radius=cfg.search_radius,
                        pair_reading=cfg.pair_reading)
     return _render(report.to_dict(), cfg.output), 0
 
 
 def _cmd_minimizer(args, cfg):
     spec = LambdaSpec(args.n, args.d, args.gamma)
-    report = verify_minimizer_claim(spec, p=cfg.char_p,
-                                    radius=cfg.search_radius)
+    report = verify_minimizer_claim(spec, p=cfg.char_p)
     return _render(report.to_dict(), cfg.output), 0
 
 
 def _cmd_zdiv(args, cfg):
     spec = LambdaSpec(args.n, args.d, args.gamma)
-    contact = z_divisor(spec, p=cfg.char_p, radius=cfg.search_radius)
+    contact = z_divisor(spec, p=cfg.char_p)
     return _render(contact.to_dict(), cfg.output), 0
 
 
 def _cmd_dims(args, cfg):
     spec = LambdaSpec(args.n, args.d, args.gamma)
-    report = nef_check(spec, mode="brute", p=cfg.char_p,
-                       radius=cfg.search_radius)
+    report = nef_check(spec, mode="brute", p=cfg.char_p)
     dim_l, dim_lc = linear_system_dims(spec, p=cfg.char_p, report=report)
     payload = {"dim_lambda": dim_l, "dim_lambda_minus_co": dim_lc,
                "dim_moduli": moduli_dimension(spec, p=cfg.char_p,
@@ -269,7 +260,7 @@ def _cmd_kit(args, cfg):
 
 def _cmd_census(args, cfg):
     records = census(range(1, args.n_max + 1), range(1, args.d_max + 1),
-                     args.gamma_max, p=cfg.char_p, radius=cfg.search_radius,
+                     args.gamma_max, p=cfg.char_p,
                      pair_reading=cfg.pair_reading,
                      partitions=args.partitions)
     if cfg.output == "json":
@@ -278,8 +269,7 @@ def _cmd_census(args, cfg):
 
 
 def _cmd_verify_paper(args, cfg):
-    results = run_all(seed=cfg.seed, radius=cfg.search_radius,
-                      pair_reading=cfg.pair_reading)
+    results = run_all(seed=cfg.seed, pair_reading=cfg.pair_reading)
     failures = sum(not r.passed for r in results)
     if cfg.output == "json":
         payload = [{"key": r.key, "passed": r.passed, "detail": r.detail}
@@ -302,9 +292,9 @@ def _common_flags() -> argparse.ArgumentParser:
     add = common.add_argument
     add("--char-p", dest="char_p", type=int, default=argparse.SUPPRESS,
         metavar="P", help="odd prime characteristic (default: none)")
-    add("--search-radius", dest="search_radius", type=int,
-        default=argparse.SUPPRESS, metavar="R",
-        help="initial half-width of the brute search box (default 3)")
+    add("--search-radius", dest="search_radius", default=argparse.SUPPRESS,
+        metavar="R", help="ignored: the exact minimizer has no search box; "
+        "accepted until the next release")
     add("--pair-reading", dest="pair_reading",
         choices=("factored", "literal"), default=argparse.SUPPRESS,
         help="reading of the pairwise closed nef condition")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .catalog import gamma_perp_class, validate_char_p
 from .errors import (
     DegreeTooSmall,
+    InternalCheckFailure,
     NegativeGenus,
     NotDivisible,
     RhoEven,
@@ -196,7 +197,10 @@ def factorization_relations(d: int, g: int, m: int) -> tuple[int, int]:
     # odd/odd quotients are odd, so the +-1 shifts below stay integral
     d_b = ((2 * d - 1) // m + 1) // 2
     g_b = ((2 * g + 1) // m - 1) // 2
-    assert 2 * d - 1 == m * (2 * d_b - 1) and 2 * g + 1 == m * (2 * g_b + 1)
+    if 2 * d - 1 != m * (2 * d_b - 1) or 2 * g + 1 != m * (2 * g_b + 1):
+        raise InternalCheckFailure(
+            f"base invariants (d_b, g_b) = ({d_b}, {g_b}) do not rebuild "
+            f"(d, g) = ({d}, {g}) under m = {m}")
     return d_b, g_b
 
 

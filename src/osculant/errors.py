@@ -6,9 +6,9 @@ stable ``constraint`` id naming the violated rule.  The ids double as the
 raised by an eager constructor always agree on the name of the rule.
 
 Internal inconsistencies (a cross-check of two independently computed
-values failing, a search box that cannot be certified) are *not* domain
-errors; they signal a bug or an untrustworthy result and map to a
-different process exit code in the CLI.
+values failing) are *not* domain errors; they signal a bug or an
+untrustworthy result and map to a different process exit code in the
+CLI.
 """
 
 
@@ -112,8 +112,3 @@ class InternalCheckFailure(AssertionError):
 
 class IdentityFailure(InternalCheckFailure):
     """A construction-kit identity that must hold by construction failed."""
-
-
-class SearchBoxExhausted(InternalCheckFailure):
-    """The brute minimum kept landing on the artificial box boundary even
-    after automatic enlargement, so the scan cannot be certified."""

@@ -18,14 +18,15 @@ from math import isqrt
 
 from .catalog import gamma_perp_class, validate_char_p
 from .covers import genus_tilde
-from .errors import DomainError, IdentityFailure, NoSolutions, ParityViolation
-from .lattice import C, R, S, DivisorClass
-from .nef import (
-    DEFAULT_RADIUS,
-    LambdaSpec,
-    n_for_type,
-    nef_check,
+from .errors import (
+    DomainError,
+    IdentityFailure,
+    InternalCheckFailure,
+    NoSolutions,
+    ParityViolation,
 )
+from .lattice import C, R, S, DivisorClass
+from .nef import LambdaSpec, n_for_type, nef_check
 from .vectors import Vec4, coord_sum, fmt_vec, norm_sq, vec4
 
 
@@ -84,7 +85,10 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
             if any(g < 0 for g in gamma):
                 continue
             n = n_for_type(d, gamma)
-            assert n is not None, "patterns guarantee integrality"
+            if n is None:
+                raise InternalCheckFailure(
+                    f"nef pattern eps = {fmt_vec(eps)} gives no integral n "
+                    f"at d = {d}")
             if n < 1:
                 continue
             if p is not None and coord_sum(gamma) > p * w:
@@ -110,14 +114,16 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
     w = 2 * d - 1
     k = (d + 1) % 4
     num = 3 + w * (d - 2 + k)
-    assert num % 4 == 0, "the k-choice makes the target integral"
     target = num // 4
     # the proof's auxiliary parameter, kept as a cross-check only
     h = (d + 1 - k) // 4
-    assert d == 4 * h + k - 1
-    assert target == 8 * h * h + 3 * (2 * k - 3) * h + k * k - 3 * k + 3
+    if (num % 4 or d != 4 * h + k - 1
+            or target != 8 * h * h + 3 * (2 * k - 3) * h + k * k - 3 * k + 3
+            or isqrt(target) > d - 1):
+        raise InternalCheckFailure(
+            f"non-nef target eps^(2) = {num}/4 at d = {d} is not an integer "
+            f"8h^2 + 3(2k-3)h + k^2 - 3k + 3 inside the eps window")
     cap = min(bound, isqrt(target))
-    assert isqrt(target) <= d - 1, "non-nef eps stays in the unique window"
 
     out = []
     for eps in product(range(-cap, cap + 1), repeat=4):
@@ -127,7 +133,9 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
         if any(g < 0 for g in gamma):
             continue
         n = n_for_type(d, gamma)
-        assert n is not None, "the eps^(2) equation forces integrality"
+        if n is None:
+            raise InternalCheckFailure(
+                f"non-nef eps = {fmt_vec(eps)} gives no integral n at d = {d}")
         if n < 1:
             continue
         if p is not None and coord_sum(gamma) > p * w:
@@ -146,7 +154,9 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
 
 def _z_template(nu: Vec4, base: int) -> DivisorClass:
     sq = norm_sq(nu)
-    assert sq % 2 == 1, f"template vector {nu} must have odd square sum"
+    if sq % 2 == 0:
+        raise IdentityFailure(
+            f"template vector {fmt_vec(nu)} must have odd square sum")
     s = tuple(-1 if i == base else 0 for i in range(4))
     return DivisorClass((sq - 1) // 2, 1, s, tuple(-x for x in nu))
 
@@ -300,8 +310,8 @@ def _cell_types(n: int, d: int, gamma_bound: int) -> list[Vec4]:
 
 
 def census(n_range, d_range, gamma_bound: int, p: int | None = None,
-           radius: int = DEFAULT_RADIUS, pair_reading: str = "factored",
-           partitions: int = 1) -> list[CensusRecord]:
+           pair_reading: str = "factored", partitions: int = 1
+           ) -> list[CensusRecord]:
     """Sweep the grid and report one record per valid spec.
 
     Cells (n, d) are dealt round-robin into the requested number of
@@ -323,16 +333,15 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
             for gamma in _cell_types(n, d, gamma_bound):
                 if p is not None and coord_sum(gamma) > p * (2 * d - 1):
                     continue
-                records.append(_census_record(n, d, gamma, p, radius,
-                                              pair_reading))
+                records.append(_census_record(n, d, gamma, p, pair_reading))
     records.sort(key=CensusRecord.key)
     return records
 
 
 def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
-                   radius: int, pair_reading: str) -> CensusRecord:
+                   pair_reading: str) -> CensusRecord:
     report = nef_check(LambdaSpec(n, d, gamma), mode="both", p=p,
-                       radius=radius, pair_reading=pair_reading)
+                       pair_reading=pair_reading)
     dec = report.decomposition
     closed_ok = all(c.passed for c in report.conditions)
     brute_ok = report.is_nef()
@@ -341,7 +350,9 @@ def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
     else:
         dim = d - 1 if brute_ok else None
     g1 = coord_sum(gamma)
-    assert g1 % 2 == 1
+    if g1 % 2 == 0:
+        raise InternalCheckFailure(
+            f"gamma^(1) = {g1} even for a valid type {fmt_vec(gamma)}")
     return CensusRecord(
         n=n, d=d, gamma=gamma, mu=dec.mu, eps=dec.eps,
         nef_closed=closed_ok, nef_brute=brute_ok,

@@ -17,13 +17,11 @@ where q(alpha) = ||gamma - w*alpha||^2, so nefness against the whole
 infinite exceptional family reduces to two finite minimizations of q:
 over the k(alpha) = 0 parity class with threshold w^2 + 3, and over
 k(alpha) != 0 with threshold w^2 + 3 - 2w.  The brute oracle performs
-those minimizations by scanning a box around mu (q is a separable
-positive quadratic, so real minimizers hug mu; the scan asserts the
-minimum is away from the artificial box faces and enlarges the box if
-not).  Within one box the minima are taken coordinate by coordinate for
-each parity code, unless the char-p bound cuts the box; then every
-point is visited.  The closed criterion tests three integer
-inequalities on eps:
+those minimizations exactly over the whole orthant alpha >= 0 (scan_box):
+q is a sum of one term per coordinate, so its minimum over each parity
+code is taken coordinate by coordinate, and in characteristic p the
+bound alpha^(1) <= p only drops minimizers, never raises a minimum.  The
+closed criterion tests three integer inequalities on eps:
 
     eps-norm:  eps^(2) >= d^2 - d + 1
     eps-sum:   w * sum|eps_i| <= 3d^2 - 3d + eps^(2)
@@ -31,7 +29,7 @@ inequalities on eps:
 
 eps-pair is stated here in its factored reading, with w multiplying the
 max; the unfactored literal reading is available behind a flag.  The
-three inequalities are exactly the box thresholds evaluated at the
+three inequalities are exactly the q thresholds evaluated at the
 candidate minimizers mu, nat_mu and flat_mu, which is why closed and
 brute verdicts agree.
 """
@@ -59,13 +57,9 @@ from .errors import (
     RationalImageViolation,
     RhoEven,
     RhoOutOfRange,
-    SearchBoxExhausted,
 )
 from .lattice import K_TILDE, QuotientClass
-from .vectors import Vec4, coord_sum, fmt_vec, norm_sq, vec4
-
-DEFAULT_RADIUS = 3
-_ENLARGE_LIMIT = 32  # added to the requested radius before giving up
+from .vectors import Vec4, coord_sum, fmt_vec, minority_index, norm_sq, vec4
 
 
 # ---------------------------------------------------------------------------
@@ -221,178 +215,101 @@ def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# brute box scan
+# exact minimization of q
 
-# minority-parity index by 4-bit parity code (coordinate 0 = high bit);
-# -1 marks even square sums, which are not exceptional indices
-def _k_of_code(code: int) -> int:
-    bits = ((code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1)
-    ones = [i for i, b in enumerate(bits) if b]
-    if len(ones) == 1:
-        return ones[0]
-    if len(ones) == 3:
-        return next(i for i in range(4) if i not in ones)
-    return -1
-
-
-_K_BY_CODE = tuple(_k_of_code(c) for c in range(16))
-_BITS_BY_CODE = tuple(((c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1, c & 1)
-                      for c in range(16))
-# parity codes of the k = 0 class, then of the k != 0 class
-_CLASS_CODES = (tuple(c for c in range(16) if _K_BY_CODE[c] == 0),
-                tuple(c for c in range(16) if _K_BY_CODE[c] > 0))
+# coordinate parities of exceptional alpha (one or three odd), split into
+# the k(alpha) = 0 class and the k != 0 class
+_PARITIES = [bits for bits in product((0, 1), repeat=4) if sum(bits) % 2]
+_CLASS_PARITIES = (tuple(b for b in _PARITIES if minority_index(b) == 0),
+                   tuple(b for b in _PARITIES if minority_index(b) != 0))
 
 
 @dataclass(frozen=True)
 class BoxScan:
-    """Minima of q over the two parity classes inside one scanned box."""
+    """Minima of q over the k = 0 and k != 0 classes of exceptional
+    alpha, each with its sorted minimizers."""
 
-    radius: int
-    min_k0: int | None
+    min_k0: int
     argmin_k0: tuple[Vec4, ...]
-    min_other: int | None
+    min_other: int
     argmin_other: tuple[Vec4, ...]
 
     def argmins(self) -> tuple[Vec4, ...]:
         return tuple(sorted(set(self.argmin_k0) | set(self.argmin_other)))
 
 
-def _scan_once(gamma: Vec4, d: int, mu: Vec4, radius: int,
-               p: int | None, engine: str) -> tuple[BoxScan, bool]:
-    """One box scan; second return value reports whether any argmin sits
-    on an artificial face (upper face, or lower face not clamped at 0)."""
-    w = 2 * d - 1
-    axes = [list(range(max(0, mu[i] - radius), mu[i] + radius + 1))
-            for i in range(4)]
-    if engine == "auto" and (p is None or sum(ax[-1] for ax in axes) <= p):
-        # the char-p bound alpha^(1) <= p does not cut this box, so the
-        # box is the product of its axes
-        results = _separable_minima(gamma, w, axes)
-    elif engine == "numpy":
-        # full-grid reference engine; int64, so only for moderate entries
-        import numpy as np
+def _nearest(g: int, w: int, b: int) -> tuple[int, tuple[int, ...]]:
+    """Minimum and minimizers of (g - w*a)^2 over a >= 0 of parity b.
 
-        per = [np.array([(gamma[i] - w * a) ** 2 for a in axes[i]],
-                        dtype=np.int64) for i in range(4)]
-        ax = [np.array(axes[i], dtype=np.int64) for i in range(4)]
-        sh = [(-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)]
-        q = sum(per[i].reshape(sh[i]) for i in range(4))
-        code = sum(((ax[i] & 1) << (3 - i)).reshape(sh[i]) for i in range(4))
-        kgrid = np.array(_K_BY_CODE, dtype=np.int64)[code]
-        if p is not None:
-            asum = sum(ax[i].reshape(sh[i]) for i in range(4))
-            kgrid = np.where(asum <= p, kgrid, -1)
-        results = []
-        for mask in (kgrid == 0, kgrid > 0):
-            if not mask.any():
-                results.append((None, ()))
-                continue
-            m = int(q[mask].min())
-            hits = np.argwhere(mask & (q == m))
-            pts = tuple(sorted(tuple(axes[i][int(h[i])] for i in range(4))
-                               for h in hits))
-            results.append((m, pts))
+    With m = g // w, g/w lies in [m, m+1): the nearest point of parity b
+    is m or m+1, except that m-1 and m+1 tie when g = w*m, m >= 1 and m
+    has the other parity."""
+    m = g // w
+    if (m - b) % 2 == 0:
+        pts = (m,)
+    elif g == w * m and m > 0:
+        pts = (m - 1, m + 1)
     else:
-        best = [None, None]
-        arg: list[list[Vec4]] = [[], []]
-        for a0 in axes[0]:
-            c0 = (gamma[0] - w * a0) ** 2
-            for a1 in axes[1]:
-                c1 = c0 + (gamma[1] - w * a1) ** 2
-                for a2 in axes[2]:
-                    c2 = c1 + (gamma[2] - w * a2) ** 2
-                    for a3 in axes[3]:
-                        if p is not None and a0 + a1 + a2 + a3 > p:
-                            continue
-                        code = ((a0 & 1) << 3) | ((a1 & 1) << 2) | \
-                               ((a2 & 1) << 1) | (a3 & 1)
-                        k = _K_BY_CODE[code]
-                        if k < 0:
-                            continue
-                        cls = 0 if k == 0 else 1
-                        qv = c2 + (gamma[3] - w * a3) ** 2
-                        if best[cls] is None or qv < best[cls]:
-                            best[cls] = qv
-                            arg[cls] = [(a0, a1, a2, a3)]
-                        elif qv == best[cls]:
-                            arg[cls].append((a0, a1, a2, a3))
-        results = [(best[0], tuple(sorted(arg[0]))),
-                   (best[1], tuple(sorted(arg[1])))]
-
-    scan = BoxScan(radius, results[0][0], results[0][1],
-                   results[1][0], results[1][1])
-    onface = False
-    for pt in scan.argmins():
-        for i in range(4):
-            if pt[i] == mu[i] + radius:
-                onface = True
-            if pt[i] == axes[i][0] and axes[i][0] > 0:
-                onface = True
-    return scan, onface
+        pts = (m + 1,)
+    return (g - w * pts[-1]) ** 2, pts
 
 
-def _separable_minima(gamma: Vec4, w: int, axes: list[list[int]]
-                      ) -> list[tuple[int | None, tuple[Vec4, ...]]]:
-    """(minimum, sorted argmins) of q over the k = 0 and k != 0 classes
-    of the box that is the product of ``axes``.
+def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
+    """Minimize q(alpha) = ||gamma - w*alpha||^2 exactly over the
+    exceptional alpha >= 0 of each class, with alpha^(1) <= p in
+    characteristic p.
 
-    q is a sum of one term per coordinate, and the parity code of alpha
-    is the tuple of its coordinate parities.  So over the points of one
-    code the minimum of q is the sum of per-coordinate minima over that
-    parity, attained exactly on the product of the per-coordinate
-    minimizer sets.  Codes of one class cover disjoint points.
+    q is a sum of one term per coordinate, so over the alpha of one
+    parity code its minimum is the sum of the per-coordinate minima
+    (_nearest), attained exactly on the product of their minimizer sets.
+    The codes of one class cover disjoint points.
+
+    For odd p and gamma^(1) <= p*w (a larger gamma^(1) raises
+    CharPExcluded, the rule of LambdaSpec.check_char_p) the budget
+    alpha^(1) <= p never raises a class minimum, so its minimizers are
+    the ones above with alpha^(1) <= p.  Proof: let alpha be a class
+    minimizer with alpha^(1) > p.  Both are odd, so the offsets
+    e_i = alpha_i - gamma_i/w, each in [-1, 1], sum to at least 2.
+    Flipping every parity keeps the minority index, so the class also
+    holds beta, the nearest points of the other parities (the lower one
+    of a tie): beta_i = alpha_i - 1 where e_i > 0 or e_i = 0 < alpha_i,
+    and alpha_i + 1 elsewhere.  They lie 1 - |e_i| from gamma_i/w, so
+    (q(beta) - q(alpha))/w^2 = 4 - 2*sum|e_i| <= 0: beta is a minimizer
+    too, every e_i >= 0, sum e_i = 2 and alpha^(1) = p + 2.  With three
+    e_i > 0, beta^(1) <= alpha^(1) - 3 + 1 = p.  With two, both are 1:
+    an alpha_i >= 2 among them ties with alpha_i - 2, and if both are 1
+    the other two coordinates carry gamma^(1) = p*w, so one has
+    alpha_i > 0 and again beta^(1) <= p.
     """
-    best = []   # best[i][b]: (min term, minimizers) on axis i, parity b
-    for g, axis in zip(gamma, axes):
-        per: list = [None, None]
-        for a in axis:
-            term = (g - w * a) ** 2
-            cur = per[a & 1]
-            if cur is None or term < cur[0]:
-                per[a & 1] = (term, [a])
-            elif term == cur[0]:
-                cur[1].append(a)
-        best.append(per)
-    results = []
-    for codes in _CLASS_CODES:
-        low, hits = None, []
-        for code in codes:
-            parts = [best[i][b] for i, b in enumerate(_BITS_BY_CODE[code])]
-            if None in parts:
-                continue
-            value = sum(part[0] for part in parts)
-            if low is None or value < low:
-                low, hits = value, [parts]
-            elif value == low:
-                hits.append(parts)
-        results.append((low, tuple(sorted(
-            pt for parts in hits
-            for pt in product(*(part[1] for part in parts))))))
-    return results
-
-
-def scan_box(gamma, d: int, mu, radius: int = DEFAULT_RADIUS,
-             p: int | None = None, engine: str = "auto") -> BoxScan:
-    """Minimize q over each parity class near mu, growing the box until
-    every minimizer is strictly inside the artificial faces.
-
-    All engines return the same scan.  "auto" takes per-coordinate
-    minima (_separable_minima) unless the char-p bound cuts the box, and
-    then visits every point ("pure", exact integers).  "numpy" evaluates
-    the full grid in int64 and is kept as a reference."""
-    gamma, mu = vec4(gamma), vec4(mu)
-    if radius < 2:
-        raise DomainError(f"search radius must be >= 2, got {radius}",
-                          constraint="search-radius")
-    r = radius
-    while r <= radius + _ENLARGE_LIMIT:
-        scan, onface = _scan_once(gamma, d, mu, r, p, engine)
-        if not onface:
-            return scan
-        r += 2
-    raise SearchBoxExhausted(
-        f"minimum still on the box face at radius {r - 2} "
-        f"(gamma={fmt_vec(gamma)}, d={d})")
+    gamma = vec4(gamma)
+    if min(gamma) < 0:
+        raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
+                          constraint="gamma-nonnegative")
+    w = 2 * d - 1
+    if p is not None and p % 2 == 0:
+        raise DomainError(f"characteristic must be odd, got {p}",
+                          constraint="char-p-config")
+    if p is not None and coord_sum(gamma) > p * w:
+        raise CharPExcluded(
+            f"gamma^(1) = {coord_sum(gamma)} > p(2d-1) = {p * w}")
+    terms = [(_nearest(g, w, 0), _nearest(g, w, 1)) for g in gamma]
+    classes = []
+    for class_parities in _CLASS_PARITIES:
+        found = []  # (q, alpha) of the minimizers of each code
+        for bits in class_parities:
+            parts = [term[b] for term, b in zip(terms, bits)]
+            values, choices = zip(*parts)
+            found += [(sum(values), a) for a in product(*choices)]
+        low = min(found)[0]
+        hits = tuple(sorted(a for v, a in found
+                            if v == low and (p is None or sum(a) <= p)))
+        if not hits:
+            raise InternalCheckFailure(
+                f"no minimizer of q within alpha^(1) <= {p} for "
+                f"gamma = {fmt_vec(gamma)}, d = {d}")
+        classes.append((low, hits))
+    (min_k0, argmin_k0), (min_other, argmin_other) = classes
+    return BoxScan(min_k0, argmin_k0, min_other, argmin_other)
 
 
 def thresholds(d: int) -> tuple[int, int]:
@@ -475,13 +392,13 @@ def _require_unramified(spec: LambdaSpec) -> None:
 
 
 def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
-              radius: int = DEFAULT_RADIUS,
               pair_reading: str = "factored") -> NefReport:
     """Decide nefness of Lambda(spec) by the requested route(s).
 
     Closed mode evaluates the three eps inequalities.  Brute mode checks
     Lambda against the full negative-curve catalog: the finite (-2)-list
-    directly, the exceptional family through the two box minimizations.
+    directly, the exceptional family through the two exact minimizations
+    of q (scan_box).
     Both mode runs the two and records their agreement; the reported
     verdict is then the brute one.
     """
@@ -510,10 +427,9 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
             if pairing < 0:
                 raise InternalCheckFailure(
                     f"valid spec pairs negatively with {name}: {pairing}")
-        scan = scan_box(spec.gamma, spec.d, dec.mu, radius, p)
+        scan = scan_box(spec.gamma, spec.d, p)
         t0, t1 = thresholds(spec.d)
-        brute_verdict = ((scan.min_k0 is None or scan.min_k0 >= t0)
-                         and (scan.min_other is None or scan.min_other >= t1))
+        brute_verdict = scan.min_k0 >= t0 and scan.min_other >= t1
         cont = []
         if scan.min_k0 == t0:
             cont += scan.argmin_k0
@@ -521,15 +437,11 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
             cont += scan.argmin_other
         contacts = tuple(sorted(cont))
         if not brute_verdict:
-            worst: tuple[Fraction, Vec4] | None = None
-            if scan.min_k0 is not None and scan.min_k0 < t0:
-                worst = (_value(scan.min_k0, spec.d, True), scan.argmin_k0[0])
-            if scan.min_other is not None and scan.min_other < t1:
-                v = (_value(scan.min_other, spec.d, False),
-                     scan.argmin_other[0])
-                if worst is None or v < worst:
-                    worst = v
-            witness = worst[1]
+            # the lower pairing value belongs to a failing class
+            witness = min(
+                (_value(scan.min_k0, spec.d, True), scan.argmin_k0[0]),
+                (_value(scan.min_other, spec.d, False),
+                 scan.argmin_other[0]))[1]
 
     final = brute_verdict if brute_verdict is not None else closed_verdict
     agreement = None
@@ -581,13 +493,22 @@ def _frac_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None,
-                           radius: int = DEFAULT_RADIUS) -> MinimizerReport:
+def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None, *,
+                           report: NefReport | None = None
+                           ) -> MinimizerReport:
     """Check that the minimal pairing value over all exceptional classes
-    is attained at mu, nat_mu, or a flat_mu (recorded, not assumed)."""
+    is attained at mu, nat_mu, or a flat_mu (recorded, not assumed).
+
+    ``report`` is reused as in linear_system_dims: its decomposition and
+    scan stand in for fresh ones."""
     _require_unramified(spec)
     spec.check_char_p(p)
-    dec = decompose_type(spec.gamma, spec.d)
+    if report is None:
+        dec = decompose_type(spec.gamma, spec.d)
+        scan = scan_box(spec.gamma, spec.d, p)
+    else:
+        _check_report(report, spec, p)
+        dec, scan = report.decomposition, report.scan
     w = spec.w
     if (4 * dec.eps_sq - 3) % w:
         raise InternalCheckFailure(
@@ -604,14 +525,10 @@ def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None,
         kz = ExceptionalSpec.from_alpha(vec).k == 0
         cand_rows.append((name, vec, _value(qval(vec), spec.d, kz)))
 
-    scan = scan_box(spec.gamma, spec.d, dec.mu, radius, p)
-    values: list[tuple[Fraction, Vec4]] = []
-    if scan.min_k0 is not None:
-        values += [(_value(scan.min_k0, spec.d, True), a)
-                   for a in scan.argmin_k0]
-    if scan.min_other is not None:
-        values += [(_value(scan.min_other, spec.d, False), a)
-                   for a in scan.argmin_other]
+    values = [(_value(scan.min_k0, spec.d, True), a)
+              for a in scan.argmin_k0]
+    values += [(_value(scan.min_other, spec.d, False), a)
+               for a in scan.argmin_other]
     vmin = min(v for v, _ in values)
     argmins = tuple(sorted(a for v, a in values if v == vmin))
     holds = min(v for _, _, v in cand_rows) == vmin
@@ -656,13 +573,12 @@ class ContactDivisor:
         }
 
 
-def z_divisor(spec: LambdaSpec, p: int | None = None,
-              radius: int = DEFAULT_RADIUS) -> ContactDivisor:
+def z_divisor(spec: LambdaSpec, p: int | None = None) -> ContactDivisor:
     """For j in {1,2,3}, the exceptional contact with k(alpha) = j, when
     one exists.  Requires a nef spec; uniqueness per j is confirmed over
-    the certified box and any violation reported as an anomaly rather
+    every exceptional class and any violation reported as an anomaly rather
     than silently truncated."""
-    report = nef_check(spec, mode="brute", p=p, radius=radius)
+    report = nef_check(spec, mode="brute", p=p)
     _require_nef(report)
     by_k: dict[int, list[Vec4]] = {1: [], 2: [], 3: []}
     for alpha in report.boundary_contacts:
@@ -678,8 +594,7 @@ def z_divisor(spec: LambdaSpec, p: int | None = None,
     return ContactDivisor(tuple(comps), tuple(anomalies))
 
 
-def linear_system_dims(spec: LambdaSpec, p: int | None = None,
-                       radius: int = DEFAULT_RADIUS, *,
+def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
                        report: NefReport | None = None) -> tuple[int, int]:
     """Dimensions of |Lambda| and |Lambda - C~o| by the anticanonical
     dimension formula dim|D| = D.(D - K~)/2, cross-checked against the
@@ -695,7 +610,7 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None,
         raise AnticanonicalDegreeTooSmall(
             f"-K~.Lambda = {deg} < 2; the dimension formula needs >= 2")
     if report is None:
-        report = nef_check(spec, mode="brute", p=p, radius=radius)
+        report = nef_check(spec, mode="brute", p=p)
     else:
         _check_report(report, spec, p)
     _require_nef(report)
@@ -716,8 +631,7 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None,
     return dim_l, dim_lc
 
 
-def moduli_dimension(spec: LambdaSpec, p: int | None = None,
-                     radius: int = DEFAULT_RADIUS, *,
+def moduli_dimension(spec: LambdaSpec, p: int | None = None, *,
                      report: NefReport | None = None) -> int:
     """Dimension of the moduli space the spec defines: d-1 for nef
     specs with d >= 2, and 0 for d = 1 (a single cover, gamma = mu).
@@ -732,6 +646,6 @@ def moduli_dimension(spec: LambdaSpec, p: int | None = None,
         # gamma^(2) = 2n+1 at d = 1; the moduli space is one point
         return 0
     if report is None:
-        report = nef_check(spec, mode="brute", p=p, radius=radius)
+        report = nef_check(spec, mode="brute", p=p)
     _require_nef(report)
     return spec.d - 1

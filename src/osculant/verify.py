@@ -7,7 +7,7 @@ The heavier criteria share one exhaustive sweep: every valid spec with
 d in [2, 5] built from mu patterns with components at most 3 (both
 parity orientations) and every eps window vector whose congruence class
 admits an integral degree.  For each spec the sweep stores the dual
-nef report, which carries its decomposition and box scan, so agreement,
+nef report, which carries its decomposition and scan, so agreement,
 adjunction, dimension, minimizer and contact checks all read the same
 data.
 """
@@ -30,7 +30,6 @@ from .families import census, census_csv, construction_kit, generate_nef_types, 
     generate_non_nef_types
 from .lattice import K_TILDE, DivisorClass
 from .nef import (
-    DEFAULT_RADIUS,
     LambdaSpec,
     NefReport,
     decompose_type,
@@ -40,6 +39,7 @@ from .nef import (
     moduli_dimension,
     n_for_type,
     nef_check,
+    verify_minimizer_claim,
 )
 from .vectors import Vec4, fmt_vec, norm_sq
 
@@ -71,10 +71,9 @@ def mu_patterns(mu_max: int) -> list[Vec4]:
 
 
 def build_sweep(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
-                radius: int = DEFAULT_RADIUS,
                 pair_reading: str = "factored") -> list[NefReport]:
     """The both-mode nef report of every spec in the grid; each report
-    carries its spec, decomposition and box scan."""
+    carries its spec, decomposition and scan."""
     rows = []
     for d in range(d_lo, d_hi + 1):
         w = 2 * d - 1
@@ -86,11 +85,14 @@ def build_sweep(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
                 if any(g < 0 for g in gamma):
                     continue
                 n = n_for_type(d, gamma)
-                assert n is not None, "congruence filter guarantees this"
+                if n is None:
+                    raise InternalCheckFailure(
+                        f"no integral n for gamma = {fmt_vec(gamma)} at "
+                        f"d = {d}; the eps congruence filter should "
+                        f"guarantee one")
                 if n < 1:
                     continue
                 rows.append(nef_check(LambdaSpec(n, d, gamma), mode="both",
-                                      radius=radius,
                                       pair_reading=pair_reading))
     return rows
 
@@ -206,8 +208,7 @@ _FAMILY_MUS = ((1, 0, 0, 0), (1, 2, 0, 0), (3, 0, 0, 2),
                (0, 1, 1, 1), (2, 1, 1, 1), (0, 1, 3, 1))
 
 
-def criterion_family_generators(radius: int = DEFAULT_RADIUS
-                                ) -> CriterionResult:
+def criterion_family_generators() -> CriterionResult:
     bad = []
     nef_count = 0
     for d in range(2, 9):
@@ -215,8 +216,7 @@ def criterion_family_generators(radius: int = DEFAULT_RADIUS
             for mu in _FAMILY_MUS:
                 for n, gamma, _ in generate_nef_types(d, k, mu):
                     nef_count += 1
-                    rep = nef_check(LambdaSpec(n, d, gamma), mode="brute",
-                                    radius=radius)
+                    rep = nef_check(LambdaSpec(n, d, gamma), mode="brute")
                     if not rep.is_nef():
                         bad.append(f"nef family d={d} k={k} "
                                    f"gamma={fmt_vec(gamma)} came out not_nef")
@@ -225,8 +225,7 @@ def criterion_family_generators(radius: int = DEFAULT_RADIUS
         for mu in _FAMILY_MUS:
             for n, gamma, _ in generate_non_nef_types(d, mu, bound=d):
                 non_count += 1
-                rep = nef_check(LambdaSpec(n, d, gamma), mode="both",
-                                radius=radius)
+                rep = nef_check(LambdaSpec(n, d, gamma), mode="both")
                 norm_row = next(c for c in rep.conditions
                                 if c.id == "eps-norm")
                 if rep.is_nef() or rep.witness is None or norm_row.passed:
@@ -256,8 +255,7 @@ def criterion_adjunction(sweep: list[NefReport]) -> CriterionResult:
     return CriterionResult("adjunction-consistency", not bad, detail)
 
 
-def criterion_dimensions(sweep: list[NefReport],
-                         radius: int = DEFAULT_RADIUS) -> CriterionResult:
+def criterion_dimensions(sweep: list[NefReport]) -> CriterionResult:
     bad = []
     checked = 0
     for row in sweep:
@@ -266,11 +264,10 @@ def criterion_dimensions(sweep: list[NefReport],
         checked += 1
         s = row.spec
         try:
-            dims = linear_system_dims(s, radius=radius, report=row)
+            dims = linear_system_dims(s, report=row)
             if dims != (2 * s.d - 2, s.d - 2):
                 bad.append(f"{_spec_tag(s)}: dims {dims}")
-            if moduli_dimension(s, radius=radius,
-                                report=row) != s.d - 1:
+            if moduli_dimension(s, report=row) != s.d - 1:
                 bad.append(f"{_spec_tag(s)}: moduli != d-1")
         except InternalCheckFailure as exc:
             bad.append(f"{_spec_tag(s)}: {exc}")
@@ -284,18 +281,12 @@ def criterion_dimensions(sweep: list[NefReport],
 def criterion_minimizer(sweep: list[NefReport]) -> CriterionResult:
     bad = []
     for row in sweep:
-        s, dec = row.spec, row.decomposition
-        argmins = row.scan.argmins()
-        values = {a: lambda_dot_exceptional_closed(s.d, s.gamma, a)
-                  for a in argmins}
-        vmin = min(values.values())
-        cands = {dec.mu, dec.nat_mu, *dec.flat_mu_set}
-        best_cand = min(lambda_dot_exceptional_closed(s.d, s.gamma, a)
-                        for a in cands)
-        if best_cand != vmin:
-            outside = sorted(a for a, v in values.items() if v == vmin)
-            bad.append(f"{_spec_tag(s)}: min {vmin} only at {outside}, "
-                       f"candidates reach {best_cand}")
+        claim = verify_minimizer_claim(row.spec, report=row)
+        if not claim.holds:
+            best_cand = min(v for _, _, v in claim.candidates)
+            bad.append(f"{_spec_tag(row.spec)}: min {claim.min_value} only "
+                       f"at {list(claim.counterexamples)}, candidates reach "
+                       f"{best_cand}")
     detail = (f"{len(sweep)} specs: box minimum always attained on "
               f"{{mu, nat_mu}} or a flat_mu; {len(bad)} counterexamples")
     if bad:
@@ -459,7 +450,7 @@ def criterion_census_determinism() -> CriterionResult:
 # the full battery
 
 
-def run_all(seed: int = 0, radius: int = DEFAULT_RADIUS,
+def run_all(seed: int = 0,
             pair_reading: str = "factored") -> list[CriterionResult]:
     """All thirteen criteria, in specification order.
 
@@ -467,15 +458,15 @@ def run_all(seed: int = 0, radius: int = DEFAULT_RADIUS,
     one sweep built at characteristic zero; char-p behavior is covered
     by the unit suites, not by the battery.
     """
-    sweep = build_sweep(radius=radius, pair_reading=pair_reading)
+    sweep = build_sweep(pair_reading=pair_reading)
     return [
         criterion_exceptional_catalog(),
         criterion_negative_curve_catalog(),
         criterion_pairing_closed_form(seed=seed),
         criterion_nef_agreement(sweep, pair_reading),
-        criterion_family_generators(radius=radius),
+        criterion_family_generators(),
         criterion_adjunction(sweep),
-        criterion_dimensions(sweep, radius=radius),
+        criterion_dimensions(sweep),
         criterion_minimizer(sweep),
         criterion_contacts(sweep),
         criterion_construction_kit(),

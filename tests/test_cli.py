@@ -3,6 +3,10 @@ resolution, output formats, and exit codes."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +214,7 @@ def test_env_char_p(capsys, monkeypatch):
 
 
 def test_bad_env_value_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("OSCULANT_SEARCH_RADIUS", "wide")
+    monkeypatch.setenv("OSCULANT_SEED", "wide")
     code, _, err = run_cli(capsys, "genus", "K")
     assert code == 1 and "run-config" in err
 
@@ -219,10 +223,6 @@ def test_run_config_validation():
     class Args:
         pass
 
-    args = Args()
-    args.search_radius = 1
-    with pytest.raises(Exception, match="search-radius"):
-        RunConfig.resolve(args)
     args = Args()
     args.pair_reading = "sloppy"
     with pytest.raises(Exception):
@@ -241,11 +241,11 @@ def test_output_csv_of_mapping(capsys):
 
 
 def test_verify_paper_exit_codes(capsys, monkeypatch):
-    def fake_pass(seed=0, radius=3, pair_reading="factored"):
+    def fake_pass(seed=0, pair_reading="factored"):
         return [CriterionResult("a", True, "ok"),
                 CriterionResult("b", True, "ok")]
 
-    def fake_fail(seed=0, radius=3, pair_reading="factored"):
+    def fake_fail(seed=0, pair_reading="factored"):
         return [CriterionResult("a", True, "ok"),
                 CriterionResult("b", False, "broken")]
 
@@ -277,3 +277,37 @@ def test_internal_failure_exit_three(capsys, monkeypatch):
 def test_seed_flag_accepted(capsys):
     payload = run_json(capsys, "--seed", "7", "genus", "K")
     assert payload["value"] == -7
+
+
+# runs in a fresh interpreter: the test process may have numpy loaded
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+from osculant.cli import main
+
+runs = []
+for argv in (["nef", "4", "2", "3,2,2,2", "--char-p", "7"],
+             ["census", "--n-max", "6", "--d-max", "3", "--gamma-max", "15",
+              "--output", "csv"]):
+    for extra in ([], ["--search-radius", "9"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + extra)
+        runs.append([code, out.getvalue()])
+print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_runs_without_numpy_and_ignores_search_radius():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # the environment variable is no longer read either
+    env = dict(os.environ, PYTHONPATH=src, OSCULANT_SEARCH_RADIUS="wide")
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["numpy"] is False
+    nef, nef_radius, census_out, census_radius = result["runs"]
+    assert nef[0] == census_out[0] == 0
+    assert json.loads(nef[1])["verdict"] == "nef"
+    assert census_out[1].startswith(CSV_COLUMNS)
+    assert nef_radius == nef and census_radius == census_out

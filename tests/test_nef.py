@@ -1,12 +1,17 @@
 """Nef criterion, both routes: spec validation, type decomposition,
-the closed pairing form, the box scan, and the derived reports."""
+the closed pairing form, the exact minimizer of q, and the derived
+reports."""
 
 import ast
-import inspect
+import importlib.util
+import pkgutil
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import osculant
 
 from osculant import (
     AnticanonicalDegreeTooSmall,
@@ -34,8 +39,9 @@ from osculant import (
     verify_minimizer_claim,
     z_divisor,
 )
-from osculant import lattice, nef
 from osculant.catalog import exceptional_class
+
+from box_oracle import box_scan, class_of
 
 
 REF = LambdaSpec(4, 2, (3, 2, 2, 2))
@@ -126,38 +132,84 @@ def test_thresholds():
 
 
 def test_scan_box_reference():
-    scan = scan_box((3, 2, 2, 2), 2, (1, 0, 0, 0))
+    scan = scan_box((3, 2, 2, 2), 2)
     assert scan.min_k0 == 12
     assert scan.argmin_k0 == ((0, 1, 1, 1), (1, 0, 0, 0), (2, 1, 1, 1))
     assert scan.min_other == 6
     assert scan.argmin_other == ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0))
 
 
-def test_scan_box_radius_floor():
-    with pytest.raises(DomainError):
-        scan_box((3, 2, 2, 2), 2, (1, 0, 0, 0), radius=1)
-
-
-def test_scan_box_engines_agree():
-    for gamma, d, mu in (((3, 2, 2, 2), 2, (1, 0, 0, 0)),
-                         ((7, 2, 0, 0), 3, (1, 0, 0, 0)),
-                         ((5, 4, 4, 4), 3, (1, 0, 0, 0))):
-        fast = scan_box(gamma, d, mu, engine="numpy")
-        pure = scan_box(gamma, d, mu, engine="pure")
-        assert fast == pure
-        assert scan_box(gamma, d, mu) == pure
-
-
 @given(st.integers(1, 40), st.tuples(*[st.integers(0, 3000)] * 4),
-       st.integers(2, 5), st.sampled_from([None, 3, 5, 11, 53, 1009]))
+       st.sampled_from([None, 3, 5, 11, 53, 1009, 1000000000039]))
 @settings(max_examples=300, deadline=None)
-def test_separable_scan_matches_full_grid(d, gamma, radius, p):
-    # the default engine takes per-coordinate minima; the nested loop
-    # and the numpy grid visit every point of the box
+def test_scan_box_matches_box_oracle(d, gamma, p):
+    # gamma^(1) > p(2d-1) is excluded, as for a spec, so small p mostly
+    # tests that rule here and the enumeration test below covers them
+    if p is not None and sum(gamma) > p * (2 * d - 1):
+        with pytest.raises(CharPExcluded):
+            scan_box(gamma, d, p)
+        return
     mu = decompose_type(gamma, d).mu
-    ref = scan_box(gamma, d, mu, radius, p, engine="pure")
-    assert scan_box(gamma, d, mu, radius, p) == ref
-    assert scan_box(gamma, d, mu, radius, p, engine="numpy") == ref
+    assert scan_box(gamma, d, p) == box_scan(gamma, d, mu, p=p)
+
+
+def _enumerated_scan(gamma, d, p):
+    """Minima of q over every exceptional alpha >= 0 with alpha^(1) <= p,
+    by listing them all; independent of any box."""
+    w = 2 * d - 1
+    best = {0: None, 1: None}
+    arg = {0: [], 1: []}
+    for alpha in product(range(p + 1), repeat=4):
+        cls = class_of(alpha)
+        if sum(alpha) > p or cls is None:
+            continue
+        q = sum((g - w * a) ** 2 for g, a in zip(gamma, alpha))
+        if best[cls] is None or q < best[cls]:
+            best[cls], arg[cls] = q, [alpha]
+        elif q == best[cls]:
+            arg[cls].append(alpha)
+    return (best[0], tuple(sorted(arg[0])), best[1], tuple(sorted(arg[1])))
+
+
+@st.composite
+def budget_types(draw):
+    """(d, p, gamma) with p <= 11 and gamma^(1) <= p(2d-1), often within
+    2(2d-1) of that bound, where the budget alpha^(1) <= p drops
+    minimizers."""
+    d = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    cap = p * (2 * d - 1)
+    total = cap - draw(st.one_of(st.integers(0, 2 * (2 * d - 1)),
+                                 st.integers(0, cap)))
+    weights = draw(st.tuples(*[st.integers(0, 1000)] * 4))
+    scale = sum(weights) or 1
+    gamma = [total * x // scale for x in weights[:3]]
+    return d, p, (*gamma, total - sum(gamma))
+
+
+@given(budget_types())
+@settings(max_examples=150, deadline=None)
+def test_scan_box_matches_enumeration(case):
+    d, p, gamma = case
+    scan = scan_box(gamma, d, p)
+    assert (scan.min_k0, scan.argmin_k0, scan.min_other,
+            scan.argmin_other) == _enumerated_scan(gamma, d, p)
+
+
+def test_scan_box_rejects_excluded_and_negative_types():
+    # the rule of LambdaSpec.check_char_p: gamma^(1) <= p(2d-1)
+    assert scan_box((3, 2, 2, 2), 2, 3) == nef_check(REF, p=3).scan
+    with pytest.raises(CharPExcluded):
+        scan_box((3, 2, 2, 3), 2, 3)
+    with pytest.raises(CharPExcluded):
+        scan_box((3, 4, 2, 2), 2, 3)
+    with pytest.raises(DomainError) as info:
+        scan_box((3, -2, 2, 2), 2)
+    assert info.value.constraint == "gamma-nonnegative"
+    # the budget argument needs an odd p
+    with pytest.raises(DomainError) as info:
+        scan_box((3, 2, 2, 2), 2, 4)
+    assert info.value.constraint == "char-p-config"
 
 
 def test_scan_box_huge_entries_use_pure_path():
@@ -165,8 +217,9 @@ def test_scan_box_huge_entries_use_pure_path():
     big = 1 << 31
     gamma = (big + 1, big, big, big)
     d = 1
-    scan = scan_box(gamma, d, gamma, radius=2)
-    assert scan.min_k0 == 0 or scan.min_other == 0
+    scan = scan_box(gamma, d)
+    assert scan.min_k0 == 0 and scan.argmin_k0 == (gamma,)
+    assert scan == box_scan(gamma, d, gamma)
 
 
 def test_nef_check_mode_validation():
@@ -282,24 +335,25 @@ def valid_specs(draw):
     """A valid rho = 1 spec from free (d, mu) plus a congruent eps.
 
     gamma_i = w*mu_i + 2*eps_i shares the parity of mu_i, so the type
-    parity law is imposed on mu directly; draws that miss the square-sum
-    congruence or force n < 1 come back as None and are skipped.
+    parity law is imposed on mu directly.  eps_0..eps_2 are free and
+    eps_3 is drawn from the window values that solve the square-sum
+    congruence 4*eps^(2) = 3 mod w; draws with no solution or with
+    n < 1 come back as None and are skipped.
     """
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 30))
     w = 2 * d - 1
     t = draw(st.integers(0, 1))
     mu = tuple(2 * draw(st.integers(0, 2))
                + ((1 - t) if i == 0 else t) for i in range(4))
-    eps = []
-    for i in range(4):
-        lo = -min(d - 1, (w * mu[i]) // 2)
-        e = draw(st.integers(lo, d - 1))
-        eps.append(e)
+    lows = [-min(d - 1, (w * m) // 2) for m in mu]
+    eps = [draw(st.integers(lo, d - 1)) for lo in lows[:3]]
+    rest = sum(e * e for e in eps)
+    last = [e for e in range(lows[3], d)
+            if (4 * (rest + e * e) - 3) % w == 0]
+    if not last:
+        return None
+    eps.append(draw(st.sampled_from(last)))
     gamma = tuple(w * m + 2 * e for m, e in zip(mu, eps))
-    if any(g < 0 for g in gamma):
-        return None
-    if (4 * sum(e * e for e in eps) - 3) % w:
-        return None
     n = n_for_type(d, gamma)
     if n is None or n < 1:
         return None
@@ -329,24 +383,16 @@ def test_closed_pairing_is_half_pullback_dot(spec, alpha):
     assert lambda_dot_exceptional_closed(spec.d, spec.gamma, alpha) == direct
 
 
-@given(valid_specs())
-@settings(max_examples=60, deadline=None)
-def test_routes_agree_on_random_specs(spec):
+@given(valid_specs(), st.sampled_from([None, 3, 5, 7, 53, 1000000000039]))
+@settings(max_examples=300, deadline=None)
+def test_routes_agree_on_random_specs(spec, p):
     if spec is None:
         return
-    report = nef_check(spec, mode="both")
-    assert report.agreement is True
-
-
-@given(valid_specs())
-@settings(max_examples=40, deadline=None)
-def test_scan_is_radius_stable(spec):
-    if spec is None:
+    try:
+        spec.check_char_p(p)
+    except CharPExcluded:
         return
-    dec = decompose_type(spec.gamma, spec.d)
-    a = scan_box(spec.gamma, spec.d, dec.mu, radius=2)
-    b = scan_box(spec.gamma, spec.d, dec.mu, radius=5)
-    assert (a.min_k0, a.min_other) == (b.min_k0, b.min_other)
+    assert nef_check(spec, mode="both", p=p).agreement is True
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +430,9 @@ def test_report_scan_equals_fresh_scan(spec, p):
         report = nef_check(spec, mode=mode, p=p)
         dec = decompose_type(spec.gamma, spec.d)
         assert report.decomposition == dec
-        assert report.scan == scan_box(spec.gamma, spec.d, dec.mu, p=p)
+        assert report.scan == scan_box(spec.gamma, spec.d, p)
+        assert verify_minimizer_claim(spec, p, report=report) == \
+            verify_minimizer_claim(spec, p)
 
 
 def test_report_reuse_gives_same_dimensions():
@@ -411,7 +459,8 @@ def test_mismatched_report_is_rejected():
              nef_check(REF, mode="both", p=3),       # another p
              nef_check(REF, mode="closed")]          # no brute verdict
     for report in wrong:
-        for call in (linear_system_dims, moduli_dimension):
+        for call in (linear_system_dims, moduli_dimension,
+                     verify_minimizer_claim):
             with pytest.raises(DomainError) as info:
                 call(REF, report=report)
             assert info.value.constraint == "report-mismatch"
@@ -431,10 +480,16 @@ def test_parity_violation_lists_each_coordinate():
     assert info.value.args[0] == "; ".join(rows)
 
 
-@pytest.mark.parametrize("module", [lattice, nef])
+OSCULANT_MODULES = ["osculant"] + sorted(
+    f"osculant.{info.name}"
+    for info in pkgutil.iter_modules(osculant.__path__))
+
+
+@pytest.mark.parametrize("module", OSCULANT_MODULES)
 def test_no_assert_statements(module):
     # cross-checks must raise InternalCheckFailure, which python -O keeps
-    tree = ast.parse(inspect.getsource(module))
+    with open(importlib.util.find_spec(module).origin) as f:
+        tree = ast.parse(f.read())
     asserts = [node.lineno for node in ast.walk(tree)
                if isinstance(node, ast.Assert)]
     assert asserts == []
