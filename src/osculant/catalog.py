@@ -26,6 +26,7 @@ so no cache grows with p.
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import index
 
 from .errors import CharPExcluded, ParityViolation, RhoEven, RhoOutOfRange, DomainError
 from .lattice import F, S, R, DivisorClass, QuotientClass
@@ -61,12 +62,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class _CheckedP(int):
+    """A characteristic validate_char_p has already accepted."""
+
+
 def validate_char_p(p: int | None) -> int | None:
     """Characteristic config: None (char 0) or an odd prime >= 3 below
-    _MR_BOUND, the range where primality is decided exactly."""
-    if p is None:
-        return None
-    p = int(p)
+    _MR_BOUND, the range where primality is decided exactly.
+
+    Only integers are accepted (``__index__``, not bool).  The result is
+    marked as checked and is returned as is when passed back in, so the
+    calls a public call makes do not test primality again."""
+    if p is None or isinstance(p, _CheckedP):
+        return p
+    if isinstance(p, bool) or not hasattr(type(p), "__index__"):
+        raise DomainError(f"characteristic must be an integer, got {p!r}",
+                          constraint="char-p-config")
+    p = index(p)
     if p < 3 or p % 2 == 0:
         raise DomainError(f"characteristic must be an odd prime >= 3, got {p}",
                           constraint="char-p-config")
@@ -77,7 +89,7 @@ def validate_char_p(p: int | None) -> int | None:
     if not _is_prime(p):
         raise DomainError(f"characteristic {p} is not prime",
                           constraint="char-p-config")
-    return p
+    return _CheckedP(p)
 
 
 @dataclass(frozen=True)
@@ -142,9 +154,13 @@ def enumerate_exceptional(max_sq: int, p: int | None = None) -> list[Exceptional
 
 # -- the (-2)-configuration ------------------------------------------------
 
+_SECTION_IMAGE = QuotientClass(DivisorClass(c=1, s=(-1, -1, -1, -1)))
+
+
 def section_image() -> QuotientClass:
-    """C~o: image of the zero section, pullback C - s0-s1-s2-s3."""
-    return QuotientClass(DivisorClass(c=1, s=(-1, -1, -1, -1)))
+    """C~o: image of the zero section, pullback C - s0-s1-s2-s3.  Every
+    call, the catalog's C~o row included, shares one instance."""
+    return _SECTION_IMAGE
 
 
 def s_branch(i: int) -> QuotientClass:
@@ -190,9 +206,9 @@ def negative_curve_catalog(p: int | None = None) -> list[tuple[str, QuotientClas
     nine base rows are built once per process; only C~p is built per
     call, and every call returns a fresh list.
     """
-    p = validate_char_p(p)
     rows = list(_BASE_CATALOG)
     if p is not None:
+        # char_p_section validates p
         rows.append(_catalog_row(f"C~{p}", char_p_section(p)))
     return rows
 

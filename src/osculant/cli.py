@@ -68,8 +68,7 @@ class RunConfig:
                     f"environment {_ENV_PREFIX}{name.upper()} = {raw!r} "
                     f"is not valid", constraint="run-config")
 
-        char_p = pick("char_p", None, int)
-        validate_char_p(char_p)
+        char_p = validate_char_p(pick("char_p", None, int))
         reading = pick("pair_reading", "factored", str)
         if reading not in ("factored", "literal"):
             raise DomainError(f"unknown pair reading {reading!r}",

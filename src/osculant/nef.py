@@ -102,11 +102,19 @@ class LambdaSpec:
     def w(self) -> int:
         return 2 * self.d - 1
 
-    def check_char_p(self, p: int | None) -> None:
-        p = validate_char_p(p)
-        if p is not None and coord_sum(self.gamma) > p * self.w:
-            raise CharPExcluded(
-                f"gamma^(1) = {coord_sum(self.gamma)} > p(2d-1) = {p * self.w}")
+    def check_char_p(self, p: int | None) -> int | None:
+        """_char_p_for_type on this spec; returns p checked."""
+        return _char_p_for_type(self.gamma, self.w, p)
+
+
+def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:
+    """validate_char_p, then the char-p rule on the type:
+    gamma^(1) <= p*w, w = 2d-1, else CharPExcluded."""
+    p = validate_char_p(p)
+    if p is not None and coord_sum(gamma) > p * w:
+        raise CharPExcluded(
+            f"gamma^(1) = {coord_sum(gamma)} > p(2d-1) = {p * w}")
+    return p
 
 
 def n_for_type(d: int, gamma) -> int | None:
@@ -196,6 +204,21 @@ def decompose_type(gamma, d: int) -> Decomposition:
 # closed-form pairing
 
 
+def thresholds(d: int) -> tuple[int, int]:
+    """q-thresholds for nefness: k=0 class first, then k != 0."""
+    w = 2 * d - 1
+    return w * w + 3, w * w + 3 - 2 * w
+
+
+def _pairing(gamma: Vec4, d: int, alpha: Vec4) -> Fraction:
+    """Lambda . G~alpha = (q(alpha) - threshold of the class of alpha)/4w
+    for a gamma and an exceptional alpha that are already valid."""
+    w = 2 * d - 1
+    q = sum((g - w * x) ** 2 for g, x in zip(gamma, alpha))
+    t0, t1 = thresholds(d)
+    return Fraction(q - (t0 if minority_index(alpha) == 0 else t1), 4 * w)
+
+
 def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
     """Lambda . G~alpha as an exact rational, assuming the rational-image
     constraint fixes n:
@@ -205,13 +228,9 @@ def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
     the last summand vanishing exactly when k(alpha) = 0 (the branch
     where G~alpha meets s~0).
     """
-    gamma = vec4(gamma)
     if not isinstance(alpha, ExceptionalSpec):
         alpha = ExceptionalSpec.from_alpha(alpha)
-    w = 2 * d - 1
-    q = sum((g - w * x) ** 2 for g, x in zip(gamma, alpha.alpha))
-    bump = 0 if alpha.k == 0 else 2 * w
-    return Fraction(q - w * w - 3 + bump, 4 * w)
+    return _pairing(vec4(gamma), d, alpha.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +283,8 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
     (_nearest), attained exactly on the product of their minimizer sets.
     The codes of one class cover disjoint points.
 
-    For odd p and gamma^(1) <= p*w (a larger gamma^(1) raises
-    CharPExcluded, the rule of LambdaSpec.check_char_p) the budget
+    p must be an odd prime, and gamma^(1) > p*w raises CharPExcluded
+    (both checked as in LambdaSpec.check_char_p).  Then the budget
     alpha^(1) <= p never raises a class minimum, so its minimizers are
     the ones above with alpha^(1) <= p.  Proof: let alpha be a class
     minimizer with alpha^(1) > p.  Both are odd, so the offsets
@@ -286,12 +305,7 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
         raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
     w = 2 * d - 1
-    if p is not None and p % 2 == 0:
-        raise DomainError(f"characteristic must be odd, got {p}",
-                          constraint="char-p-config")
-    if p is not None and coord_sum(gamma) > p * w:
-        raise CharPExcluded(
-            f"gamma^(1) = {coord_sum(gamma)} > p(2d-1) = {p * w}")
+    p = _char_p_for_type(gamma, w, p)
     terms = [(_nearest(g, w, 0), _nearest(g, w, 1)) for g in gamma]
     classes = []
     for class_parities in _CLASS_PARITIES:
@@ -310,17 +324,6 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
         classes.append((low, hits))
     (min_k0, argmin_k0), (min_other, argmin_other) = classes
     return BoxScan(min_k0, argmin_k0, min_other, argmin_other)
-
-
-def thresholds(d: int) -> tuple[int, int]:
-    """q-thresholds for nefness: k=0 class first, then k != 0."""
-    w = 2 * d - 1
-    return w * w + 3, w * w + 3 - 2 * w
-
-
-def _value(q: int, d: int, k_zero: bool) -> Fraction:
-    t0, t1 = thresholds(d)
-    return Fraction(q - (t0 if k_zero else t1), 4 * (2 * d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +357,15 @@ class NefReport:
     def is_nef(self) -> bool:
         return self.verdict == "nef"
 
+    def contacts_by_k(self) -> dict[int, list[Vec4]]:
+        """The boundary contacts with k(alpha) = 1, 2, 3, sorted, by k."""
+        by_k: dict[int, list[Vec4]] = {1: [], 2: [], 3: []}
+        for alpha in self.boundary_contacts:
+            k = minority_index(alpha)
+            if k:
+                by_k[k].append(alpha)
+        return by_k
+
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -385,10 +397,13 @@ def closed_conditions(dec: Decomposition, d: int,
     return tuple(rows)
 
 
-def _require_unramified(spec: LambdaSpec) -> None:
+def _admit(spec: LambdaSpec, p: int | None) -> int | None:
+    """Front door of the rho = 1 analyses: an unramified spec, admitted
+    in characteristic p.  Returns p checked, to be passed along."""
     if spec.rho != 1:
         raise ConstraintViolation(
             f"this analysis needs rho = 1, got rho = {spec.rho}")
+    return spec.check_char_p(p)
 
 
 def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
@@ -404,8 +419,7 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     """
     if mode not in ("closed", "brute", "both"):
         raise DomainError(f"unknown mode {mode!r}", constraint="nef-mode")
-    _require_unramified(spec)
-    spec.check_char_p(p)
+    p = _admit(spec, p)
     dec = decompose_type(spec.gamma, spec.d)
 
     conditions: tuple[Check, ...] = ()
@@ -429,19 +443,16 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
                     f"valid spec pairs negatively with {name}: {pairing}")
         scan = scan_box(spec.gamma, spec.d, p)
         t0, t1 = thresholds(spec.d)
-        brute_verdict = scan.min_k0 >= t0 and scan.min_other >= t1
-        cont = []
-        if scan.min_k0 == t0:
-            cont += scan.argmin_k0
-        if scan.min_other == t1:
-            cont += scan.argmin_other
-        contacts = tuple(sorted(cont))
+        # per class, the excess q - t of its minimum (4w times the
+        # pairing value) and its minimizers
+        lows = ((scan.min_k0 - t0, scan.argmin_k0),
+                (scan.min_other - t1, scan.argmin_other))
+        brute_verdict = all(x >= 0 for x, _ in lows)
+        contacts = tuple(sorted(a for x, argmin in lows if x == 0
+                                for a in argmin))
         if not brute_verdict:
             # the lower pairing value belongs to a failing class
-            witness = min(
-                (_value(scan.min_k0, spec.d, True), scan.argmin_k0[0]),
-                (_value(scan.min_other, spec.d, False),
-                 scan.argmin_other[0]))[1]
+            witness = min((x, argmin[0]) for x, argmin in lows)[1]
 
     final = brute_verdict if brute_verdict is not None else closed_verdict
     agreement = None
@@ -499,52 +510,46 @@ def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None, *,
     """Check that the minimal pairing value over all exceptional classes
     is attained at mu, nat_mu, or a flat_mu (recorded, not assumed).
 
-    ``report`` is reused as in linear_system_dims: its decomposition and
-    scan stand in for fresh ones."""
-    _require_unramified(spec)
-    spec.check_char_p(p)
-    if report is None:
-        dec = decompose_type(spec.gamma, spec.d)
-        scan = scan_box(spec.gamma, spec.d, p)
-    else:
-        _check_report(report, spec, p)
-        dec, scan = report.decomposition, report.scan
+    ``report`` is reused as in linear_system_dims; without one, a fresh
+    brute-mode nef_check supplies the decomposition and scan."""
+    p = _admit(spec, p)
+    report = _brute_report(report, spec, p)
+    dec, scan = report.decomposition, report.scan
     w = spec.w
     if (4 * dec.eps_sq - 3) % w:
         raise InternalCheckFailure(
             f"4 eps^(2) - 3 = {4 * dec.eps_sq - 3} not divisible by w = {w}; "
             f"the spec should force this congruence")
 
-    def qval(alpha: Vec4) -> int:
-        return sum((g - w * x) ** 2 for g, x in zip(spec.gamma, alpha))
-
     cands = [("mu", dec.mu), ("nat_mu", dec.nat_mu)]
     cands += [(f"flat_mu[{i}]", v) for i, v in enumerate(dec.flat_mu_set)]
-    cand_rows = []
-    for name, vec in cands:
-        kz = ExceptionalSpec.from_alpha(vec).k == 0
-        cand_rows.append((name, vec, _value(qval(vec), spec.d, kz)))
-
-    values = [(_value(scan.min_k0, spec.d, True), a)
-              for a in scan.argmin_k0]
-    values += [(_value(scan.min_other, spec.d, False), a)
-               for a in scan.argmin_other]
-    vmin = min(v for v, _ in values)
-    argmins = tuple(sorted(a for v, a in values if v == vmin))
+    cand_rows = [(name, vec, _pairing(spec.gamma, spec.d, vec))
+                 for name, vec in cands]
+    # every minimizer of a class pairs to the value of its first one
+    lows = [(_pairing(spec.gamma, spec.d, argmin[0]), argmin)
+            for argmin in (scan.argmin_k0, scan.argmin_other)]
+    vmin = min(v for v, _ in lows)
+    argmins = tuple(sorted(a for v, argmin in lows if v == vmin
+                           for a in argmin))
     holds = min(v for _, _, v in cand_rows) == vmin
     counterexamples = () if holds else argmins
     return MinimizerReport(holds, vmin, argmins, tuple(cand_rows),
                            counterexamples)
 
 
-def _check_report(report: NefReport, spec: LambdaSpec,
-                  p: int | None) -> None:
-    """Reject a report that is not a brute-route verdict on (spec, p)."""
+def _brute_report(report: NefReport | None, spec: LambdaSpec,
+                  p: int | None) -> NefReport:
+    """A fresh brute-mode report on (spec, p) when ``report`` is None;
+    else ``report``, rejected unless it is a brute-route verdict on
+    (spec, p)."""
+    if report is None:
+        return nef_check(spec, mode="brute", p=p)
     if report.spec != spec or report.p != p or report.scan is None:
         raise DomainError(
             f"report was made for spec {report.spec}, p = {report.p} in "
             f"{report.mode} mode; need a brute or both report for {spec}, "
             f"p = {p}", constraint="report-mismatch")
+    return report
 
 
 def _require_nef(report: NefReport) -> None:
@@ -580,14 +585,8 @@ def z_divisor(spec: LambdaSpec, p: int | None = None) -> ContactDivisor:
     than silently truncated."""
     report = nef_check(spec, mode="brute", p=p)
     _require_nef(report)
-    by_k: dict[int, list[Vec4]] = {1: [], 2: [], 3: []}
-    for alpha in report.boundary_contacts:
-        k = ExceptionalSpec.from_alpha(alpha).k
-        if k in by_k:
-            by_k[k].append(alpha)
     comps, anomalies = [], []
-    for k in (1, 2, 3):
-        hits = sorted(by_k[k])
+    for k, hits in report.contacts_by_k().items():
         if len(hits) > 1:
             anomalies.append((k, tuple(hits)))
         comps += [ExceptionalSpec.from_alpha(a) for a in hits]
@@ -603,17 +602,13 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
     Pass the brute or both nef_check report of (spec, p) as ``report``
     to reuse its verdict; one made for another spec or p is rejected
     (``report-mismatch``)."""
-    _require_unramified(spec)
+    p = _admit(spec, p)
     lam = lambda_class(spec, p)
     deg = -K_TILDE.dot(lam)
     if deg < 2:
         raise AnticanonicalDegreeTooSmall(
             f"-K~.Lambda = {deg} < 2; the dimension formula needs >= 2")
-    if report is None:
-        report = nef_check(spec, mode="brute", p=p)
-    else:
-        _check_report(report, spec, p)
-    _require_nef(report)
+    _require_nef(_brute_report(report, spec, p))
 
     def harbourne(q: QuotientClass) -> int:
         v = q.dot(q) - q.dot(K_TILDE)
@@ -637,15 +632,11 @@ def moduli_dimension(spec: LambdaSpec, p: int | None = None, *,
     specs with d >= 2, and 0 for d = 1 (a single cover, gamma = mu).
 
     ``report`` is reused as in linear_system_dims."""
-    _require_unramified(spec)
-    spec.check_char_p(p)
-    if report is not None:
-        _check_report(report, spec, p)
+    p = _admit(spec, p)
+    report = _brute_report(report, spec, p)
     if spec.d == 1:
         # the spec invariants already force gamma = mu and
         # gamma^(2) = 2n+1 at d = 1; the moduli space is one point
         return 0
-    if report is None:
-        report = nef_check(spec, mode="brute", p=p)
     _require_nef(report)
     return spec.d - 1

@@ -52,11 +52,11 @@ def minority_index(alpha) -> int:
     Defined exactly when the sum of squares is odd, i.e. when either one
     or three coordinates are odd.  Raises ParityViolation otherwise.
     """
-    odd = [i for i, a in enumerate(alpha) if a & 1]
-    if len(odd) == 1:
-        return odd[0]
-    if len(odd) == 3:
-        return next(i for i in range(4) if i not in odd)
+    bits = [a & 1 for a in alpha]
+    if bits.count(1) == 1:
+        return bits.index(1)
+    if bits.count(0) == 1:
+        return bits.index(0)
     raise ParityViolation(
         f"alpha={tuple(alpha)} has even square sum; no odd-one-out index"
     )

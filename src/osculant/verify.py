@@ -19,7 +19,6 @@ from itertools import product
 
 from . import expr
 from .catalog import (
-    ExceptionalSpec,
     enumerate_exceptional,
     exceptional_class,
     negative_curve_catalog,
@@ -301,12 +300,7 @@ def criterion_contacts(sweep: list[NefReport]) -> CriterionResult:
         if not row.is_nef():
             continue
         checked += 1
-        per_k = {1: [], 2: [], 3: []}
-        for alpha in row.boundary_contacts:
-            k = ExceptionalSpec.from_alpha(alpha).k
-            if k in per_k:
-                per_k[k].append(alpha)
-        for k, hits in per_k.items():
+        for k, hits in row.contacts_by_k().items():
             if len(hits) > 1:
                 bad.append(f"{_spec_tag(row.spec)}: k={k} contacts "
                            f"{[fmt_vec(a) for a in hits]}")

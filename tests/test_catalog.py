@@ -105,6 +105,16 @@ def test_char_p_catalog_entry():
     assert rows5[-1][0] == "C~5" and rows5[-1][2] == -2
 
 
+class _Index:
+    """An integer-like value that is not an int, as numpy's are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_validate_char_p():
     assert validate_char_p(None) is None
     for p in (3, 5, 7, 11, 13):
@@ -112,6 +122,16 @@ def test_validate_char_p():
     for bad in (2, 4, 9, 15, 1, 0, -3):
         with pytest.raises(DomainError):
             validate_char_p(bad)
+    # only integers: no truncated float, no numeric string, no bool
+    for bad in (7.5, 7.0, 7.9, "7", True, False, 3 + 0j):
+        with pytest.raises(DomainError) as info:
+            validate_char_p(bad)
+        assert info.value.constraint == "char-p-config"
+    checked = validate_char_p(_Index(7))
+    assert checked == 7 and isinstance(checked, int)
+    # an accepted p is returned as is
+    assert validate_char_p(checked) is checked
+    assert str(checked) == repr(checked) == "7"
 
 
 def _is_odd_prime_by_trial_division(n: int) -> bool:

@@ -206,10 +206,11 @@ def test_scan_box_rejects_excluded_and_negative_types():
     with pytest.raises(DomainError) as info:
         scan_box((3, -2, 2, 2), 2)
     assert info.value.constraint == "gamma-nonnegative"
-    # the budget argument needs an odd p
-    with pytest.raises(DomainError) as info:
-        scan_box((3, 2, 2, 2), 2, 4)
-    assert info.value.constraint == "char-p-config"
+    # p is validated as everywhere else: an odd prime
+    for bad in (4, 9, 7.0):
+        with pytest.raises(DomainError) as info:
+            scan_box((3, 2, 2, 2), 2, bad)
+        assert info.value.constraint == "char-p-config"
 
 
 def test_scan_box_huge_entries_use_pure_path():
@@ -280,6 +281,28 @@ def test_pair_readings_differ_on_synthetic_decomposition():
         closed_conditions(dec, 3, pair_reading="loose")
 
 
+class _Index:
+    """An integer-like value that is not an int, as numpy's are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_report_carries_the_validated_p():
+    for mode in ("closed", "brute", "both"):
+        report = nef_check(REF, mode=mode, p=_Index(7))
+        assert report.p == 7 and type(report.p) is not _Index
+        assert isinstance(report.p, int) and not isinstance(report.p, bool)
+        assert nef_check(REF, mode=mode).p is None
+    for bad in (7.9, 7.0, "7", True):
+        with pytest.raises(DomainError) as info:
+            nef_check(REF, p=bad)
+        assert info.value.constraint == "char-p-config"
+
+
 def test_char_p_boundary_and_exclusion():
     REF.check_char_p(3)          # gamma^(1) = 9 = p * w exactly
     with pytest.raises(CharPExcluded):
@@ -332,7 +355,7 @@ def test_moduli_dimension():
 
 @st.composite
 def valid_specs(draw):
-    """A valid rho = 1 spec from free (d, mu) plus a congruent eps.
+    """A valid rho = 1 spec from free (d, mu <= 60) plus a congruent eps.
 
     gamma_i = w*mu_i + 2*eps_i shares the parity of mu_i, so the type
     parity law is imposed on mu directly.  eps_0..eps_2 are free and
@@ -343,10 +366,15 @@ def valid_specs(draw):
     d = draw(st.integers(1, 30))
     w = 2 * d - 1
     t = draw(st.integers(0, 1))
-    mu = tuple(2 * draw(st.integers(0, 2))
-               + ((1 - t) if i == 0 else t) for i in range(4))
+    parities = [1 - t, t, t, t]
+    # small mu, or mu up to 60 as in the benchmark's query workload
+    mu_max = draw(st.sampled_from([5, 60]))
+    mu = tuple(2 * draw(st.integers(0, (mu_max - b) // 2)) + b
+               for b in parities)
     lows = [-min(d - 1, (w * m) // 2) for m in mu]
-    eps = [draw(st.integers(lo, d - 1)) for lo in lows[:3]]
+    # the window edges are drawn often: nef needs a large eps^(2)
+    eps = [draw(st.integers(lo, d - 1) | st.sampled_from((lo, d - 1)))
+           for lo in lows[:3]]
     rest = sum(e * e for e in eps)
     last = [e for e in range(lows[3], d)
             if (4 * (rest + e * e) - 3) % w == 0]
@@ -383,16 +411,52 @@ def test_closed_pairing_is_half_pullback_dot(spec, alpha):
     assert lambda_dot_exceptional_closed(spec.d, spec.gamma, alpha) == direct
 
 
-@given(valid_specs(), st.sampled_from([None, 3, 5, 7, 53, 1000000000039]))
-@settings(max_examples=300, deadline=None)
-def test_routes_agree_on_random_specs(spec, p):
+def _least_prime_admitting(spec: LambdaSpec) -> int:
+    """The least odd prime p with gamma^(1) <= p(2d-1): the char-p budget
+    binds hardest there."""
+    p = max(3, -(-sum(spec.gamma) // spec.w))
+    while p % 2 == 0 or any(p % q == 0 for q in range(3, p, 2)):
+        p += 1
+    return p
+
+
+@st.composite
+def char_p_cases(draw):
+    """(spec, p) from valid_specs, with p None, a fixed prime, or the
+    least prime admitting the spec; None for an invalid draw or a spec
+    that a fixed p excludes."""
+    spec = draw(valid_specs())
     if spec is None:
-        return
+        return None
+    p = draw(st.sampled_from([None, 3, 5, 7, 53, 1000000000039, "least"]))
+    if p == "least":
+        return spec, _least_prime_admitting(spec)
     try:
         spec.check_char_p(p)
     except CharPExcluded:
+        return None
+    return spec, p
+
+
+@given(char_p_cases())
+@settings(max_examples=300, deadline=None)
+def test_routes_agree_on_random_specs(case):
+    if case is None:
         return
+    spec, p = case
     assert nef_check(spec, mode="both", p=p).agreement is True
+
+
+@given(char_p_cases())
+@settings(max_examples=400, deadline=None)
+def test_minimizer_claim_and_contact_uniqueness_on_random_specs(case):
+    if case is None:
+        return
+    spec, p = case
+    report = nef_check(spec, mode="brute", p=p)
+    assert verify_minimizer_claim(spec, p, report=report).holds
+    if report.is_nef():
+        assert z_divisor(spec, p).anomalies == ()
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +481,12 @@ def test_report_dict_and_equality_ignore_carried_values():
     assert nef_check(REF, mode="closed").scan is None
 
 
-@given(valid_specs(), st.sampled_from([None, 3, 5, 7, 1000000000039]))
+@given(char_p_cases())
 @settings(max_examples=80, deadline=None)
-def test_report_scan_equals_fresh_scan(spec, p):
-    if spec is None:
+def test_report_scan_equals_fresh_scan(case):
+    if case is None:
         return
-    try:
-        spec.check_char_p(p)
-    except CharPExcluded:
-        return
+    spec, p = case
     for mode in ("brute", "both"):
         report = nef_check(spec, mode=mode, p=p)
         dec = decompose_type(spec.gamma, spec.d)
