@@ -102,7 +102,7 @@ from .nef import (
 )
 from .verify import CriterionResult, run_all
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AnticanonicalDegreeTooSmall", "BareSectionSymbol", "BoxScan", "C",

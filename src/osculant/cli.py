@@ -291,9 +291,6 @@ def _common_flags() -> argparse.ArgumentParser:
     add = common.add_argument
     add("--char-p", dest="char_p", type=int, default=argparse.SUPPRESS,
         metavar="P", help="odd prime characteristic (default: none)")
-    add("--search-radius", dest="search_radius", default=argparse.SUPPRESS,
-        metavar="R", help="ignored: the exact minimizer has no search box; "
-        "accepted until the next release")
     add("--pair-reading", dest="pair_reading",
         choices=("factored", "literal"), default=argparse.SUPPRESS,
         help="reading of the pairwise closed nef condition")

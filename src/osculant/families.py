@@ -17,7 +17,7 @@ from itertools import product
 from math import isqrt
 
 from .catalog import gamma_perp_class, validate_char_p
-from .covers import genus_tilde
+from .covers import char_p_admits, genus_tilde
 from .errors import (
     DomainError,
     IdentityFailure,
@@ -91,7 +91,7 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
                     f"at d = {d}")
             if n < 1:
                 continue
-            if p is not None and coord_sum(gamma) > p * w:
+            if not char_p_admits(gamma, w, p):
                 continue
             out.append((n, gamma, eps))
     return out
@@ -138,7 +138,7 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
                 f"non-nef eps = {fmt_vec(eps)} gives no integral n at d = {d}")
         if n < 1:
             continue
-        if p is not None and coord_sum(gamma) > p * w:
+        if not char_p_admits(gamma, w, p):
             continue
         out.append((n, vec4(gamma), vec4(eps)))
     if not out:
@@ -331,7 +331,7 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     for block in blocks:
         for n, d in block:
             for gamma in _cell_types(n, d, gamma_bound):
-                if p is not None and coord_sum(gamma) > p * (2 * d - 1):
+                if not char_p_admits(gamma, 2 * d - 1, p):
                     continue
                 records.append(_census_record(n, d, gamma, p, pair_reading))
     records.sort(key=CensusRecord.key)

@@ -45,7 +45,7 @@ from .catalog import (
     section_image,
     validate_char_p,
 )
-from .covers import Check, validate_type
+from .covers import Check, char_p_admits, validate_type
 from .errors import (
     AnticanonicalDegreeTooSmall,
     CharPExcluded,
@@ -108,10 +108,10 @@ class LambdaSpec:
 
 
 def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:
-    """validate_char_p, then the char-p rule on the type:
-    gamma^(1) <= p*w, w = 2d-1, else CharPExcluded."""
+    """validate_char_p, then the char-p rule on the type
+    (covers.char_p_admits), else CharPExcluded."""
     p = validate_char_p(p)
-    if p is not None and coord_sum(gamma) > p * w:
+    if not char_p_admits(gamma, w, p):
         raise CharPExcluded(
             f"gamma^(1) = {coord_sum(gamma)} > p(2d-1) = {p * w}")
     return p
@@ -163,15 +163,18 @@ class Decomposition:
         return a[0] + a[1]
 
 
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
 def decompose_type(gamma, d: int) -> Decomposition:
     gamma = vec4(gamma)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}", constraint="degree-min")
-    if any(g < 0 for g in gamma):
+    if min(gamma) < 0:
         raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
     w = 2 * d - 1
-    mu, eps = [], []
+    mu, eps, nat = [], [], []
     for g in gamma:
         m = g // w
         if (g - m) % 2:
@@ -181,23 +184,28 @@ def decompose_type(gamma, d: int) -> Decomposition:
             raise InternalCheckFailure(
                 f"no window decomposition of gamma = {fmt_vec(gamma)} "
                 f"at d = {d}")
+        e = e2 // 2
         mu.append(m)
-        eps.append(e2 // 2)
-    nat = [m + (1 if e >= 0 else -1) for m, e in zip(mu, eps)]
-    if any(x < 0 for x in nat):
+        eps.append(e)
+        nat.append(m + 1 if e >= 0 else m - 1)
+    if min(nat) < 0:
         raise InternalCheckFailure(
             f"nat_mu {fmt_vec(nat)} negative for gamma = {fmt_vec(gamma)}")
 
     a = [abs(e) for e in eps]
-    best = max(a[i] + a[j] for i in range(4) for j in range(i + 1, 4))
-    flats = set()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if a[i] + a[j] == best:
-                flats.add(tuple(nat[t] if t in (i, j) else mu[t]
-                                for t in range(4)))
-    return Decomposition(tuple(mu), tuple(eps), tuple(nat),
-                         tuple(sorted(flats)))
+    sums = [a[i] + a[j] for i, j in _PAIRS]
+    best = max(sums)
+    # nat_mu and mu differ in every coordinate, so distinct pairs give
+    # distinct flat_mu
+    flats = []
+    for (i, j), s in zip(_PAIRS, sums):
+        if s == best:
+            flat = mu.copy()
+            flat[i] = nat[i]
+            flat[j] = nat[j]
+            flats.append(tuple(flat))
+    flats.sort()
+    return Decomposition(tuple(mu), tuple(eps), tuple(nat), tuple(flats))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +289,9 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
     q is a sum of one term per coordinate, so over the alpha of one
     parity code its minimum is the sum of the per-coordinate minima
     (_nearest), attained exactly on the product of their minimizer sets.
-    The codes of one class cover disjoint points.
+    The codes of one class cover disjoint points, so the class minimum is
+    the least of its code sums, and its minimizers are the products of
+    the codes that reach it.
 
     p must be an odd prime, and gamma^(1) > p*w raises CharPExcluded
     (both checked as in LambdaSpec.check_char_p).  Then the budget
@@ -306,17 +316,17 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
                           constraint="gamma-nonnegative")
     w = 2 * d - 1
     p = _char_p_for_type(gamma, w, p)
-    terms = [(_nearest(g, w, 0), _nearest(g, w, 1)) for g in gamma]
+    n0, n1, n2, n3 = [(_nearest(g, w, 0), _nearest(g, w, 1)) for g in gamma]
     classes = []
-    for class_parities in _CLASS_PARITIES:
-        found = []  # (q, alpha) of the minimizers of each code
-        for bits in class_parities:
-            parts = [term[b] for term, b in zip(terms, bits)]
-            values, choices = zip(*parts)
-            found += [(sum(values), a) for a in product(*choices)]
-        low = min(found)[0]
-        hits = tuple(sorted(a for v, a in found
-                            if v == low and (p is None or sum(a) <= p)))
+    for codes in _CLASS_PARITIES:
+        sums = [n0[b0][0] + n1[b1][0] + n2[b2][0] + n3[b3][0]
+                for b0, b1, b2, b3 in codes]
+        low = min(sums)
+        hits = [a for s, (b0, b1, b2, b3) in zip(sums, codes) if s == low
+                for a in product(n0[b0][1], n1[b1][1], n2[b2][1], n3[b3][1])
+                if p is None or sum(a) <= p]
+        hits.sort()
+        hits = tuple(hits)
         if not hits:
             raise InternalCheckFailure(
                 f"no minimizer of q within alpha^(1) <= {p} for "
@@ -385,16 +395,17 @@ def closed_conditions(dec: Decomposition, d: int,
         raise DomainError(f"unknown pair reading {pair_reading!r}",
                           constraint="pair-reading")
     w = 2 * d - 1
-    e2 = dec.eps_sq
-    rows = [
+    a0, a1, a2, a3 = sorted([abs(e) for e in dec.eps])
+    e2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+    w_abs_sum = w * (a0 + a1 + a2 + a3)
+    pair = a2 + a3 if pair_reading == "literal" else w * (a2 + a3)
+    return (
         Check("eps-norm", e2 >= d * d - d + 1, e2, d * d - d + 1),
-        Check("eps-sum", w * dec.eps_abs_sum <= 3 * d * d - 3 * d + e2,
-              w * dec.eps_abs_sum, 3 * d * d - 3 * d + e2),
-    ]
-    pair = dec.max_pair_sum if pair_reading == "literal" else w * dec.max_pair_sum
-    rows.append(Check("eps-pair", pair <= d * d - 1 + e2, pair, d * d - 1 + e2,
-                      note=f"{pair_reading} reading"))
-    return tuple(rows)
+        Check("eps-sum", w_abs_sum <= 3 * d * d - 3 * d + e2,
+              w_abs_sum, 3 * d * d - 3 * d + e2),
+        Check("eps-pair", pair <= d * d - 1 + e2, pair, d * d - 1 + e2,
+              note=f"{pair_reading} reading"),
+    )
 
 
 def _admit(spec: LambdaSpec, p: int | None) -> int | None:

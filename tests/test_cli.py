@@ -288,26 +288,31 @@ runs = []
 for argv in (["nef", "4", "2", "3,2,2,2", "--char-p", "7"],
              ["census", "--n-max", "6", "--d-max", "3", "--gamma-max", "15",
               "--output", "csv"]):
-    for extra in ([], ["--search-radius", "9"]):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv + extra)
-        runs.append([code, out.getvalue()])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
 print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
 """
 
 
-def test_runs_without_numpy_and_ignores_search_radius():
+def test_runs_without_numpy():
     src = str(Path(cli.__file__).resolve().parents[1])
-    # the environment variable is no longer read either
+    # the old search radius variable is not read: an invalid value is fine
     env = dict(os.environ, PYTHONPATH=src, OSCULANT_SEARCH_RADIUS="wide")
     done = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["numpy"] is False
-    nef, nef_radius, census_out, census_radius = result["runs"]
+    nef, census_out = result["runs"]
     assert nef[0] == census_out[0] == 0
     assert json.loads(nef[1])["verdict"] == "nef"
     assert census_out[1].startswith(CSV_COLUMNS)
-    assert nef_radius == nef and census_radius == census_out
+
+
+def test_search_radius_flag_is_gone(capsys):
+    code, out, err = run_cli(capsys, "nef", "4", "2", "3,2,2,2",
+                             "--search-radius", "9")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --search-radius 9" in err

@@ -42,6 +42,7 @@ from osculant import (
 from osculant.catalog import exceptional_class
 
 from box_oracle import box_scan, class_of
+from decompose_oracle import closed_rows, decompose
 
 
 REF = LambdaSpec(4, 2, (3, 2, 2, 2))
@@ -398,6 +399,53 @@ def test_decomposition_reconstructs_gamma(spec):
     assert tuple(w * m + 2 * e for m, e in zip(dec.mu, dec.eps)) == spec.gamma
     assert all(abs(e) <= spec.d - 1 for e in dec.eps)
     assert all(m >= 0 for m in dec.mu)
+
+
+@st.composite
+def decompose_cases(draw):
+    """(gamma, d): the type of a valid spec, or a raw nonnegative gamma
+    at d <= 40."""
+    if draw(st.booleans()):
+        spec = draw(valid_specs())
+        if spec is not None:
+            return spec.gamma, spec.d
+    d = draw(st.integers(1, 40))
+    top = draw(st.sampled_from([2 * d, 6 * (2 * d - 1), 60 * (2 * d - 1)]))
+    return draw(st.tuples(*[st.integers(0, top)] * 4)), d
+
+
+@given(decompose_cases())
+@settings(max_examples=300, deadline=None)
+def test_decompose_type_matches_reference(case):
+    gamma, d = case
+    expected = decompose(gamma, d)
+    assert expected is not None  # one window solution per coordinate
+    dec = decompose_type(gamma, d)
+    assert (dec.mu, dec.eps, dec.nat_mu, dec.flat_mu_set) == expected
+
+
+@st.composite
+def closed_cases(draw):
+    """(dec, d): a decomposed type, or a record with any eps (outside
+    the window too, where the two pair readings can differ)."""
+    if draw(st.booleans()):
+        gamma, d = draw(decompose_cases())
+        return decompose_type(gamma, d), d
+    d = draw(st.integers(1, 40))
+    eps = draw(st.tuples(*[st.integers(-2 * d, 2 * d)] * 4))
+    return Decomposition(mu=(0, 0, 0, 0), eps=eps, nat_mu=(1, 1, 1, 1),
+                         flat_mu_set=()), d
+
+
+@given(closed_cases())
+@settings(max_examples=300, deadline=None)
+def test_closed_conditions_match_docstring_formulas(case):
+    dec, d = case
+    for reading in ("factored", "literal"):
+        rows = closed_conditions(dec, d, pair_reading=reading)
+        assert tuple((c.id, c.passed, c.lhs, c.rhs, c.note)
+                     for c in rows) == closed_rows(dec.eps, d, reading)
+        assert not any(c.informational for c in rows)
 
 
 @given(valid_specs(), st.tuples(st.integers(0, 4), st.integers(0, 4),
