@@ -11,8 +11,10 @@ Grammar (whitespace-insensitive)::
     pterm := '0' | [INT '*'] patom
     patom := 'Co' | 'So' | '(' pull ')'
 
-INT is an unsigned decimal literal; all signs come from the separators,
-with a single unary minus allowed on the first term of any (sub)sum.
+INT is an unsigned decimal literal, a run of at most 4300 decimal digits
+(the interpreter's int-string limit); all signs come from the
+separators, with a single unary minus allowed on the first term of any
+(sub)sum.
 ``e*(a*Co + b*So)`` contributes a*C + b*F; Co and So are only legal
 inside that wrapper.  The bare literal ``0`` denotes the zero class so
 that every formatted class parses back.
@@ -24,144 +26,162 @@ zero class.  ``parse(format(D)) == D`` for every class D.
 """
 
 from .errors import BareSectionSymbol, ExprSyntaxError, UnknownSymbol
-from .lattice import C, F, R, S, ZERO, DivisorClass, canonical_class
+from .lattice import C, F, R, S, DivisorClass, _make, canonical_class
 
-_ATOMS = {"K": canonical_class()}
+
+def _terms(cls: DivisorClass) -> tuple[tuple[int, int], ...]:
+    """The nonzero (index, coefficient) pairs of cls.coefficients()."""
+    return tuple((i, x) for i, x in enumerate(cls.coefficients()) if x)
+
+
+_ATOMS = {"K": _terms(canonical_class())}
 for _i in range(4):
-    _ATOMS[f"s{_i}"] = S[_i]
-    _ATOMS[f"r{_i}"] = R[_i]
-_PULL_ATOMS = {"Co": C, "So": F}
+    _ATOMS[f"s{_i}"] = _terms(S[_i])
+    _ATOMS[f"r{_i}"] = _terms(R[_i])
+_PULL_ATOMS = {"Co": _terms(C), "So": _terms(F)}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) tokens, kind "int" | "word" | "op" | "end".
 
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind       # "int" | "word" | "op" | "end"
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
+    An op token's text is one of + - * ( ), which no other token's text
+    is, so the parser tests op tokens by their text alone."""
     toks, i, n = [], 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        if ch.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(_Token("int", text[i:j], i))
+            toks.append(("int", text[i:j], i))
             i = j
         elif ch.isalpha():
-            j = i
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Token("word", text[i:j], i))
+            toks.append(("word", text[i:j], i))
             i = j
         elif ch in "+-*()":
-            toks.append(_Token("op", ch, i))
+            toks.append(("op", ch, i))
             i += 1
         else:
             raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(_Token("end", "", n))
+    toks.append(("end", "", n))
     return toks
 
 
 class _Parser:
+    """Recursive descent that adds m times each atom's coefficients into
+    one list of the ten (c, f, s0..s3, r0..r3), where m is the signed
+    product of the multipliers and unary minuses around the atom."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.coefs = [0] * 10
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def take(self) -> _Token:
+    def expect_op(self, op: str) -> None:
         tok = self.toks[self.i]
+        if tok[1] != op:
+            raise ExprSyntaxError(f"expected {op!r}", tok[2])
         self.i += 1
-        return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.pos)
-        return self.take()
+    def add(self, terms: tuple[tuple[int, int], ...], m: int) -> None:
+        coefs = self.coefs
+        for i, x in terms:
+            coefs[i] += m * x
 
     # the top-level and pullback sub-grammars differ only in atom set
-    def parse_sum(self, pulled: bool) -> DivisorClass:
-        total = ZERO
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
-            total = total - self.parse_term(pulled)
+    def parse_sum(self, pulled: bool, m: int) -> None:
+        if self.toks[self.i][1] == "-":
+            self.i += 1
+            self.parse_term(pulled, -m)
         else:
-            total = total + self.parse_term(pulled)
+            self.parse_term(pulled, m)
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                part = self.parse_term(pulled)
-                total = total + part if tok.text == "+" else total - part
+            op = self.toks[self.i][1]
+            if op == "+":
+                self.i += 1
+                self.parse_term(pulled, m)
+            elif op == "-":
+                self.i += 1
+                self.parse_term(pulled, -m)
             else:
-                return total
+                return
 
-    def parse_term(self, pulled: bool) -> DivisorClass:
-        tok = self.peek()
-        if tok.kind == "int":
+    def parse_term(self, pulled: bool, m: int) -> None:
+        kind, text, pos = self.toks[self.i]
+        if kind == "int":
             nxt = self.toks[self.i + 1]
-            if nxt.kind == "op" and nxt.text == "*":
-                self.take()
-                self.take()
-                return int(tok.text) * self.parse_atom(pulled)
-            if tok.text == "0":
-                self.take()
-                return ZERO
+            if nxt[1] == "*":
+                self.i += 2
+                self.parse_atom(pulled, m * _literal(text, pos))
+                return
+            if text == "0":
+                self.i += 1
+                return
             raise ExprSyntaxError(
                 "integer literal must be followed by '*' and an atom",
-                nxt.pos)
-        return self.parse_atom(pulled)
+                nxt[2])
+        self.parse_atom(pulled, m)
 
-    def parse_atom(self, pulled: bool) -> DivisorClass:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.take()
-            inner = self.parse_sum(pulled)
+    def parse_atom(self, pulled: bool, m: int) -> None:
+        kind, text, pos = self.toks[self.i]
+        if text == "(":
+            self.i += 1
+            self.parse_sum(pulled, m)
             self.expect_op(")")
-            return inner
-        if tok.kind != "word":
-            raise ExprSyntaxError("expected a symbol or '('", tok.pos)
+            return
+        if kind != "word":
+            raise ExprSyntaxError("expected a symbol or '('", pos)
         if pulled:
-            if tok.text in _PULL_ATOMS:
-                self.take()
-                return _PULL_ATOMS[tok.text]
+            if text in _PULL_ATOMS:
+                self.i += 1
+                self.add(_PULL_ATOMS[text], m)
+                return
             raise ExprSyntaxError(
-                f"only Co and So may appear inside e*(...), got {tok.text!r}",
-                tok.pos)
-        if tok.text == "e":
-            self.take()
+                f"only Co and So may appear inside e*(...), got {text!r}",
+                pos)
+        if text == "e":
+            self.i += 1
             self.expect_op("*")
             self.expect_op("(")
-            inner = self.parse_sum(pulled=True)
+            self.parse_sum(True, m)
             self.expect_op(")")
-            return inner
-        if tok.text in _ATOMS:
-            self.take()
-            return _ATOMS[tok.text]
-        if tok.text in _PULL_ATOMS:
-            raise BareSectionSymbol(
-                f"{tok.text} is only valid inside e*(...)", tok.pos)
-        raise UnknownSymbol(f"unknown symbol {tok.text!r}", tok.pos)
+            return
+        if text in _ATOMS:
+            self.i += 1
+            self.add(_ATOMS[text], m)
+            return
+        if text in _PULL_ATOMS:
+            raise BareSectionSymbol(f"{text} is only valid inside e*(...)",
+                                    pos)
+        raise UnknownSymbol(f"unknown symbol {text!r}", pos)
+
+
+def _literal(text: str, pos: int) -> int:
+    """The value of an INT token; int() refuses a literal longer than
+    the interpreter's int-string limit (4300 digits by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExprSyntaxError(
+            f"integer literal of {len(text)} digits is too long",
+            pos) from None
 
 
 def parse(text: str) -> DivisorClass:
     parser = _Parser(text)
-    result = parser.parse_sum(pulled=False)
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ExprSyntaxError(f"trailing input {tail.text!r}", tail.pos)
-    return result
+    parser.parse_sum(False, 1)
+    kind, tail, pos = parser.toks[parser.i]
+    if kind != "end":
+        raise ExprSyntaxError(f"trailing input {tail!r}", pos)
+    x = parser.coefs
+    return _make(x[0], x[1], (x[2], x[3], x[4], x[5]),
+                 (x[6], x[7], x[8], x[9]))
 
 
 def _join(parts: list[tuple[int, str]]) -> str:

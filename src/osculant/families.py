@@ -97,6 +97,31 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
     return out
 
 
+def _sphere(target: int, cap: int) -> list[Vec4]:
+    """Every eps with eps^(2) = target and |eps_i| <= cap, in the
+    lexicographic order of the cube [-cap, cap]^4.
+
+    Each coordinate ranges only as far as the remainder of the target
+    allows, and the last one is +-isqrt of what is left, -e3 first."""
+    out = []
+    m0 = min(cap, isqrt(target))
+    for e0 in range(-m0, m0 + 1):
+        r0 = target - e0 * e0
+        m1 = min(cap, isqrt(r0))
+        for e1 in range(-m1, m1 + 1):
+            r1 = r0 - e1 * e1
+            m2 = min(cap, isqrt(r1))
+            for e2 in range(-m2, m2 + 1):
+                r2 = r1 - e2 * e2
+                e3 = isqrt(r2)
+                if e3 * e3 != r2 or e3 > cap:
+                    continue
+                out.append((e0, e1, e2, -e3))
+                if e3:
+                    out.append((e0, e1, e2, e3))
+    return out
+
+
 def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
                            ) -> list[tuple[int, Vec4, Vec4]]:
     """All (n, gamma, eps) with eps^(2) pinned to the non-nef value
@@ -126,9 +151,7 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
     cap = min(bound, isqrt(target))
 
     out = []
-    for eps in product(range(-cap, cap + 1), repeat=4):
-        if norm_sq(eps) != target:
-            continue
+    for eps in _sphere(target, cap):
         gamma = tuple(w * m + 2 * e for m, e in zip(mu, eps))
         if any(g < 0 for g in gamma):
             continue
@@ -140,7 +163,7 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
             continue
         if not char_p_admits(gamma, w, p):
             continue
-        out.append((n, vec4(gamma), vec4(eps)))
+        out.append((n, gamma, eps))
     if not out:
         raise NoSolutions(
             f"no eps with eps^(2) = {target}, |eps_i| <= {bound} "

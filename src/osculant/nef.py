@@ -218,13 +218,19 @@ def thresholds(d: int) -> tuple[int, int]:
     return w * w + 3, w * w + 3 - 2 * w
 
 
-def _pairing(gamma: Vec4, d: int, alpha: Vec4) -> Fraction:
-    """Lambda . G~alpha = (q(alpha) - threshold of the class of alpha)/4w
-    for a gamma and an exceptional alpha that are already valid."""
-    w = 2 * d - 1
-    q = sum((g - w * x) ** 2 for g, x in zip(gamma, alpha))
-    t0, t1 = thresholds(d)
-    return Fraction(q - (t0 if minority_index(alpha) == 0 else t1), 4 * w)
+def _excess(gamma: Vec4, w: int, alpha: Vec4) -> int:
+    """q(alpha) - t = 4w * (Lambda . G~alpha), an integer, for a gamma
+    and an exceptional alpha that are already valid: t is w^2 + 3 when
+    k(alpha) = 0 and w^2 + 3 - 2w otherwise (thresholds).  One or three
+    coordinates of alpha are odd, so k(alpha) = 0 exactly when alpha_0
+    differs in parity from both alpha_1 and alpha_2."""
+    g0, g1, g2, g3 = gamma
+    a0, a1, a2, a3 = alpha
+    q = ((g0 - w * a0) ** 2 + (g1 - w * a1) ** 2
+         + (g2 - w * a2) ** 2 + (g3 - w * a3) ** 2)
+    if (a0 - a1) & 1 and (a0 - a2) & 1:
+        return q - w * w - 3
+    return q - w * w - 3 + 2 * w
 
 
 def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
@@ -238,7 +244,8 @@ def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
     """
     if not isinstance(alpha, ExceptionalSpec):
         alpha = ExceptionalSpec.from_alpha(alpha)
-    return _pairing(vec4(gamma), d, alpha.alpha)
+    w = 2 * d - 1
+    return Fraction(_excess(vec4(gamma), w, alpha.alpha), 4 * w)
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +539,24 @@ def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None, *,
             f"4 eps^(2) - 3 = {4 * dec.eps_sq - 3} not divisible by w = {w}; "
             f"the spec should force this congruence")
 
+    # decided on the integer excesses 4w * pairing, which share the
+    # denominator 4w; Fractions are built only for what the report carries
+    gamma = spec.gamma
     cands = [("mu", dec.mu), ("nat_mu", dec.nat_mu)]
     cands += [(f"flat_mu[{i}]", v) for i, v in enumerate(dec.flat_mu_set)]
-    cand_rows = [(name, vec, _pairing(spec.gamma, spec.d, vec))
-                 for name, vec in cands]
+    cand_xs = [_excess(gamma, w, vec) for _, vec in cands]
     # every minimizer of a class pairs to the value of its first one
-    lows = [(_pairing(spec.gamma, spec.d, argmin[0]), argmin)
+    lows = [(_excess(gamma, w, argmin[0]), argmin)
             for argmin in (scan.argmin_k0, scan.argmin_other)]
-    vmin = min(v for v, _ in lows)
-    argmins = tuple(sorted(a for v, argmin in lows if v == vmin
+    xmin = min(x for x, _ in lows)
+    argmins = tuple(sorted(a for x, argmin in lows if x == xmin
                            for a in argmin))
-    holds = min(v for _, _, v in cand_rows) == vmin
+    holds = min(cand_xs) == xmin
     counterexamples = () if holds else argmins
-    return MinimizerReport(holds, vmin, argmins, tuple(cand_rows),
+    den = 4 * w
+    cand_rows = tuple((name, vec, Fraction(x, den))
+                      for (name, vec), x in zip(cands, cand_xs))
+    return MinimizerReport(holds, Fraction(xmin, den), argmins, cand_rows,
                            counterexamples)
 
 

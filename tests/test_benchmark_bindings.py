@@ -61,6 +61,30 @@ def test_worker_calls_still_bind(fn, args, kwargs):
     fn(*args, **kwargs)
 
 
+def test_census_reaches_every_counted_layer(monkeypatch):
+    """The traced census run (benchmarks/test_benchmark.py) requires each
+    COUNTED call to happen; count them with the tracer's own counters,
+    bound at every osculant binding as Tracer.install binds them, on the
+    same grid n <= 6, d <= 3, gamma <= 15."""
+    counting = tracer.Tracer()
+    for name, target in tracer.COUNTED.items():
+        owner = importlib.import_module(target[0])
+        if len(target) == 3:
+            klass = getattr(owner, target[1])
+            monkeypatch.setattr(klass, target[2], counting.counter(
+                name, getattr(klass, target[2])))
+            continue
+        original = getattr(owner, target[1])
+        wrapper = counting.counter(name, original)
+        for module in tracer._osculant_modules():
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    osculant.census(range(1, 7), range(1, 4), 15)
+    counts = {name: counting.counters[name][0] for name in tracer.COUNTED}
+    assert all(counts.values()), counts
+
+
 def test_worker_names_exist():
     for name in ("LambdaSpec", "parse_divisor", "K", "DomainError"):
         assert hasattr(osculant, name)

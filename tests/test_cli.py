@@ -193,6 +193,15 @@ def test_expression_errors_exit_one(capsys):
     assert "position" in err
 
 
+def test_bad_integer_literals_exit_one(capsys):
+    # a non-decimal digit, and a literal over the int-string limit
+    for text in ("²*s0", "1" * 4301 + "*s0"):
+        code, out, err = run_cli(capsys, "genus", text)
+        assert code == 1 and out == ""
+        assert "[expr-syntax]" in err and "position 0" in err
+        assert "Traceback" not in err
+
+
 def test_global_flags_before_or_after_subcommand(capsys):
     a = run_json(capsys, "--char-p", "3", "catalog")
     b = run_json(capsys, "catalog", "--char-p", "3")

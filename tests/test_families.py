@@ -20,6 +20,9 @@ from osculant import (
     LambdaSpec,
 )
 from osculant.lattice import C, F, R, S, DivisorClass
+from osculant.verify import _FAMILY_MUS
+
+import non_nef_oracle
 
 
 def test_nef_family_reference():
@@ -83,6 +86,30 @@ def test_non_nef_family_validation():
         generate_non_nef_types(2, (1, 0, 0, 0), bound=3)
     with pytest.raises(NoSolutions):
         generate_non_nef_types(3, (1, 0, 0, 0), bound=0)
+
+
+def _outcome(fn, *args):
+    """The returned list, or (exception type, message)."""
+    try:
+        return fn(*args)
+    except NoSolutions as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_non_nef_sphere_matches_cube_filter(d):
+    # the library's sphere walk against the literal cube filter, with
+    # the order of the output, at every mu and char p of interest
+    empty = 0
+    for mu in _FAMILY_MUS:
+        for bound in (-1, 0, 1, d, 2 * d):
+            for p in (None, 3, 7):
+                args = (d, mu, bound, p)
+                got = _outcome(generate_non_nef_types, *args)
+                assert got == _outcome(
+                    non_nef_oracle.generate_non_nef_types, *args), args
+                empty += not isinstance(got, list)
+    assert empty > 0  # bound -1 at least has no solution
 
 
 def test_kit_reference_degree_two():

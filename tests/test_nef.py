@@ -41,6 +41,7 @@ from osculant import (
 )
 from osculant.catalog import exceptional_class
 
+import minimizer_oracle
 from box_oracle import box_scan, class_of
 from decompose_oracle import closed_rows, decompose
 
@@ -505,6 +506,30 @@ def test_minimizer_claim_and_contact_uniqueness_on_random_specs(case):
     assert verify_minimizer_claim(spec, p, report=report).holds
     if report.is_nef():
         assert z_divisor(spec, p).anomalies == ()
+
+
+def _assert_same_claim(spec, p):
+    got = verify_minimizer_claim(spec, p)
+    want = minimizer_oracle.verify_minimizer_claim(spec, p)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got.to_dict() == want.to_dict()
+    assert all(type(v) is Fraction for _, _, v in got.candidates)
+    assert type(got.min_value) is Fraction
+
+
+@given(valid_specs())
+@settings(max_examples=200, deadline=None)
+def test_minimizer_claim_matches_fraction_reference(spec):
+    if spec is not None:
+        _assert_same_claim(spec, None)
+
+
+@given(char_p_cases())
+@settings(max_examples=200, deadline=None)
+def test_minimizer_claim_matches_fraction_reference_in_char_p(case):
+    if case is not None:
+        _assert_same_claim(*case)
 
 
 # ---------------------------------------------------------------------------
