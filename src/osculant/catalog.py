@@ -24,24 +24,52 @@ of the (-2)-catalog are built once per process; C~p is built per call,
 so no cache grows with p.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from operator import index
 
 from .errors import CharPExcluded, ParityViolation, RhoEven, RhoOutOfRange, DomainError
 from .lattice import F, S, R, DivisorClass, QuotientClass
-from .vectors import Vec4, coord_sum, fmt_vec, minority_index, norm_sq, vec4
+from .vectors import (
+    Vec4,
+    as_int,
+    coord_sum,
+    fmt_vec,
+    minority_index,
+    norm_sq,
+    vec4,
+)
 
 
-# Miller-Rabin over the first 12 prime bases is exact below
-# psi_12 = 318665857834031151167461 ~ 3.2e23, the least strong
-# pseudoprime to all twelve (Sorenson & Webster, Math. Comp. 86, 2017).
+# Miller-Rabin over the first k prime bases is exact below psi_k, the
+# least strong pseudoprime to all k of them (OEIS A014233): psi_1..psi_4
+# from Pomerance, Selfridge & Wagstaff (Math. Comp. 35, 1980), psi_5..
+# psi_8 from Jaeschke (Math. Comp. 61, 1993), psi_9..psi_11 from Jiang &
+# Deng (Math. Comp. 83, 2014) and psi_12 from Sorenson & Webster (Math.
+# Comp. 86, 2017).  _is_prime runs only the shortest prefix of the bases
+# whose psi_k exceeds n: at most 5 bases below psi_5 ~ 2.15e12, all 12
+# up to _MR_BOUND = psi_12 ~ 3.2e23.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
+_MR_BOUND = _MR_PSI[-1]
+
+
+def _mr_bases(n: int) -> tuple[int, ...]:
+    """The shortest prefix of _MR_BASES that decides n < _MR_BOUND
+    exactly: the first k bases, k the least with n < psi_k."""
+    return _MR_BASES[:bisect_right(_MR_PSI, n) + 1]
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic primality of an odd n with 3 <= n < _MR_BOUND."""
+    """Deterministic primality of an odd n with 3 <= n < _MR_BOUND.
+
+    Trial division by the 12 bases, then a strong-probable-prime test to
+    each base of _mr_bases(n): below psi_k no composite passes the first
+    k bases, so the verdict is exact with that prefix alone."""
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -49,7 +77,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _mr_bases(n):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -231,7 +259,7 @@ def gamma_perp_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
 
     rho must be odd and within 1..2d-1; gamma in N^4.
     """
-    n, d, rho = int(n), int(d), int(rho)
+    n, d, rho = as_int(n, "n"), as_int(d, "d"), as_int(rho, "rho")
     gamma = vec4(gamma)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}", constraint="degree-min")

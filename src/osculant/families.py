@@ -27,7 +27,7 @@ from .errors import (
 )
 from .lattice import C, R, S, DivisorClass
 from .nef import LambdaSpec, n_for_type, nef_check
-from .vectors import Vec4, coord_sum, fmt_vec, norm_sq, vec4
+from .vectors import Vec4, as_int, coord_sum, fmt_vec, norm_sq, vec4
 
 
 def _check_mu_pattern(mu: Vec4) -> None:
@@ -345,7 +345,8 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions}",
                           constraint="partitions")
-    cells = sorted({(int(n), int(d)) for n in n_range for d in d_range})
+    cells = sorted({(as_int(n, "n"), as_int(d, "d"))
+                    for n in n_range for d in d_range})
     if any(n < 1 or d < 1 for n, d in cells):
         raise DomainError("census needs n, d >= 1", constraint="degree-min")
 

@@ -35,7 +35,7 @@ stored int tuples with the pairing written out term by term.
 from dataclasses import dataclass
 
 from .errors import InternalCheckFailure, OddPairing
-from .vectors import Vec4, vec4
+from .vectors import Vec4, as_int, vec4
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,10 @@ class DivisorClass:
     r: Vec4 = (0, 0, 0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", int(self.c))
-        object.__setattr__(self, "f", int(self.f))
+        c, f = self.c, self.f
+        if not type(c) is type(f) is int:
+            object.__setattr__(self, "c", as_int(c, "coefficient c"))
+            object.__setattr__(self, "f", as_int(f, "coefficient f"))
         object.__setattr__(self, "s", vec4(self.s))
         object.__setattr__(self, "r", vec4(self.r))
 

@@ -40,7 +40,6 @@ from itertools import product
 
 from .catalog import (
     ExceptionalSpec,
-    gamma_perp_class,
     negative_curve_catalog,
     section_image,
     validate_char_p,
@@ -58,8 +57,16 @@ from .errors import (
     RhoEven,
     RhoOutOfRange,
 )
-from .lattice import K_TILDE, QuotientClass
-from .vectors import Vec4, coord_sum, fmt_vec, minority_index, norm_sq, vec4
+from .lattice import K_TILDE, DivisorClass, QuotientClass
+from .vectors import (
+    Vec4,
+    as_int,
+    coord_sum,
+    fmt_vec,
+    minority_index,
+    norm_sq,
+    vec4,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +83,14 @@ class LambdaSpec:
     rho: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "rho", int(self.rho))
-        object.__setattr__(self, "gamma", vec4(self.gamma))
-        n, d, rho, gamma = self.n, self.d, self.rho, self.gamma
+        n, d, rho = self.n, self.d, self.rho
+        if not type(n) is type(d) is type(rho) is int:
+            n, d, rho = as_int(n, "n"), as_int(d, "d"), as_int(rho, "rho")
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "rho", rho)
+        gamma = vec4(self.gamma)
+        object.__setattr__(self, "gamma", gamma)
         if n < 1 or d < 1:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}",
                               constraint="degree-min")
@@ -130,7 +140,18 @@ def n_for_type(d: int, gamma) -> int | None:
 def lambda_class(spec: LambdaSpec, p: int | None = None) -> QuotientClass:
     """The quotient class of the spec (via its pullback)."""
     spec.check_char_p(p)
-    return QuotientClass(gamma_perp_class(spec.n, spec.d, spec.rho, spec.gamma))
+    return _lambda(spec)
+
+
+def _lambda(spec: LambdaSpec) -> QuotientClass:
+    """Lambda of a spec whose fields LambdaSpec has already checked:
+    the class catalog.gamma_perp_class builds, with pullback
+    n*C + (2d-1)*F - rho*s_0 - sum gamma_i r_i, made straight from those
+    fields instead of checking their ranges a second time."""
+    g0, g1, g2, g3 = spec.gamma
+    return QuotientClass(DivisorClass(spec.n, 2 * spec.d - 1,
+                                      (-spec.rho, 0, 0, 0),
+                                      (-g0, -g1, -g2, -g3)))
 
 
 @dataclass(frozen=True)
@@ -451,7 +472,7 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     contacts: tuple[Vec4, ...] = ()
     scan = None
     if mode in ("brute", "both"):
-        lam = lambda_class(spec, p)
+        lam = _lambda(spec)
         for name, cls, _ in negative_curve_catalog(p):
             pairing = lam.dot(cls)
             # nonnegative automatically for a valid spec; a failure here
@@ -626,7 +647,7 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
     to reuse its verdict; one made for another spec or p is rejected
     (``report-mismatch``)."""
     p = _admit(spec, p)
-    lam = lambda_class(spec, p)
+    lam = _lambda(spec)
     deg = -K_TILDE.dot(lam)
     if deg < 2:
         raise AnticanonicalDegreeTooSmall(

@@ -12,14 +12,23 @@ from .errors import DomainError, ParityViolation
 Vec4 = tuple[int, int, int, int]
 
 
-def _coord(x) -> int:
+def _coord(x, what: str = "coordinate") -> int:
     if not isinstance(x, bool):
         try:
             return index(x)
         except TypeError:
             pass
-    raise DomainError(f"non-integer coordinate {x!r}",
+    raise DomainError(f"non-integer {what} {x!r}",
                       constraint="vec-integer")
+
+
+def as_int(x, what: str) -> int:
+    """One integer under the coordinate rule of vec4: anything with
+    ``__index__`` becomes a Python int; a bool or a non-integer such as
+    7.0 or '7' raises ``vec-integer``, naming ``what`` it was."""
+    if type(x) is int:
+        return x
+    return _coord(x, what)
 
 
 def vec4(v) -> Vec4:
@@ -39,11 +48,17 @@ def vec4(v) -> Vec4:
 
 
 def coord_sum(v) -> int:
-    return sum(int(x) for x in v)
+    a, b, c, d = v
+    if not type(a) is type(b) is type(c) is type(d) is int:
+        a, b, c, d = map(index, (a, b, c, d))
+    return a + b + c + d
 
 
 def norm_sq(v) -> int:
-    return sum(int(x) * int(x) for x in v)
+    a, b, c, d = v
+    if not type(a) is type(b) is type(c) is type(d) is int:
+        a, b, c, d = map(index, (a, b, c, d))
+    return a * a + b * b + c * c + d * d
 
 
 def minority_index(alpha) -> int:

@@ -1,6 +1,8 @@
 """Negative-curve catalog: exceptional classes, the fixed (-2)-list,
 fiber components, and the cover-class template."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,7 @@ from osculant import (
     section_image,
     validate_char_p,
 )
+from osculant import catalog
 
 
 def test_exceptional_unit_vector():
@@ -179,6 +182,82 @@ def test_validate_char_p_rejects_above_exact_bound():
         assert "decided exactly" in str(info.value)
 
 
+# OEIS A014233: psi_k, the least odd composite that is a strong
+# probable prime to each of the first k prime bases
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the strong Fermat test to base a; written here from the
+    definition, apart from osculant.catalog."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def _twelve_base_verdict(n: int) -> bool:
+    """Odd n >= 3 below psi_12: prime by trial division by the first 12
+    primes and the strong test to all 12 of them."""
+    if any(n % q == 0 for q in FIRST_PRIMES[:12]):
+        return n in FIRST_PRIMES[:12]
+    return all(_strong_probable_prime(n, a) for a in FIRST_PRIMES[:12])
+
+
+def test_threshold_table_is_a014233():
+    assert catalog._MR_BASES == FIRST_PRIMES[:12]
+    assert catalog._MR_PSI == PSI
+    assert catalog._MR_BOUND == PSI[-1]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_each_threshold_is_a_strong_pseudoprime(k):
+    psi = PSI[k - 1]
+    # composite: some base up to 41 witnesses it
+    assert not all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES)
+    # yet it passes the first k bases, so k bases cannot decide psi_k
+    assert all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k])
+    with pytest.raises(DomainError) as info:
+        validate_char_p(psi)
+    assert info.value.constraint == "char-p-config"
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_prefix_has_k_bases_below_psi_k_and_more_at_it(k):
+    psi = PSI[k - 1]
+    below, at = catalog._mr_bases(psi - 1), catalog._mr_bases(psi)
+    assert below == FIRST_PRIMES[:len(below)]
+    # psi_12 = _MR_BOUND is rejected before any base is chosen
+    assert len(at) > k or k == 12
+    # below psi_k at most k bases, exactly k where psi_(k-1) < psi_k
+    if k == 1 or PSI[k - 2] < psi:
+        assert len(below) == k
+    else:
+        assert len(below) < k
+
+
+_BANDS = sorted(set(zip((3,) + PSI[:-1], PSI)))
+
+
+@pytest.mark.parametrize("lo,hi", [b for b in _BANDS if b[0] < b[1]])
+def test_sized_test_matches_twelve_bases_in_each_band(lo, hi):
+    rng = random.Random(lo)
+    # odd n in [lo, hi - 2], the band's ends included
+    draws = [rng.randrange(lo, hi - 1) | 1 for _ in range(1500)]
+    for n in draws + [lo, hi - 2]:
+        assert _accepts(n) == _twelve_base_verdict(n), n
+
+
 def test_catalog_rows_are_shared_but_lists_are_fresh():
     first, second = negative_curve_catalog(), negative_curve_catalog()
     assert first == second and first is not second
@@ -223,6 +302,15 @@ def test_cover_class_validation():
         gamma_perp_class(0, 2, 1, (1, 1, 1, 1))
     with pytest.raises(DomainError):
         gamma_perp_class(3, 2, 1, (1, 1, 1, -1))
+    # n, d and rho are integers, not truncated
+    for n, d, rho in ((4.5, 2, 1), (4, 2, 1.9), (4, 2.0, 1), (7.0, 2, 1),
+                      (True, 2, 1), (4, True, 1), (4, 2, True), ("4", 2, 1)):
+        with pytest.raises(DomainError) as info:
+            gamma_perp_class(n, d, rho, (3, 2, 2, 2))
+        assert info.value.constraint == "vec-integer"
+    assert gamma_perp_class(_Index(4), _Index(2), _Index(1),
+                            (3, 2, 2, 2)) == gamma_perp_class(4, 2, 1,
+                                                              (3, 2, 2, 2))
 
 
 @given(st.integers(1, 60))

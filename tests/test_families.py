@@ -202,6 +202,12 @@ def test_census_validation():
         census(range(1, 3), range(1, 3), 5, partitions=0)
     with pytest.raises(DomainError):
         census(range(0, 3), range(1, 3), 5)
+    # n and d are integers: [2.5] x [2.9] is not the cell (2, 2)
+    for ns, ds in (([2.5], [2.9]), ([7.0], [2]), ([2], [True]),
+                   ([True], [1]), (["2"], [2])):
+        with pytest.raises(DomainError) as info:
+            census(ns, ds, 10)
+        assert info.value.constraint == "vec-integer"
 
 
 def test_census_csv_shape():

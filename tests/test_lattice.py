@@ -22,7 +22,7 @@ from osculant import (
     quotient_genus,
     quotient_intersect,
 )
-from osculant.vectors import vec4
+from osculant.vectors import coord_sum, norm_sq, vec4
 
 coef = st.integers(min_value=-50, max_value=50)
 classes = st.builds(
@@ -175,3 +175,31 @@ def test_vec4_rejects_non_integer():
     with pytest.raises(DomainError) as info:
         DivisorClass(r=(1, 2, 3.0, 4))
     assert info.value.constraint == "vec-integer"
+
+
+class _Index:
+    """An integer-like value that is not an int, as numpy's are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_divisor_class_scalars_must_be_integers():
+    for kwargs in ({"c": 7.0}, {"f": 2.5}, {"c": True}, {"f": False},
+                   {"c": "1"}):
+        with pytest.raises(DomainError) as info:
+            DivisorClass(**kwargs)
+        assert info.value.constraint == "vec-integer"
+    cls = DivisorClass(c=_Index(2), f=_Index(-3))
+    assert cls == DivisorClass(c=2, f=-3)
+    assert type(cls.c) is int and type(cls.f) is int
+
+
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=4, max_size=4),
+       st.sampled_from([tuple, list, lambda v: tuple(map(_Index, v))]))
+def test_coord_sum_and_norm_sq_match_the_sum_form(v, form):
+    assert coord_sum(form(v)) == sum(v)
+    assert norm_sq(form(v)) == sum(x * x for x in v)

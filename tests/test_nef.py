@@ -39,7 +39,9 @@ from osculant import (
     verify_minimizer_claim,
     z_divisor,
 )
-from osculant.catalog import exceptional_class
+from osculant.catalog import exceptional_class, gamma_perp_class
+from osculant.lattice import QuotientClass
+from osculant.nef import _lambda
 
 import minimizer_oracle
 from box_oracle import box_scan, class_of
@@ -63,6 +65,19 @@ def test_spec_validation():
         LambdaSpec(4, 2, (3, 2, 2, 4))
     with pytest.raises(DomainError):
         LambdaSpec(0, 2, (3, 2, 2, 2))
+
+
+def test_spec_fields_must_be_integers():
+    # n, d and rho follow the coordinate rule: __index__ integers only,
+    # never truncated or parsed
+    for n, d, rho in ((4.9, 2, 1), (4, 2.2, 1), (4, 2, 1.0), (7.0, 2, 1),
+                      ("4", 2, 1), (4, True, 1), (4, 2, True), (True, 1, 1)):
+        with pytest.raises(DomainError) as info:
+            LambdaSpec(n, d, (3, 2, 2, 2), rho=rho)
+        assert info.value.constraint == "vec-integer"
+    spec = LambdaSpec(_Index(4), _Index(2), (3, 2, 2, 2), rho=_Index(1))
+    assert spec == REF
+    assert all(type(x) is int for x in (spec.n, spec.d, spec.rho))
 
 
 def test_n_for_type():
@@ -388,6 +403,28 @@ def valid_specs(draw):
     if n is None or n < 1:
         return None
     return LambdaSpec(n, d, gamma)
+
+
+@given(valid_specs())
+@settings(max_examples=200, deadline=None)
+def test_private_lambda_matches_gamma_perp_class(spec):
+    if spec is None:
+        return
+    lam = QuotientClass(gamma_perp_class(spec.n, spec.d, spec.rho, spec.gamma))
+    assert _lambda(spec) == lam
+    assert lambda_class(spec) == lam
+
+
+def test_lambda_class_checks_p():
+    ramified = LambdaSpec(4, 2, (3, 2, 2, 2), rho=3)
+    assert _lambda(ramified) == lambda_class(ramified, 7) == QuotientClass(
+        gamma_perp_class(4, 2, 3, (3, 2, 2, 2)))
+    with pytest.raises(CharPExcluded):
+        lambda_class(LambdaSpec(8, 3, (5, 4, 4, 4)), 3)   # 17 > 3 * 5
+    for bad in (4, 9, 7.0, True, "7"):
+        with pytest.raises(DomainError) as info:
+            lambda_class(REF, bad)
+        assert info.value.constraint == "char-p-config"
 
 
 @given(valid_specs())
