@@ -272,5 +272,11 @@ def gamma_perp_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
     if any(g < 0 for g in gamma):
         raise DomainError(f"gamma={fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
-    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0),
-                        tuple(-g for g in gamma))
+    return _perp_class(n, d, rho, gamma)
+
+
+def _perp_class(n: int, d: int, rho: int, gamma: Vec4) -> DivisorClass:
+    """The class of gamma_perp_class from int fields already checked
+    there or by nef.LambdaSpec; only DivisorClass validates them."""
+    g0, g1, g2, g3 = gamma
+    return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), (-g0, -g1, -g2, -g3))

@@ -55,10 +55,8 @@ class DivisorClass:
     r: Vec4 = (0, 0, 0, 0)
 
     def __post_init__(self):
-        c, f = self.c, self.f
-        if not type(c) is type(f) is int:
-            object.__setattr__(self, "c", as_int(c, "coefficient c"))
-            object.__setattr__(self, "f", as_int(f, "coefficient f"))
+        object.__setattr__(self, "c", as_int(self.c, "coefficient c"))
+        object.__setattr__(self, "f", as_int(self.f, "coefficient f"))
         object.__setattr__(self, "s", vec4(self.s))
         object.__setattr__(self, "r", vec4(self.r))
 

@@ -40,6 +40,7 @@ from itertools import product
 
 from .catalog import (
     ExceptionalSpec,
+    _perp_class,
     negative_curve_catalog,
     section_image,
     validate_char_p,
@@ -57,7 +58,7 @@ from .errors import (
     RhoEven,
     RhoOutOfRange,
 )
-from .lattice import K_TILDE, DivisorClass, QuotientClass
+from .lattice import K_TILDE, QuotientClass
 from .vectors import (
     Vec4,
     as_int,
@@ -83,12 +84,11 @@ class LambdaSpec:
     rho: int = 1
 
     def __post_init__(self):
-        n, d, rho = self.n, self.d, self.rho
-        if not type(n) is type(d) is type(rho) is int:
-            n, d, rho = as_int(n, "n"), as_int(d, "d"), as_int(rho, "rho")
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "d", d)
-            object.__setattr__(self, "rho", rho)
+        n, d = as_int(self.n, "n"), as_int(self.d, "d")
+        rho = as_int(self.rho, "rho")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rho", rho)
         gamma = vec4(self.gamma)
         object.__setattr__(self, "gamma", gamma)
         if n < 1 or d < 1:
@@ -107,6 +107,9 @@ class LambdaSpec:
                 raise RationalImageViolation(
                     f"gamma^(2) = {norm_sq(gamma)} but rho = 1 requires "
                     f"(2d-1)(2n-2)+3 = {want}")
+        if min(gamma) < 0:
+            raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
+                              constraint="gamma-nonnegative")
 
     @property
     def w(self) -> int:
@@ -145,13 +148,9 @@ def lambda_class(spec: LambdaSpec, p: int | None = None) -> QuotientClass:
 
 def _lambda(spec: LambdaSpec) -> QuotientClass:
     """Lambda of a spec whose fields LambdaSpec has already checked:
-    the class catalog.gamma_perp_class builds, with pullback
-    n*C + (2d-1)*F - rho*s_0 - sum gamma_i r_i, made straight from those
-    fields instead of checking their ranges a second time."""
-    g0, g1, g2, g3 = spec.gamma
-    return QuotientClass(DivisorClass(spec.n, 2 * spec.d - 1,
-                                      (-spec.rho, 0, 0, 0),
-                                      (-g0, -g1, -g2, -g3)))
+    the class of catalog.gamma_perp_class, built without checking the
+    same ranges a second time."""
+    return QuotientClass(_perp_class(spec.n, spec.d, spec.rho, spec.gamma))
 
 
 @dataclass(frozen=True)

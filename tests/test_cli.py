@@ -180,6 +180,14 @@ def test_exit_code_domain_error(capsys):
     assert "error:" in err and "[type-parity]" in err
 
 
+def test_negative_gamma_exits_one(capsys):
+    for argv in (("lambda", "4", "2", "1", "3,2,2,-2"),
+                 ("nef", "4", "2", "3,2,2,-2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "[gamma-nonnegative]" in err
+
+
 def test_exit_code_usage(capsys):
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys)[0] == 2

@@ -67,6 +67,15 @@ def test_spec_validation():
         LambdaSpec(0, 2, (3, 2, 2, 2))
 
 
+def test_spec_rejects_negative_gamma():
+    # (3, 2, 2, -2) has the type parity and gamma^(2) = 21 of n = 4,
+    # d = 2, so only the sign check stands between it and a Lambda
+    for rho in (1, 3):
+        with pytest.raises(DomainError) as info:
+            LambdaSpec(4, 2, (3, 2, 2, -2), rho=rho)
+        assert info.value.constraint == "gamma-nonnegative"
+
+
 def test_spec_fields_must_be_integers():
     # n, d and rho follow the coordinate rule: __index__ integers only,
     # never truncated or parsed
