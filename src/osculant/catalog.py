@@ -25,9 +25,9 @@ so no cache grows with p.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import isqrt
 from operator import index
+from typing import NamedTuple
 
 from .errors import CharPExcluded, ParityViolation, RhoEven, RhoOutOfRange, DomainError
 from .lattice import F, S, R, DivisorClass, QuotientClass
@@ -120,8 +120,7 @@ def validate_char_p(p: int | None) -> int | None:
     return _CheckedP(p)
 
 
-@dataclass(frozen=True)
-class ExceptionalSpec:
+class ExceptionalSpec(NamedTuple):
     """Index data of one exceptional class: the vector alpha together
     with the derived a = (alpha^(2)-1)/2 and odd-one-out index k."""
 
@@ -162,6 +161,7 @@ def exceptional_class(alpha, p: int | None = None) -> QuotientClass:
 def enumerate_exceptional(max_sq: int, p: int | None = None) -> list[ExceptionalSpec]:
     """All alpha in N^4 with odd alpha^(2) <= max_sq (and alpha^(1) <= p
     in characteristic p), in lexicographic order of alpha."""
+    max_sq = as_int(max_sq, "max_sq")
     p = validate_char_p(p)
     out = []
     m = isqrt(max(max_sq, 0))

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import (
     enumerate_exceptional,
@@ -45,8 +45,7 @@ from .verify import run_all
 _ENV_PREFIX = "OSCULANT_"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     char_p: int | None = None
     pair_reading: str = "factored"
     output: str = "json"

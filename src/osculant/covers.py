@@ -12,6 +12,7 @@ census runs can record failures as data.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import gamma_perp_class, validate_char_p
 from .errors import (
@@ -22,11 +23,10 @@ from .errors import (
     RhoEven,
     RhoOutOfRange,
 )
-from .vectors import Vec4, coord_sum, fmt_vec, norm_sq, vec4
+from .vectors import Vec4, as_int, coord_sum, norm_sq, vec4
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One evaluated law: lhs REL rhs, plus an optional note.  Rows with
     informational=True are reported but never fail a report."""
 
@@ -102,6 +102,8 @@ def genus_tilde(n: int, d: int, rho: int, m: int, gamma) -> int:
     gamma^(2) > 2(2d-1)(n-m) + 4m^2 - rho^2) and divisible by 4m^2
     (NotDivisible otherwise).
     """
+    n, d = as_int(n, "n"), as_int(d, "d")
+    rho, m = as_int(rho, "rho"), as_int(m, "m")
     gamma = vec4(gamma)
     if m < 1:
         raise NotDivisible(f"m must be >= 1, got {m}")
@@ -116,8 +118,7 @@ def genus_tilde(n: int, d: int, rho: int, m: int, gamma) -> int:
     return num // (4 * m * m)
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     checks: tuple[Check, ...]
     minimal: bool
 
@@ -198,6 +199,7 @@ def validate_cover(inv: CoverInvariants, p: int | None = None) -> CoverReport:
 def factorization_relations(d: int, g: int, m: int) -> tuple[int, int]:
     """Invariants (d_b, g_b) of the base cover under a degree-m factor:
     2d-1 = m(2 d_b - 1) and 2g+1 = m(2 g_b + 1), both exact."""
+    d, g, m = as_int(d, "d"), as_int(g, "g"), as_int(m, "m")
     if m < 1 or m % 2 == 0:
         raise NotDivisible(f"m must be odd and >= 1, got {m}")
     if (2 * d - 1) % m:
@@ -217,6 +219,7 @@ def factorization_relations(d: int, g: int, m: int) -> tuple[int, int]:
 def osculating_bound(n: int, g: int) -> int:
     """Smallest osculating order d consistent with
     (2d-1)(2n-2) >= g^2 + g - 2."""
+    n, g = as_int(n, "n"), as_int(g, "g")
     if n < 2:
         raise DegreeTooSmall(
             f"n = {n} < 2: left side is 0 while genus {g} needs "
@@ -231,6 +234,7 @@ def osculating_bound(n: int, g: int) -> int:
 def max_genus_dominated(n: int, rho: int) -> int:
     """Largest arithmetic genus of a cover dominated at ramification
     index rho: 2n - (rho+1)/2."""
+    n, rho = as_int(n, "n"), as_int(rho, "rho")
     if rho % 2 == 0:
         raise RhoEven(f"rho = {rho} must be odd")
     if rho < 1:

@@ -12,9 +12,9 @@ pure lattice algebra and are verified here on every construction, not
 assumed: D0 = D1, and F_j = G = pullback(Lambda) for every j.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
+from typing import NamedTuple
 
 from .catalog import gamma_perp_class, validate_char_p
 from .covers import char_p_admits, genus_tilde
@@ -56,6 +56,7 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
     N^4, a non-integral or non-positive n, or (char-p) an excluded type
     are skipped.  Every emitted triple is nef.
     """
+    d, k = as_int(d, "d"), as_int(k, "k")
     mu = vec4(mu)
     p = validate_char_p(p)
     if d < 2:
@@ -130,6 +131,7 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
     Every emitted triple fails the nef check, with the eps-norm
     condition as the closed-form culprit.
     """
+    d, bound = as_int(d, "d"), as_int(bound, "bound")
     mu = vec4(mu)
     p = validate_char_p(p)
     if d < 3:
@@ -184,8 +186,7 @@ def _z_template(nu: Vec4, base: int) -> DivisorClass:
     return DivisorClass((sq - 1) // 2, 1, s, tuple(-x for x in nu))
 
 
-@dataclass(frozen=True)
-class KitDivisors:
+class KitDivisors(NamedTuple):
     """The named effective pieces, their two assembled classes D0 = D1,
     the d-1 classes F[j] and G all equal to the pullback of Lambda, and
     the numeric invariants of the realized cover."""
@@ -220,6 +221,7 @@ class KitDivisors:
 
 def construction_kit(d: int, mu) -> KitDivisors:
     """Assemble and verify the kit for eps = (0, d-1, d-1, d-1)."""
+    d = as_int(d, "d")
     mu = vec4(mu)
     if d < 2:
         raise DomainError(f"kit needs d >= 2, got {d}",
@@ -284,8 +286,7 @@ def construction_kit(d: int, mu) -> KitDivisors:
 # census
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     n: int
     d: int
     gamma: Vec4
@@ -342,6 +343,8 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     the output is identical for any partition count.
     """
     p = validate_char_p(p)
+    gamma_bound = as_int(gamma_bound, "gamma_bound")
+    partitions = as_int(partitions, "partitions")
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions}",
                           constraint="partitions")
@@ -367,7 +370,7 @@ def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
     report = nef_check(LambdaSpec(n, d, gamma), mode="both", p=p,
                        pair_reading=pair_reading)
     dec = report.decomposition
-    closed_ok = all(c.passed for c in report.conditions)
+    closed_ok = report.failing_constraint is None
     brute_ok = report.is_nef()
     if d == 1:
         dim = 0
@@ -390,17 +393,15 @@ def census_csv(records) -> str:
     dimension, lowercase booleans."""
     lines = [CSV_COLUMNS]
     for r in records:
-        dim = "" if r.dim_moduli is None else str(r.dim_moduli)
-        lines.append(",".join([
-            str(r.n), str(r.d),
-            *(str(x) for x in r.gamma),
-            *(str(x) for x in r.mu),
-            *(str(x) for x in r.eps),
-            "true" if r.nef_closed else "false",
-            "true" if r.nef_brute else "false",
-            "true" if r.agreement else "false",
-            dim, str(r.genus_g), str(r.genus_tilde),
-        ]))
+        g, m, e = r.gamma, r.mu, r.eps
+        dim = "" if r.dim_moduli is None else r.dim_moduli
+        lines.append(
+            f"{r.n},{r.d},{g[0]},{g[1]},{g[2]},{g[3]},"
+            f"{m[0]},{m[1]},{m[2]},{m[3]},{e[0]},{e[1]},{e[2]},{e[3]},"
+            f"{'true' if r.nef_closed else 'false'},"
+            f"{'true' if r.nef_brute else 'false'},"
+            f"{'true' if r.agreement else 'false'},"
+            f"{dim},{r.genus_g},{r.genus_tilde}")
     return "\n".join(lines) + "\n"
 
 

@@ -55,10 +55,17 @@ class DivisorClass:
     r: Vec4 = (0, 0, 0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", as_int(self.c, "coefficient c"))
-        object.__setattr__(self, "f", as_int(self.f, "coefficient f"))
-        object.__setattr__(self, "s", vec4(self.s))
-        object.__setattr__(self, "r", vec4(self.r))
+        c, f = as_int(self.c, "coefficient c"), as_int(self.f, "coefficient f")
+        s, r = vec4(self.s), vec4(self.r)
+        # written again only when coerced, as in nef.LambdaSpec
+        if c is not self.c:
+            object.__setattr__(self, "c", c)
+        if f is not self.f:
+            object.__setattr__(self, "f", f)
+        if s is not self.s:
+            object.__setattr__(self, "s", s)
+        if r is not self.r:
+            object.__setattr__(self, "r", r)
 
     # -- module structure ------------------------------------------------
 

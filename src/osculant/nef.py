@@ -37,6 +37,7 @@ brute verdicts agree.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .catalog import (
     ExceptionalSpec,
@@ -86,11 +87,17 @@ class LambdaSpec:
     def __post_init__(self):
         n, d = as_int(self.n, "n"), as_int(self.d, "d")
         rho = as_int(self.rho, "rho")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rho", rho)
         gamma = vec4(self.gamma)
-        object.__setattr__(self, "gamma", gamma)
+        # as_int and vec4 hand back a plain int or int 4-tuple as the
+        # same object, so a field is written again only when coerced
+        if n is not self.n:
+            object.__setattr__(self, "n", n)
+        if d is not self.d:
+            object.__setattr__(self, "d", d)
+        if rho is not self.rho:
+            object.__setattr__(self, "rho", rho)
+        if gamma is not self.gamma:
+            object.__setattr__(self, "gamma", gamma)
         if n < 1 or d < 1:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}",
                               constraint="degree-min")
@@ -133,6 +140,9 @@ def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:
 def n_for_type(d: int, gamma) -> int | None:
     """The n forced by the rational-image constraint, or None if the
     constraint has no integral solution for this (d, gamma)."""
+    d = as_int(d, "d")
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}", constraint="degree-min")
     num = norm_sq(vec4(gamma)) - 3
     den = 2 * (2 * d - 1)
     if num < 0 or num % den:
@@ -153,8 +163,7 @@ def _lambda(spec: LambdaSpec) -> QuotientClass:
     return QuotientClass(_perp_class(spec.n, spec.d, spec.rho, spec.gamma))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """gamma = (2d-1)*mu + 2*eps plus the two perturbed candidates.
 
     nat_mu bumps every coordinate of mu one step toward the sign of
@@ -188,6 +197,7 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def decompose_type(gamma, d: int) -> Decomposition:
     gamma = vec4(gamma)
+    d = as_int(d, "d")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}", constraint="degree-min")
     if min(gamma) < 0:
@@ -234,7 +244,7 @@ def decompose_type(gamma, d: int) -> Decomposition:
 
 def thresholds(d: int) -> tuple[int, int]:
     """q-thresholds for nefness: k=0 class first, then k != 0."""
-    w = 2 * d - 1
+    w = 2 * as_int(d, "d") - 1
     return w * w + 3, w * w + 3 - 2 * w
 
 
@@ -278,8 +288,7 @@ _CLASS_PARITIES = (tuple(b for b in _PARITIES if minority_index(b) == 0),
                    tuple(b for b in _PARITIES if minority_index(b) != 0))
 
 
-@dataclass(frozen=True)
-class BoxScan:
+class BoxScan(NamedTuple):
     """Minima of q over the k = 0 and k != 0 classes of exceptional
     alpha, each with its sorted minimizers."""
 
@@ -341,9 +350,13 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
     if min(gamma) < 0:
         raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
-    w = 2 * d - 1
+    w = 2 * as_int(d, "d") - 1
     p = _char_p_for_type(gamma, w, p)
-    n0, n1, n2, n3 = [(_nearest(g, w, 0), _nearest(g, w, 1)) for g in gamma]
+    g0, g1, g2, g3 = gamma
+    n0 = _nearest(g0, w, 0), _nearest(g0, w, 1)
+    n1 = _nearest(g1, w, 0), _nearest(g1, w, 1)
+    n2 = _nearest(g2, w, 0), _nearest(g2, w, 1)
+    n3 = _nearest(g3, w, 0), _nearest(g3, w, 1)
     classes = []
     for codes in _CLASS_PARITIES:
         sums = [n0[b0][0] + n1[b1][0] + n2[b2][0] + n3[b3][0]
@@ -415,14 +428,18 @@ class NefReport:
         }
 
 
+_PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
+
+
 def closed_conditions(dec: Decomposition, d: int,
                       pair_reading: str = "factored") -> tuple[Check, ...]:
     """The three closed inequalities on eps, as check rows."""
-    if pair_reading not in ("factored", "literal"):
+    note = _PAIR_NOTES.get(pair_reading)
+    if note is None:
         raise DomainError(f"unknown pair reading {pair_reading!r}",
                           constraint="pair-reading")
     w = 2 * d - 1
-    a0, a1, a2, a3 = sorted([abs(e) for e in dec.eps])
+    a0, a1, a2, a3 = sorted(map(abs, dec.eps))
     e2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     w_abs_sum = w * (a0 + a1 + a2 + a3)
     pair = a2 + a3 if pair_reading == "literal" else w * (a2 + a3)
@@ -431,7 +448,7 @@ def closed_conditions(dec: Decomposition, d: int,
         Check("eps-sum", w_abs_sum <= 3 * d * d - 3 * d + e2,
               w_abs_sum, 3 * d * d - 3 * d + e2),
         Check("eps-pair", pair <= d * d - 1 + e2, pair, d * d - 1 + e2,
-              note=f"{pair_reading} reading"),
+              note=note),
     )
 
 
@@ -462,9 +479,18 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
 
     conditions: tuple[Check, ...] = ()
     closed_verdict = None
+    failing = None
     if mode in ("closed", "both"):
         conditions = closed_conditions(dec, spec.d, pair_reading)
-        closed_verdict = all(c.passed for c in conditions)
+        norm, total, pair = conditions
+        # failing_constraint is the first row that fails
+        if not norm.passed:
+            failing = norm.id
+        elif not total.passed:
+            failing = total.id
+        elif not pair.passed:
+            failing = pair.id
+        closed_verdict = failing is None
 
     brute_verdict = None
     witness = None
@@ -481,24 +507,25 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
                     f"valid spec pairs negatively with {name}: {pairing}")
         scan = scan_box(spec.gamma, spec.d, p)
         t0, t1 = thresholds(spec.d)
-        # per class, the excess q - t of its minimum (4w times the
-        # pairing value) and its minimizers
-        lows = ((scan.min_k0 - t0, scan.argmin_k0),
-                (scan.min_other - t1, scan.argmin_other))
-        brute_verdict = all(x >= 0 for x, _ in lows)
-        contacts = tuple(sorted(a for x, argmin in lows if x == 0
-                                for a in argmin))
+        # per class, the excess q - t of its minimum: 4w times the
+        # pairing value of each of its (sorted) minimizers
+        x0, x1 = scan.min_k0 - t0, scan.min_other - t1
+        brute_verdict = x0 >= 0 and x1 >= 0
+        if x0 == 0 and x1 == 0:
+            contacts = tuple(sorted(scan.argmin_k0 + scan.argmin_other))
+        elif x0 == 0:
+            contacts = scan.argmin_k0
+        elif x1 == 0:
+            contacts = scan.argmin_other
         if not brute_verdict:
             # the lower pairing value belongs to a failing class
-            witness = min((x, argmin[0]) for x, argmin in lows)[1]
+            witness = min((x0, scan.argmin_k0[0]),
+                          (x1, scan.argmin_other[0]))[1]
 
     final = brute_verdict if brute_verdict is not None else closed_verdict
     agreement = None
     if mode == "both":
         agreement = closed_verdict == brute_verdict
-    failing = None
-    if conditions and not closed_verdict:
-        failing = next(c.id for c in conditions if not c.passed)
     return NefReport(
         verdict="nef" if final else "not_nef",
         mode=mode,
@@ -518,8 +545,7 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
 # minimizer claim, contact divisor, dimensions
 
 
-@dataclass(frozen=True)
-class MinimizerReport:
+class MinimizerReport(NamedTuple):
     holds: bool
     min_value: Fraction
     argmins: tuple[Vec4, ...]          # attaining the minimal pairing value
@@ -602,8 +628,7 @@ def _require_nef(report: NefReport) -> None:
                      f"{fmt_vec(spec.gamma)}) is not nef")
 
 
-@dataclass(frozen=True)
-class ContactDivisor:
+class ContactDivisor(NamedTuple):
     """Exceptional contacts of a nef Lambda sorted by branch index j:
     at most one alpha with k(alpha) = j should pair to zero."""
 

@@ -13,9 +13,9 @@ data.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import expr
 from .catalog import (
@@ -43,8 +43,7 @@ from .nef import (
 from .vectors import Vec4, fmt_vec, norm_sq
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     key: str
     passed: bool
     detail: str

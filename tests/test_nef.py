@@ -578,6 +578,24 @@ def test_minimizer_claim_matches_fraction_reference_in_char_p(case):
         _assert_same_claim(*case)
 
 
+@given(char_p_cases(), st.sampled_from(["factored", "literal"]))
+@settings(max_examples=200, deadline=None)
+def test_report_fields_match_their_definitions(case, pair_reading):
+    """Contacts, witness and failing constraint, from the pairing values
+    of every class minimizer and from the closed rows."""
+    if case is None:
+        return
+    spec, p = case
+    report = nef_check(spec, mode="both", p=p, pair_reading=pair_reading)
+    values = sorted((lambda_dot_exceptional_closed(spec.d, spec.gamma, a), a)
+                    for a in report.scan.argmins())
+    assert report.boundary_contacts == tuple(a for v, a in values if v == 0)
+    assert report.is_nef() == (values[0][0] >= 0)
+    assert report.witness == (None if report.is_nef() else values[0][1])
+    failed = [c.id for c in report.conditions if not c.passed]
+    assert report.failing_constraint == (failed[0] if failed else None)
+
+
 # ---------------------------------------------------------------------------
 # what a report carries, and its reuse
 
