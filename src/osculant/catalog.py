@@ -163,9 +163,10 @@ def enumerate_exceptional(max_sq: int, p: int | None = None) -> list[Exceptional
     in characteristic p), in lexicographic order of alpha."""
     max_sq = as_int(max_sq, "max_sq")
     p = validate_char_p(p)
+    if max_sq < 0:
+        return []
     out = []
-    m = isqrt(max(max_sq, 0))
-    for a0 in range(m + 1):
+    for a0 in range(isqrt(max_sq) + 1):
         q0 = a0 * a0
         for a1 in range(isqrt(max_sq - q0) + 1):
             q1 = q0 + a1 * a1

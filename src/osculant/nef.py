@@ -137,12 +137,18 @@ def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:
     return p
 
 
-def n_for_type(d: int, gamma) -> int | None:
-    """The n forced by the rational-image constraint, or None if the
-    constraint has no integral solution for this (d, gamma)."""
+def _degree(d) -> int:
+    """d as an int, at least 1 (degree-min)."""
     d = as_int(d, "d")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}", constraint="degree-min")
+    return d
+
+
+def n_for_type(d: int, gamma) -> int | None:
+    """The n forced by the rational-image constraint, or None if the
+    constraint has no integral solution for this (d, gamma)."""
+    d = _degree(d)
     num = norm_sq(vec4(gamma)) - 3
     den = 2 * (2 * d - 1)
     if num < 0 or num % den:
@@ -197,9 +203,7 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def decompose_type(gamma, d: int) -> Decomposition:
     gamma = vec4(gamma)
-    d = as_int(d, "d")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}", constraint="degree-min")
+    d = _degree(d)
     if min(gamma) < 0:
         raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
@@ -244,7 +248,7 @@ def decompose_type(gamma, d: int) -> Decomposition:
 
 def thresholds(d: int) -> tuple[int, int]:
     """q-thresholds for nefness: k=0 class first, then k != 0."""
-    w = 2 * as_int(d, "d") - 1
+    w = 2 * _degree(d) - 1
     return w * w + 3, w * w + 3 - 2 * w
 
 
@@ -350,7 +354,7 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
     if min(gamma) < 0:
         raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
-    w = 2 * as_int(d, "d") - 1
+    w = 2 * _degree(d) - 1
     p = _char_p_for_type(gamma, w, p)
     g0, g1, g2, g3 = gamma
     n0 = _nearest(g0, w, 0), _nearest(g0, w, 1)

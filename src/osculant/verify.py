@@ -3,16 +3,20 @@ claimed identity or classification against an exhaustive or randomized
 second route.  ``run_all`` executes the full list; each criterion is
 also callable on its own.
 
-The heavier criteria share one exhaustive sweep: every valid spec with
-d in [2, 5] built from mu patterns with components at most 3 (both
+Five criteria (agreement, adjunction, dimensions, the minimizer claim
+and contact uniqueness) share one exhaustive sweep: every valid spec
+with d in [2, 5] built from mu patterns with components at most 3 (both
 parity orientations) and every eps window vector whose congruence class
-admits an integral degree.  For each spec the sweep stores the dual
-nef report, which carries its decomposition and scan, so agreement,
-adjunction, dimension, minimizer and contact checks all read the same
-data.
+admits an integral degree.  Each spec gets one both-mode nef report,
+which carries its decomposition and scan, and all five criteria read
+that report.  ``run_all`` builds the sweep one (d, mu) block at a time
+(at most 864 reports), passes each block through the five criteria and
+drops it, so its memory does not grow with the grid; ``build_sweep``
+returns the whole list for callers that want it.
 """
 
 import random
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -68,16 +72,17 @@ def mu_patterns(mu_max: int) -> list[Vec4]:
     return pats
 
 
-def build_sweep(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
-                pair_reading: str = "factored") -> list[NefReport]:
-    """The both-mode nef report of every spec in the grid; each report
-    carries its spec, decomposition and scan."""
-    rows = []
+def _sweep_blocks(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
+                  pair_reading: str = "factored"
+                  ) -> Iterator[list[NefReport]]:
+    """The sweep in sweep order, one list of both-mode nef reports per
+    (d, mu) pattern, so a caller can check a block and drop it."""
     for d in range(d_lo, d_hi + 1):
         w = 2 * d - 1
         eps_ok = [e for e in product(range(-(d - 1), d), repeat=4)
                   if (4 * norm_sq(e) - 3) % w == 0]
         for mu in mu_patterns(mu_max):
+            block = []
             for eps in eps_ok:
                 gamma = tuple(w * m + 2 * x for m, x in zip(mu, eps))
                 if any(g < 0 for g in gamma):
@@ -90,9 +95,17 @@ def build_sweep(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
                         f"guarantee one")
                 if n < 1:
                     continue
-                rows.append(nef_check(LambdaSpec(n, d, gamma), mode="both",
-                                      pair_reading=pair_reading))
-    return rows
+                block.append(nef_check(LambdaSpec(n, d, gamma), mode="both",
+                                       pair_reading=pair_reading))
+            yield block
+
+
+def build_sweep(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
+                pair_reading: str = "factored") -> list[NefReport]:
+    """The both-mode nef report of every spec in the grid; each report
+    carries its spec, decomposition and scan."""
+    return [row for block in _sweep_blocks(d_lo, d_hi, mu_max, pair_reading)
+            for row in block]
 
 
 def _spec_tag(spec: LambdaSpec) -> str:
@@ -187,19 +200,59 @@ def criterion_pairing_closed_form(seed: int = 0, trials: int = 1000
 # criteria over the shared sweep
 
 
-def criterion_nef_agreement(sweep: list[NefReport],
-                            pair_reading: str = "factored") -> CriterionResult:
-    bad = [row for row in sweep if row.agreement is not True]
-    detail = (f"{len(sweep)} specs (d 2..5, mu <= 3, full eps window), "
-              f"{pair_reading} reading: {len(bad)} disagreements")
-    for row in bad[:3]:
+class _Tally:
+    """The running count of one sweep criterion: reports checked,
+    failures found and the first `keep` failures, in sweep order.
+
+    `step` checks one block of reports and returns how many it checked
+    and its failures.  run_all feeds it the sweep's (d, mu) blocks
+    (_sweep_results); a public criterion feeds its whole list as one
+    block.  Either way one formatter turns the tally into the
+    criterion's result."""
+
+    __slots__ = ("step", "keep", "checked", "failed", "first")
+
+    def __init__(self, step, keep: int = 1):
+        self.step = step
+        self.keep = keep
+        self.checked = self.failed = 0
+        self.first: list = []
+
+    def feed(self, block: list[NefReport]) -> "_Tally":
+        checked, bad = self.step(block)
+        self.checked += checked
+        self.failed += len(bad)
+        self.first += bad[:self.keep - len(self.first)]
+        return self
+
+    def result(self, key: str, summary: str) -> CriterionResult:
+        if self.first:
+            summary += f"; first: {self.first[0]}"
+        return CriterionResult(key, not self.failed, summary)
+
+
+def _agreement_step(block: list[NefReport]) -> tuple[int, list[NefReport]]:
+    return len(block), [row for row in block if row.agreement is not True]
+
+
+def _agreement_result(tally: _Tally, pair_reading: str) -> CriterionResult:
+    detail = (f"{tally.checked} specs (d 2..5, mu <= 3, full eps window), "
+              f"{pair_reading} reading: {tally.failed} disagreements")
+    for row in tally.first:
         conds = "; ".join(
             f"{c.id}: {c.lhs} vs {c.rhs} ({'ok' if c.passed else 'FAIL'})"
             for c in row.conditions)
         detail += (f" | {_spec_tag(row.spec)} closed said "
                    f"{[c.passed for c in row.conditions]}, brute said "
                    f"{row.verdict}; {conds}")
-    return CriterionResult("nef-criterion-agreement", not bad, detail)
+    return CriterionResult("nef-criterion-agreement", not tally.failed,
+                           detail)
+
+
+def criterion_nef_agreement(sweep: list[NefReport],
+                            pair_reading: str = "factored") -> CriterionResult:
+    return _agreement_result(_Tally(_agreement_step, keep=3).feed(sweep),
+                             pair_reading)
 
 
 _FAMILY_MUS = ((1, 0, 0, 0), (1, 2, 0, 0), (3, 0, 0, 2),
@@ -239,24 +292,31 @@ def criterion_family_generators() -> CriterionResult:
     return CriterionResult("family-generators", not bad, detail)
 
 
-def criterion_adjunction(sweep: list[NefReport]) -> CriterionResult:
+def _adjunction_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
-    for row in sweep:
+    for row in block:
         s = row.spec
         lhs, rhs = perp_genus_identity(s.n, s.d, s.rho, s.gamma)
         if lhs != rhs:
             bad.append(f"{_spec_tag(s)}: {lhs} != {rhs}")
-    detail = (f"{len(sweep)} specs: arithmetic genus upstairs matches "
-              f"2*g~ + (rho - 2 + gamma^(1))/2 on all; {len(bad)} failures")
-    if bad:
-        detail += f"; first: {bad[0]}"
-    return CriterionResult("adjunction-consistency", not bad, detail)
+    return len(block), bad
 
 
-def criterion_dimensions(sweep: list[NefReport]) -> CriterionResult:
+def _adjunction_result(tally: _Tally) -> CriterionResult:
+    return tally.result(
+        "adjunction-consistency",
+        f"{tally.checked} specs: arithmetic genus upstairs matches "
+        f"2*g~ + (rho - 2 + gamma^(1))/2 on all; {tally.failed} failures")
+
+
+def criterion_adjunction(sweep: list[NefReport]) -> CriterionResult:
+    return _adjunction_result(_Tally(_adjunction_step).feed(sweep))
+
+
+def _dimensions_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
     checked = 0
-    for row in sweep:
+    for row in block:
         if not row.is_nef():
             continue
         checked += 1
@@ -269,33 +329,47 @@ def criterion_dimensions(sweep: list[NefReport]) -> CriterionResult:
                 bad.append(f"{_spec_tag(s)}: moduli != d-1")
         except InternalCheckFailure as exc:
             bad.append(f"{_spec_tag(s)}: {exc}")
-    detail = (f"{checked} nef specs: dim formulas (2d-2, d-2) and moduli "
-              f"d-1 all exact; {len(bad)} failures")
-    if bad:
-        detail += f"; first: {bad[0]}"
-    return CriterionResult("dimension-formulas", not bad, detail)
+    return checked, bad
 
 
-def criterion_minimizer(sweep: list[NefReport]) -> CriterionResult:
+def _dimensions_result(tally: _Tally) -> CriterionResult:
+    return tally.result(
+        "dimension-formulas",
+        f"{tally.checked} nef specs: dim formulas (2d-2, d-2) and moduli "
+        f"d-1 all exact; {tally.failed} failures")
+
+
+def criterion_dimensions(sweep: list[NefReport]) -> CriterionResult:
+    return _dimensions_result(_Tally(_dimensions_step).feed(sweep))
+
+
+def _minimizer_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
-    for row in sweep:
+    for row in block:
         claim = verify_minimizer_claim(row.spec, report=row)
         if not claim.holds:
             best_cand = min(v for _, _, v in claim.candidates)
             bad.append(f"{_spec_tag(row.spec)}: min {claim.min_value} only "
                        f"at {list(claim.counterexamples)}, candidates reach "
                        f"{best_cand}")
-    detail = (f"{len(sweep)} specs: box minimum always attained on "
-              f"{{mu, nat_mu}} or a flat_mu; {len(bad)} counterexamples")
-    if bad:
-        detail += f"; first: {bad[0]}"
-    return CriterionResult("minimizer-claim", not bad, detail)
+    return len(block), bad
 
 
-def criterion_contacts(sweep: list[NefReport]) -> CriterionResult:
+def _minimizer_result(tally: _Tally) -> CriterionResult:
+    return tally.result(
+        "minimizer-claim",
+        f"{tally.checked} specs: box minimum always attained on "
+        f"{{mu, nat_mu}} or a flat_mu; {tally.failed} counterexamples")
+
+
+def criterion_minimizer(sweep: list[NefReport]) -> CriterionResult:
+    return _minimizer_result(_Tally(_minimizer_step).feed(sweep))
+
+
+def _contacts_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
     checked = 0
-    for row in sweep:
+    for row in block:
         if not row.is_nef():
             continue
         checked += 1
@@ -303,11 +377,35 @@ def criterion_contacts(sweep: list[NefReport]) -> CriterionResult:
             if len(hits) > 1:
                 bad.append(f"{_spec_tag(row.spec)}: k={k} contacts "
                            f"{[fmt_vec(a) for a in hits]}")
-    detail = (f"{checked} nef specs: at most one zero-pairing alpha per "
-              f"index k in {{1,2,3}}; {len(bad)} violations")
-    if bad:
-        detail += f"; first: {bad[0]}"
-    return CriterionResult("contact-uniqueness", not bad, detail)
+    return checked, bad
+
+
+def _contacts_result(tally: _Tally) -> CriterionResult:
+    return tally.result(
+        "contact-uniqueness",
+        f"{tally.checked} nef specs: at most one zero-pairing alpha per "
+        f"index k in {{1,2,3}}; {tally.failed} violations")
+
+
+def criterion_contacts(sweep: list[NefReport]) -> CriterionResult:
+    return _contacts_result(_Tally(_contacts_step).feed(sweep))
+
+
+def _sweep_results(blocks: Iterable[list[NefReport]],
+                   pair_reading: str) -> list[CriterionResult]:
+    """The five sweep criteria, in battery order, over blocks of reports
+    taken one at a time: each block goes through every criterion's step
+    and is then dropped."""
+    tallies = (_Tally(_agreement_step, keep=3), _Tally(_adjunction_step),
+               _Tally(_dimensions_step), _Tally(_minimizer_step),
+               _Tally(_contacts_step))
+    for block in blocks:
+        for tally in tallies:
+            tally.feed(block)
+    agreement, adjunction, dimensions, minimizer, contacts = tallies
+    return [_agreement_result(agreement, pair_reading),
+            _adjunction_result(adjunction), _dimensions_result(dimensions),
+            _minimizer_result(minimizer), _contacts_result(contacts)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +547,19 @@ def run_all(seed: int = 0,
 
     The agreement/adjunction/dimension/minimizer/contact criteria share
     one sweep built at characteristic zero; char-p behavior is covered
-    by the unit suites, not by the battery.
+    by the unit suites, not by the battery.  Each (d, mu) block of the
+    sweep goes through the five criteria, criterion by criterion, and
+    is dropped before the next block is built.
     """
-    sweep = build_sweep(pair_reading=pair_reading)
+    agreement, *sweep_checks = _sweep_results(
+        _sweep_blocks(pair_reading=pair_reading), pair_reading)
     return [
         criterion_exceptional_catalog(),
         criterion_negative_curve_catalog(),
         criterion_pairing_closed_form(seed=seed),
-        criterion_nef_agreement(sweep, pair_reading),
+        agreement,
         criterion_family_generators(),
-        criterion_adjunction(sweep),
-        criterion_dimensions(sweep),
-        criterion_minimizer(sweep),
-        criterion_contacts(sweep),
+        *sweep_checks,
         criterion_construction_kit(),
         criterion_decomposition(seed=seed),
         criterion_expression_round_trip(seed=seed),

@@ -1,35 +1,22 @@
 """Acceptance battery: one test per criterion, in battery order.
 
-Each test evaluates its criterion exactly (integer and rational
-arithmetic throughout, so the stated tolerance is zero everywhere),
-prints the criterion's own PASS/FAIL line, and asserts the result and
-that line's exact text.  Five criteria share the grid sweep, built once
-per session.
+Each criterion is evaluated exactly (integer and rational arithmetic
+throughout, so the stated tolerance is zero everywhere).  The battery
+runs once per session through ``run_all``, the function behind
+``osculant verify-paper``; each test prints its criterion's PASS/FAIL
+line and asserts the result and that line's exact text.  The public
+criterion functions are compared with ``run_all``'s block pass in
+``tests/test_sweep_blocks.py``.
 """
 
 import pytest
 
-from osculant.verify import (
-    build_sweep,
-    criterion_adjunction,
-    criterion_census_determinism,
-    criterion_construction_kit,
-    criterion_contacts,
-    criterion_decomposition,
-    criterion_dimensions,
-    criterion_exceptional_catalog,
-    criterion_expression_round_trip,
-    criterion_family_generators,
-    criterion_minimizer,
-    criterion_negative_curve_catalog,
-    criterion_nef_agreement,
-    criterion_pairing_closed_form,
-)
+from osculant.verify import run_all
 
 
 @pytest.fixture(scope="session")
-def sweep():
-    return build_sweep()
+def battery():
+    return run_all()
 
 
 # the verify-paper lines, byte for byte, in battery order
@@ -50,59 +37,64 @@ GOLDEN_LINES = (
 )
 
 
-def check(result, number):
+def check(battery, number):
+    result = battery[number - 1]
     print(result.line())
     assert result.passed, result.detail
     assert result.line() == GOLDEN_LINES[number - 1]
 
 
-def test_01_exceptional_catalog():
-    check(criterion_exceptional_catalog(), 1)
+def test_battery_covers_every_criterion(battery):
+    assert len(battery) == len(GOLDEN_LINES)
 
 
-def test_02_negative_curve_catalog():
-    check(criterion_negative_curve_catalog(), 2)
+def test_01_exceptional_catalog(battery):
+    check(battery, 1)
 
 
-def test_03_pairing_closed_form():
-    check(criterion_pairing_closed_form(), 3)
+def test_02_negative_curve_catalog(battery):
+    check(battery, 2)
 
 
-def test_04_nef_criterion_agreement(sweep):
-    check(criterion_nef_agreement(sweep), 4)
+def test_03_pairing_closed_form(battery):
+    check(battery, 3)
 
 
-def test_05_family_generators():
-    check(criterion_family_generators(), 5)
+def test_04_nef_criterion_agreement(battery):
+    check(battery, 4)
 
 
-def test_06_adjunction_consistency(sweep):
-    check(criterion_adjunction(sweep), 6)
+def test_05_family_generators(battery):
+    check(battery, 5)
 
 
-def test_07_dimension_formulas(sweep):
-    check(criterion_dimensions(sweep), 7)
+def test_06_adjunction_consistency(battery):
+    check(battery, 6)
 
 
-def test_08_minimizer_claim(sweep):
-    check(criterion_minimizer(sweep), 8)
+def test_07_dimension_formulas(battery):
+    check(battery, 7)
 
 
-def test_09_contact_uniqueness(sweep):
-    check(criterion_contacts(sweep), 9)
+def test_08_minimizer_claim(battery):
+    check(battery, 8)
 
 
-def test_10_construction_kit():
-    check(criterion_construction_kit(), 10)
+def test_09_contact_uniqueness(battery):
+    check(battery, 9)
 
 
-def test_11_decomposition_uniqueness():
-    check(criterion_decomposition(), 11)
+def test_10_construction_kit(battery):
+    check(battery, 10)
 
 
-def test_12_expression_round_trip():
-    check(criterion_expression_round_trip(), 12)
+def test_11_decomposition_uniqueness(battery):
+    check(battery, 11)
 
 
-def test_13_census_determinism():
-    check(criterion_census_determinism(), 13)
+def test_12_expression_round_trip(battery):
+    check(battery, 12)
+
+
+def test_13_census_determinism(battery):
+    check(battery, 13)

@@ -71,6 +71,14 @@ def test_enumeration_small():
     assert {e.alpha for e in enumerate_exceptional(3, p=3)} == three
 
 
+@pytest.mark.parametrize("max_sq", [0, -1, -5])
+def test_enumeration_below_one_is_empty(max_sq):
+    # no alpha has a negative square sum, so a negative bound is empty
+    # like 0, not a ValueError from isqrt
+    assert enumerate_exceptional(max_sq) == []
+    assert enumerate_exceptional(max_sq, p=3) == []
+
+
 def test_enumeration_is_lexicographic_and_filtered():
     alphas = [e.alpha for e in enumerate_exceptional(30)]
     assert alphas == sorted(alphas)

@@ -121,6 +121,11 @@ def test_exceptional(capsys):
     assert all(r["pullback"]["f"] == 1 for r in rows)
 
 
+def test_exceptional_negative_bound_is_empty(capsys):
+    code, out, err = run_cli(capsys, "exceptional", "--max-sq", "-1")
+    assert (code, json.loads(out), err) == (0, [], "")
+
+
 def test_catalog(capsys):
     rows = run_json(capsys, "catalog")
     assert [r["name"] for r in rows] == \

@@ -293,3 +293,16 @@ def test_n_for_type_needs_a_degree(d):
     with pytest.raises(DomainError) as info:
         n_for_type(d, GAMMA)
     assert info.value.constraint == "degree-min"
+
+
+# scan_box and thresholds minimize over, and threshold, a degree d >= 1;
+# at d <= 0 they returned "minimizers" outside the orthant alpha >= 0
+@pytest.mark.parametrize("call", [
+    lambda d: scan_box(GAMMA, d), lambda d: thresholds(d),
+    lambda d: decompose_type(GAMMA, d)],
+    ids=["scan_box", "thresholds", "decompose_type"])
+@pytest.mark.parametrize("d", [0, -1])
+def test_degree_entry_points_need_a_degree(call, d):
+    with pytest.raises(DomainError) as info:
+        call(d)
+    assert info.value.constraint == "degree-min"
