@@ -22,6 +22,16 @@ Every class here is built straight from its coefficients through the
 validating DivisorClass constructor.  The nine characteristic-0 rows
 of the (-2)-catalog are built once per process; C~p is built per call,
 so no cache grows with p.
+
+Lambda(n, d, rho, gamma) pulls back to n*C + w*F - rho*s_0 -
+sum gamma_i r_i (w = 2d-1), so its upstairs pairing with the pullback P
+of a catalog row is the integer linear form
+
+    n*(C.P) + w*(F.P) - rho*(s_0.P) - sum_i gamma_i*(r_i.P)
+
+and Lambda . N is half of it.  _catalog_forms gives each row's seven
+coefficients, taken with DivisorClass.dot on the lattice, in the same
+once-per-process / per-call split as the rows themselves.
 """
 
 from bisect import bisect_right
@@ -30,7 +40,7 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import CharPExcluded, ParityViolation, RhoEven, RhoOutOfRange, DomainError
-from .lattice import F, S, R, DivisorClass, QuotientClass
+from .lattice import C, F, S, R, DivisorClass, QuotientClass
 from .vectors import (
     Vec4,
     as_int,
@@ -192,14 +202,23 @@ def section_image() -> QuotientClass:
     return _SECTION_IMAGE
 
 
+def _index(i, what: str, constraint: str) -> int:
+    """i as an int in 0..3, the index of a marked pair."""
+    i = as_int(i, what)
+    if not 0 <= i <= 3:
+        raise DomainError(f"{what} {i} out of range 0..3",
+                          constraint=constraint)
+    return i
+
+
 def s_branch(i: int) -> QuotientClass:
     """s~i, pullback 2*s_i (branch component, fixed by the involution)."""
-    return QuotientClass(2 * S[i])
+    return QuotientClass(2 * S[_index(i, "branch index", "branch-index")])
 
 
 def r_branch(i: int) -> QuotientClass:
     """r~i, pullback 2*r_i."""
-    return QuotientClass(2 * R[i])
+    return QuotientClass(2 * R[_index(i, "branch index", "branch-index")])
 
 
 def char_p_section(p: int) -> QuotientClass:
@@ -226,6 +245,28 @@ _BASE_CATALOG = (
 )
 
 
+# the classes whose pairings with P are the coefficients of n, w, rho
+# and gamma_0..gamma_3 in the upstairs pairing of Lambda with P
+_LAMBDA_BASIS = (C, F, -S[0], -R[0], -R[1], -R[2], -R[3])
+
+
+def _lambda_form(name: str, cls: QuotientClass
+                 ) -> tuple[str, tuple[int, ...]]:
+    return name, tuple(b.dot(cls.pullback) for b in _LAMBDA_BASIS)
+
+
+_BASE_FORMS = tuple(_lambda_form(name, cls) for name, cls, _ in _BASE_CATALOG)
+
+
+def _catalog_forms(p: int | None) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, coefficients of (n, w, rho, gamma_0..gamma_3)) for each row
+    of negative_curve_catalog(p), in its order; p already validated.
+    Only the C~p form is derived per call."""
+    if p is None:
+        return _BASE_FORMS
+    return (*_BASE_FORMS, _lambda_form(f"C~{p}", char_p_section(p)))
+
+
 def negative_curve_catalog(p: int | None = None) -> list[tuple[str, QuotientClass, int]]:
     """The finite (-2)-catalog as (name, class, self-intersection) rows.
 
@@ -247,9 +288,7 @@ def fiber_component_class(i: int) -> DivisorClass:
 
     Upstairs class; its image downstairs is G~alpha for alpha = e_i.
     """
-    if not 0 <= i <= 3:
-        raise DomainError(f"fiber index {i} out of range 0..3",
-                          constraint="fiber-index")
+    i = _index(i, "fiber index", "fiber-index")
     return F - S[i] - R[i]
 
 

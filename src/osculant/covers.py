@@ -72,7 +72,11 @@ def validate_type(n: int, gamma) -> list[str]:
     """Parity law of the type vector: gamma_0 + 1 and gamma_1, gamma_2,
     gamma_3 must all be congruent to n mod 2.  Returns the list of
     violated coordinates (empty = ok)."""
-    gamma = vec4(gamma)
+    return _validate_type(as_int(n, "n"), vec4(gamma))
+
+
+def _validate_type(n: int, gamma: Vec4) -> list[str]:
+    """validate_type of an int n and an int 4-tuple."""
     out = []
     if (gamma[0] + 1 - n) % 2:
         out.append(f"gamma_0 parity: gamma_0 + 1 = {gamma[0] + 1} and "
@@ -107,6 +111,11 @@ def genus_tilde(n: int, d: int, rho: int, m: int, gamma) -> int:
     gamma = vec4(gamma)
     if m < 1:
         raise NotDivisible(f"m must be >= 1, got {m}")
+    return _genus_tilde(n, d, rho, m, gamma)
+
+
+def _genus_tilde(n: int, d: int, rho: int, m: int, gamma: Vec4) -> int:
+    """genus_tilde of ints with m >= 1 and an int 4-tuple gamma."""
     num = (2 * d - 1) * (2 * n - 2 * m) + 4 * m * m - rho * rho - norm_sq(gamma)
     if num < 0:
         bound = 2 * (2 * d - 1) * (n - m) + 4 * m * m - rho * rho
@@ -158,7 +167,7 @@ def validate_cover(inv: CoverInvariants, p: int | None = None) -> CoverReport:
         "m-divides", m >= 1 and not bad, m, 0,
         note="" if not bad else f"m = {m} fails to divide {bad}"))
 
-    parity = validate_type(n, gamma)
+    parity = _validate_type(n, gamma)
     checks.append(Check("type-parity", not parity, len(parity), 0,
                         note="; ".join(parity)))
 
@@ -225,10 +234,9 @@ def osculating_bound(n: int, g: int) -> int:
             f"n = {n} < 2: left side is 0 while genus {g} needs "
             f"{g * g + g - 2}")
     need = g * g + g - 2
-    d = 1
-    while (2 * d - 1) * (2 * n - 2) < need:
-        d += 1
-    return d
+    # the least odd 2d-1 >= ceil(need / (2n-2)), with d >= 1
+    t = -(-need // (2 * n - 2))
+    return max(1, (t + 2) // 2)
 
 
 def max_genus_dominated(n: int, rho: int) -> int:

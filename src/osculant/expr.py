@@ -174,6 +174,8 @@ def _literal(text: str, pos: int) -> int:
 
 
 def parse(text: str) -> DivisorClass:
+    if not isinstance(text, str):
+        raise TypeError(f"parse takes a str, got {type(text).__name__}")
     parser = _Parser(text)
     parser.parse_sum(False, 1)
     kind, tail, pos = parser.toks[parser.i]
@@ -200,6 +202,9 @@ def _join(parts: list[tuple[int, str]]) -> str:
 
 
 def format(dclass: DivisorClass) -> str:
+    if not isinstance(dclass, DivisorClass):
+        raise TypeError(
+            f"format takes a DivisorClass, got {type(dclass).__name__}")
     parts: list[tuple[int, str]] = []
     pull = _join([(dclass.c, "Co"), (dclass.f, "So")])
     if pull:

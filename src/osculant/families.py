@@ -17,7 +17,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .catalog import gamma_perp_class, validate_char_p
-from .covers import char_p_admits, genus_tilde
+from .covers import _genus_tilde, char_p_admits
 from .errors import (
     DomainError,
     IdentityFailure,
@@ -385,7 +385,7 @@ def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
         nef_closed=closed_ok, nef_brute=brute_ok,
         agreement=bool(report.agreement),
         dim_moduli=dim, genus_g=(g1 - 1) // 2,
-        genus_tilde=genus_tilde(n, d, 1, 1, gamma))
+        genus_tilde=_genus_tilde(n, d, 1, 1, gamma))
 
 
 def census_csv(records) -> str:

@@ -34,19 +34,20 @@ candidate minimizers mu, nat_mu and flat_mu, which is why closed and
 brute verdicts agree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from inspect import signature
 from itertools import product
 from typing import NamedTuple
 
 from .catalog import (
     ExceptionalSpec,
+    _catalog_forms,
     _perp_class,
-    negative_curve_catalog,
     section_image,
     validate_char_p,
 )
-from .covers import Check, char_p_admits, validate_type
+from .covers import Check, _validate_type, char_p_admits
 from .errors import (
     AnticanonicalDegreeTooSmall,
     CharPExcluded,
@@ -105,7 +106,7 @@ class LambdaSpec:
             raise RhoEven(f"rho = {rho} must be odd")
         if not 1 <= rho <= 2 * d - 1:
             raise RhoOutOfRange(f"rho = {rho} outside 1..{2 * d - 1}")
-        bad = validate_type(n, gamma)
+        bad = _validate_type(n, gamma)
         if bad:
             raise ParityViolation("; ".join(bad))
         if rho == 1:
@@ -207,26 +208,39 @@ def decompose_type(gamma, d: int) -> Decomposition:
     if min(gamma) < 0:
         raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
+    return _decompose(gamma, d)
+
+
+def _decompose(gamma: Vec4, d: int) -> Decomposition:
+    """decompose_type of a nonnegative int 4-tuple at an int d >= 1.
+
+    Coordinate by coordinate, m = g // w moves up one when its parity
+    differs from g's (w is odd), which leaves the even remainder
+    g - w*m = 2*eps inside the window [-(2d-2), 2d-2]."""
     w = 2 * d - 1
-    mu, eps, nat = [], [], []
-    for g in gamma:
-        m = g // w
-        if (g - m) % 2:
-            m += 1
-        e2 = g - w * m
-        if e2 % 2 or abs(e2) > 2 * d - 2 or m < 0:
-            raise InternalCheckFailure(
-                f"no window decomposition of gamma = {fmt_vec(gamma)} "
-                f"at d = {d}")
-        e = e2 // 2
-        mu.append(m)
-        eps.append(e)
-        nat.append(m + 1 if e >= 0 else m - 1)
+    g0, g1, g2, g3 = gamma
+    m0, m1, m2, m3 = g0 // w, g1 // w, g2 // w, g3 // w
+    m0 += (g0 - m0) & 1
+    m1 += (g1 - m1) & 1
+    m2 += (g2 - m2) & 1
+    m3 += (g3 - m3) & 1
+    r0, r1, r2, r3 = g0 - w * m0, g1 - w * m1, g2 - w * m2, g3 - w * m3
+    if ((r0 | r1 | r2 | r3) & 1 or min(m0, m1, m2, m3) < 0
+            or max(abs(r0), abs(r1), abs(r2), abs(r3)) > 2 * d - 2):
+        raise InternalCheckFailure(
+            f"no window decomposition of gamma = {fmt_vec(gamma)} "
+            f"at d = {d}")
+    mu = (m0, m1, m2, m3)
+    eps = (r0 >> 1, r1 >> 1, r2 >> 1, r3 >> 1)
+    # r >= 0 exactly when eps >= 0
+    nat = (m0 + 1 if r0 >= 0 else m0 - 1, m1 + 1 if r1 >= 0 else m1 - 1,
+           m2 + 1 if r2 >= 0 else m2 - 1, m3 + 1 if r3 >= 0 else m3 - 1)
     if min(nat) < 0:
         raise InternalCheckFailure(
             f"nat_mu {fmt_vec(nat)} negative for gamma = {fmt_vec(gamma)}")
 
-    a = [abs(e) for e in eps]
+    # |r_i| = 2|eps_i| ranks the pairs as |eps_i| + |eps_j| does
+    a = (abs(r0), abs(r1), abs(r2), abs(r3))
     sums = [a[i] + a[j] for i, j in _PAIRS]
     best = max(sums)
     # nat_mu and mu differ in every coordinate, so distinct pairs give
@@ -234,12 +248,12 @@ def decompose_type(gamma, d: int) -> Decomposition:
     flats = []
     for (i, j), s in zip(_PAIRS, sums):
         if s == best:
-            flat = mu.copy()
+            flat = list(mu)
             flat[i] = nat[i]
             flat[j] = nat[j]
             flats.append(tuple(flat))
     flats.sort()
-    return Decomposition(tuple(mu), tuple(eps), tuple(nat), tuple(flats))
+    return Decomposition(mu, eps, nat, tuple(flats))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +262,10 @@ def decompose_type(gamma, d: int) -> Decomposition:
 
 def thresholds(d: int) -> tuple[int, int]:
     """q-thresholds for nefness: k=0 class first, then k != 0."""
-    w = 2 * _degree(d) - 1
+    return _thresholds(2 * _degree(d) - 1)
+
+
+def _thresholds(w: int) -> tuple[int, int]:
     return w * w + 3, w * w + 3 - 2 * w
 
 
@@ -305,20 +322,21 @@ class BoxScan(NamedTuple):
         return tuple(sorted(set(self.argmin_k0) | set(self.argmin_other)))
 
 
-def _nearest(g: int, w: int, b: int) -> tuple[int, tuple[int, ...]]:
-    """Minimum and minimizers of (g - w*a)^2 over a >= 0 of parity b.
+def _nearest(g: int, w: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For parity b = 0 and b = 1 in turn, the minimum and minimizers of
+    (g - w*a)^2 over a >= 0 of parity b.
 
-    With m = g // w, g/w lies in [m, m+1): the nearest point of parity b
-    is m or m+1, except that m-1 and m+1 tie when g = w*m, m >= 1 and m
-    has the other parity."""
+    With m = g // w, g/w lies in [m, m+1): the nearest point of m's
+    parity is m, and of the other parity m+1, except that m-1 and m+1
+    tie when g = w*m and m >= 1."""
     m = g // w
-    if (m - b) % 2 == 0:
-        pts = (m,)
-    elif g == w * m and m > 0:
-        pts = (m - 1, m + 1)
+    r = g - w * m
+    same = r * r, (m,)
+    if r == 0 and m > 0:
+        other = w * w, (m - 1, m + 1)
     else:
-        pts = (m + 1,)
-    return (g - w * pts[-1]) ** 2, pts
+        other = (w - r) ** 2, (m + 1,)
+    return (other, same) if m & 1 else (same, other)
 
 
 def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
@@ -355,29 +373,36 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
         raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
                           constraint="gamma-nonnegative")
     w = 2 * _degree(d) - 1
-    p = _char_p_for_type(gamma, w, p)
+    return _scan(gamma, w, _char_p_for_type(gamma, w, p))
+
+
+def _scan(gamma: Vec4, w: int, p: int | None) -> BoxScan:
+    """scan_box of a nonnegative int 4-tuple at w = 2d-1, with p None or
+    an odd prime that admits gamma (LambdaSpec.check_char_p)."""
     g0, g1, g2, g3 = gamma
-    n0 = _nearest(g0, w, 0), _nearest(g0, w, 1)
-    n1 = _nearest(g1, w, 0), _nearest(g1, w, 1)
-    n2 = _nearest(g2, w, 0), _nearest(g2, w, 1)
-    n3 = _nearest(g3, w, 0), _nearest(g3, w, 1)
-    classes = []
+    n0, n1, n2, n3 = (_nearest(g0, w), _nearest(g1, w), _nearest(g2, w),
+                      _nearest(g3, w))
+    found = []
     for codes in _CLASS_PARITIES:
-        sums = [n0[b0][0] + n1[b1][0] + n2[b2][0] + n3[b3][0]
-                for b0, b1, b2, b3 in codes]
-        low = min(sums)
-        hits = [a for s, (b0, b1, b2, b3) in zip(sums, codes) if s == low
-                for a in product(n0[b0][1], n1[b1][1], n2[b2][1], n3[b3][1])
-                if p is None or sum(a) <= p]
-        hits.sort()
-        hits = tuple(hits)
+        # one pass over the codes keeps the least sum so far and the
+        # points of every code that reaches it
+        low = None
+        for b0, b1, b2, b3 in codes:
+            c0, c1, c2, c3 = n0[b0], n1[b1], n2[b2], n3[b3]
+            s = c0[0] + c1[0] + c2[0] + c3[0]
+            if low is None or s < low:
+                low, hits = s, list(product(c0[1], c1[1], c2[1], c3[1]))
+            elif s == low:
+                hits += product(c0[1], c1[1], c2[1], c3[1])
+        if p is not None:
+            hits = [a for a in hits if sum(a) <= p]
         if not hits:
             raise InternalCheckFailure(
                 f"no minimizer of q within alpha^(1) <= {p} for "
-                f"gamma = {fmt_vec(gamma)}, d = {d}")
-        classes.append((low, hits))
-    (min_k0, argmin_k0), (min_other, argmin_other) = classes
-    return BoxScan(min_k0, argmin_k0, min_other, argmin_other)
+                f"gamma = {fmt_vec(gamma)}, d = {(w + 1) // 2}")
+        hits.sort()
+        found += low, tuple(hits)
+    return BoxScan(*found)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +415,16 @@ def _carried():
     return field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NefReport:
     """Verdict of one nef check.  It also carries what it was made from
     (spec, p) and what it computed (decomposition, brute scan), so
-    callers can reuse the work instead of redoing it."""
+    callers can reuse the work instead of redoing it.
+
+    The fields are slots, written once each by __init__ through their
+    slot descriptors, looked up by field name (_REPORT_SLOTS): the
+    generated frozen __init__ makes one object.__setattr__ call per
+    field, and took about twice as long per report."""
 
     verdict: str                      # "nef" | "not_nef"
     mode: str                         # "closed" | "brute" | "both"
@@ -407,6 +437,22 @@ class NefReport:
     p: int | None = _carried()
     decomposition: Decomposition | None = _carried()
     scan: BoxScan | None = _carried()   # None in closed mode
+
+    def __init__(self, verdict, mode, failing_constraint, witness,
+                 boundary_contacts, agreement, conditions=(), spec=None,
+                 p=None, decomposition=None, scan=None):
+        put = _REPORT_SLOTS
+        put["verdict"](self, verdict)
+        put["mode"](self, mode)
+        put["failing_constraint"](self, failing_constraint)
+        put["witness"](self, witness)
+        put["boundary_contacts"](self, boundary_contacts)
+        put["agreement"](self, agreement)
+        put["conditions"](self, conditions)
+        put["spec"](self, spec)
+        put["p"](self, p)
+        put["decomposition"](self, decomposition)
+        put["scan"](self, scan)
 
     def is_nef(self) -> bool:
         return self.verdict == "nef"
@@ -431,6 +477,15 @@ class NefReport:
             "conditions": [c.to_dict() for c in self.conditions],
         }
 
+
+# the __set__ of each field's slot descriptor, by field name
+_REPORT_SLOTS = {f.name: vars(NefReport)[f.name].__set__
+                 for f in fields(NefReport)}
+# positional construction and dataclasses.replace rely on __init__
+# taking the fields in their declared order
+if [*signature(NefReport.__init__).parameters][1:] != [*_REPORT_SLOTS]:
+    raise TypeError("NefReport.__init__ must take the report's fields, "
+                    "in field order")
 
 _PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
 
@@ -470,22 +525,30 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     """Decide nefness of Lambda(spec) by the requested route(s).
 
     Closed mode evaluates the three eps inequalities.  Brute mode checks
-    Lambda against the full negative-curve catalog: the finite (-2)-list
-    directly, the exceptional family through the two exact minimizations
-    of q (scan_box).
+    Lambda against the full negative-curve catalog: the exceptional
+    family through the two exact minimizations of q (scan_box), and the
+    finite (-2)-list through each row's pairing with Lambda, an integer
+    linear form in (n, w, rho, gamma) taken from the lattice once per
+    process (catalog._catalog_forms), with Lambda^2 = 2d-3 checked on
+    the lattice itself (_catalog_guard).
     Both mode runs the two and records their agreement; the reported
     verdict is then the brute one.
+
+    The spec's fields are already checked (LambdaSpec), so after mode
+    and p the work runs on the kernels: _decompose, _scan and the guard.
     """
     if mode not in ("closed", "brute", "both"):
         raise DomainError(f"unknown mode {mode!r}", constraint="nef-mode")
     p = _admit(spec, p)
-    dec = decompose_type(spec.gamma, spec.d)
+    d, gamma = spec.d, spec.gamma
+    w = 2 * d - 1
+    dec = _decompose(gamma, d)
 
     conditions: tuple[Check, ...] = ()
     closed_verdict = None
     failing = None
-    if mode in ("closed", "both"):
-        conditions = closed_conditions(dec, spec.d, pair_reading)
+    if mode != "brute":
+        conditions = closed_conditions(dec, d, pair_reading)
         norm, total, pair = conditions
         # failing_constraint is the first row that fails
         if not norm.passed:
@@ -500,17 +563,10 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     witness = None
     contacts: tuple[Vec4, ...] = ()
     scan = None
-    if mode in ("brute", "both"):
-        lam = _lambda(spec)
-        for name, cls, _ in negative_curve_catalog(p):
-            pairing = lam.dot(cls)
-            # nonnegative automatically for a valid spec; a failure here
-            # means the validation above is broken
-            if pairing < 0:
-                raise InternalCheckFailure(
-                    f"valid spec pairs negatively with {name}: {pairing}")
-        scan = scan_box(spec.gamma, spec.d, p)
-        t0, t1 = thresholds(spec.d)
+    if mode != "closed":
+        _catalog_guard(spec, p)
+        scan = _scan(gamma, w, p)
+        t0, t1 = _thresholds(w)
         # per class, the excess q - t of its minimum: 4w times the
         # pairing value of each of its (sorted) minimizers
         x0, x1 = scan.min_k0 - t0, scan.min_other - t1
@@ -530,19 +586,37 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     agreement = None
     if mode == "both":
         agreement = closed_verdict == brute_verdict
-    return NefReport(
-        verdict="nef" if final else "not_nef",
-        mode=mode,
-        failing_constraint=failing,
-        witness=witness,
-        boundary_contacts=contacts,
-        agreement=agreement,
-        conditions=conditions,
-        spec=spec,
-        p=p,
-        decomposition=dec,
-        scan=scan,
-    )
+    return NefReport("nef" if final else "not_nef", mode, failing, witness,
+                     contacts, agreement, conditions, spec, p, dec, scan)
+
+
+def _catalog_guard(spec: LambdaSpec, p: int | None) -> None:
+    """Check Lambda . N >= 0 for each row N of negative_curve_catalog(p),
+    and Lambda . Lambda = 2d - 3, for an unramified spec admitted at p.
+
+    Each row's pairing is half its integer form (catalog._catalog_forms)
+    evaluated at (n, w, rho, gamma), checked even; the square is taken
+    on the lattice (_lambda, QuotientClass.dot), and is the
+    rational-image constraint that _excess rests on.  Both hold for
+    every valid spec, so a failure means the validation or the lattice
+    arithmetic is broken."""
+    n, d, rho = spec.n, spec.d, spec.rho
+    w = 2 * d - 1
+    g0, g1, g2, g3 = spec.gamma
+    for name, (c, f, s, r0, r1, r2, r3) in _catalog_forms(p):
+        up = c * n + f * w + s * rho + r0 * g0 + r1 * g1 + r2 * g2 + r3 * g3
+        if up % 2:
+            raise InternalCheckFailure(
+                f"upstairs pairing {up} with {name} is odd; Lambda is not "
+                f"a pullback")
+        if up < 0:
+            raise InternalCheckFailure(
+                f"valid spec pairs negatively with {name}: {up // 2}")
+    lam = _lambda(spec)
+    square = lam.dot(lam)
+    if square != 2 * d - 3:
+        raise InternalCheckFailure(
+            f"Lambda^2 = {square} for a valid spec, not 2d-3 = {2 * d - 3}")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,11 @@ def mu_patterns(mu_max: int) -> list[Vec4]:
     return pats
 
 
+# a sweep's (d_lo, d_hi, mu_max), and the battery's
+Grid = tuple[int, int, int]
+_BATTERY_GRID: Grid = (2, 5, 3)
+
+
 def _sweep_blocks(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
                   pair_reading: str = "factored"
                   ) -> Iterator[list[NefReport]]:
@@ -235,8 +240,15 @@ def _agreement_step(block: list[NefReport]) -> tuple[int, list[NefReport]]:
     return len(block), [row for row in block if row.agreement is not True]
 
 
-def _agreement_result(tally: _Tally, pair_reading: str) -> CriterionResult:
-    detail = (f"{tally.checked} specs (d 2..5, mu <= 3, full eps window), "
+def _grid_box(grid: Grid) -> str:
+    """The agreement detail's note of the sweep grid it was run on."""
+    d_lo, d_hi, mu_max = grid
+    return f" (d {d_lo}..{d_hi}, mu <= {mu_max}, full eps window)"
+
+
+def _agreement_result(tally: _Tally, pair_reading: str,
+                      box: str) -> CriterionResult:
+    detail = (f"{tally.checked} specs{box}, "
               f"{pair_reading} reading: {tally.failed} disagreements")
     for row in tally.first:
         conds = "; ".join(
@@ -251,8 +263,11 @@ def _agreement_result(tally: _Tally, pair_reading: str) -> CriterionResult:
 
 def criterion_nef_agreement(sweep: list[NefReport],
                             pair_reading: str = "factored") -> CriterionResult:
+    """Closed and brute verdicts agree on every report of the sweep.  A
+    list of reports does not say what grid it was built on, so the
+    detail names none."""
     return _agreement_result(_Tally(_agreement_step, keep=3).feed(sweep),
-                             pair_reading)
+                             pair_reading, "")
 
 
 _FAMILY_MUS = ((1, 0, 0, 0), (1, 2, 0, 0), (3, 0, 0, 2),
@@ -391,11 +406,12 @@ def criterion_contacts(sweep: list[NefReport]) -> CriterionResult:
     return _contacts_result(_Tally(_contacts_step).feed(sweep))
 
 
-def _sweep_results(blocks: Iterable[list[NefReport]],
-                   pair_reading: str) -> list[CriterionResult]:
+def _sweep_results(blocks: Iterable[list[NefReport]], pair_reading: str,
+                   box: str) -> list[CriterionResult]:
     """The five sweep criteria, in battery order, over blocks of reports
     taken one at a time: each block goes through every criterion's step
-    and is then dropped."""
+    and is then dropped.  ``box`` notes the blocks' grid in the
+    agreement detail (_grid_box), or is empty."""
     tallies = (_Tally(_agreement_step, keep=3), _Tally(_adjunction_step),
                _Tally(_dimensions_step), _Tally(_minimizer_step),
                _Tally(_contacts_step))
@@ -403,7 +419,7 @@ def _sweep_results(blocks: Iterable[list[NefReport]],
         for tally in tallies:
             tally.feed(block)
     agreement, adjunction, dimensions, minimizer, contacts = tallies
-    return [_agreement_result(agreement, pair_reading),
+    return [_agreement_result(agreement, pair_reading, box),
             _adjunction_result(adjunction), _dimensions_result(dimensions),
             _minimizer_result(minimizer), _contacts_result(contacts)]
 
@@ -552,7 +568,8 @@ def run_all(seed: int = 0,
     is dropped before the next block is built.
     """
     agreement, *sweep_checks = _sweep_results(
-        _sweep_blocks(pair_reading=pair_reading), pair_reading)
+        _sweep_blocks(*_BATTERY_GRID, pair_reading), pair_reading,
+        _grid_box(_BATTERY_GRID))
     return [
         criterion_exceptional_catalog(),
         criterion_negative_curve_catalog(),

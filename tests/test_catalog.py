@@ -341,3 +341,29 @@ def test_exceptional_defining_property(alpha):
     qc = es.quotient_class()
     assert qc.self_intersection() == -1
     assert qc.dot(K_TILDE) == -1
+
+
+# r~i, s~i and the fiber components take the index of a marked pair:
+# an int in 0..3, never a negative tuple index, a bool or a float
+@pytest.mark.parametrize("make,constraint", [
+    (r_branch, "branch-index"), (s_branch, "branch-index"),
+    (fiber_component_class, "fiber-index")],
+    ids=["r_branch", "s_branch", "fiber_component_class"])
+@pytest.mark.parametrize("bad,kind", [
+    (-1, "range"), (-2, "range"), (7, "range"), (4, "range"),
+    (True, "integer"), (2.0, "integer"), ("2", "integer")], ids=repr)
+def test_pair_index_is_an_int_in_range(make, constraint, bad, kind):
+    with pytest.raises(DomainError) as info:
+        make(bad)
+    assert info.value.constraint == (constraint if kind == "range"
+                                     else "vec-integer")
+
+
+def test_pair_index_accepts_index_integers():
+    class Index:
+        def __index__(self):
+            return 2
+
+    assert r_branch(Index()) == r_branch(2)
+    assert s_branch(Index()).pullback == 2 * S[2]
+    assert fiber_component_class(Index()) == F - S[2] - R[2]

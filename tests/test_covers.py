@@ -2,9 +2,10 @@
 factorization, and the degree/genus bounds."""
 
 import json
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from osculant import (
     CoverInvariants,
@@ -120,6 +121,29 @@ def test_osculating_bound():
     assert osculating_bound(2, 0) == 1
     with pytest.raises(DegreeTooSmall):
         osculating_bound(1, 3)
+
+
+def _bound_by_counting(n: int, g: int) -> int:
+    """osculating_bound by its definition: count d up from 1."""
+    need = g * g + g - 2
+    d = 1
+    while (2 * d - 1) * (2 * n - 2) < need:
+        d += 1
+    return d
+
+
+@given(st.integers(2, 400), st.integers(-300, 300))
+@settings(max_examples=300, deadline=None)
+def test_osculating_bound_matches_counting(n, g):
+    assert osculating_bound(n, g) == _bound_by_counting(n, g)
+
+
+def test_osculating_bound_is_constant_time():
+    # counting would take about g^2 / 4 = 2.5e11 steps here
+    start = time.perf_counter()
+    d = osculating_bound(2, 10 ** 6)
+    assert time.perf_counter() - start < 0.01
+    assert (2 * d - 1) * 2 >= 10 ** 12 + 10 ** 6 - 2 > (2 * d - 3) * 2
 
 
 def test_max_genus_dominated():

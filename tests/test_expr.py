@@ -204,3 +204,23 @@ def test_parse_matches_reference_on_nested_sums(text):
 @settings(max_examples=500)
 def test_parse_matches_reference_on_token_soups(text):
     assert _outcome(parse_divisor, text) == _outcome(expr_oracle.parse, text)
+
+
+# a wrong kind of object is a TypeError naming the expected type, never
+# an AttributeError from deep inside the parser or the formatter
+@pytest.mark.parametrize("bad", [3, None, b"s0", ["s0"]], ids=repr)
+def test_parse_needs_a_str(bad):
+    with pytest.raises(TypeError, match="parse takes a str"):
+        parse_divisor(bad)
+
+
+@pytest.mark.parametrize("bad", [3, "s0", None, (1, 0, 0, 0)], ids=repr)
+def test_format_needs_a_divisor_class(bad):
+    with pytest.raises(TypeError, match="format takes a DivisorClass"):
+        format_divisor(bad)
+
+
+def test_format_rejects_a_quotient_class():
+    from osculant import section_image
+    with pytest.raises(TypeError, match="got QuotientClass"):
+        format_divisor(section_image())

@@ -1,0 +1,218 @@
+"""The nef layer validates once, at the public entry points, and then
+runs on private kernels over plain checked ints.  These tests pin that
+split: the catalog guard's integer forms against the lattice, the
+guard itself (also under ``python -O``), the vec4 calls a census row
+makes, and the rejections each public wrapper keeps."""
+
+import dataclasses
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import osculant
+import osculant.catalog as catalog
+import osculant.nef as nef
+from osculant import (
+    DomainError,
+    LambdaSpec,
+    NotDivisible,
+    decompose_type,
+    genus_tilde,
+    negative_curve_catalog,
+    nef_check,
+    scan_box,
+    validate_type,
+)
+from osculant.errors import InternalCheckFailure
+from osculant.nef import _catalog_guard, _lambda
+
+from test_benchmark_bindings import tracer
+from test_nef import _least_prime_admitting, valid_specs
+
+REF = LambdaSpec(4, 2, (3, 2, 2, 2))
+SRC = Path(osculant.__file__).resolve().parent.parent
+
+
+def _lattice_pairings(spec, p):
+    lam = _lambda(spec)
+    return [lam.dot(cls) for _, cls, _ in negative_curve_catalog(p)]
+
+
+def _form_values(spec, p):
+    """Each catalog form evaluated at (n, w, rho, gamma): twice the
+    pairing of Lambda with its row."""
+    at = (spec.n, spec.w, spec.rho, *spec.gamma)
+    return [sum(c * x for c, x in zip(form, at))
+            for _, form in catalog._catalog_forms(p)]
+
+
+@given(valid_specs())
+@settings(max_examples=60, deadline=None)
+def test_forms_guard_equals_lattice_pairings(spec):
+    if spec is None:
+        return
+    least = _least_prime_admitting(spec)
+    for p in (None, least, least + 2 if least == 3 else 1000000000039):
+        try:
+            spec.check_char_p(p)
+        except DomainError:
+            continue
+        p = catalog.validate_char_p(p)
+        names = [name for name, _ in catalog._catalog_forms(p)]
+        assert names == [name for name, _, _ in negative_curve_catalog(p)]
+        assert _form_values(spec, p) == [2 * x for x in
+                                         _lattice_pairings(spec, p)]
+        _catalog_guard(spec, p)
+
+
+def _corrupt(row: int, delta: tuple[int, ...]):
+    """The base forms with delta added to the coefficients of one row."""
+    forms = list(catalog._BASE_FORMS)
+    name, coeffs = forms[row]
+    forms[row] = name, tuple(c + x for c, x in zip(coeffs, delta))
+    return tuple(forms)
+
+
+@pytest.mark.parametrize("row,delta,message", [
+    (5, (0, 0, 0, -4, 0, 0, 0), "pairs negatively with r~0"),
+    (0, (0, 1, 0, 0, 0, 0, 0), "with C~o is odd"),
+    (2, (0, 0, -2, 0, 0, 0, 0), "pairs negatively with s~1")],
+    ids=["negative", "odd", "negative-zero-row"])
+def test_corrupted_form_fails_the_guard(monkeypatch, row, delta, message):
+    monkeypatch.setattr(catalog, "_BASE_FORMS", _corrupt(row, delta))
+    for mode in ("brute", "both"):
+        with pytest.raises(InternalCheckFailure, match=message):
+            nef_check(REF, mode=mode)
+    # the closed route does not read the catalog
+    assert nef_check(REF, mode="closed").is_nef()
+
+
+def test_corrupted_char_p_row_fails_the_guard(monkeypatch):
+    real = catalog._lambda_form
+
+    def shifted(name, cls):
+        name, coeffs = real(name, cls)
+        return name, (*coeffs[:1], coeffs[1] - 2 * 7, *coeffs[2:])
+
+    monkeypatch.setattr(catalog, "_lambda_form", shifted)
+    # C~7 pairs to 7w - gamma^(1) = 12 with REF upstairs; 14 less is < 0
+    with pytest.raises(InternalCheckFailure, match="negatively with C~7"):
+        nef_check(REF, p=7)
+    assert nef_check(REF).is_nef()
+
+
+def test_wrong_lambda_square_fails_the_guard(monkeypatch):
+    wrong = catalog.QuotientClass(catalog.gamma_perp_class(4, 2, 1,
+                                                           (3, 2, 2, 4)))
+    monkeypatch.setattr(nef, "_lambda", lambda spec: wrong)
+    with pytest.raises(InternalCheckFailure, match="Lambda\\^2 = "):
+        nef_check(REF, mode="brute")
+
+
+_UNDER_O = """
+import osculant.catalog as catalog
+from osculant import LambdaSpec, nef_check
+from osculant.errors import InternalCheckFailure
+assert False  # stripped under -O
+forms = list(catalog._BASE_FORMS)
+forms[5] = forms[5][0], (0, 0, 0, -2, 0, 0, 0)
+catalog._BASE_FORMS = tuple(forms)
+try:
+    nef_check(LambdaSpec(4, 2, (3, 2, 2, 2)))
+except InternalCheckFailure as exc:
+    print("raised:", exc)
+"""
+
+
+def test_guard_runs_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "raised: valid spec pairs negatively with r~0: -3" in done.stdout
+
+
+def test_census_row_makes_at_most_three_vec4_calls(monkeypatch):
+    """Counted as test_benchmark_bindings counts the census layers: the
+    tracer's counter, bound at every osculant binding of vec4."""
+    counting = tracer.Tracer()
+    module, name = tracer.COUNTED["vectors.vec4"]
+    original = getattr(importlib.import_module(module), name)
+    wrapper = counting.counter("vectors.vec4", original)
+    for mod in tracer._osculant_modules():
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    rows = osculant.census(range(1, 7), range(1, 4), 15)
+    calls = counting.counters["vectors.vec4"][0]
+    assert rows and calls <= 3 * len(rows), (calls, len(rows))
+
+
+# each public wrapper still coerces and range-checks before its kernel
+REJECTED = {
+    "decompose_type-float-d": (lambda: decompose_type((3, 2, 2, 2), 2.0),
+                               "vec-integer"),
+    "decompose_type-negative": (lambda: decompose_type((3, 2, 2, -2), 2),
+                                "gamma-nonnegative"),
+    "decompose_type-length": (lambda: decompose_type((3, 2, 2), 2),
+                              "vec-length"),
+    "decompose_type-d0": (lambda: decompose_type((3, 2, 2, 2), 0),
+                          "degree-min"),
+    "scan_box-negative": (lambda: scan_box((3, 2, 2, -2), 2),
+                          "gamma-nonnegative"),
+    "scan_box-float-gamma": (lambda: scan_box((3.0, 2, 2, 2), 2),
+                             "vec-integer"),
+    "scan_box-d0": (lambda: scan_box((3, 2, 2, 2), 0), "degree-min"),
+    "scan_box-excluded": (lambda: scan_box((5, 4, 4, 4), 3, 3),
+                          "char-p-bound"),
+    "scan_box-composite": (lambda: scan_box((3, 2, 2, 2), 2, 9),
+                           "char-p-config"),
+    "validate_type-float-n": (lambda: validate_type(4.0, (3, 2, 2, 2)),
+                              "vec-integer"),
+    "validate_type-bool-gamma": (lambda: validate_type(4, (True, 2, 2, 2)),
+                                 "vec-integer"),
+    "genus_tilde-float-gamma": (
+        lambda: genus_tilde(4, 2, 1, 1, (3, 2, 2, 2.5)), "vec-integer"),
+    "genus_tilde-m0": (lambda: genus_tilde(4, 2, 1, 0, (3, 2, 2, 2)),
+                       NotDivisible.constraint),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_public_wrappers_keep_their_rejections(case):
+    call, constraint = REJECTED[case]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.constraint == constraint
+
+
+def test_wrappers_and_kernels_agree():
+    assert decompose_type((3, 2, 2, 2), 2) == nef._decompose((3, 2, 2, 2), 2)
+    assert scan_box([3, 2, 2, 2], 2) == nef._scan((3, 2, 2, 2), 3, None)
+    assert validate_type(4, (3, 2, 2, 2)) == []
+    assert genus_tilde(4, 2, 1, 1, (3, 2, 2, 2)) == 0
+
+
+def test_report_fields_each_get_their_own_value():
+    names = [f.name for f in dataclasses.fields(nef.NefReport)]
+    values = [object() for _ in names]
+    for report in (nef.NefReport(*values),
+                   nef.NefReport(**dict(zip(names, values)))):
+        assert [getattr(report, name) for name in names] == values
+
+
+def test_report_is_slotted_and_frozen():
+    report = nef_check(REF, p=7)
+    # slots, written once each: no per-report __dict__ to grow the report
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.verdict = "not_nef"
+    again = dataclasses.replace(report, agreement=False)
+    assert again.agreement is False and again.scan is report.scan
+    assert (again.spec, again.p, again.decomposition) == \
+        (report.spec, report.p, report.decomposition)

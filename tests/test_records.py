@@ -38,6 +38,7 @@ from osculant import (
     scan_box,
     thresholds,
     validate_cover,
+    validate_type,
     verify_minimizer_claim,
     z_divisor,
 )
@@ -270,6 +271,7 @@ SCALARS = {
     "osculating_bound-g": (lambda x: osculating_bound(3, x), 3),
     "max_genus_dominated-n": (lambda x: max_genus_dominated(x, 1), 4),
     "max_genus_dominated-rho": (lambda x: max_genus_dominated(4, x), 3),
+    "validate_type-n": (lambda x: validate_type(x, GAMMA), 4),
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 import osculant.verify as verify
 from osculant.errors import InternalCheckFailure
 from osculant.verify import (
+    _grid_box,
     _sweep_blocks,
     _sweep_results,
     build_sweep,
@@ -37,7 +38,8 @@ def list_pass(sweep):
 
 
 def block_pass(blocks):
-    return _sweep_results(blocks, "factored")
+    """The block pass with no grid noted, to compare with list_pass."""
+    return _sweep_results(blocks, "factored", "")
 
 
 def carried(rows):
@@ -59,6 +61,17 @@ def test_block_pass_matches_the_public_criteria(blocks):
     assert results == list_pass(flat)
     assert all(r.passed for r in results)
     assert results[0].detail.startswith("3192 specs")
+
+
+def test_agreement_names_only_the_grid_it_was_run_on(blocks):
+    # a list of reports does not say its grid, so none is named
+    plain = criterion_nef_agreement(build_sweep(2, 3))
+    assert plain.detail == ("3192 specs, factored reading: "
+                            "0 disagreements")
+    named = _sweep_results(blocks, "factored", _grid_box((2, 3, 3)))[0]
+    assert named.detail == ("3192 specs (d 2..3, mu <= 3, full eps window), "
+                            "factored reading: 0 disagreements")
+    assert named.passed and plain.passed
 
 
 # Failures are planted in the first two nef reports of a d = 2 block and
