@@ -23,6 +23,7 @@ from .errors import (
     RhoEven,
     RhoOutOfRange,
 )
+from .lattice import DivisorClass
 from .vectors import Vec4, as_int, coord_sum, norm_sq, vec4
 
 
@@ -57,6 +58,13 @@ class CoverInvariants:
     gamma: Vec4
 
     def __post_init__(self):
+        # every scalar under the integer rule (vectors.as_int), written
+        # again only when coerced, as in nef.LambdaSpec
+        for name in ("n", "d", "g", "g_tilde", "rho", "m"):
+            value = getattr(self, name)
+            checked = as_int(value, name)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
         object.__setattr__(self, "gamma", vec4(self.gamma))
 
     @property
@@ -259,8 +267,18 @@ def perp_genus_identity(n: int, d: int, rho: int, gamma) -> tuple[int, int]:
     compare; they agree for every valid tuple.
     """
     gamma = vec4(gamma)
-    lhs = gamma_perp_class(n, d, rho, gamma).genus()
-    gt = genus_tilde(n, d, rho, 1, gamma)
+    n, d, rho = as_int(n, "n"), as_int(d, "d"), as_int(rho, "rho")
+    return _genus_identity(gamma_perp_class(n, d, rho, gamma), n, d, rho,
+                           gamma)
+
+
+def _genus_identity(perp: DivisorClass, n: int, d: int, rho: int,
+                    gamma: Vec4) -> tuple[int, int]:
+    """perp_genus_identity of checked ints, with the cover class
+    perp = gamma_perp_class(n, d, rho, gamma) already built: the left
+    side is its genus on the lattice, the right side the formula."""
+    lhs = perp.genus()
+    gt = _genus_tilde(n, d, rho, 1, gamma)
     num = rho - 2 + coord_sum(gamma)
     if num % 2:
         raise NotDivisible(f"rho - 2 + gamma^(1) = {num} is odd")

@@ -240,17 +240,21 @@ def _decompose(gamma: Vec4, d: int) -> Decomposition:
             f"nat_mu {fmt_vec(nat)} negative for gamma = {fmt_vec(gamma)}")
 
     # |r_i| = 2|eps_i| ranks the pairs as |eps_i| + |eps_j| does
-    a = (abs(r0), abs(r1), abs(r2), abs(r3))
-    sums = [a[i] + a[j] for i, j in _PAIRS]
+    a0, a1, a2, a3 = abs(r0), abs(r1), abs(r2), abs(r3)
+    sums = (a0 + a1, a0 + a2, a0 + a3, a1 + a2, a1 + a3, a2 + a3)
     best = max(sums)
+    if sums.count(best) == 1:
+        i, j = _PAIRS[sums.index(best)]
+        flat = list(mu)
+        flat[i], flat[j] = nat[i], nat[j]
+        return Decomposition(mu, eps, nat, (tuple(flat),))
     # nat_mu and mu differ in every coordinate, so distinct pairs give
     # distinct flat_mu
     flats = []
     for (i, j), s in zip(_PAIRS, sums):
         if s == best:
             flat = list(mu)
-            flat[i] = nat[i]
-            flat[j] = nat[j]
+            flat[i], flat[j] = nat[i], nat[j]
             flats.append(tuple(flat))
     flats.sort()
     return Decomposition(mu, eps, nat, tuple(flats))
@@ -322,21 +326,24 @@ class BoxScan(NamedTuple):
         return tuple(sorted(set(self.argmin_k0) | set(self.argmin_other)))
 
 
-def _nearest(g: int, w: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """For parity b = 0 and b = 1 in turn, the minimum and minimizers of
-    (g - w*a)^2 over a >= 0 of parity b.
+def _nearest(g: int, w: int
+             ) -> tuple[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """The minimum of (g - w*a)^2 over a >= 0 of parity b, and its
+    minimizers, for b = 0 and b = 1: ((min_0, min_1), (argmin_0,
+    argmin_1)).
 
     With m = g // w, g/w lies in [m, m+1): the nearest point of m's
     parity is m, and of the other parity m+1, except that m-1 and m+1
     tie when g = w*m and m >= 1."""
     m = g // w
     r = g - w * m
-    same = r * r, (m,)
     if r == 0 and m > 0:
-        other = w * w, (m - 1, m + 1)
+        cost, near = w * w, (m - 1, m + 1)
     else:
-        other = (w - r) ** 2, (m + 1,)
-    return (other, same) if m & 1 else (same, other)
+        cost, near = (w - r) ** 2, (m + 1,)
+    if m & 1:
+        return (cost, r * r), (near, (m,))
+    return (r * r, cost), ((m,), near)
 
 
 def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
@@ -380,20 +387,20 @@ def _scan(gamma: Vec4, w: int, p: int | None) -> BoxScan:
     """scan_box of a nonnegative int 4-tuple at w = 2d-1, with p None or
     an odd prime that admits gamma (LambdaSpec.check_char_p)."""
     g0, g1, g2, g3 = gamma
-    n0, n1, n2, n3 = (_nearest(g0, w), _nearest(g1, w), _nearest(g2, w),
-                      _nearest(g3, w))
+    (c0, a0), (c1, a1), (c2, a2), (c3, a3) = (
+        _nearest(g0, w), _nearest(g1, w), _nearest(g2, w), _nearest(g3, w))
     found = []
     for codes in _CLASS_PARITIES:
-        # one pass over the codes keeps the least sum so far and the
-        # points of every code that reaches it
-        low = None
+        # one pass over the codes keeps the least sum so far (sums are
+        # >= 0, so -1 is none yet) and the points of every code that
+        # reaches it
+        low = -1
         for b0, b1, b2, b3 in codes:
-            c0, c1, c2, c3 = n0[b0], n1[b1], n2[b2], n3[b3]
-            s = c0[0] + c1[0] + c2[0] + c3[0]
-            if low is None or s < low:
-                low, hits = s, list(product(c0[1], c1[1], c2[1], c3[1]))
+            s = c0[b0] + c1[b1] + c2[b2] + c3[b3]
+            if s < low or low < 0:
+                low, hits = s, list(product(a0[b0], a1[b1], a2[b2], a3[b3]))
             elif s == low:
-                hits += product(c0[1], c1[1], c2[1], c3[1])
+                hits += product(a0[b0], a1[b1], a2[b2], a3[b3])
         if p is not None:
             hits = [a for a in hits if sum(a) <= p]
         if not hits:
@@ -418,8 +425,9 @@ def _carried():
 @dataclass(frozen=True, slots=True, init=False)
 class NefReport:
     """Verdict of one nef check.  It also carries what it was made from
-    (spec, p) and what it computed (decomposition, brute scan), so
-    callers can reuse the work instead of redoing it.
+    (spec, p) and what it computed (the decomposition, unless brute
+    only; the brute scan and Lambda, unless closed only), so callers can
+    reuse the work instead of redoing it.
 
     The fields are slots, written once each by __init__ through their
     slot descriptors, looked up by field name (_REPORT_SLOTS): the
@@ -435,12 +443,13 @@ class NefReport:
     conditions: tuple[Check, ...] = ()
     spec: LambdaSpec | None = _carried()
     p: int | None = _carried()
-    decomposition: Decomposition | None = _carried()
+    decomposition: Decomposition | None = _carried()   # None in brute mode
     scan: BoxScan | None = _carried()   # None in closed mode
+    lam: QuotientClass | None = _carried()   # None in closed mode
 
     def __init__(self, verdict, mode, failing_constraint, witness,
                  boundary_contacts, agreement, conditions=(), spec=None,
-                 p=None, decomposition=None, scan=None):
+                 p=None, decomposition=None, scan=None, lam=None):
         put = _REPORT_SLOTS
         put["verdict"](self, verdict)
         put["mode"](self, mode)
@@ -453,6 +462,7 @@ class NefReport:
         put["p"](self, p)
         put["decomposition"](self, decomposition)
         put["scan"](self, scan)
+        put["lam"](self, lam)
 
     def is_nef(self) -> bool:
         return self.verdict == "nef"
@@ -507,7 +517,7 @@ def closed_conditions(dec: Decomposition, d: int,
         Check("eps-sum", w_abs_sum <= 3 * d * d - 3 * d + e2,
               w_abs_sum, 3 * d * d - 3 * d + e2),
         Check("eps-pair", pair <= d * d - 1 + e2, pair, d * d - 1 + e2,
-              note=note),
+              note),
     )
 
 
@@ -535,19 +545,22 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     verdict is then the brute one.
 
     The spec's fields are already checked (LambdaSpec), so after mode
-    and p the work runs on the kernels: _decompose, _scan and the guard.
+    and p the work runs on the kernels: _decompose for the closed route,
+    _scan and the guard for the brute one.  The report carries what each
+    route built: the decomposition, and the scan and Lambda.
     """
     if mode not in ("closed", "brute", "both"):
         raise DomainError(f"unknown mode {mode!r}", constraint="nef-mode")
     p = _admit(spec, p)
     d, gamma = spec.d, spec.gamma
     w = 2 * d - 1
-    dec = _decompose(gamma, d)
 
+    dec = None
     conditions: tuple[Check, ...] = ()
     closed_verdict = None
     failing = None
     if mode != "brute":
+        dec = _decompose(gamma, d)
         conditions = closed_conditions(dec, d, pair_reading)
         norm, total, pair = conditions
         # failing_constraint is the first row that fails
@@ -562,9 +575,9 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     brute_verdict = None
     witness = None
     contacts: tuple[Vec4, ...] = ()
-    scan = None
+    scan = lam = None
     if mode != "closed":
-        _catalog_guard(spec, p)
+        lam = _catalog_guard(spec, p)
         scan = _scan(gamma, w, p)
         t0, t1 = _thresholds(w)
         # per class, the excess q - t of its minimum: 4w times the
@@ -587,12 +600,14 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     if mode == "both":
         agreement = closed_verdict == brute_verdict
     return NefReport("nef" if final else "not_nef", mode, failing, witness,
-                     contacts, agreement, conditions, spec, p, dec, scan)
+                     contacts, agreement, conditions, spec, p, dec, scan,
+                     lam)
 
 
-def _catalog_guard(spec: LambdaSpec, p: int | None) -> None:
+def _catalog_guard(spec: LambdaSpec, p: int | None) -> QuotientClass:
     """Check Lambda . N >= 0 for each row N of negative_curve_catalog(p),
-    and Lambda . Lambda = 2d - 3, for an unramified spec admitted at p.
+    and Lambda . Lambda = 2d - 3, for an unramified spec admitted at p;
+    returns Lambda.
 
     Each row's pairing is half its integer form (catalog._catalog_forms)
     evaluated at (n, w, rho, gamma), checked even; the square is taken
@@ -617,6 +632,7 @@ def _catalog_guard(spec: LambdaSpec, p: int | None) -> None:
     if square != 2 * d - 3:
         raise InternalCheckFailure(
             f"Lambda^2 = {square} for a valid spec, not 2d-3 = {2 * d - 3}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -653,35 +669,61 @@ def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None, *,
     is attained at mu, nat_mu, or a flat_mu (recorded, not assumed).
 
     ``report`` is reused as in linear_system_dims; without one, a fresh
-    brute-mode nef_check supplies the decomposition and scan."""
+    brute-mode nef_check supplies the scan."""
     p = _admit(spec, p)
-    report = _brute_report(report, spec, p)
-    dec, scan = report.decomposition, report.scan
-    w = spec.w
-    if (4 * dec.eps_sq - 3) % w:
+    return _claim_report(spec.w, *_minimizer(_brute_report(report, spec, p)))
+
+
+def _minimizer(report: NefReport
+               ) -> tuple[Decomposition, list[int], int, tuple[Vec4, ...]]:
+    """verify_minimizer_claim on the integers of a brute or both report:
+    the decomposition, the excess 4w * (Lambda . G~alpha) of each
+    candidate (mu, nat_mu, then the flat_mu in order), the least excess
+    over all exceptional alpha and the sorted alphas attaining it.  The
+    claim holds when the least candidate excess is that minimum.
+
+    A brute-only report carries no decomposition, so it is computed
+    here.  Each class's minimum is the excess of its first minimizer,
+    taken with _excess rather than read off the scan, so argmins that do
+    not attain the scan's minima show as a failed claim."""
+    spec = report.spec
+    gamma, d = spec.gamma, spec.d
+    w = 2 * d - 1
+    dec = report.decomposition
+    if dec is None:
+        dec = _decompose(gamma, d)
+    mu, eps, nat, flats = dec
+    e0, e1, e2, e3 = eps
+    if (4 * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3) - 3) % w:
         raise InternalCheckFailure(
             f"4 eps^(2) - 3 = {4 * dec.eps_sq - 3} not divisible by w = {w}; "
             f"the spec should force this congruence")
-
-    # decided on the integer excesses 4w * pairing, which share the
-    # denominator 4w; Fractions are built only for what the report carries
-    gamma = spec.gamma
-    cands = [("mu", dec.mu), ("nat_mu", dec.nat_mu)]
-    cands += [(f"flat_mu[{i}]", v) for i, v in enumerate(dec.flat_mu_set)]
-    cand_xs = [_excess(gamma, w, vec) for _, vec in cands]
+    cand_xs = [_excess(gamma, w, mu), _excess(gamma, w, nat)]
+    cand_xs += [_excess(gamma, w, flat) for flat in flats]
     # every minimizer of a class pairs to the value of its first one
-    lows = [(_excess(gamma, w, argmin[0]), argmin)
-            for argmin in (scan.argmin_k0, scan.argmin_other)]
-    xmin = min(x for x, _ in lows)
-    argmins = tuple(sorted(a for x, argmin in lows if x == xmin
-                           for a in argmin))
-    holds = min(cand_xs) == xmin
-    counterexamples = () if holds else argmins
+    k0, other = report.scan.argmin_k0, report.scan.argmin_other
+    x0, x1 = _excess(gamma, w, k0[0]), _excess(gamma, w, other[0])
+    if x0 < x1:
+        return dec, cand_xs, x0, tuple(sorted(k0))
+    if x1 < x0:
+        return dec, cand_xs, x1, tuple(sorted(other))
+    return dec, cand_xs, x0, tuple(sorted(k0 + other))
+
+
+def _claim_report(w: int, dec: Decomposition, cand_xs: list[int],
+                  xmin: int, argmins: tuple[Vec4, ...]) -> MinimizerReport:
+    """The MinimizerReport of a _minimizer result at w = 2d-1: the
+    excesses share the denominator 4w, so Fractions are built only for
+    the values the report carries."""
+    names = ["mu", "nat_mu"]
+    names += [f"flat_mu[{i}]" for i in range(len(dec.flat_mu_set))]
+    vecs = (dec.mu, dec.nat_mu, *dec.flat_mu_set)
     den = 4 * w
+    holds = min(cand_xs) == xmin
     cand_rows = tuple((name, vec, Fraction(x, den))
-                      for (name, vec), x in zip(cands, cand_xs))
+                      for name, vec, x in zip(names, vecs, cand_xs))
     return MinimizerReport(holds, Fraction(xmin, den), argmins, cand_rows,
-                           counterexamples)
+                           () if holds else argmins)
 
 
 def _brute_report(report: NefReport | None, spec: LambdaSpec,
@@ -691,7 +733,8 @@ def _brute_report(report: NefReport | None, spec: LambdaSpec,
     (spec, p)."""
     if report is None:
         return nef_check(spec, mode="brute", p=p)
-    if report.spec != spec or report.p != p or report.scan is None:
+    if (report.spec != spec or report.p != p or report.scan is None
+            or report.lam is None):
         raise DomainError(
             f"report was made for spec {report.spec}, p = {report.p} in "
             f"{report.mode} mode; need a brute or both report for {spec}, "
@@ -746,15 +789,16 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
     closed forms 2d-2 and d-2.
 
     Pass the brute or both nef_check report of (spec, p) as ``report``
-    to reuse its verdict; one made for another spec or p is rejected
-    (``report-mismatch``)."""
+    to reuse its verdict and its Lambda; one made for another spec or p
+    is rejected (``report-mismatch``)."""
     p = _admit(spec, p)
-    lam = _lambda(spec)
+    report = _brute_report(report, spec, p)
+    lam = report.lam
     deg = -K_TILDE.dot(lam)
     if deg < 2:
         raise AnticanonicalDegreeTooSmall(
             f"-K~.Lambda = {deg} < 2; the dimension formula needs >= 2")
-    _require_nef(_brute_report(report, spec, p))
+    _require_nef(report)
 
     def harbourne(q: QuotientClass) -> int:
         v = q.dot(q) - q.dot(K_TILDE)

@@ -8,11 +8,14 @@ and contact uniqueness) share one exhaustive sweep: every valid spec
 with d in [2, 5] built from mu patterns with components at most 3 (both
 parity orientations) and every eps window vector whose congruence class
 admits an integral degree.  Each spec gets one both-mode nef report,
-which carries its decomposition and scan, and all five criteria read
-that report.  ``run_all`` builds the sweep one (d, mu) block at a time
-(at most 864 reports), passes each block through the five criteria and
-drops it, so its memory does not grow with the grid; ``build_sweep``
-returns the whole list for callers that want it.
+which carries its decomposition, scan and Lambda, and all five criteria
+read that report: the minimizer claim decides on its integers
+(nef._minimizer) and adjunction and dimensions reuse its Lambda, so no
+criterion redoes the report's work.  ``run_all`` builds the sweep one
+(d, mu) block at a time (at most 864 reports), passes each block
+through the five criteria and drops it, so its memory does not grow
+with the grid; ``build_sweep`` returns the whole list for callers that
+want it.
 """
 
 import random
@@ -27,14 +30,17 @@ from .catalog import (
     exceptional_class,
     negative_curve_catalog,
 )
-from .covers import perp_genus_identity
-from .errors import ExprError, IdentityFailure, InternalCheckFailure
+from .covers import _genus_identity
+from .errors import DomainError, ExprError, IdentityFailure, \
+    InternalCheckFailure
 from .families import census, census_csv, construction_kit, generate_nef_types, \
     generate_non_nef_types
 from .lattice import K_TILDE, DivisorClass
 from .nef import (
     LambdaSpec,
     NefReport,
+    _claim_report,
+    _minimizer,
     decompose_type,
     lambda_class,
     lambda_dot_exceptional_closed,
@@ -42,7 +48,6 @@ from .nef import (
     moduli_dimension,
     n_for_type,
     nef_check,
-    verify_minimizer_claim,
 )
 from .vectors import Vec4, fmt_vec, norm_sq
 
@@ -88,9 +93,10 @@ def _sweep_blocks(d_lo: int = 2, d_hi: int = 5, mu_max: int = 3,
                   if (4 * norm_sq(e) - 3) % w == 0]
         for mu in mu_patterns(mu_max):
             block = []
-            for eps in eps_ok:
-                gamma = tuple(w * m + 2 * x for m, x in zip(mu, eps))
-                if any(g < 0 for g in gamma):
+            b0, b1, b2, b3 = (w * m for m in mu)
+            for e0, e1, e2, e3 in eps_ok:
+                gamma = (b0 + 2 * e0, b1 + 2 * e1, b2 + 2 * e2, b3 + 2 * e3)
+                if min(gamma) < 0:
                     continue
                 n = n_for_type(d, gamma)
                 if n is None:
@@ -311,7 +317,9 @@ def _adjunction_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
     for row in block:
         s = row.spec
-        lhs, rhs = perp_genus_identity(s.n, s.d, s.rho, s.gamma)
+        # the report carries Lambda, whose pullback is the cover class
+        lhs, rhs = _genus_identity(row.lam.pullback, s.n, s.d, s.rho,
+                                   s.gamma)
         if lhs != rhs:
             bad.append(f"{_spec_tag(s)}: {lhs} != {rhs}")
     return len(block), bad
@@ -324,8 +332,22 @@ def _adjunction_result(tally: _Tally) -> CriterionResult:
         f"2*g~ + (rho - 2 + gamma^(1))/2 on all; {tally.failed} failures")
 
 
+def _brute_rows(sweep: list[NefReport]) -> list[NefReport]:
+    """The sweep, checked to hold only brute or both reports: the
+    adjunction and minimizer steps read their Lambda and scan without
+    the check verify_minimizer_claim makes."""
+    for row in sweep:
+        if row.scan is None or row.lam is None:
+            raise DomainError(
+                f"a {row.mode} mode report for {row.spec} carries no brute "
+                f"scan; the sweep criteria need brute or both reports",
+                constraint="report-mismatch")
+    return sweep
+
+
 def criterion_adjunction(sweep: list[NefReport]) -> CriterionResult:
-    return _adjunction_result(_Tally(_adjunction_step).feed(sweep))
+    return _adjunction_result(_Tally(_adjunction_step).feed(
+        _brute_rows(sweep)))
 
 
 def _dimensions_step(block: list[NefReport]) -> tuple[int, list[str]]:
@@ -361,8 +383,11 @@ def criterion_dimensions(sweep: list[NefReport]) -> CriterionResult:
 def _minimizer_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
     for row in block:
-        claim = verify_minimizer_claim(row.spec, report=row)
-        if not claim.holds:
+        found = _minimizer(row)
+        _, cand_xs, xmin, _ = found
+        if min(cand_xs) != xmin:
+            # the claim fails: only now build its report, for the message
+            claim = _claim_report(row.spec.w, *found)
             best_cand = min(v for _, _, v in claim.candidates)
             bad.append(f"{_spec_tag(row.spec)}: min {claim.min_value} only "
                        f"at {list(claim.counterexamples)}, candidates reach "
@@ -378,7 +403,8 @@ def _minimizer_result(tally: _Tally) -> CriterionResult:
 
 
 def criterion_minimizer(sweep: list[NefReport]) -> CriterionResult:
-    return _minimizer_result(_Tally(_minimizer_step).feed(sweep))
+    return _minimizer_result(_Tally(_minimizer_step).feed(
+        _brute_rows(sweep)))
 
 
 def _contacts_step(block: list[NefReport]) -> tuple[int, list[str]]:

@@ -4,13 +4,14 @@ pairing values.
 
 The value of Lambda . G~alpha is (q(alpha) - t)/4w with the threshold t
 of the class of alpha (``osculant.nef.thresholds``), the candidates are
-mu, nat_mu and every flat_mu, and the minimum over all exceptional
-alpha is read off the first minimizer of each class of the brute scan.
+mu, nat_mu and every flat_mu of ``decompose_type``, and the minimum over
+all exceptional alpha is read off the first minimizer of each class of
+the brute scan.
 """
 
 from fractions import Fraction
 
-from osculant import MinimizerReport, nef_check, thresholds
+from osculant import MinimizerReport, decompose_type, nef_check, thresholds
 from osculant.vectors import minority_index
 
 
@@ -22,8 +23,8 @@ def pairing(gamma, d, alpha) -> Fraction:
 
 
 def verify_minimizer_claim(spec, p=None) -> MinimizerReport:
-    report = nef_check(spec, mode="brute", p=p)
-    dec, scan = report.decomposition, report.scan
+    scan = nef_check(spec, mode="brute", p=p).scan
+    dec = decompose_type(spec.gamma, spec.d)
     cands = [("mu", dec.mu), ("nat_mu", dec.nat_mu)]
     cands += [(f"flat_mu[{i}]", v) for i, v in enumerate(dec.flat_mu_set)]
     cand_rows = [(name, vec, pairing(spec.gamma, spec.d, vec))

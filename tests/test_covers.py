@@ -171,3 +171,12 @@ def test_parity_law_characterization(n, a, b, c, e):
 def test_genus_tilde_requires_positive_m():
     with pytest.raises(DomainError):
         genus_tilde(4, 2, 1, 0, (3, 2, 2, 2))
+
+
+def test_cover_invariants_reject_non_integer_scalars():
+    # a float n used to reach validate_cover, whose quotient-genus row
+    # then read rhs 3.0
+    with pytest.raises(DomainError) as info:
+        validate_cover(CoverInvariants(4.5, 2, 4, 0, 1, 1, (3, 2, 2, 2)))
+    assert info.value.constraint == "vec-integer"
+    assert "n" in str(info.value)

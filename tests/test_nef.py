@@ -624,11 +624,13 @@ def test_report_scan_equals_fresh_scan(case):
     if case is None:
         return
     spec, p = case
+    dec = decompose_type(spec.gamma, spec.d)
     for mode in ("brute", "both"):
         report = nef_check(spec, mode=mode, p=p)
-        dec = decompose_type(spec.gamma, spec.d)
-        assert report.decomposition == dec
+        # only the closed route decomposes gamma
+        assert report.decomposition == (dec if mode == "both" else None)
         assert report.scan == scan_box(spec.gamma, spec.d, p)
+        assert report.lam == lambda_class(spec, p)
         assert verify_minimizer_claim(spec, p, report=report) == \
             verify_minimizer_claim(spec, p)
 

@@ -272,6 +272,18 @@ SCALARS = {
     "max_genus_dominated-n": (lambda x: max_genus_dominated(x, 1), 4),
     "max_genus_dominated-rho": (lambda x: max_genus_dominated(4, x), 3),
     "validate_type-n": (lambda x: validate_type(x, GAMMA), 4),
+    "CoverInvariants-n": (
+        lambda x: CoverInvariants(x, 2, 4, 0, 1, 1, GAMMA), 4),
+    "CoverInvariants-d": (
+        lambda x: CoverInvariants(4, x, 4, 0, 1, 1, GAMMA), 2),
+    "CoverInvariants-g": (
+        lambda x: CoverInvariants(4, 2, x, 0, 1, 1, GAMMA), 4),
+    "CoverInvariants-g_tilde": (
+        lambda x: CoverInvariants(4, 2, 4, x, 1, 1, GAMMA), 0),
+    "CoverInvariants-rho": (
+        lambda x: CoverInvariants(4, 2, 4, 0, x, 1, GAMMA), 1),
+    "CoverInvariants-m": (
+        lambda x: CoverInvariants(4, 2, 4, 0, 1, x, GAMMA), 1),
 }
 
 

@@ -145,13 +145,13 @@ def test_doctored_reports_fail_alike(blocks, index, doctor, count):
 def test_failing_checks_fail_alike(blocks, monkeypatch):
     blocks = sample(blocks)
     picked = {blocks[b][i].spec for b, i in picks(blocks)}
-    real_identity = verify.perp_genus_identity
+    real_identity = verify._genus_identity
     real_moduli = verify.moduli_dimension
     real_dims = verify.linear_system_dims
     order = sorted(picked, key=lambda s: (s.d, s.gamma))
 
-    def identity(n, d, rho, gamma):
-        lhs, rhs = real_identity(n, d, rho, gamma)
+    def identity(perp, n, d, rho, gamma):
+        lhs, rhs = real_identity(perp, n, d, rho, gamma)
         hit = any(s.n == n and s.d == d and s.gamma == gamma for s in picked)
         return lhs, rhs + hit
 
@@ -163,7 +163,7 @@ def test_failing_checks_fail_alike(blocks, monkeypatch):
             raise InternalCheckFailure("doctored")
         return real_dims(spec, p, report=report)
 
-    monkeypatch.setattr(verify, "perp_genus_identity", identity)
+    monkeypatch.setattr(verify, "_genus_identity", identity)
     monkeypatch.setattr(verify, "moduli_dimension", moduli)
     monkeypatch.setattr(verify, "linear_system_dims", dims)
     flat = [row for block in blocks for row in block]

@@ -1,0 +1,198 @@
+"""The battery's sweep steps read the integers a both-mode report
+carries instead of redoing its work: the minimizer claim runs on the
+integer kernel nef._minimizer and builds its Fraction report only when
+the claim fails, and adjunction and dimensions reuse the report's
+Lambda.  These tests pin the kernel against the public claim and its
+Fraction oracle, the failure text of doctored reports, the carried
+Lambda, and the count of DivisorClass constructions (also under
+``python -O``)."""
+
+import dataclasses
+import importlib
+import os
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import minimizer_oracle
+import osculant
+from osculant import (
+    DomainError,
+    LambdaSpec,
+    lambda_class,
+    linear_system_dims,
+    nef_check,
+    verify_minimizer_claim,
+)
+from osculant.errors import InternalCheckFailure
+from osculant.nef import _claim_report, _minimizer
+from osculant.verify import (
+    _minimizer_step,
+    _spec_tag,
+    _sweep_blocks,
+    _sweep_results,
+    criterion_adjunction,
+    criterion_minimizer,
+)
+
+from test_benchmark_bindings import tracer
+from test_nef import char_p_cases
+
+REF = LambdaSpec(4, 2, (3, 2, 2, 2))
+# the least pairing value is attained only at its one flat_mu
+FLAT_ONLY = LambdaSpec(2, 4, (1, 0, 0, 4))
+SRC = Path(osculant.__file__).resolve().parent.parent
+
+
+@given(char_p_cases())
+@settings(max_examples=100, deadline=None)
+def test_kernel_verdict_matches_the_claim_and_its_oracle(case):
+    if case is None:
+        return
+    spec, p = case
+    want = minimizer_oracle.verify_minimizer_claim(spec, p)
+    for mode in ("brute", "both"):
+        report = nef_check(spec, mode=mode, p=p)
+        found = _minimizer(report)
+        _, cand_xs, xmin, _ = found
+        claim = verify_minimizer_claim(spec, p, report=report)
+        assert (min(cand_xs) == xmin) == claim.holds == want.holds
+        assert _claim_report(spec.w, *found) == claim == want
+        checked, bad = _minimizer_step([report])
+        assert checked == 1 and bool(bad) != claim.holds
+
+
+def _public_text(report) -> str:
+    """The minimizer failure line, built from the public claim."""
+    claim = verify_minimizer_claim(report.spec, report.p, report=report)
+    assert not claim.holds
+    best = min(v for _, _, v in claim.candidates)
+    return (f"{_spec_tag(report.spec)}: min {claim.min_value} only at "
+            f"{list(claim.counterexamples)}, candidates reach {best}")
+
+
+def _wrong_argmin(report):
+    # a non-minimizer of each class in place of its argmins
+    far = ((41, 0, 0, 0),)
+    return dataclasses.replace(
+        report, scan=report.scan._replace(argmin_k0=far, argmin_other=far))
+
+
+def _no_flats(report):
+    dec = report.decomposition
+    return dataclasses.replace(report,
+                               decomposition=dec._replace(flat_mu_set=()))
+
+
+@pytest.mark.parametrize("spec,doctor", [
+    (REF, _wrong_argmin), (FLAT_ONLY, _no_flats)],
+    ids=["wrong-argmin", "emptied-flat-set"])
+def test_doctored_report_fails_with_the_public_text(spec, doctor):
+    report = nef_check(spec)
+    assert verify_minimizer_claim(spec, report=report).holds
+    bad = doctor(report)
+    assert _minimizer_step([bad]) == (1, [_public_text(bad)])
+
+
+def test_flat_only_spec_needs_its_flat_mu():
+    found = _minimizer(nef_check(FLAT_ONLY))
+    _, cand_xs, xmin, argmins = found
+    assert min(cand_xs[:2]) > xmin == cand_xs[2]
+    assert argmins == ((0, 0, 0, 1),)
+
+
+@given(char_p_cases())
+@settings(max_examples=60, deadline=None)
+def test_carried_lambda_is_lambda_class(case):
+    if case is None:
+        return
+    spec, p = case
+    for mode in ("brute", "both"):
+        assert nef_check(spec, mode=mode, p=p).lam == lambda_class(spec, p)
+    assert nef_check(spec, mode="closed", p=p).lam is None
+
+
+def test_report_for_another_spec_is_rejected():
+    other = LambdaSpec(8, 3, (5, 4, 4, 4))
+    report = nef_check(other)
+    no_lambda = dataclasses.replace(nef_check(REF), lam=None)
+    for wrong in (report, no_lambda):
+        for call in (linear_system_dims, verify_minimizer_claim):
+            with pytest.raises(DomainError) as info:
+                call(REF, report=wrong)
+            assert info.value.constraint == "report-mismatch"
+    # the carried Lambda of the right report gives the dimensions
+    assert linear_system_dims(other, report=report) == (4, 1)
+
+
+def test_sweep_criteria_reject_closed_reports():
+    # the adjunction and minimizer steps read a brute scan and Lambda
+    closed = [nef_check(REF), nef_check(REF, mode="closed")]
+    for criterion in (criterion_adjunction, criterion_minimizer):
+        with pytest.raises(DomainError) as info:
+            criterion(closed)
+        assert info.value.constraint == "report-mismatch"
+    assert criterion_adjunction(closed[:1]).passed
+
+
+def test_divisor_class_built_once_per_report(monkeypatch):
+    """Counted with the tracer's counter, bound on the class as
+    Tracer.install binds it: Lambda is the one lattice class a report
+    builds, in nef_check's guard, and the five steps reuse it."""
+    counting = tracer.Tracer()
+    module, klass, method = tracer.COUNTED["lattice.divisor_class"]
+    cls = getattr(importlib.import_module(module), klass)
+    monkeypatch.setattr(cls, method, counting.counter(
+        "lattice.divisor_class", getattr(cls, method)))
+    blocks = []
+
+    def kept():
+        # the first d = 3 block: both nef and non-nef reports
+        for block in islice(_sweep_blocks(3, 3), 1):
+            blocks.append(block)
+            yield block
+
+    results = _sweep_results(kept(), "factored", "")
+    assert all(r.passed for r in results)
+    (block,) = blocks
+    assert {row.is_nef() for row in block} == {True, False}
+    assert counting.counters["lattice.divisor_class"][0] == len(block)
+
+
+_UNDER_O = """
+import dataclasses
+from osculant import LambdaSpec, nef_check, verify_minimizer_claim
+from osculant.errors import InternalCheckFailure
+from osculant.verify import _minimizer_step
+assert False  # stripped under -O
+report = nef_check(LambdaSpec(2, 4, (1, 0, 0, 4)))
+dec = report.decomposition
+flatless = dataclasses.replace(report, decomposition=dec._replace(
+    flat_mu_set=()))
+print("steps:", _minimizer_step([report])[1], len(
+    _minimizer_step([flatless])[1]))
+print("public:", verify_minimizer_claim(report.spec, report=flatless).holds)
+# 4 eps^(2) - 3 = 1 is not divisible by w = 7
+broken = dataclasses.replace(report, decomposition=dec._replace(
+    eps=(0, 0, 0, 1)))
+try:
+    _minimizer_step([broken])
+except InternalCheckFailure as exc:
+    print("raised:", exc)
+"""
+
+
+def test_kernel_checks_run_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "steps: [] 1",
+        "public: False",
+        "raised: 4 eps^(2) - 3 = 1 not divisible by w = 7; the spec should "
+        "force this congruence"]
