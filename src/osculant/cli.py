@@ -13,34 +13,10 @@ import os
 import sys
 from typing import NamedTuple
 
-from .catalog import (
-    enumerate_exceptional,
-    negative_curve_catalog,
-    validate_char_p,
-)
+# modules, not names: the package loads each submodule on first use, so a
+# handler's lookups load only what its subcommand needs
+from . import catalog, expr, families, lattice, nef, verify
 from .errors import DomainError, InternalCheckFailure
-from .expr import format as format_class
-from .expr import parse as parse_class
-from .families import (
-    census,
-    census_csv,
-    census_json,
-    construction_kit,
-    generate_nef_types,
-    generate_non_nef_types,
-)
-from .lattice import K_TILDE, DivisorClass, arithmetic_genus
-from .nef import (
-    LambdaSpec,
-    decompose_type,
-    lambda_class,
-    linear_system_dims,
-    moduli_dimension,
-    nef_check,
-    verify_minimizer_claim,
-    z_divisor,
-)
-from .verify import run_all
 
 _ENV_PREFIX = "OSCULANT_"
 
@@ -67,7 +43,7 @@ class RunConfig(NamedTuple):
                     f"environment {_ENV_PREFIX}{name.upper()} = {raw!r} "
                     f"is not valid", constraint="run-config")
 
-        char_p = validate_char_p(pick("char_p", None, int))
+        char_p = catalog.validate_char_p(pick("char_p", None, int))
         reading = pick("pair_reading", "factored", str)
         if reading not in ("factored", "literal"):
             raise DomainError(f"unknown pair reading {reading!r}",
@@ -92,9 +68,9 @@ def _vec_arg(text: str):
             f"expected four comma-separated integers, got {text!r}")
 
 
-def _div_json(dclass: DivisorClass) -> dict:
+def _div_json(dclass: "lattice.DivisorClass") -> dict:
     return {"c": dclass.c, "f": dclass.f, "s": list(dclass.s),
-            "r": list(dclass.r), "expr": format_class(dclass)}
+            "r": list(dclass.r), "expr": expr.format(dclass)}
 
 
 # ---------------------------------------------------------------------------
@@ -144,36 +120,36 @@ def _render_text(payload) -> str:
 
 
 def _cmd_intersect(args, cfg):
-    a, b = parse_class(args.left), parse_class(args.right)
-    payload = {"left": format_class(a), "right": format_class(b),
+    a, b = expr.parse(args.left), expr.parse(args.right)
+    payload = {"left": expr.format(a), "right": expr.format(b),
                "value": a.dot(b)}
     return _render(payload, cfg.output), 0
 
 
 def _cmd_genus(args, cfg):
-    dclass = parse_class(args.expr)
-    payload = {"class": format_class(dclass),
+    dclass = expr.parse(args.expr)
+    payload = {"class": expr.format(dclass),
                "self_intersection": dclass.self_intersection(),
-               "value": arithmetic_genus(dclass)}
+               "value": lattice.arithmetic_genus(dclass)}
     return _render(payload, cfg.output), 0
 
 
 def _cmd_lambda(args, cfg):
-    spec = LambdaSpec(args.n, args.d, args.gamma, rho=args.rho)
-    qc = lambda_class(spec, cfg.char_p)
+    spec = nef.LambdaSpec(args.n, args.d, args.gamma, rho=args.rho)
+    qc = nef.lambda_class(spec, cfg.char_p)
     payload = {
         "n": spec.n, "d": spec.d, "rho": spec.rho,
         "gamma": list(spec.gamma),
         "pullback": _div_json(qc.pullback),
         "self_intersection": qc.self_intersection(),
-        "k_degree": qc.dot(K_TILDE),
+        "k_degree": qc.dot(lattice.K_TILDE),
         "genus": qc.genus(),
     }
     return _render(payload, cfg.output), 0
 
 
 def _cmd_decompose(args, cfg):
-    dec = decompose_type(args.gamma, args.d)
+    dec = nef.decompose_type(args.gamma, args.d)
     payload = {
         "gamma": list(args.gamma), "d": args.d,
         "mu": list(dec.mu), "eps": list(dec.eps),
@@ -184,37 +160,37 @@ def _cmd_decompose(args, cfg):
 
 
 def _cmd_nef(args, cfg):
-    spec = LambdaSpec(args.n, args.d, args.gamma)
-    report = nef_check(spec, mode=args.mode, p=cfg.char_p,
+    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
+    report = nef.nef_check(spec, mode=args.mode, p=cfg.char_p,
                        pair_reading=cfg.pair_reading)
     return _render(report.to_dict(), cfg.output), 0
 
 
 def _cmd_minimizer(args, cfg):
-    spec = LambdaSpec(args.n, args.d, args.gamma)
-    report = verify_minimizer_claim(spec, p=cfg.char_p)
+    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
+    report = nef.verify_minimizer_claim(spec, p=cfg.char_p)
     return _render(report.to_dict(), cfg.output), 0
 
 
 def _cmd_zdiv(args, cfg):
-    spec = LambdaSpec(args.n, args.d, args.gamma)
-    contact = z_divisor(spec, p=cfg.char_p)
+    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
+    contact = nef.z_divisor(spec, p=cfg.char_p)
     return _render(contact.to_dict(), cfg.output), 0
 
 
 def _cmd_dims(args, cfg):
-    spec = LambdaSpec(args.n, args.d, args.gamma)
-    report = nef_check(spec, mode="brute", p=cfg.char_p)
-    dim_l, dim_lc = linear_system_dims(spec, p=cfg.char_p, report=report)
+    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
+    report = nef.nef_check(spec, mode="brute", p=cfg.char_p)
+    dim_l, dim_lc = nef.linear_system_dims(spec, p=cfg.char_p, report=report)
     payload = {"dim_lambda": dim_l, "dim_lambda_minus_co": dim_lc,
-               "dim_moduli": moduli_dimension(spec, p=cfg.char_p,
-                                              report=report)}
+               "dim_moduli": nef.moduli_dimension(spec, p=cfg.char_p,
+                                                  report=report)}
     return _render(payload, cfg.output), 0
 
 
 def _cmd_exceptional(args, cfg):
     rows = []
-    for es in enumerate_exceptional(args.max_sq, cfg.char_p):
+    for es in catalog.enumerate_exceptional(args.max_sq, cfg.char_p):
         rows.append({"alpha": list(es.alpha), "a": es.a, "k": es.k,
                      "pullback": _div_json(es.pullback())})
     return _render(rows, cfg.output), 0
@@ -222,26 +198,26 @@ def _cmd_exceptional(args, cfg):
 
 def _cmd_catalog(args, cfg):
     rows = [{"name": name, "pullback": _div_json(qc.pullback), "self": si}
-            for name, qc, si in negative_curve_catalog(cfg.char_p)]
+            for name, qc, si in catalog.negative_curve_catalog(cfg.char_p)]
     return _render(rows, cfg.output), 0
 
 
 def _cmd_family_nef(args, cfg):
     rows = [{"n": n, "gamma": list(g), "eps": list(e)}
-            for n, g, e in generate_nef_types(args.d, args.k, args.mu,
-                                              cfg.char_p)]
+            for n, g, e in families.generate_nef_types(
+                args.d, args.k, args.mu, cfg.char_p)]
     return _render(rows, cfg.output), 0
 
 
 def _cmd_family_nonnef(args, cfg):
     rows = [{"n": n, "gamma": list(g), "eps": list(e)}
-            for n, g, e in generate_non_nef_types(args.d, args.mu,
-                                                  args.bound, cfg.char_p)]
+            for n, g, e in families.generate_non_nef_types(
+                args.d, args.mu, args.bound, cfg.char_p)]
     return _render(rows, cfg.output), 0
 
 
 def _cmd_kit(args, cfg):
-    kit = construction_kit(args.d, args.mu)
+    kit = families.construction_kit(args.d, args.mu)
     payload = {
         "d": kit.d, "mu": list(kit.mu), "gamma": list(kit.gamma),
         "n": kit.n, "genus": kit.genus,
@@ -257,17 +233,18 @@ def _cmd_kit(args, cfg):
 
 
 def _cmd_census(args, cfg):
-    records = census(range(1, args.n_max + 1), range(1, args.d_max + 1),
-                     args.gamma_max, p=cfg.char_p,
-                     pair_reading=cfg.pair_reading,
-                     partitions=args.partitions)
+    records = families.census(range(1, args.n_max + 1),
+                              range(1, args.d_max + 1), args.gamma_max,
+                              p=cfg.char_p, pair_reading=cfg.pair_reading,
+                              partitions=args.partitions)
     if cfg.output == "json":
-        return json.dumps(census_json(records), indent=2, sort_keys=True), 0
-    return census_csv(records).rstrip("\n"), 0
+        payload = families.census_json(records)
+        return json.dumps(payload, indent=2, sort_keys=True), 0
+    return families.census_csv(records).rstrip("\n"), 0
 
 
 def _cmd_verify_paper(args, cfg):
-    results = run_all(seed=cfg.seed, pair_reading=cfg.pair_reading)
+    results = verify.run_all(seed=cfg.seed, pair_reading=cfg.pair_reading)
     failures = sum(not r.passed for r in results)
     if cfg.output == "json":
         payload = [{"key": r.key, "passed": r.passed, "detail": r.detail}

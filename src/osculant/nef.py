@@ -159,6 +159,7 @@ def n_for_type(d: int, gamma) -> int | None:
 
 def lambda_class(spec: LambdaSpec, p: int | None = None) -> QuotientClass:
     """The quotient class of the spec (via its pullback)."""
+    _require_spec(spec)
     spec.check_char_p(p)
     return _lambda(spec)
 
@@ -521,9 +522,15 @@ def closed_conditions(dec: Decomposition, d: int,
     )
 
 
+def _require_spec(spec) -> None:
+    if not isinstance(spec, LambdaSpec):
+        raise TypeError(f"expected a LambdaSpec, got {type(spec).__name__}")
+
+
 def _admit(spec: LambdaSpec, p: int | None) -> int | None:
     """Front door of the rho = 1 analyses: an unramified spec, admitted
     in characteristic p.  Returns p checked, to be passed along."""
+    _require_spec(spec)
     if spec.rho != 1:
         raise ConstraintViolation(
             f"this analysis needs rho = 1, got rho = {spec.rho}")

@@ -271,12 +271,12 @@ def test_verify_paper_exit_codes(capsys, monkeypatch):
         return [CriterionResult("a", True, "ok"),
                 CriterionResult("b", False, "broken")]
 
-    monkeypatch.setattr(cli, "run_all", fake_pass)
+    monkeypatch.setattr(cli.verify, "run_all", fake_pass)
     code, out, _ = run_cli(capsys, "verify-paper", "--output", "text")
     assert code == 0
     assert "2/2 criteria passed" in out
 
-    monkeypatch.setattr(cli, "run_all", fake_fail)
+    monkeypatch.setattr(cli.verify, "run_all", fake_fail)
     code, out, _ = run_cli(capsys, "verify-paper", "--output", "text")
     assert code == 3
     assert "FAIL" in out and "1/2 criteria passed" in out

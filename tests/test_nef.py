@@ -680,6 +680,19 @@ def test_parity_violation_lists_each_coordinate():
     assert info.value.args[0] == "; ".join(rows)
 
 
+# a wrong kind of object is a TypeError naming LambdaSpec, never an
+# AttributeError from the first field the analysis reads
+@pytest.mark.parametrize("call", [
+    nef_check, verify_minimizer_claim, z_divisor, linear_system_dims,
+    moduli_dimension, lambda_class], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("bad", [
+    gamma_perp_class(4, 2, 1, (3, 2, 2, 2)), (4, 2, (3, 2, 2, 2)), None],
+    ids=["DivisorClass", "tuple", "None"])
+def test_spec_must_be_a_lambda_spec(call, bad):
+    with pytest.raises(TypeError, match="expected a LambdaSpec, got "):
+        call(bad)
+
+
 OSCULANT_MODULES = ["osculant"] + sorted(
     f"osculant.{info.name}"
     for info in pkgutil.iter_modules(osculant.__path__))
