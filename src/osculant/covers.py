@@ -217,6 +217,8 @@ def factorization_relations(d: int, g: int, m: int) -> tuple[int, int]:
     """Invariants (d_b, g_b) of the base cover under a degree-m factor:
     2d-1 = m(2 d_b - 1) and 2g+1 = m(2 g_b + 1), both exact."""
     d, g, m = as_int(d, "d"), as_int(g, "g"), as_int(m, "m")
+    if d < 1:
+        raise DegreeTooSmall(f"d must be >= 1, got {d}")
     if m < 1 or m % 2 == 0:
         raise NotDivisible(f"m must be odd and >= 1, got {m}")
     if (2 * d - 1) % m:
@@ -251,6 +253,8 @@ def max_genus_dominated(n: int, rho: int) -> int:
     """Largest arithmetic genus of a cover dominated at ramification
     index rho: 2n - (rho+1)/2."""
     n, rho = as_int(n, "n"), as_int(rho, "rho")
+    if n < 1:
+        raise DegreeTooSmall(f"n must be >= 1, got {n}")
     if rho % 2 == 0:
         raise RhoEven(f"rho = {rho} must be odd")
     if rho < 1:

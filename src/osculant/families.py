@@ -26,7 +26,7 @@ from .errors import (
     ParityViolation,
 )
 from .lattice import C, R, S, DivisorClass
-from .nef import LambdaSpec, n_for_type, nef_check
+from .nef import LambdaSpec, _compose, nef_check
 from .vectors import Vec4, as_int, coord_sum, fmt_vec, norm_sq, vec4
 
 
@@ -82,19 +82,9 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
             if eps in seen:
                 continue
             seen.add(eps)
-            gamma = tuple(w * m + 2 * e for m, e in zip(mu, eps))
-            if any(g < 0 for g in gamma):
-                continue
-            n = n_for_type(d, gamma)
-            if n is None:
-                raise InternalCheckFailure(
-                    f"nef pattern eps = {fmt_vec(eps)} gives no integral n "
-                    f"at d = {d}")
-            if n < 1:
-                continue
-            if not char_p_admits(gamma, w, p):
-                continue
-            out.append((n, gamma, eps))
+            found = _compose(d, mu, eps)
+            if found is not None and char_p_admits(found[1], w, p):
+                out.append((*found, eps))
     return out
 
 
@@ -154,18 +144,9 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
 
     out = []
     for eps in _sphere(target, cap):
-        gamma = tuple(w * m + 2 * e for m, e in zip(mu, eps))
-        if any(g < 0 for g in gamma):
-            continue
-        n = n_for_type(d, gamma)
-        if n is None:
-            raise InternalCheckFailure(
-                f"non-nef eps = {fmt_vec(eps)} gives no integral n at d = {d}")
-        if n < 1:
-            continue
-        if not char_p_admits(gamma, w, p):
-            continue
-        out.append((n, gamma, eps))
+        found = _compose(d, mu, eps)
+        if found is not None and char_p_admits(found[1], w, p):
+            out.append((*found, eps))
     if not out:
         raise NoSolutions(
             f"no eps with eps^(2) = {target}, |eps_i| <= {bound} "

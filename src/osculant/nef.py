@@ -115,9 +115,7 @@ class LambdaSpec:
                 raise RationalImageViolation(
                     f"gamma^(2) = {norm_sq(gamma)} but rho = 1 requires "
                     f"(2d-1)(2n-2)+3 = {want}")
-        if min(gamma) < 0:
-            raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
-                              constraint="gamma-nonnegative")
+        _nonnegative(gamma)
 
     @property
     def w(self) -> int:
@@ -146,15 +144,52 @@ def _degree(d) -> int:
     return d
 
 
+def _nonnegative(gamma: Vec4) -> Vec4:
+    """gamma, an int 4-tuple, checked to lie in N^4 (gamma-nonnegative)."""
+    if min(gamma) < 0:
+        raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
+                          constraint="gamma-nonnegative")
+    return gamma
+
+
 def n_for_type(d: int, gamma) -> int | None:
     """The n forced by the rational-image constraint, or None if the
-    constraint has no integral solution for this (d, gamma)."""
-    d = _degree(d)
-    num = norm_sq(vec4(gamma)) - 3
-    den = 2 * (2 * d - 1)
-    if num < 0 or num % den:
+    constraint has no integral solution n >= 1 for this (d, gamma)."""
+    n = _solve_n(_nonnegative(vec4(gamma)), 2 * _degree(d) - 1)
+    return n if n is not None and n >= 1 else None
+
+
+def _solve_n(gamma: Vec4, w: int) -> int | None:
+    """The integer n with gamma^(2) = w(2n-2) + 3, which may be below 1,
+    or None when there is none."""
+    num = norm_sq(gamma) - 3
+    if num % (2 * w):
         return None
-    return num // den + 1
+    return num // (2 * w) + 1
+
+
+def _compose(d: int, mu: Vec4, eps: Vec4) -> tuple[int, Vec4] | None:
+    """The inverse of _decompose: the (n, gamma) of the window
+    (d, mu, eps), with gamma = (2d-1)*mu + 2*eps and n forced by the
+    rational-image constraint.  None when gamma leaves N^4 or n < 1.
+
+    Callers pass eps with 4 eps^(2) = 3 mod 2d-1, which makes n an
+    integer; InternalCheckFailure says one did not."""
+    w = 2 * d - 1
+    m0, m1, m2, m3 = mu
+    e0, e1, e2, e3 = eps
+    gamma = (w * m0 + 2 * e0, w * m1 + 2 * e1, w * m2 + 2 * e2,
+             w * m3 + 2 * e3)
+    if min(gamma) < 0:
+        return None
+    n = _solve_n(gamma, w)
+    if n is None:
+        raise InternalCheckFailure(
+            f"no integral n for gamma = {fmt_vec(gamma)} at d = {d}, "
+            f"eps = {fmt_vec(eps)}; 4 eps^(2) = 3 mod 2d-1 should force one")
+    if n < 1:
+        return None
+    return n, gamma
 
 
 def lambda_class(spec: LambdaSpec, p: int | None = None) -> QuotientClass:
@@ -206,10 +241,7 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def decompose_type(gamma, d: int) -> Decomposition:
     gamma = vec4(gamma)
     d = _degree(d)
-    if min(gamma) < 0:
-        raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
-                          constraint="gamma-nonnegative")
-    return _decompose(gamma, d)
+    return _decompose(_nonnegative(gamma), d)
 
 
 def _decompose(gamma: Vec4, d: int) -> Decomposition:
@@ -298,10 +330,11 @@ def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
     the last summand vanishing exactly when k(alpha) = 0 (the branch
     where G~alpha meets s~0).
     """
+    w = 2 * _degree(d) - 1
+    gamma = _nonnegative(vec4(gamma))
     if not isinstance(alpha, ExceptionalSpec):
         alpha = ExceptionalSpec.from_alpha(alpha)
-    w = 2 * d - 1
-    return Fraction(_excess(vec4(gamma), w, alpha.alpha), 4 * w)
+    return Fraction(_excess(gamma, w, alpha.alpha), 4 * w)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +409,7 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
     the other two coordinates carry gamma^(1) = p*w, so one has
     alpha_i > 0 and again beta^(1) <= p.
     """
-    gamma = vec4(gamma)
-    if min(gamma) < 0:
-        raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
-                          constraint="gamma-nonnegative")
+    gamma = _nonnegative(vec4(gamma))
     w = 2 * _degree(d) - 1
     return _scan(gamma, w, _char_p_for_type(gamma, w, p))
 
@@ -504,6 +534,15 @@ _PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
 def closed_conditions(dec: Decomposition, d: int,
                       pair_reading: str = "factored") -> tuple[Check, ...]:
     """The three closed inequalities on eps, as check rows."""
+    if not isinstance(dec, Decomposition):
+        raise TypeError(
+            f"expected a Decomposition, got {type(dec).__name__}")
+    return _closed_conditions(dec, _degree(d), pair_reading)
+
+
+def _closed_conditions(dec: Decomposition, d: int,
+                       pair_reading: str) -> tuple[Check, ...]:
+    """closed_conditions of a Decomposition at an int d >= 1."""
     note = _PAIR_NOTES.get(pair_reading)
     if note is None:
         raise DomainError(f"unknown pair reading {pair_reading!r}",
@@ -568,7 +607,7 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     failing = None
     if mode != "brute":
         dec = _decompose(gamma, d)
-        conditions = closed_conditions(dec, d, pair_reading)
+        conditions = _closed_conditions(dec, d, pair_reading)
         norm, total, pair = conditions
         # failing_constraint is the first row that fails
         if not norm.passed:
@@ -740,6 +779,9 @@ def _brute_report(report: NefReport | None, spec: LambdaSpec,
     (spec, p)."""
     if report is None:
         return nef_check(spec, mode="brute", p=p)
+    if not isinstance(report, NefReport):
+        raise TypeError(
+            f"expected a NefReport, got {type(report).__name__}")
     if (report.spec != spec or report.p != p or report.scan is None
             or report.lam is None):
         raise DomainError(

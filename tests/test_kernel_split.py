@@ -23,6 +23,8 @@ from osculant import (
     NotDivisible,
     decompose_type,
     genus_tilde,
+    lambda_dot_exceptional_closed,
+    n_for_type,
     negative_curve_catalog,
     nef_check,
     scan_box,
@@ -168,6 +170,11 @@ REJECTED = {
     "scan_box-float-gamma": (lambda: scan_box((3.0, 2, 2, 2), 2),
                              "vec-integer"),
     "scan_box-d0": (lambda: scan_box((3, 2, 2, 2), 0), "degree-min"),
+    "n_for_type-negative": (lambda: n_for_type(2, (-3, 2, 2, 2)),
+                            "gamma-nonnegative"),
+    "lambda_dot_exceptional_closed-negative": (
+        lambda: lambda_dot_exceptional_closed(2, (3, 2, 2, -2), (1, 0, 0, 0)),
+        "gamma-nonnegative"),
     "scan_box-excluded": (lambda: scan_box((5, 4, 4, 4), 3, 3),
                           "char-p-bound"),
     "scan_box-composite": (lambda: scan_box((3, 2, 2, 2), 2, 9),
@@ -189,6 +196,26 @@ def test_public_wrappers_keep_their_rejections(case):
     with pytest.raises(DomainError) as info:
         call()
     assert info.value.constraint == constraint
+
+
+@given(valid_specs())
+@settings(max_examples=200, deadline=None)
+def test_compose_inverts_decompose(spec):
+    if spec is None:
+        return
+    dec = decompose_type(spec.gamma, spec.d)
+    assert nef._compose(spec.d, dec.mu, dec.eps) == (spec.n, spec.gamma)
+
+
+def test_compose_skips_windows_off_the_orthant_or_below_n_one():
+    # gamma = (1, -2, -2, 0) leaves N^4
+    assert nef._compose(2, (1, 0, 0, 0), (-1, -1, -1, 0)) is None
+    # at d = 1, gamma = mu = (1, 0, 0, 0) has gamma^(2) = 1 and n = 0
+    assert nef._compose(1, (1, 0, 0, 0), (0, 0, 0, 0)) is None
+    assert nef._compose(1, (1, 2, 0, 0), (0, 0, 0, 0)) == (2, (1, 2, 0, 0))
+    # 4 eps^(2) - 3 = 1 is not divisible by w = 3, so n is no integer
+    with pytest.raises(InternalCheckFailure, match="no integral n"):
+        nef._compose(2, (1, 0, 0, 0), (1, 0, 0, 0))
 
 
 def test_wrappers_and_kernels_agree():

@@ -305,6 +305,8 @@ def test_pair_readings_differ_on_synthetic_decomposition():
     assert l_pair.passed and l_pair.lhs == 4
     with pytest.raises(DomainError):
         closed_conditions(dec, 3, pair_reading="loose")
+    with pytest.raises(TypeError, match="a Decomposition, got NoneType"):
+        closed_conditions(None, 3)
 
 
 class _Index:
@@ -690,6 +692,23 @@ def test_parity_violation_lists_each_coordinate():
     ids=["DivisorClass", "tuple", "None"])
 def test_spec_must_be_a_lambda_spec(call, bad):
     with pytest.raises(TypeError, match="expected a LambdaSpec, got "):
+        call(bad)
+
+
+# likewise a report= that is no NefReport, and a decomposition that is
+# no Decomposition: a TypeError naming the type, not an AttributeError
+@pytest.mark.parametrize("call,kind", [
+    (lambda bad: linear_system_dims(REF, report=bad), "NefReport"),
+    (lambda bad: moduli_dimension(REF, report=bad), "NefReport"),
+    (lambda bad: verify_minimizer_claim(REF, report=bad), "NefReport"),
+    (lambda bad: closed_conditions(bad, 2), "Decomposition")],
+    ids=["linear_system_dims", "moduli_dimension", "verify_minimizer_claim",
+         "closed_conditions"])
+@pytest.mark.parametrize("bad", [
+    5, REF, tuple(decompose_type(REF.gamma, 2)), nef_check(REF).to_dict()],
+    ids=["int", "LambdaSpec", "tuple", "dict"])
+def test_reports_and_decompositions_are_checked_for_type(call, kind, bad):
+    with pytest.raises(TypeError, match=f"expected an? {kind}, got "):
         call(bad)
 
 

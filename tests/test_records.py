@@ -24,6 +24,7 @@ from osculant import (
     ExceptionalSpec,
     LambdaSpec,
     census,
+    closed_conditions,
     construction_kit,
     decompose_type,
     enumerate_exceptional,
@@ -31,6 +32,7 @@ from osculant import (
     generate_nef_types,
     generate_non_nef_types,
     genus_tilde,
+    lambda_dot_exceptional_closed,
     max_genus_dominated,
     n_for_type,
     nef_check,
@@ -238,12 +240,16 @@ def test_frozen_dataclasses_follow_the_record_rule():
 
 GAMMA = (3, 2, 2, 2)
 MU = (1, 0, 0, 0)
+DEC = decompose_type(GAMMA, 2)
 
 # entry point and argument -> (call with that argument as x, a valid x)
 SCALARS = {
     "decompose_type-d": (lambda x: decompose_type(GAMMA, x), 2),
     "scan_box-d": (lambda x: scan_box(GAMMA, x), 2),
     "thresholds-d": (lambda x: thresholds(x), 2),
+    "lambda_dot_exceptional_closed-d": (
+        lambda x: lambda_dot_exceptional_closed(x, GAMMA, MU), 2),
+    "closed_conditions-d": (lambda x: closed_conditions(DEC, x), 2),
     "n_for_type-d": (lambda x: n_for_type(x, GAMMA), 2),
     "genus_tilde-n": (lambda x: genus_tilde(x, 2, 1, 1, GAMMA), 4),
     "genus_tilde-d": (lambda x: genus_tilde(4, x, 1, 1, GAMMA), 2),
@@ -310,11 +316,19 @@ def test_n_for_type_needs_a_degree(d):
 
 
 # scan_box and thresholds minimize over, and threshold, a degree d >= 1;
-# at d <= 0 they returned "minimizers" outside the orthant alpha >= 0
+# at d <= 0 they returned "minimizers" outside the orthant alpha >= 0.
+# The pairing, the closed rows, the base of a factorization and the
+# genus bound returned meaningless values; the last takes n >= 1.
 @pytest.mark.parametrize("call", [
     lambda d: scan_box(GAMMA, d), lambda d: thresholds(d),
-    lambda d: decompose_type(GAMMA, d)],
-    ids=["scan_box", "thresholds", "decompose_type"])
+    lambda d: decompose_type(GAMMA, d),
+    lambda d: lambda_dot_exceptional_closed(d, GAMMA, MU),
+    lambda d: closed_conditions(DEC, d),
+    lambda d: factorization_relations(d, 0, 1),
+    lambda d: max_genus_dominated(d, 1)],
+    ids=["scan_box", "thresholds", "decompose_type",
+         "lambda_dot_exceptional_closed", "closed_conditions",
+         "factorization_relations", "max_genus_dominated"])
 @pytest.mark.parametrize("d", [0, -1])
 def test_degree_entry_points_need_a_degree(call, d):
     with pytest.raises(DomainError) as info:

@@ -27,7 +27,7 @@ from osculant.verify import (
 
 @pytest.fixture(scope="module")
 def blocks():
-    return list(_sweep_blocks(2, 3))
+    return list(_sweep_blocks((2, 3, 3)))
 
 
 def list_pass(sweep):
@@ -52,7 +52,7 @@ def test_blocks_are_the_sweep_in_order(blocks):
     for block in blocks:
         assert len({(r.spec.d, r.decomposition.mu) for r in block}) == 1
     flat = [row for block in blocks for row in block]
-    assert carried(flat) == carried(build_sweep(2, 3))
+    assert carried(flat) == carried(build_sweep((2, 3, 3)))
 
 
 def test_block_pass_matches_the_public_criteria(blocks):
@@ -65,7 +65,7 @@ def test_block_pass_matches_the_public_criteria(blocks):
 
 def test_agreement_names_only_the_grid_it_was_run_on(blocks):
     # a list of reports does not say its grid, so none is named
-    plain = criterion_nef_agreement(build_sweep(2, 3))
+    plain = criterion_nef_agreement(build_sweep((2, 3, 3)))
     assert plain.detail == ("3192 specs, factored reading: "
                             "0 disagreements")
     named = _sweep_results(blocks, "factored", _grid_box((2, 3, 3)))[0]
@@ -182,8 +182,8 @@ def test_block_pass_holds_less_memory(blocks):
     # a pass about fivefold, so d 2..3 would take seconds.  The blocks
     # fixture has built the catalog and caches outside the measurement.
     peaks = []
-    for run in (lambda: list_pass(build_sweep(2, 2, 2)),
-                lambda: block_pass(_sweep_blocks(2, 2, 2))):
+    for run in (lambda: list_pass(build_sweep((2, 2, 2))),
+                lambda: block_pass(_sweep_blocks((2, 2, 2)))):
         tracemalloc.start()
         try:
             results = run()

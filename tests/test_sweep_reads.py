@@ -5,7 +5,7 @@ the claim fails, and adjunction and dimensions reuse the report's
 Lambda.  These tests pin the kernel against the public claim and its
 Fraction oracle, the failure text of doctored reports, the carried
 Lambda, and the count of DivisorClass constructions (also under
-``python -O``)."""
+``python -O``, where nef._compose's integrality check runs too)."""
 
 import dataclasses
 import importlib
@@ -152,7 +152,7 @@ def test_divisor_class_built_once_per_report(monkeypatch):
 
     def kept():
         # the first d = 3 block: both nef and non-nef reports
-        for block in islice(_sweep_blocks(3, 3), 1):
+        for block in islice(_sweep_blocks((3, 3, 3)), 1):
             blocks.append(block)
             yield block
 
@@ -167,6 +167,7 @@ _UNDER_O = """
 import dataclasses
 from osculant import LambdaSpec, nef_check, verify_minimizer_claim
 from osculant.errors import InternalCheckFailure
+from osculant.nef import _compose
 from osculant.verify import _minimizer_step
 assert False  # stripped under -O
 report = nef_check(LambdaSpec(2, 4, (1, 0, 0, 4)))
@@ -183,6 +184,10 @@ try:
     _minimizer_step([broken])
 except InternalCheckFailure as exc:
     print("raised:", exc)
+try:
+    _compose(2, (1, 0, 0, 0), (1, 0, 0, 0))
+except InternalCheckFailure as exc:
+    print("compose:", exc)
 """
 
 
@@ -195,4 +200,6 @@ def test_kernel_checks_run_under_python_O():
         "steps: [] 1",
         "public: False",
         "raised: 4 eps^(2) - 3 = 1 not divisible by w = 7; the spec should "
-        "force this congruence"]
+        "force this congruence",
+        "compose: no integral n for gamma = (5,0,0,0) at d = 2, "
+        "eps = (1,0,0,0); 4 eps^(2) = 3 mod 2d-1 should force one"]
