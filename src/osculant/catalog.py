@@ -44,9 +44,12 @@ from .lattice import C, F, S, R, DivisorClass, QuotientClass
 from .vectors import (
     Vec4,
     as_int,
+    at_least,
     coord_sum,
     fmt_vec,
+    index4,
     minority_index,
+    nonnegative,
     norm_sq,
     vec4,
 )
@@ -140,10 +143,7 @@ class ExceptionalSpec(NamedTuple):
 
     @classmethod
     def from_alpha(cls, alpha, p: int | None = None) -> "ExceptionalSpec":
-        alpha = vec4(alpha)
-        if any(x < 0 for x in alpha):
-            raise DomainError(f"alpha={fmt_vec(alpha)} must be nonnegative",
-                              constraint="alpha-nonnegative")
+        alpha = nonnegative(vec4(alpha), "alpha")
         sq = norm_sq(alpha)
         if sq % 2 == 0:
             raise ParityViolation(
@@ -202,23 +202,14 @@ def section_image() -> QuotientClass:
     return _SECTION_IMAGE
 
 
-def _index(i, what: str, constraint: str) -> int:
-    """i as an int in 0..3, the index of a marked pair."""
-    i = as_int(i, what)
-    if not 0 <= i <= 3:
-        raise DomainError(f"{what} {i} out of range 0..3",
-                          constraint=constraint)
-    return i
-
-
 def s_branch(i: int) -> QuotientClass:
     """s~i, pullback 2*s_i (branch component, fixed by the involution)."""
-    return QuotientClass(2 * S[_index(i, "branch index", "branch-index")])
+    return QuotientClass(2 * S[index4(i, "branch index", "branch-index")])
 
 
 def r_branch(i: int) -> QuotientClass:
     """r~i, pullback 2*r_i."""
-    return QuotientClass(2 * R[_index(i, "branch index", "branch-index")])
+    return QuotientClass(2 * R[index4(i, "branch index", "branch-index")])
 
 
 def char_p_section(p: int) -> QuotientClass:
@@ -288,7 +279,7 @@ def fiber_component_class(i: int) -> DivisorClass:
 
     Upstairs class; its image downstairs is G~alpha for alpha = e_i.
     """
-    i = _index(i, "fiber index", "fiber-index")
+    i = index4(i, "fiber index", "fiber-index")
     return F - S[i] - R[i]
 
 
@@ -297,26 +288,27 @@ def gamma_perp_class(n: int, d: int, rho: int, gamma) -> DivisorClass:
 
         n*C + (2d-1)*F - rho*s_0 - sum_i gamma_i r_i.
 
-    rho must be odd and within 1..2d-1; gamma in N^4.
+    n, d >= 1, rho odd and within 1..2d-1, gamma in N^4 (_cover_fields).
     """
-    n, d, rho = as_int(n, "n"), as_int(d, "d"), as_int(rho, "rho")
-    gamma = vec4(gamma)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}", constraint="degree-min")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}", constraint="degree-min")
+    return _perp_class(*_cover_fields(n, d, rho, gamma))
+
+
+def _cover_fields(n, d, rho, gamma) -> tuple[int, int, int, Vec4]:
+    """(n, d, rho, gamma) of a cover curve, checked: n, d >= 1, rho odd
+    and within 1..2d-1, then gamma an int 4-tuple in N^4.  The one owner
+    of these rules for gamma_perp_class, nef.LambdaSpec and
+    covers.perp_genus_identity."""
+    n, d = at_least(n, 1, "n"), at_least(d, 1, "d")
+    rho = as_int(rho, "rho")
     if rho % 2 == 0:
-        raise RhoEven(f"rho={rho} must be odd")
+        raise RhoEven(f"rho = {rho} must be odd")
     if not 1 <= rho <= 2 * d - 1:
-        raise RhoOutOfRange(f"rho={rho} outside 1..{2 * d - 1}")
-    if any(g < 0 for g in gamma):
-        raise DomainError(f"gamma={fmt_vec(gamma)} must be nonnegative",
-                          constraint="gamma-nonnegative")
-    return _perp_class(n, d, rho, gamma)
+        raise RhoOutOfRange(f"rho = {rho} outside 1..{2 * d - 1}")
+    return n, d, rho, nonnegative(vec4(gamma), "gamma")
 
 
 def _perp_class(n: int, d: int, rho: int, gamma: Vec4) -> DivisorClass:
-    """The class of gamma_perp_class from int fields already checked
-    there or by nef.LambdaSpec; only DivisorClass validates them."""
+    """The class of gamma_perp_class from fields already checked by
+    _cover_fields; only DivisorClass validates them."""
     g0, g1, g2, g3 = gamma
     return DivisorClass(n, 2 * d - 1, (-rho, 0, 0, 0), (-g0, -g1, -g2, -g3))

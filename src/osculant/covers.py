@@ -14,9 +14,8 @@ census runs can record failures as data.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .catalog import gamma_perp_class, validate_char_p
+from .catalog import _cover_fields, _perp_class, validate_char_p
 from .errors import (
-    DegreeTooSmall,
     InternalCheckFailure,
     NegativeGenus,
     NotDivisible,
@@ -24,7 +23,7 @@ from .errors import (
     RhoOutOfRange,
 )
 from .lattice import DivisorClass
-from .vectors import Vec4, as_int, coord_sum, norm_sq, vec4
+from .vectors import Vec4, as_int, at_least, coord_sum, norm_sq, of_kind, vec4
 
 
 class Check(NamedTuple):
@@ -161,6 +160,7 @@ def validate_cover(inv: CoverInvariants, p: int | None = None) -> CoverReport:
     the dominated-genus cap.  The weak right-hand member of the squared
     chain is recomputed informationally and never rejects.
     """
+    of_kind(inv, CoverInvariants)
     p = validate_char_p(p)
     n, d, g, rho, m, gamma = inv.n, inv.d, inv.g, inv.rho, inv.m, inv.gamma
     w = 2 * d - 1
@@ -216,9 +216,7 @@ def validate_cover(inv: CoverInvariants, p: int | None = None) -> CoverReport:
 def factorization_relations(d: int, g: int, m: int) -> tuple[int, int]:
     """Invariants (d_b, g_b) of the base cover under a degree-m factor:
     2d-1 = m(2 d_b - 1) and 2g+1 = m(2 g_b + 1), both exact."""
-    d, g, m = as_int(d, "d"), as_int(g, "g"), as_int(m, "m")
-    if d < 1:
-        raise DegreeTooSmall(f"d must be >= 1, got {d}")
+    d, g, m = at_least(d, 1, "d"), as_int(g, "g"), as_int(m, "m")
     if m < 1 or m % 2 == 0:
         raise NotDivisible(f"m must be odd and >= 1, got {m}")
     if (2 * d - 1) % m:
@@ -238,11 +236,7 @@ def factorization_relations(d: int, g: int, m: int) -> tuple[int, int]:
 def osculating_bound(n: int, g: int) -> int:
     """Smallest osculating order d consistent with
     (2d-1)(2n-2) >= g^2 + g - 2."""
-    n, g = as_int(n, "n"), as_int(g, "g")
-    if n < 2:
-        raise DegreeTooSmall(
-            f"n = {n} < 2: left side is 0 while genus {g} needs "
-            f"{g * g + g - 2}")
+    n, g = at_least(n, 2, "n"), as_int(g, "g")
     need = g * g + g - 2
     # the least odd 2d-1 >= ceil(need / (2n-2)), with d >= 1
     t = -(-need // (2 * n - 2))
@@ -251,10 +245,9 @@ def osculating_bound(n: int, g: int) -> int:
 
 def max_genus_dominated(n: int, rho: int) -> int:
     """Largest arithmetic genus of a cover dominated at ramification
-    index rho: 2n - (rho+1)/2."""
-    n, rho = as_int(n, "n"), as_int(rho, "rho")
-    if n < 1:
-        raise DegreeTooSmall(f"n must be >= 1, got {n}")
+    index rho: 2n - (rho+1)/2.  Without a d, rho is checked only odd and
+    >= 1, not against 2d-1 as in catalog._cover_fields."""
+    n, rho = at_least(n, 1, "n"), as_int(rho, "rho")
     if rho % 2 == 0:
         raise RhoEven(f"rho = {rho} must be odd")
     if rho < 1:
@@ -270,9 +263,8 @@ def perp_genus_identity(n: int, d: int, rho: int, gamma) -> tuple[int, int]:
     with g~ recomputed at m = 1.  Returns (lhs, rhs) for callers to
     compare; they agree for every valid tuple.
     """
-    gamma = vec4(gamma)
-    n, d, rho = as_int(n, "n"), as_int(d, "d"), as_int(rho, "rho")
-    return _genus_identity(gamma_perp_class(n, d, rho, gamma), n, d, rho,
+    n, d, rho, gamma = _cover_fields(n, d, rho, gamma)
+    return _genus_identity(_perp_class(n, d, rho, gamma), n, d, rho,
                            gamma)
 
 

@@ -4,6 +4,11 @@ Every rejection of caller input derives from DomainError and carries a
 stable ``constraint`` id naming the violated rule.  The ids double as the
 ``id`` field of validator check rows, so a failed check and the exception
 raised by an eager constructor always agree on the name of the rule.
+There is one exception class per constraint id: an id that has a class
+below (DegreeTooSmall for ``degree-min``, RhoEven for ``rho-odd``, ...)
+is raised only as that class, so catching the class and reading the id
+agree; an id without one (``gamma-nonnegative``, ``k-index``, ...) is
+raised as a plain DomainError.
 
 Internal inconsistencies (a cross-check of two independently computed
 values failing) are *not* domain errors; they signal a bug or an

@@ -27,16 +27,17 @@ from .errors import (
 )
 from .lattice import C, R, S, DivisorClass
 from .nef import LambdaSpec, _compose, nef_check
-from .vectors import Vec4, as_int, coord_sum, fmt_vec, norm_sq, vec4
+from .vectors import (Vec4, as_int, at_least, coord_sum, fmt_vec, index4,
+                      nonnegative, norm_sq, of_kind, vec4)
 
 
-def _check_mu_pattern(mu: Vec4) -> None:
-    if any(m < 0 for m in mu):
-        raise DomainError(f"mu = {fmt_vec(mu)} must be nonnegative",
-                          constraint="mu-nonnegative")
+def _check_mu_pattern(mu) -> Vec4:
+    """mu as an int 4-tuple in N^4 with mu_0 + 1 = mu_j mod 2."""
+    mu = nonnegative(vec4(mu), "mu")
     if any((mu[0] + 1 - mu[j]) % 2 for j in (1, 2, 3)):
         raise ParityViolation(
             f"mu = {fmt_vec(mu)} needs mu_0 + 1 = mu_j mod 2")
+    return mu
 
 
 def _sign_spread(mags: Vec4) -> list[Vec4]:
@@ -56,16 +57,9 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
     N^4, a non-integral or non-positive n, or (char-p) an excluded type
     are skipped.  Every emitted triple is nef.
     """
-    d, k = as_int(d, "d"), as_int(k, "k")
-    mu = vec4(mu)
+    d, k = at_least(d, 2, "d"), index4(k, "index k", "k-index")
+    mu = _check_mu_pattern(mu)
     p = validate_char_p(p)
-    if d < 2:
-        raise DomainError(f"nef families need d >= 2, got {d}",
-                          constraint="degree-min")
-    if not 0 <= k <= 3:
-        raise DomainError(f"index k = {k} out of range 0..3",
-                          constraint="k-index")
-    _check_mu_pattern(mu)
     w = 2 * d - 1
 
     patterns = [tuple(0 if i == k else d - 1 for i in range(4))]
@@ -121,13 +115,9 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
     Every emitted triple fails the nef check, with the eps-norm
     condition as the closed-form culprit.
     """
-    d, bound = as_int(d, "d"), as_int(bound, "bound")
-    mu = vec4(mu)
+    d, bound = at_least(d, 3, "d"), as_int(bound, "bound")
+    mu = _check_mu_pattern(mu)
     p = validate_char_p(p)
-    if d < 3:
-        raise DomainError(f"non-nef families need d >= 3, got {d}",
-                          constraint="degree-min")
-    _check_mu_pattern(mu)
     w = 2 * d - 1
     k = (d + 1) % 4
     num = 3 + w * (d - 2 + k)
@@ -202,12 +192,8 @@ class KitDivisors(NamedTuple):
 
 def construction_kit(d: int, mu) -> KitDivisors:
     """Assemble and verify the kit for eps = (0, d-1, d-1, d-1)."""
-    d = as_int(d, "d")
-    mu = vec4(mu)
-    if d < 2:
-        raise DomainError(f"kit needs d >= 2, got {d}",
-                          constraint="degree-min")
-    _check_mu_pattern(mu)
+    d = at_least(d, 2, "d")
+    mu = _check_mu_pattern(mu)
     w = 2 * d - 1
     gamma = tuple(w * m + 2 * e for m, e in zip(mu, (0, d - 1, d - 1, d - 1)))
     mu1, mu2 = coord_sum(mu), norm_sq(mu)
@@ -321,7 +307,8 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
 
     Cells (n, d) are dealt round-robin into the requested number of
     partitions, each computed independently, then merged by sorted key;
-    the output is identical for any partition count.
+    the output is identical for any partition count.  Partitions beyond
+    the number of cells would be empty, so no block is made for them.
     """
     p = validate_char_p(p)
     gamma_bound = as_int(gamma_bound, "gamma_bound")
@@ -329,12 +316,11 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions}",
                           constraint="partitions")
-    cells = sorted({(as_int(n, "n"), as_int(d, "d"))
+    cells = sorted({(at_least(n, 1, "n"), at_least(d, 1, "d"))
                     for n in n_range for d in d_range})
-    if any(n < 1 or d < 1 for n, d in cells):
-        raise DomainError("census needs n, d >= 1", constraint="degree-min")
 
-    blocks = [cells[i::partitions] for i in range(partitions)]
+    blocks = [cells[i::partitions]
+              for i in range(min(partitions, len(cells)))]
     records = []
     for block in blocks:
         for n, d in block:
@@ -374,7 +360,7 @@ def census_csv(records) -> str:
     dimension, lowercase booleans."""
     lines = [CSV_COLUMNS]
     for r in records:
-        g, m, e = r.gamma, r.mu, r.eps
+        g, m, e = of_kind(r, CensusRecord).gamma, r.mu, r.eps
         dim = "" if r.dim_moduli is None else r.dim_moduli
         lines.append(
             f"{r.n},{r.d},{g[0]},{g[1]},{g[2]},{g[3]},"
@@ -389,6 +375,7 @@ def census_csv(records) -> str:
 def census_json(records) -> list[dict]:
     out = []
     for r in records:
+        of_kind(r, CensusRecord)
         out.append({
             "n": r.n, "d": r.d, "gamma": list(r.gamma), "mu": list(r.mu),
             "eps": list(r.eps), "nef_closed": r.nef_closed,

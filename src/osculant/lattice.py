@@ -35,7 +35,7 @@ stored int tuples with the pairing written out term by term.
 from dataclasses import dataclass
 
 from .errors import InternalCheckFailure, OddPairing
-from .vectors import Vec4, as_int, vec4
+from .vectors import Vec4, as_int, of_kind, vec4
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,11 @@ if K.dot(K) != -8:
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    return a.dot(b)
+    return of_kind(a, DivisorClass).dot(of_kind(b, DivisorClass))
 
 
 def arithmetic_genus(d: DivisorClass) -> int:
-    return d.genus()
+    return of_kind(d, DivisorClass).genus()
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,8 @@ K_TILDE = QuotientClass(DivisorClass(c=-2))
 
 
 def quotient_intersect(a: QuotientClass, b: QuotientClass) -> int:
-    return a.dot(b)
+    return of_kind(a, QuotientClass).dot(of_kind(b, QuotientClass))
 
 
 def quotient_genus(a: QuotientClass) -> int:
-    return a.genus()
+    return of_kind(a, QuotientClass).genus()

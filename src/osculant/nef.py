@@ -43,6 +43,7 @@ from typing import NamedTuple
 from .catalog import (
     ExceptionalSpec,
     _catalog_forms,
+    _cover_fields,
     _perp_class,
     section_image,
     validate_char_p,
@@ -57,17 +58,17 @@ from .errors import (
     NotNef,
     ParityViolation,
     RationalImageViolation,
-    RhoEven,
-    RhoOutOfRange,
 )
 from .lattice import K_TILDE, QuotientClass
 from .vectors import (
     Vec4,
-    as_int,
+    at_least,
     coord_sum,
     fmt_vec,
     minority_index,
+    nonnegative,
     norm_sq,
+    of_kind,
     vec4,
 )
 
@@ -78,7 +79,9 @@ from .vectors import (
 
 @dataclass(frozen=True)
 class LambdaSpec:
-    """Validated parameter tuple (n, d, gamma, rho) of a Lambda class."""
+    """Validated parameter tuple (n, d, gamma, rho) of a Lambda class:
+    the cover-curve rules of catalog._cover_fields, then the type parity
+    and, at rho = 1, the rational-image constraint."""
 
     n: int
     d: int
@@ -86,11 +89,10 @@ class LambdaSpec:
     rho: int = 1
 
     def __post_init__(self):
-        n, d = as_int(self.n, "n"), as_int(self.d, "d")
-        rho = as_int(self.rho, "rho")
-        gamma = vec4(self.gamma)
-        # as_int and vec4 hand back a plain int or int 4-tuple as the
-        # same object, so a field is written again only when coerced
+        n, d, rho, gamma = _cover_fields(self.n, self.d, self.rho,
+                                         self.gamma)
+        # the checks hand back a plain int or int 4-tuple as the same
+        # object, so a field is written again only when coerced
         if n is not self.n:
             object.__setattr__(self, "n", n)
         if d is not self.d:
@@ -99,13 +101,6 @@ class LambdaSpec:
             object.__setattr__(self, "rho", rho)
         if gamma is not self.gamma:
             object.__setattr__(self, "gamma", gamma)
-        if n < 1 or d < 1:
-            raise DomainError(f"need n, d >= 1, got n={n}, d={d}",
-                              constraint="degree-min")
-        if rho % 2 == 0:
-            raise RhoEven(f"rho = {rho} must be odd")
-        if not 1 <= rho <= 2 * d - 1:
-            raise RhoOutOfRange(f"rho = {rho} outside 1..{2 * d - 1}")
         bad = _validate_type(n, gamma)
         if bad:
             raise ParityViolation("; ".join(bad))
@@ -115,7 +110,6 @@ class LambdaSpec:
                 raise RationalImageViolation(
                     f"gamma^(2) = {norm_sq(gamma)} but rho = 1 requires "
                     f"(2d-1)(2n-2)+3 = {want}")
-        _nonnegative(gamma)
 
     @property
     def w(self) -> int:
@@ -136,26 +130,17 @@ def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:
     return p
 
 
-def _degree(d) -> int:
-    """d as an int, at least 1 (degree-min)."""
-    d = as_int(d, "d")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}", constraint="degree-min")
-    return d
-
-
-def _nonnegative(gamma: Vec4) -> Vec4:
-    """gamma, an int 4-tuple, checked to lie in N^4 (gamma-nonnegative)."""
-    if min(gamma) < 0:
-        raise DomainError(f"gamma = {fmt_vec(gamma)} must be nonnegative",
-                          constraint="gamma-nonnegative")
-    return gamma
+def _type_args(d, gamma) -> tuple[int, Vec4]:
+    """The d and gamma of a call on a type, checked in that order: d an
+    int >= 1, then gamma an int 4-tuple in N^4."""
+    return at_least(d, 1, "d"), nonnegative(vec4(gamma), "gamma")
 
 
 def n_for_type(d: int, gamma) -> int | None:
     """The n forced by the rational-image constraint, or None if the
     constraint has no integral solution n >= 1 for this (d, gamma)."""
-    n = _solve_n(_nonnegative(vec4(gamma)), 2 * _degree(d) - 1)
+    d, gamma = _type_args(d, gamma)
+    n = _solve_n(gamma, 2 * d - 1)
     return n if n is not None and n >= 1 else None
 
 
@@ -194,8 +179,7 @@ def _compose(d: int, mu: Vec4, eps: Vec4) -> tuple[int, Vec4] | None:
 
 def lambda_class(spec: LambdaSpec, p: int | None = None) -> QuotientClass:
     """The quotient class of the spec (via its pullback)."""
-    _require_spec(spec)
-    spec.check_char_p(p)
+    of_kind(spec, LambdaSpec).check_char_p(p)
     return _lambda(spec)
 
 
@@ -239,9 +223,8 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def decompose_type(gamma, d: int) -> Decomposition:
-    gamma = vec4(gamma)
-    d = _degree(d)
-    return _decompose(_nonnegative(gamma), d)
+    d, gamma = _type_args(d, gamma)
+    return _decompose(gamma, d)
 
 
 def _decompose(gamma: Vec4, d: int) -> Decomposition:
@@ -299,7 +282,7 @@ def _decompose(gamma: Vec4, d: int) -> Decomposition:
 
 def thresholds(d: int) -> tuple[int, int]:
     """q-thresholds for nefness: k=0 class first, then k != 0."""
-    return _thresholds(2 * _degree(d) - 1)
+    return _thresholds(2 * at_least(d, 1, "d") - 1)
 
 
 def _thresholds(w: int) -> tuple[int, int]:
@@ -330,8 +313,8 @@ def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
     the last summand vanishing exactly when k(alpha) = 0 (the branch
     where G~alpha meets s~0).
     """
-    w = 2 * _degree(d) - 1
-    gamma = _nonnegative(vec4(gamma))
+    d, gamma = _type_args(d, gamma)
+    w = 2 * d - 1
     if not isinstance(alpha, ExceptionalSpec):
         alpha = ExceptionalSpec.from_alpha(alpha)
     return Fraction(_excess(gamma, w, alpha.alpha), 4 * w)
@@ -409,8 +392,8 @@ def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
     the other two coordinates carry gamma^(1) = p*w, so one has
     alpha_i > 0 and again beta^(1) <= p.
     """
-    gamma = _nonnegative(vec4(gamma))
-    w = 2 * _degree(d) - 1
+    d, gamma = _type_args(d, gamma)
+    w = 2 * d - 1
     return _scan(gamma, w, _char_p_for_type(gamma, w, p))
 
 
@@ -534,10 +517,8 @@ _PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
 def closed_conditions(dec: Decomposition, d: int,
                       pair_reading: str = "factored") -> tuple[Check, ...]:
     """The three closed inequalities on eps, as check rows."""
-    if not isinstance(dec, Decomposition):
-        raise TypeError(
-            f"expected a Decomposition, got {type(dec).__name__}")
-    return _closed_conditions(dec, _degree(d), pair_reading)
+    return _closed_conditions(of_kind(dec, Decomposition),
+                              at_least(d, 1, "d"), pair_reading)
 
 
 def _closed_conditions(dec: Decomposition, d: int,
@@ -561,16 +542,10 @@ def _closed_conditions(dec: Decomposition, d: int,
     )
 
 
-def _require_spec(spec) -> None:
-    if not isinstance(spec, LambdaSpec):
-        raise TypeError(f"expected a LambdaSpec, got {type(spec).__name__}")
-
-
 def _admit(spec: LambdaSpec, p: int | None) -> int | None:
     """Front door of the rho = 1 analyses: an unramified spec, admitted
     in characteristic p.  Returns p checked, to be passed along."""
-    _require_spec(spec)
-    if spec.rho != 1:
+    if of_kind(spec, LambdaSpec).rho != 1:
         raise ConstraintViolation(
             f"this analysis needs rho = 1, got rho = {spec.rho}")
     return spec.check_char_p(p)
@@ -779,9 +754,7 @@ def _brute_report(report: NefReport | None, spec: LambdaSpec,
     (spec, p)."""
     if report is None:
         return nef_check(spec, mode="brute", p=p)
-    if not isinstance(report, NefReport):
-        raise TypeError(
-            f"expected a NefReport, got {type(report).__name__}")
+    of_kind(report, NefReport)
     if (report.spec != spec or report.p != p or report.scan is None
             or report.lam is None):
         raise DomainError(

@@ -1,13 +1,20 @@
-"""Small helpers for the length-4 integer vectors used everywhere.
+"""Small helpers for the length-4 integer vectors used everywhere, and
+the one owner of each rule on a caller's scalars, vectors and records.
 
 A "type vector" gamma (and its relatives mu, eps, alpha) is a tuple of
 four integers.  Only two aggregates of such a vector ever enter a
 formula: the coordinate sum and the sum of squares.
+
+Each rule below raises from one place: an integer (as_int, vec4), a
+lower bound on a degree or count (at_least, always DegreeTooSmall), a
+vector in N^4 (nonnegative), an index in 0..3 (index4) and the kind of
+a record (of_kind, a TypeError).  A public function puts its scalars
+through them first, then its vectors.
 """
 
 from operator import index
 
-from .errors import DomainError, ParityViolation
+from .errors import DegreeTooSmall, DomainError, ParityViolation
 
 Vec4 = tuple[int, int, int, int]
 
@@ -31,6 +38,34 @@ def as_int(x, what: str) -> int:
     return _coord(x, what)
 
 
+def at_least(x, least: int, what: str) -> int:
+    """as_int, then x >= least, else DegreeTooSmall (degree-min): the
+    lower bound of a degree n or d, or of a count such as n >= 2."""
+    if type(x) is not int:
+        x = _coord(x, what)
+    if x < least:
+        raise DegreeTooSmall(f"{what} must be >= {least}, got {x}")
+    return x
+
+
+def index4(i, what: str, constraint: str) -> int:
+    """i as an int in 0..3, the index of a marked pair or a coordinate;
+    ``constraint`` names the index."""
+    i = as_int(i, what)
+    if not 0 <= i <= 3:
+        raise DomainError(f"{what} {i} out of range 0..3",
+                          constraint=constraint)
+    return i
+
+
+def of_kind(x, kind: type):
+    """x, when it is a ``kind``; else a TypeError naming both types, so
+    a wrong kind of object never gets as far as an attribute read."""
+    if not isinstance(x, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
 def vec4(v) -> Vec4:
     """Coerce to a 4-tuple of Python ints, rejecting anything else.
 
@@ -45,6 +80,17 @@ def vec4(v) -> Vec4:
     if type(t[0]) is type(t[1]) is type(t[2]) is type(t[3]) is int:
         return t  # type: ignore[return-value]
     return tuple(map(_coord, t))  # type: ignore[return-value]
+
+
+def nonnegative(v: Vec4, what: str) -> Vec4:
+    """v, an int 4-tuple, checked to lie in N^4 (``<what>-nonnegative``,
+    what one of gamma, alpha, mu).  Four compares cost less than min()
+    on every spec built."""
+    a, b, c, d = v
+    if a < 0 or b < 0 or c < 0 or d < 0:
+        raise DomainError(f"{what} = {fmt_vec(v)} must be nonnegative",
+                          constraint=f"{what}-nonnegative")
+    return v
 
 
 def coord_sum(v) -> int:

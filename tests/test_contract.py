@@ -1,0 +1,172 @@
+"""The input contract of the whole public API.
+
+Every callable in ``osculant.__all__`` either succeeds, raises a
+``DomainError`` carrying a constraint id (a bad value), or raises a
+``TypeError`` (a wrong kind of object); never an ``AttributeError``, an
+``IndexError`` or an internal check failure.  The sweep starts from one
+known-good call per callable and replaces each of its arguments in turn
+with every value of a small pool of bad ones."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import osculant
+from osculant import errors
+from osculant import (
+    C,
+    F,
+    DivisorClass,
+    DomainError,
+    LambdaSpec,
+    QuotientClass,
+    census,
+    construction_kit,
+    decompose_type,
+    nef_check,
+    scan_box,
+    verify_minimizer_claim,
+)
+
+GAMMA = (3, 2, 2, 2)
+MU = (0, 1, 1, 1)
+SPEC = LambdaSpec(4, 2, GAMMA)
+REPORT = nef_check(SPEC)
+DEC = decompose_type(GAMMA, 2)
+RECORDS = census(range(4, 5), range(2, 3), 5)
+Q = QuotientClass(DivisorClass(c=1, s=(-1, -1, -1, -1)))
+COVER = osculant.CoverInvariants(4, 2, 4, 0, 1, 1, GAMMA)
+
+# a LambdaSpec stands in as the wrong record wherever another is wanted
+POOL = (-1, 0, True, 2.0, "2", None, SPEC)
+
+# name -> (positional args, keyword args) of one call that succeeds
+GOOD = {
+    "BoxScan": (tuple(scan_box(GAMMA, 2)), {}),
+    "CensusRecord": (tuple(RECORDS[0]), {}),
+    "Check": (("eps-norm", True, 3, 3), {}),
+    "ContactDivisor": (((), ()), {}),
+    "CoverInvariants": ((4, 2, 4, 0, 1, 1, GAMMA), {}),
+    "CoverReport": (((), True), {}),
+    "CriterionResult": (("key", True, "detail"), {}),
+    "Decomposition": (tuple(DEC), {}),
+    "DivisorClass": ((1, 2, (0, 1, 0, 0), (0, 0, 0, -1)), {}),
+    "ExceptionalSpec": (((1, 0, 0, 0), 0, 1), {}),
+    "KitDivisors": (tuple(construction_kit(2, MU)), {}),
+    "LambdaSpec": ((4, 2, GAMMA, 1), {}),
+    "MinimizerReport": (tuple(verify_minimizer_claim(SPEC)), {}),
+    "NefReport": (("nef", "both", None, None, (), True), {}),
+    "QuotientClass": ((C,), {}),
+    "arithmetic_genus": ((C,), {}),
+    "canonical_class": ((), {}),
+    "census": ((range(1, 3), range(1, 3), 5, None, "factored", 1), {}),
+    "census_csv": ((RECORDS,), {}),
+    "census_json": ((RECORDS,), {}),
+    "char_p_section": ((3,), {}),
+    "closed_conditions": ((DEC, 2, "factored"), {}),
+    "construction_kit": ((2, MU), {}),
+    "decompose_type": ((GAMMA, 2), {}),
+    "enumerate_exceptional": ((3, None), {}),
+    "exceptional_class": (((1, 0, 0, 0), None), {}),
+    "factorization_relations": ((2, 1, 3), {}),
+    "fiber_component_class": ((0,), {}),
+    "format_divisor": ((C,), {}),
+    "gamma_perp_class": ((4, 2, 1, GAMMA), {}),
+    "generate_nef_types": ((2, 0, MU, None), {}),
+    "generate_non_nef_types": ((3, MU, 2, None), {}),
+    "genus_tilde": ((4, 2, 1, 1, GAMMA), {}),
+    "intersect": ((C, F), {}),
+    "lambda_class": ((SPEC, None), {}),
+    "lambda_dot_exceptional_closed": ((2, GAMMA, (1, 0, 0, 0)), {}),
+    "linear_system_dims": ((SPEC, None), {"report": REPORT}),
+    "max_genus_dominated": ((4, 1), {}),
+    "moduli_dimension": ((SPEC, None), {"report": REPORT}),
+    "n_for_type": ((2, GAMMA), {}),
+    "nef_check": ((SPEC, "both", None, "factored"), {}),
+    "negative_curve_catalog": ((None,), {}),
+    "osculating_bound": ((4, 2), {}),
+    "parse_divisor": (("e*(Co + So) - s0",), {}),
+    "perp_genus_identity": ((4, 2, 1, GAMMA), {}),
+    "quotient_genus": ((Q,), {}),
+    "quotient_intersect": ((Q, Q), {}),
+    "r_branch": ((0,), {}),
+    "s_branch": ((0,), {}),
+    "scan_box": ((GAMMA, 2, None), {}),
+    "section_image": ((), {}),
+    "thresholds": ((2,), {}),
+    "validate_char_p": ((3,), {}),
+    "validate_cover": ((COVER, None), {}),
+    "validate_type": ((4, GAMMA), {}),
+    "verify_minimizer_claim": ((SPEC, None), {"report": REPORT}),
+    "z_divisor": ((SPEC, None), {}),
+}
+
+# run_all takes a seed and a pair reading and runs the whole battery,
+# seconds a call; tests/test_acceptance.py covers it
+SKIPPED = {"run_all"}
+
+
+def _public_callables() -> list[str]:
+    """Every callable of __all__ that is not an exception class."""
+    out = []
+    for name in osculant.__all__:
+        value = getattr(osculant, name)
+        if not callable(value):
+            continue
+        if inspect.isclass(value) and issubclass(value, BaseException):
+            continue
+        out.append(name)
+    return out
+
+
+def _outcome(fn, args, kwargs) -> str | None:
+    """None when the call succeeds or fails by the contract, else the
+    name of the exception that escaped."""
+    try:
+        fn(*args, **kwargs)
+    except (DomainError, TypeError):
+        return None
+    except Exception as exc:    # noqa: BLE001 - any other kind breaks it
+        return type(exc).__name__
+    return None
+
+
+def test_every_public_callable_keeps_the_input_contract():
+    names = _public_callables()
+    assert sorted(GOOD) == sorted(set(names) - SKIPPED)
+    broken = []
+    for name in names:
+        if name in SKIPPED:
+            continue
+        fn = getattr(osculant, name)
+        args, kwargs = GOOD[name]
+        fn(*args, **kwargs)     # the known-good call succeeds
+        for i in range(len(args)):
+            for bad in POOL:
+                trial = args[:i] + (bad,) + args[i + 1:]
+                escaped = _outcome(fn, trial, kwargs)
+                if escaped:
+                    broken.append(f"{name} arg {i} = {bad!r}: {escaped}")
+        for key in kwargs:
+            for bad in POOL:
+                escaped = _outcome(fn, args, {**kwargs, key: bad})
+                if escaped:
+                    broken.append(f"{name} {key} = {bad!r}: {escaped}")
+    assert not broken, "\n".join(broken)
+
+
+def test_a_constraint_id_with_a_class_is_raised_as_that_class():
+    # one exception class per constraint id: no plain DomainError names
+    # an id that a subclass owns, so catching the class sees every case
+    owned = {cls.constraint for cls in vars(errors).values()
+             if inspect.isclass(cls) and issubclass(cls, errors.DomainError)
+             and cls is not errors.DomainError}
+    found = []
+    for path in sorted(Path(osculant.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.keyword) and node.arg == "constraint"
+                    and isinstance(node.value, ast.Constant)
+                    and node.value.value in owned):
+                found.append(f"{path.name}:{node.lineno} "
+                             f"{node.value.value}")
+    assert not found, found

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -195,6 +196,20 @@ def test_census_partition_determinism():
     assert base == census(range(1, 6), range(1, 4), 11, partitions=3)
     assert census_csv(base) == census_csv(
         census(range(1, 6), range(1, 4), 11, partitions=7))
+
+
+def test_census_deals_no_more_blocks_than_cells():
+    # a partition count far beyond the six cells of this grid once built
+    # one list per partition (61.5 MB at 10**6); the records are the same
+    base = census(range(1, 4), range(1, 3), 7)
+    tracemalloc.start()
+    try:
+        rows = census(range(1, 4), range(1, 3), 7, partitions=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == base
+    assert peak < 2**20, peak
 
 
 def test_census_validation():

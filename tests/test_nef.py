@@ -69,11 +69,15 @@ def test_spec_validation():
 
 def test_spec_rejects_negative_gamma():
     # (3, 2, 2, -2) has the type parity and gamma^(2) = 21 of n = 4,
-    # d = 2, so only the sign check stands between it and a Lambda
-    for rho in (1, 3):
-        with pytest.raises(DomainError) as info:
-            LambdaSpec(4, 2, (3, 2, 2, -2), rho=rho)
-        assert info.value.constraint == "gamma-nonnegative"
+    # d = 2, so only the sign check stands between it and a Lambda;
+    # (2, 2, 2, -2) breaks the parity too, and the sign is checked first,
+    # so the spec fails on the same rule as gamma_perp_class
+    for gamma, rho in product(((3, 2, 2, -2), (2, 2, 2, -2)), (1, 3)):
+        for make in (lambda: LambdaSpec(4, 2, gamma, rho=rho),
+                     lambda: gamma_perp_class(4, 2, rho, gamma)):
+            with pytest.raises(DomainError) as info:
+                make()
+            assert info.value.constraint == "gamma-nonnegative"
 
 
 def test_spec_fields_must_be_integers():

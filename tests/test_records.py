@@ -19,6 +19,7 @@ import osculant
 from osculant import (
     Check,
     CoverInvariants,
+    DegreeTooSmall,
     DivisorClass,
     DomainError,
     ExceptionalSpec,
@@ -29,6 +30,7 @@ from osculant import (
     decompose_type,
     enumerate_exceptional,
     factorization_relations,
+    gamma_perp_class,
     generate_nef_types,
     generate_non_nef_types,
     genus_tilde,
@@ -37,6 +39,7 @@ from osculant import (
     n_for_type,
     nef_check,
     osculating_bound,
+    perp_genus_identity,
     scan_box,
     thresholds,
     validate_cover,
@@ -319,18 +322,38 @@ def test_n_for_type_needs_a_degree(d):
 # at d <= 0 they returned "minimizers" outside the orthant alpha >= 0.
 # The pairing, the closed rows, the base of a factorization and the
 # genus bound returned meaningless values; the last takes n >= 1.
+# Every lower bound on a degree has one owner (vectors.at_least), so it
+# is a DegreeTooSmall wherever it is raised.  Each entry point checks d
+# before its gamma, so a d = 0 is degree-min even when gamma is negative
+# too.
+KIT_MU = (0, 1, 1, 1)
+
+
 @pytest.mark.parametrize("call", [
-    lambda d: scan_box(GAMMA, d), lambda d: thresholds(d),
-    lambda d: decompose_type(GAMMA, d),
-    lambda d: lambda_dot_exceptional_closed(d, GAMMA, MU),
-    lambda d: closed_conditions(DEC, d),
-    lambda d: factorization_relations(d, 0, 1),
-    lambda d: max_genus_dominated(d, 1)],
+    lambda d, g: scan_box(g, d), lambda d, g: thresholds(d),
+    lambda d, g: decompose_type(g, d),
+    lambda d, g: lambda_dot_exceptional_closed(d, g, MU),
+    lambda d, g: closed_conditions(DEC, d),
+    lambda d, g: factorization_relations(d, 0, 1),
+    lambda d, g: max_genus_dominated(d, 1),
+    lambda d, g: n_for_type(d, g),
+    lambda d, g: LambdaSpec(4, d, g),
+    lambda d, g: gamma_perp_class(4, d, 1, g),
+    lambda d, g: perp_genus_identity(4, d, 1, g),
+    lambda d, g: generate_nef_types(d, 0, KIT_MU),
+    lambda d, g: generate_non_nef_types(d, KIT_MU, 1),
+    lambda d, g: construction_kit(d, KIT_MU),
+    lambda d, g: census(range(1, 3), [d], 5)],
     ids=["scan_box", "thresholds", "decompose_type",
          "lambda_dot_exceptional_closed", "closed_conditions",
-         "factorization_relations", "max_genus_dominated"])
-@pytest.mark.parametrize("d", [0, -1])
-def test_degree_entry_points_need_a_degree(call, d):
-    with pytest.raises(DomainError) as info:
-        call(d)
+         "factorization_relations", "max_genus_dominated", "n_for_type",
+         "LambdaSpec", "gamma_perp_class", "perp_genus_identity",
+         "generate_nef_types", "generate_non_nef_types",
+         "construction_kit", "census"])
+@pytest.mark.parametrize("d,gamma", [
+    pytest.param(0, GAMMA, id="0"), pytest.param(-1, GAMMA, id="-1"),
+    pytest.param(0, (-1, 0, 0, 0), id="0-negative-gamma")])
+def test_degree_entry_points_need_a_degree(call, d, gamma):
+    with pytest.raises(DegreeTooSmall) as info:
+        call(d, gamma)
     assert info.value.constraint == "degree-min"
