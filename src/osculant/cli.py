@@ -10,6 +10,7 @@ failure (including any verify-paper criterion failure).
 import argparse
 import json
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -56,16 +57,22 @@ class RunConfig(NamedTuple):
         return cls(char_p, reading, output, seed)
 
 
-def _vec_arg(text: str):
+def _vec_arg(text: str) -> tuple:
+    """text split on commas, each piece an int where int() reads it: the
+    vector rule is vectors.vec4's, so a bad vector fails as in the library"""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected four comma-separated integers, got {text!r}")
-    try:
-        return tuple(int(x) for x in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected four comma-separated integers, got {text!r}")
+    for i, piece in enumerate(parts):
+        try:
+            parts[i] = int(piece)
+        except ValueError:
+            pass
+    return tuple(parts)
+
+
+# argparse reads '-3,2,2,2' as an option: its negative-number pattern takes
+# only '-3' or '-.5'.  No subcommand option starts with '-' and a digit, so
+# each argument that does is a value
+_NEGATIVE = re.compile(r"-\.?\d")
 
 
 def _div_json(dclass: "lattice.DivisorClass") -> dict:
@@ -288,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cmd(name, handler, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
+        p._negative_number_matcher = _NEGATIVE
         p.set_defaults(func=handler)
         return p
 

@@ -209,15 +209,6 @@ class Decomposition(NamedTuple):
     def eps_sq(self) -> int:
         return norm_sq(self.eps)
 
-    @property
-    def eps_abs_sum(self) -> int:
-        return sum(abs(e) for e in self.eps)
-
-    @property
-    def max_pair_sum(self) -> int:
-        a = sorted((abs(e) for e in self.eps), reverse=True)
-        return a[0] + a[1]
-
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 

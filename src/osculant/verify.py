@@ -56,7 +56,7 @@ from .nef import (
     moduli_dimension,
     nef_check,
 )
-from .vectors import Vec4, fmt_vec, norm_sq
+from .vectors import Vec4, as_int, fmt_vec, norm_sq
 
 
 class CriterionResult(NamedTuple):
@@ -181,7 +181,7 @@ _PAIRING_TRIALS = 1000
 
 
 def criterion_pairing_closed_form(seed: int = 0) -> CriterionResult:
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     mismatches = []
     done = 0
     while done < _PAIRING_TRIALS:
@@ -456,6 +456,7 @@ def criterion_construction_kit() -> CriterionResult:
 
 
 def criterion_decomposition(seed: int = 0) -> CriterionResult:
+    rng = random.Random(as_int(seed, "seed"))
     bad = []
     for d in range(1, 6):
         w = 2 * d - 1
@@ -467,7 +468,6 @@ def criterion_decomposition(seed: int = 0) -> CriterionResult:
                     sols.append((m, rem // 2))
             if len(sols) != 1 or sols[0][0] < 0:
                 bad.append(f"d={d}, value {v}: solutions {sols}")
-    rng = random.Random(seed)
     for _ in range(500):
         d = rng.randint(1, 5)
         w = 2 * d - 1
@@ -508,7 +508,7 @@ _ROUND_TRIPS = 10_000
 
 
 def criterion_expression_round_trip(seed: int = 0) -> CriterionResult:
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     bad = []
     for _ in range(_ROUND_TRIPS):
         dclass = _random_class(rng)
@@ -563,6 +563,7 @@ def run_all(seed: int = 0,
     sweep goes through the five criteria, criterion by criterion, and
     is dropped before the next block is built.
     """
+    seed = as_int(seed, "seed")
     agreement, *sweep_checks = _sweep_results(
         _sweep_blocks(_BATTERY_GRID, pair_reading), pair_reading,
         _grid_box(_BATTERY_GRID))

@@ -5,14 +5,19 @@ Every callable in ``osculant.__all__`` either succeeds, raises a
 ``TypeError`` (a wrong kind of object); never an ``AttributeError``, an
 ``IndexError`` or an internal check failure.  The sweep starts from one
 known-good call per callable and replaces each of its arguments in turn
-with every value of a small pool of bad ones."""
+with every value of a small pool of bad ones.  ``run_all``, which runs
+the whole battery on any call it accepts, gets only the values it
+rejects."""
 
 import ast
 import inspect
+import time
 from pathlib import Path
 
+import pytest
+
 import osculant
-from osculant import errors
+from osculant import errors, verify
 from osculant import (
     C,
     F,
@@ -101,9 +106,13 @@ GOOD = {
     "z_divisor": ((SPEC, None), {}),
 }
 
-# run_all takes a seed and a pair reading and runs the whole battery,
-# seconds a call; tests/test_acceptance.py covers it
-SKIPPED = {"run_all"}
+# run_all runs the whole battery, seconds a call, on every seed and pair
+# reading it takes (tests/test_acceptance.py runs it), so it is called only
+# with the pool values it rejects: argument name -> (bad values, the id)
+REJECTED = {"run_all": {
+    "seed": ((True, 2.0, "2", None, SPEC), "vec-integer"),
+    "pair_reading": (POOL, "pair-reading"),
+}}
 
 
 def _public_callables() -> list[str]:
@@ -133,11 +142,9 @@ def _outcome(fn, args, kwargs) -> str | None:
 
 def test_every_public_callable_keeps_the_input_contract():
     names = _public_callables()
-    assert sorted(GOOD) == sorted(set(names) - SKIPPED)
+    assert sorted([*GOOD, *REJECTED]) == sorted(names)
     broken = []
-    for name in names:
-        if name in SKIPPED:
-            continue
+    for name in GOOD:
         fn = getattr(osculant, name)
         args, kwargs = GOOD[name]
         fn(*args, **kwargs)     # the known-good call succeeds
@@ -153,6 +160,26 @@ def test_every_public_callable_keeps_the_input_contract():
                 if escaped:
                     broken.append(f"{name} {key} = {bad!r}: {escaped}")
     assert not broken, "\n".join(broken)
+
+
+def test_run_all_rejects_a_bad_seed_or_reading_before_its_battery(
+        monkeypatch):
+    first_block = verify._sweep_blocks
+
+    def no_battery(grid, reading):
+        next(first_block(grid, reading))    # raises on a bad reading
+        raise AssertionError("run_all took its arguments and ran its sweep")
+
+    monkeypatch.setattr(verify, "_sweep_blocks", no_battery)
+    for name, params in REJECTED.items():
+        fn = getattr(osculant, name)
+        for param, (values, constraint) in params.items():
+            for bad in values:
+                start = time.perf_counter()
+                with pytest.raises(DomainError) as caught:
+                    fn(**{param: bad})
+                assert caught.value.constraint == constraint, (param, bad)
+                assert time.perf_counter() - start < 0.5, (param, bad)
 
 
 def test_a_constraint_id_with_a_class_is_raised_as_that_class():

@@ -113,8 +113,6 @@ def test_decompose_reference():
     assert dec.nat_mu == (2, 1, 1, 1)
     assert dec.flat_mu_set == ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0))
     assert dec.eps_sq == 3
-    assert dec.eps_abs_sum == 3
-    assert dec.max_pair_sum == 2
 
 
 def test_decompose_degree_three():
