@@ -4,7 +4,8 @@ Every operation is exposed as a subcommand; run configuration comes
 from flags, falling back to OSCULANT_* environment variables, then to
 defaults.  Exit codes: 0 success, 1 domain error (the message carries
 the violated constraint id), 2 usage error, 3 internal consistency
-failure (including any verify-paper criterion failure).
+failure (including any verify-paper criterion failure), 141 when the
+reader closes stdout before the output is written.
 """
 
 import argparse
@@ -381,7 +382,12 @@ def main(argv=None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
     if text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # reader gone: quiet the final flush, exit as SIGPIPE would
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     return code
 
 

@@ -23,21 +23,11 @@ from .errors import (
     IdentityFailure,
     InternalCheckFailure,
     NoSolutions,
-    ParityViolation,
 )
 from .lattice import C, R, S, DivisorClass
-from .nef import LambdaSpec, _compose, nef_check
+from .nef import LambdaSpec, _check_mu_pattern, _compose, nef_check
 from .vectors import (Vec4, as_int, at_least, coord_sum, fmt_vec, index4,
-                      nonnegative, norm_sq, of_kind, vec4)
-
-
-def _check_mu_pattern(mu) -> Vec4:
-    """mu as an int 4-tuple in N^4 with mu_0 + 1 = mu_j mod 2."""
-    mu = nonnegative(vec4(mu), "mu")
-    if any((mu[0] + 1 - mu[j]) % 2 for j in (1, 2, 3)):
-        raise ParityViolation(
-            f"mu = {fmt_vec(mu)} needs mu_0 + 1 = mu_j mod 2")
-    return mu
+                      norm_sq, of_kind)
 
 
 def _sign_spread(mags: Vec4) -> list[Vec4]:
@@ -70,15 +60,13 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
         patterns.append(tuple((d - 2) // 2 if i == k else d // 2
                               for i in range(4)))
 
-    out, seen = [], set()
-    for mags in patterns:
-        for eps in _sign_spread(mags):
-            if eps in seen:
-                continue
-            seen.add(eps)
-            found = _compose(d, mu, eps)
-            if found is not None and char_p_admits(found[1], w, p):
-                out.append((*found, eps))
+    # at d = 2 both patterns are (0, 1, 1, 1) at k: each eps once
+    spread = dict.fromkeys(e for mags in patterns for e in _sign_spread(mags))
+    out = []
+    for eps in spread:
+        found = _compose(d, mu, eps)
+        if found is not None and char_p_admits(found[1], w, p):
+            out.append((*found, eps))
     return out
 
 
@@ -195,7 +183,8 @@ def construction_kit(d: int, mu) -> KitDivisors:
     d = at_least(d, 2, "d")
     mu = _check_mu_pattern(mu)
     w = 2 * d - 1
-    gamma = tuple(w * m + 2 * e for m, e in zip(mu, (0, d - 1, d - 1, d - 1)))
+    # congruent, 12(d-1)^2 - 3 = 3(2d-3)(2d-1), and n >= 3: a spec
+    n_window, gamma = _compose(d, mu, (0, d - 1, d - 1, d - 1))
     mu1, mu2 = coord_sum(mu), norm_sq(mu)
     sigma = mu[1] + mu[2] + mu[3]
 
@@ -242,10 +231,10 @@ def construction_kit(d: int, mu) -> KitDivisors:
                               f"mu={fmt_vec(mu)}")
     if coord_sum(gamma) != two_g_plus_1:
         raise IdentityFailure("gamma^(1) != 2g+1")
-    if norm_sq(gamma) != w * (two_n - 2) + 3:
+    if n_window != n:
         raise IdentityFailure("gamma^(2) != (2d-1)(2n-2)+3")
 
-    return KitDivisors(d, mu, vec4(gamma), n, g, zbar, zunder, zprime,
+    return KitDivisors(d, mu, gamma, n, g, zbar, zunder, zprime,
                        zsecond, z, zk, d0, d1, f, g_div, lam)
 
 

@@ -153,12 +153,33 @@ def _solve_n(gamma: Vec4, w: int) -> int | None:
     return num // (2 * w) + 1
 
 
+def _check_mu_pattern(mu) -> Vec4:
+    """mu as an int 4-tuple in N^4 with mu_0 + 1 = mu_j mod 2."""
+    mu = nonnegative(vec4(mu), "mu")
+    if any((mu[0] + 1 - mu[j]) % 2 for j in (1, 2, 3)):
+        raise ParityViolation(
+            f"mu = {fmt_vec(mu)} needs mu_0 + 1 = mu_j mod 2")
+    return mu
+
+
+def mu_patterns(mu_max: int) -> list[Vec4]:
+    """Each mu <= mu_max that _check_mu_pattern admits, mu_0 odd first."""
+    odds, evens = range(1, mu_max + 1, 2), range(0, mu_max + 1, 2)
+    return [*product(odds, evens, evens, evens),
+            *product(evens, odds, odds, odds)]
+
+
+def _congruent(eps: Vec4, w: int) -> bool:
+    """Whether 4 eps^(2) = 3 mod w = 2d-1, which gives n in _compose."""
+    return (4 * norm_sq(eps) - 3) % w == 0
+
+
 def _compose(d: int, mu: Vec4, eps: Vec4) -> tuple[int, Vec4] | None:
     """The inverse of _decompose: the (n, gamma) of the window
     (d, mu, eps), with gamma = (2d-1)*mu + 2*eps and n forced by the
     rational-image constraint.  None when gamma leaves N^4 or n < 1.
 
-    Callers pass eps with 4 eps^(2) = 3 mod 2d-1, which makes n an
+    Callers pass a mu_patterns mu and a _congruent eps, which make n an
     integer; InternalCheckFailure says one did not."""
     w = 2 * d - 1
     m0, m1, m2, m3 = mu
@@ -204,10 +225,6 @@ class Decomposition(NamedTuple):
     eps: Vec4
     nat_mu: Vec4
     flat_mu_set: tuple[Vec4, ...]
-
-    @property
-    def eps_sq(self) -> int:
-        return norm_sq(self.eps)
 
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -331,7 +348,14 @@ class BoxScan(NamedTuple):
     argmin_other: tuple[Vec4, ...]
 
     def argmins(self) -> tuple[Vec4, ...]:
-        return tuple(sorted(set(self.argmin_k0) | set(self.argmin_other)))
+        return _class_argmins(self, True, True)
+
+
+def _class_argmins(scan: BoxScan, k0: bool, other: bool) -> tuple[Vec4, ...]:
+    """The sorted minimizers of the picked classes, which are disjoint."""
+    if k0 and other:
+        return tuple(sorted(scan.argmin_k0 + scan.argmin_other))
+    return scan.argmin_k0 if k0 else scan.argmin_other if other else ()
 
 
 def _nearest(g: int, w: int
@@ -342,7 +366,18 @@ def _nearest(g: int, w: int
 
     With m = g // w, g/w lies in [m, m+1): the nearest point of m's
     parity is m, and of the other parity m+1, except that m-1 and m+1
-    tie when g = w*m and m >= 1."""
+    tie when g = w*m and m >= 1.
+
+    Period 2w, T_b(g) the minimum at parity b: T_b(g + 2w) = T_b(g) for
+    g >= 0 and the minimizers move up by 2, except that {1} becomes
+    {1, 3} at g = 0, b = 1.  Proof: a = a' + 2 turns (g + 2w - w*a)^2
+    into (g - w*a')^2, which adds one candidate a' < 0 of parity b.
+    a' = -2 loses to a' = 0, as (g + 2w)^2 > g^2; a' = -1 loses to a' = 1,
+    as (g + w)^2 - (g - w)^2 = 4gw, and ties it at g = 0.  So gamma_i ->
+    gamma_i + 2w*k keeps a spec valid (n grows by 2k*gamma_i + 2w*k^2)
+    and keeps eps and both class minima of q, hence every verdict and
+    pairing value, while the minimizers move by 2k in coordinate i if
+    gamma_i > 0: gamma in [0, 2w]^4 stands for every gamma at its d."""
     m = g // w
     r = g - w * m
     if r == 0 and m > 0:
@@ -596,12 +631,7 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
         # pairing value of each of its (sorted) minimizers
         x0, x1 = scan.min_k0 - t0, scan.min_other - t1
         brute_verdict = x0 >= 0 and x1 >= 0
-        if x0 == 0 and x1 == 0:
-            contacts = tuple(sorted(scan.argmin_k0 + scan.argmin_other))
-        elif x0 == 0:
-            contacts = scan.argmin_k0
-        elif x1 == 0:
-            contacts = scan.argmin_other
+        contacts = _class_argmins(scan, x0 == 0, x1 == 0)
         if not brute_verdict:
             # the lower pairing value belongs to a failing class
             witness = min((x0, scan.argmin_k0[0]),
@@ -705,21 +735,17 @@ def _minimizer(report: NefReport
     if dec is None:
         dec = _decompose(gamma, d)
     mu, eps, nat, flats = dec
-    e0, e1, e2, e3 = eps
-    if (4 * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3) - 3) % w:
+    if not _congruent(eps, w):
         raise InternalCheckFailure(
-            f"4 eps^(2) - 3 = {4 * dec.eps_sq - 3} not divisible by w = {w}; "
-            f"the spec should force this congruence")
+            f"4 eps^(2) - 3 = {4 * norm_sq(eps) - 3} not divisible by "
+            f"w = {w}; the spec should force this congruence")
     cand_xs = [_excess(gamma, w, mu), _excess(gamma, w, nat)]
     cand_xs += [_excess(gamma, w, flat) for flat in flats]
     # every minimizer of a class pairs to the value of its first one
-    k0, other = report.scan.argmin_k0, report.scan.argmin_other
-    x0, x1 = _excess(gamma, w, k0[0]), _excess(gamma, w, other[0])
-    if x0 < x1:
-        return dec, cand_xs, x0, tuple(sorted(k0))
-    if x1 < x0:
-        return dec, cand_xs, x1, tuple(sorted(other))
-    return dec, cand_xs, x0, tuple(sorted(k0 + other))
+    scan = report.scan
+    x0 = _excess(gamma, w, scan.argmin_k0[0])
+    x1 = _excess(gamma, w, scan.argmin_other[0])
+    return dec, cand_xs, min(x0, x1), _class_argmins(scan, x0 <= x1, x1 <= x0)
 
 
 def _claim_report(w: int, dec: Decomposition, cand_xs: list[int],

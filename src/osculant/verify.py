@@ -5,15 +5,13 @@ also callable on its own.
 
 Five criteria (agreement, adjunction, dimensions, the minimizer claim
 and contact uniqueness) share one exhaustive sweep over a grid, the
-value (d_lo, d_hi, mu_max).  The battery's grid, (2, 5, 3), holds every
-valid spec with d in [2, 5] built from mu patterns with components at
-most 3 (both parity orientations) and every eps window vector whose
-congruence class admits an integral degree; each spec is built from its
-window (d, mu, eps) by nef._compose.  Each spec gets one both-mode nef
-report, which carries its decomposition, scan and Lambda, and all five
-criteria read that report: the minimizer claim decides on its integers
-(nef._minimizer) and adjunction and dimensions reuse its Lambda, so no
-criterion redoes the report's work.
+value (d_lo, d_hi, mu_max).  The battery's grid, (2, 5, 3), holds the
+spec nef._compose builds from each window (d, mu, eps) with d in [2, 5],
+mu in nef.mu_patterns(3) and a nef._congruent eps.  Each spec gets one
+both-mode nef report, which carries its decomposition, scan and Lambda,
+and all five criteria read that report: the minimizer claim decides on
+its integers (nef._minimizer) and adjunction and dimensions reuse its
+Lambda, so no criterion redoes the report's work.
 
 The five criteria are one table, _SWEEP_CRITERIA: each row's step
 checks a block of reports, and _sweep_results folds blocks through the
@@ -48,15 +46,17 @@ from .nef import (
     NefReport,
     _claim_report,
     _compose,
+    _congruent,
     _minimizer,
     decompose_type,
     lambda_class,
     lambda_dot_exceptional_closed,
     linear_system_dims,
     moduli_dimension,
+    mu_patterns,
     nef_check,
 )
-from .vectors import Vec4, as_int, fmt_vec, norm_sq
+from .vectors import as_int, fmt_vec, norm_sq
 
 
 class CriterionResult(NamedTuple):
@@ -72,18 +72,6 @@ class CriterionResult(NamedTuple):
 # shared sweep
 
 
-def mu_patterns(mu_max: int) -> list[Vec4]:
-    """All mu in N^4 with components <= mu_max and the one-against-three
-    parity split at coordinate 0, in both orientations."""
-    odds = range(1, mu_max + 1, 2)
-    evens = range(0, mu_max + 1, 2)
-    pats = [(a, b, c, e) for a in odds for b in evens
-            for c in evens for e in evens]
-    pats += [(a, b, c, e) for a in evens for b in odds
-             for c in odds for e in odds]
-    return pats
-
-
 # a sweep's grid (d_lo, d_hi, mu_max), and the battery's
 Grid = tuple[int, int, int]
 _BATTERY_GRID: Grid = (2, 5, 3)
@@ -96,9 +84,8 @@ def _sweep_blocks(grid: Grid, pair_reading: str = "factored"
     it."""
     d_lo, d_hi, mu_max = grid
     for d in range(d_lo, d_hi + 1):
-        w = 2 * d - 1
         eps_ok = [e for e in product(range(-(d - 1), d), repeat=4)
-                  if (4 * norm_sq(e) - 3) % w == 0]
+                  if _congruent(e, 2 * d - 1)]
         for mu in mu_patterns(mu_max):
             specs = filter(None, (_compose(d, mu, eps) for eps in eps_ok))
             yield [nef_check(LambdaSpec(n, d, gamma), mode="both",
@@ -156,25 +143,17 @@ def criterion_negative_curve_catalog() -> CriterionResult:
     return CriterionResult("negative-curve-catalog", not problems, detail)
 
 
-def _random_spec(rng: random.Random, d_lo: int = 1, d_hi: int = 8
-                 ) -> LambdaSpec:
+def _random_spec(rng: random.Random) -> LambdaSpec:
     while True:
-        d = rng.randint(d_lo, d_hi)
-        w = 2 * d - 1
-        if rng.random() < 0.5:
-            mu = (rng.randrange(1, 6, 2), rng.randrange(0, 6, 2),
-                  rng.randrange(0, 6, 2), rng.randrange(0, 6, 2))
-        else:
-            mu = (rng.randrange(0, 6, 2), rng.randrange(1, 6, 2),
-                  rng.randrange(1, 6, 2), rng.randrange(1, 6, 2))
+        d = rng.randint(1, 8)
+        # mu: one of the two parity orientations, raised by 0, 2 or 4
+        bits = mu_patterns(1)[0 if rng.random() < 0.5 else 1]
+        mu = tuple(b + 2 * rng.randrange(3) for b in bits)
         eps = tuple(rng.randint(-(d - 1), d - 1) for _ in range(4)) \
             if d > 1 else (0, 0, 0, 0)
-        if (4 * norm_sq(eps) - 3) % w:
-            continue
-        found = _compose(d, mu, eps)
-        if found is not None:
-            n, gamma = found
-            return LambdaSpec(n, d, gamma)
+        found = _congruent(eps, 2 * d - 1) and _compose(d, mu, eps)
+        if found:
+            return LambdaSpec(found[0], d, found[1])
 
 
 _PAIRING_TRIALS = 1000

@@ -339,3 +339,21 @@ def test_search_radius_flag_is_gone(capsys):
                              "--search-radius", "9")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --search-radius 9" in err
+
+
+def test_stdout_closed_early_exits_141_quietly():
+    # the census CSV is far past a 64 KB pipe buffer, so the CLI is still
+    # writing when the reader goes away
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "osculant", "census", "--n-max", "30",
+         "--d-max", "6", "--gamma-max", "60", "--output", "csv"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert head == CSV_COLUMNS[:16].encode()
+    assert err == b""

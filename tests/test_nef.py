@@ -112,7 +112,7 @@ def test_decompose_reference():
     assert dec.eps == (0, 1, 1, 1)
     assert dec.nat_mu == (2, 1, 1, 1)
     assert dec.flat_mu_set == ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0))
-    assert dec.eps_sq == 3
+    assert sum(e * e for e in dec.eps) == 3
 
 
 def test_decompose_degree_three():
