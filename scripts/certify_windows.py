@@ -5,11 +5,11 @@ keeps a spec valid and keeps every verdict, failing constraint and
 pairing value.  So at each d the valid specs with gamma in [0, 2w]^4,
 w = 2d-1, stand for all of them.  They are built here from the window
 laws in nef: mu from mu_patterns(2) (a larger mu puts gamma past 2w),
-each eps of the window with _congruent(eps, w), the spec from _compose,
-kept when max(gamma) <= 2w.  Each one gets a both-mode nef_check, and
-three checks run on it:
+eps from _window(d), the spec from _compose, kept when max(gamma) <= 2w.
+Each one gets a both-mode nef_check, and three steps of the battery's
+table (verify._SWEEP_CRITERIA) run on it, each named by its key:
 
-- agreement: the closed and brute verdicts agree;
+- nef-criterion-agreement: the closed and brute verdicts agree;
 - minimizer-claim: the least exceptional pairing is attained at mu,
   nat_mu or a flat_mu (nef._minimizer);
 - contact-uniqueness: a nef spec has at most one zero-pairing alpha per
@@ -26,30 +26,20 @@ The exit code is 1 when any check failed.
 import argparse
 import sys
 import time
-from itertools import product
 
-from osculant.nef import (
-    LambdaSpec,
-    _compose,
-    _congruent,
-    _minimizer,
-    mu_patterns,
-    nef_check,
-)
+from osculant.nef import LambdaSpec, _compose, _window, mu_patterns, nef_check
+from osculant.verify import _SWEEP_CRITERIA
 
-
-def congruent_window(d: int) -> list:
-    """Each eps with |eps_i| <= d-1 and _congruent(eps, 2d-1), in
-    lexicographic order."""
-    return [eps for eps in product(range(-(d - 1), d), repeat=4)
-            if _congruent(eps, 2 * d - 1)]
+_STEPS = [(key, step) for key, step, *_ in _SWEEP_CRITERIA
+          if key in ("nef-criterion-agreement", "minimizer-claim",
+                     "contact-uniqueness")]
 
 
 def representatives(d: int):
     """(n, gamma) of every valid spec at d with gamma in [0, 2w]^4, mu
     pattern by mu pattern, each in the window's eps order."""
     w = 2 * d - 1
-    window = congruent_window(d)
+    window = _window(d)
     for mu in mu_patterns(2):
         for eps in window:
             found = _compose(d, mu, eps)
@@ -58,17 +48,8 @@ def representatives(d: int):
 
 
 def failed_checks(report) -> list[str]:
-    """The checks a both-mode report fails, by name."""
-    bad = []
-    if report.agreement is not True:
-        bad.append("agreement")
-    _, cand_xs, xmin, _ = _minimizer(report)
-    if min(cand_xs) != xmin:
-        bad.append("minimizer-claim")
-    if report.is_nef() and any(len(hits) > 1 for hits
-                               in report.contacts_by_k().values()):
-        bad.append("contact-uniqueness")
-    return bad
+    """The keys of the steps that fail on a both-mode report."""
+    return [key for key, step in _STEPS if step([report])[1]]
 
 
 def certify(d: int):
@@ -78,9 +59,17 @@ def certify(d: int):
         yield report, failed_checks(report)
 
 
+def degree(text: str) -> int:
+    """A --d-max value: an int of at least 1, else a usage error."""
+    d = int(text)
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {d}")
+    return d
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--d-max", dest="d_max", type=int, required=True)
+    parser.add_argument("--d-max", dest="d_max", type=degree, required=True)
     args = parser.parse_args(argv)
     total = failures = 0
     start = time.perf_counter()

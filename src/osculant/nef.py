@@ -174,13 +174,21 @@ def _congruent(eps: Vec4, w: int) -> bool:
     return (4 * norm_sq(eps) - 3) % w == 0
 
 
+def _window(d: int) -> list[Vec4]:
+    """Each eps with |eps_i| <= d-1 and _congruent(eps, 2d-1), in
+    lexicographic order: the eps of every window spec at d."""
+    return [eps for eps in product(range(1 - d, d), repeat=4)
+            if _congruent(eps, 2 * d - 1)]
+
+
 def _compose(d: int, mu: Vec4, eps: Vec4) -> tuple[int, Vec4] | None:
     """The inverse of _decompose: the (n, gamma) of the window
     (d, mu, eps), with gamma = (2d-1)*mu + 2*eps and n forced by the
     rational-image constraint.  None when gamma leaves N^4 or n < 1.
 
-    Callers pass a mu_patterns mu and a _congruent eps, which make n an
-    integer; InternalCheckFailure says one did not."""
+    Callers pass a mu_patterns mu and a _congruent eps (every eps of
+    _window(d) is one), which make n an integer; InternalCheckFailure
+    says one did not."""
     w = 2 * d - 1
     m0, m1, m2, m3 = mu
     e0, e1, e2, e3 = eps

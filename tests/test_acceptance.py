@@ -11,6 +11,8 @@ criterion functions are compared with ``run_all``'s block pass in
 
 import pytest
 
+import osculant.verify as verify
+from osculant.errors import IdentityFailure
 from osculant.verify import run_all
 
 
@@ -86,6 +88,22 @@ def test_09_contact_uniqueness(battery):
 
 def test_10_construction_kit(battery):
     check(battery, 10)
+
+
+def test_10_construction_kit_fails_on_a_kit_raise(monkeypatch):
+    # the kit's IdentityFailure is the criterion's only failure path
+    real_kit = verify.construction_kit
+
+    def kit(d, mu):
+        if (d, mu) == (3, (0, 1, 1, 1)):
+            raise IdentityFailure("D0 != D1 (doctored)")
+        return real_kit(d, mu)
+
+    monkeypatch.setattr(verify, "construction_kit", kit)
+    result = verify.criterion_construction_kit()
+    assert not result.passed
+    assert result.detail.endswith(
+        "; 1 failures; first: d=3 mu=(0,1,1,1): D0 != D1 (doctored)")
 
 
 def test_11_decomposition_uniqueness(battery):

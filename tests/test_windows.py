@@ -8,15 +8,18 @@ exhaustive test over them certifies every spec of d <= 7, and its digest
 pins every verdict there.  Both use scripts/certify_windows.py, which
 runs the same check to any d."""
 
+import dataclasses
 import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from osculant.nef import (
     LambdaSpec,
     _compose,
+    _window,
     mu_patterns,
     n_for_type,
     nef_check,
@@ -35,7 +38,7 @@ _spec.loader.exec_module(certify_windows)
 REP_COUNTS = {1: 9, 2: 106, 3: 332, 4: 920, 5: 2016, 6: 3118, 7: 5134}
 REP_SHA256 = "c122e906591e17b8a2260b7cb0c95e42fb0d146d655c1b43330a6424ffb814bb"
 
-_WINDOWS = {d: certify_windows.congruent_window(d) for d in range(1, 8)}
+_WINDOWS = {d: _window(d) for d in range(1, 8)}
 
 
 @st.composite
@@ -104,3 +107,60 @@ def test_certify_script_reports_and_exits_zero(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("d=1: 9 specs, 0 failures, ")
     assert lines[-1].startswith("d 1..3: 447 specs, 0 failures, ")
+
+
+def test_certify_script_names_failures_by_battery_key():
+    report = nef_check(LambdaSpec(4, 2, (3, 2, 2, 2)))
+    far = ((41, 0, 0, 0),)
+    doctored = dataclasses.replace(
+        report, agreement=False, boundary_contacts=((0, 1, 0, 0), (0, 1, 2, 0)),
+        scan=report.scan._replace(argmin_k0=far, argmin_other=far))
+    assert report.is_nef() and certify_windows.failed_checks(report) == []
+    assert certify_windows.failed_checks(doctored) == [
+        "nef-criterion-agreement", "minimizer-claim", "contact-uniqueness"]
+
+
+@pytest.mark.parametrize("bad", ["0", "-3", "x"])
+def test_certify_script_rejects_a_d_max_below_one(bad, capsys):
+    with pytest.raises(SystemExit) as stop:
+        certify_windows.main(["--d-max", bad])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--d-max" in err
+
+
+def _least_admitting_prime(total: int, w: int) -> int:
+    """The least odd prime p with total <= p*w."""
+    p = max(3, -(-total // w))
+    while p % 2 == 0 or any(p % q == 0 for q in range(3, p, 2)):
+        p += 1
+    return p
+
+
+def test_char_p_keeps_the_minima_and_drops_only_minimizers_over_p():
+    # scan_box's lemma at the least prime each representative of d <= 5
+    # admits: the class minima and verdicts are the char-0 ones, and the
+    # argmins and contacts are the char-0 ones with alpha^(1) <= p
+    dropped = 0
+    for d in range(1, 6):
+        w = 2 * d - 1
+        for n, gamma in certify_windows.representatives(d):
+            spec = LambdaSpec(n, d, gamma)
+            p = _least_admitting_prime(sum(gamma), w)
+            zero = nef_check(spec, mode="both")
+            char_p = nef_check(spec, mode="both", p=p)
+
+            def budget(points):
+                return tuple(a for a in points if sum(a) <= p)
+
+            assert (char_p.scan.min_k0, char_p.scan.min_other) == (
+                zero.scan.min_k0, zero.scan.min_other)
+            assert (char_p.verdict, char_p.agreement) == (
+                zero.verdict, zero.agreement)
+            assert char_p.scan.argmin_k0 == budget(zero.scan.argmin_k0)
+            assert char_p.scan.argmin_other == budget(zero.scan.argmin_other)
+            assert char_p.boundary_contacts == budget(zero.boundary_contacts)
+            dropped += char_p.scan.argmins() != zero.scan.argmins()
+    # the budget drops a minimizer of 89 specs, so the argmin checks
+    # are not vacuous
+    assert dropped == 89
