@@ -20,8 +20,8 @@ images: pullback F - s_i - r_i.
 
 Every class here is built straight from its coefficients through the
 validating DivisorClass constructor.  The nine characteristic-0 rows
-of the (-2)-catalog are built once per process; C~p is built per call,
-so no cache grows with p.
+of the (-2)-catalog are built once per process; C~p is built per call
+of negative_curve_catalog, so no cache grows with p.
 
 Lambda(n, d, rho, gamma) pulls back to n*C + w*F - rho*s_0 -
 sum gamma_i r_i (w = 2d-1), so its upstairs pairing with the pullback P
@@ -30,8 +30,10 @@ of a catalog row is the integer linear form
     n*(C.P) + w*(F.P) - rho*(s_0.P) - sum_i gamma_i*(r_i.P)
 
 and Lambda . N is half of it.  _catalog_forms gives each row's seven
-coefficients, taken with DivisorClass.dot on the lattice, in the same
-once-per-process / per-call split as the rows themselves.
+coefficients, taken with DivisorClass.dot on the lattice once per
+process.  The form is linear in P, so C~p's is p times the form of C
+plus the form of -r0-r1-r2-r3: two fixed 7-tuples, and no class is
+built per call.
 """
 
 from bisect import bisect_right
@@ -60,29 +62,54 @@ from .vectors import (
 # from Pomerance, Selfridge & Wagstaff (Math. Comp. 35, 1980), psi_5..
 # psi_8 from Jaeschke (Math. Comp. 61, 1993), psi_9..psi_11 from Jiang &
 # Deng (Math. Comp. 83, 2014) and psi_12 from Sorenson & Webster (Math.
-# Comp. 86, 2017).  _is_prime runs only the shortest prefix of the bases
-# whose psi_k exceeds n: at most 5 bases below psi_5 ~ 2.15e12, all 12
-# up to _MR_BOUND = psi_12 ~ 3.2e23.
+# Comp. 86, 2017).  Jaeschke also gives shorter exact sets below three
+# bounds (_MR_SETS), each bound the least strong pseudoprime to its set.
+# _is_prime runs the shortest set that decides n: 2 bases below
+# 9,080,191, 3 below 4,759,123,141, 4 below 1.12e12, 5 below psi_5 ~
+# 2.15e12 and 6 to 12 above it, up to _MR_BOUND = psi_12 ~ 3.2e23.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
            3474749660383, 341550071728321, 341550071728321,
            3825123056546413051, 3825123056546413051, 3825123056546413051,
            318665857834031151167461)
 _MR_BOUND = _MR_PSI[-1]
+_MR_SETS = ((9080191, (31, 73)),
+            (4759123141, (2, 7, 61)),
+            (1122004669633, (2, 13, 23, 1662803)))
+
+
+def _mr_bands() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(upper edges, bases) of the bands between consecutive bounds of
+    _MR_PSI and _MR_SETS: each band's bases are the prefix of _MR_BASES
+    that _MR_PSI gives, or a set of _MR_SETS whose bound covers the band
+    where that set is shorter."""
+    edges = tuple(sorted({*_MR_PSI, *(bound for bound, _ in _MR_SETS)}))
+    bases = []
+    for edge in edges:
+        best = _MR_BASES[:bisect_right(_MR_PSI, edge - 1) + 1]
+        for bound, group in _MR_SETS:
+            if edge <= bound and len(group) < len(best):
+                best = group
+        bases.append(best)
+    return edges, tuple(bases)
+
+
+_MR_EDGES, _MR_BAND_BASES = _mr_bands()
 
 
 def _mr_bases(n: int) -> tuple[int, ...]:
-    """The shortest prefix of _MR_BASES that decides n < _MR_BOUND
-    exactly: the first k bases, k the least with n < psi_k."""
-    return _MR_BASES[:bisect_right(_MR_PSI, n) + 1]
+    """The shortest base set of _mr_bands that decides n < _MR_BOUND
+    exactly."""
+    return _MR_BAND_BASES[bisect_right(_MR_EDGES, n)]
 
 
 def _is_prime(n: int) -> bool:
     """Deterministic primality of an odd n with 3 <= n < _MR_BOUND.
 
-    Trial division by the 12 bases, then a strong-probable-prime test to
-    each base of _mr_bases(n): below psi_k no composite passes the first
-    k bases, so the verdict is exact with that prefix alone."""
+    Trial division by the 12 bases of _MR_BASES, then a
+    strong-probable-prime test to each base of _mr_bases(n): below the
+    bound of a base set no composite passes all of its bases, so the
+    verdict is exact with that set alone."""
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -248,14 +275,23 @@ def _lambda_form(name: str, cls: QuotientClass
 
 _BASE_FORMS = tuple(_lambda_form(name, cls) for name, cls, _ in _BASE_CATALOG)
 
+# C~p pulls back to p*C + (-r0-r1-r2-r3), so its form is p*_CP_SLOPE +
+# _CP_BASE (the form is linear in the class)
+_CP_SLOPE = tuple(b.dot(C) for b in _LAMBDA_BASIS)
+_CP_BASE = tuple(b.dot(DivisorClass(r=(-1, -1, -1, -1))) for b in _LAMBDA_BASIS)
+
 
 def _catalog_forms(p: int | None) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """(name, coefficients of (n, w, rho, gamma_0..gamma_3)) for each row
     of negative_curve_catalog(p), in its order; p already validated.
-    Only the C~p form is derived per call."""
+    C~p's form is p*_CP_SLOPE + _CP_BASE, so no class is built and no
+    cache grows with p."""
     if p is None:
         return _BASE_FORMS
-    return (*_BASE_FORMS, _lambda_form(f"C~{p}", char_p_section(p)))
+    # a list, not a generator: tuple() then sizes it exactly, with no
+    # resize per call
+    form = tuple([p * a + b for a, b in zip(_CP_SLOPE, _CP_BASE)])
+    return (*_BASE_FORMS, (f"C~{p}", form))
 
 
 def negative_curve_catalog(p: int | None = None) -> list[tuple[str, QuotientClass, int]]:

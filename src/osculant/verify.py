@@ -142,11 +142,15 @@ def criterion_negative_curve_catalog() -> CriterionResult:
     return CriterionResult("negative-curve-catalog", not problems, detail)
 
 
+# the two parity orientations of mu, (1, 0, 0, 0) and (0, 1, 1, 1)
+_ORIENTATIONS = tuple(mu_patterns(1))
+
+
 def _random_spec(rng: random.Random) -> LambdaSpec:
     while True:
         d = rng.randint(1, 8)
         # mu: one of the two parity orientations, raised by 0, 2 or 4
-        bits = mu_patterns(1)[0 if rng.random() < 0.5 else 1]
+        bits = _ORIENTATIONS[0 if rng.random() < 0.5 else 1]
         mu = tuple(b + 2 * rng.randrange(3) for b in bits)
         eps = tuple(rng.randint(-(d - 1), d - 1) for _ in range(4)) \
             if d > 1 else (0, 0, 0, 0)

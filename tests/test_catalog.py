@@ -2,6 +2,7 @@
 fiber components, and the cover-class template."""
 
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,10 +223,33 @@ def _twelve_base_verdict(n: int) -> bool:
     return all(_strong_probable_prime(n, a) for a in FIRST_PRIMES[:12])
 
 
+# Jaeschke (Math. Comp. 61, 1993): shorter base sets, each exact below
+# its bound, the least strong pseudoprime to all of its bases; with the
+# bound's least prime factor
+JAESCHKE = ((9080191, (31, 73), 2131),
+            (4759123141, (2, 7, 61), 48781),
+            (1122004669633, (2, 13, 23, 1662803), 611557))
+
+
+def _psi_prefix(n: int) -> tuple[int, ...]:
+    """The first k primes, k the least with n < psi_k."""
+    return FIRST_PRIMES[:bisect_right(PSI, n) + 1]
+
+
+def _largest_prime_below_bound() -> int:
+    """The largest prime below psi_12, by this module's own verdict."""
+    n = PSI[-1] - 2
+    while not _twelve_base_verdict(n):
+        n -= 2
+    return n
+
+
 def test_threshold_table_is_a014233():
     assert catalog._MR_BASES == FIRST_PRIMES[:12]
     assert catalog._MR_PSI == PSI
     assert catalog._MR_BOUND == PSI[-1]
+    assert catalog._MR_SETS == tuple((bound, bases)
+                                     for bound, bases, _ in JAESCHKE)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -240,21 +264,67 @@ def test_each_threshold_is_a_strong_pseudoprime(k):
     assert info.value.constraint == "char-p-config"
 
 
+@pytest.mark.parametrize("bound,bases,factor", JAESCHKE,
+                         ids=[str(b) for b, _, _ in JAESCHKE])
+def test_each_set_bound_is_a_strong_pseudoprime_to_its_set(bound, bases,
+                                                           factor):
+    assert 1 < factor < bound and bound % factor == 0
+    # so the set cannot decide its own bound, and its bases are all run
+    assert all(_strong_probable_prime(bound, a) for a in bases)
+    assert not _accepts(bound)
+
+
+# _mr_bases below each psi_k: the prefix of k bases (fewer where psi_k
+# repeats psi_(k-1)), or the shorter Jaeschke set whose bound covers
+# psi_k - 1
+BELOW_PSI = {1: (2,), 2: (2, 3), 3: (2, 3, 5), 4: (2, 7, 61),
+             5: FIRST_PRIMES[:5], 6: FIRST_PRIMES[:6], 7: FIRST_PRIMES[:7],
+             8: FIRST_PRIMES[:7], 9: FIRST_PRIMES[:9], 10: FIRST_PRIMES[:9],
+             11: FIRST_PRIMES[:9], 12: FIRST_PRIMES[:12]}
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_prefix_has_k_bases_below_psi_k_and_more_at_it(k):
     psi = PSI[k - 1]
-    below, at = catalog._mr_bases(psi - 1), catalog._mr_bases(psi)
-    assert below == FIRST_PRIMES[:len(below)]
-    # psi_12 = _MR_BOUND is rejected before any base is chosen
-    assert len(at) > k or k == 12
-    # below psi_k at most k bases, exactly k where psi_(k-1) < psi_k
+    below = catalog._mr_bases(psi - 1)
+    assert below == BELOW_PSI[k]
+    # below psi_k the prefix has k bases, exactly k where psi_(k-1) <
+    # psi_k, and _mr_bases is never longer
+    prefix = _psi_prefix(psi - 1)
     if k == 1 or PSI[k - 2] < psi:
-        assert len(below) == k
+        assert len(prefix) == k
     else:
-        assert len(below) < k
+        assert len(prefix) < k
+    assert len(below) <= len(prefix)
+    # psi_12 = _MR_BOUND is rejected before any base is chosen
+    if k < 12:
+        # at psi_k the prefix has more bases, and the set _mr_bases
+        # picks there witnesses that psi_k is composite
+        assert len(_psi_prefix(psi)) > k
+        at = catalog._mr_bases(psi)
+        assert not all(_strong_probable_prime(psi, a) for a in at)
 
 
-_BANDS = sorted(set(zip((3,) + PSI[:-1], PSI)))
+_EDGES = sorted({*PSI, *(bound for bound, _, _ in JAESCHKE)})
+
+
+@pytest.mark.parametrize("edge", _EDGES)
+def test_bases_are_never_longer_than_the_psi_prefix(edge):
+    rng = random.Random(edge)
+    lower = max(e for e in [3] + _EDGES if e < edge)
+    for n in [lower, edge - 1, *(rng.randrange(lower, edge) for _ in range(200))]:
+        bases = catalog._mr_bases(n)
+        assert len(bases) <= len(_psi_prefix(n)), n
+        # the set is a prefix or a Jaeschke set whose bound covers n, and
+        # every base is below n
+        assert bases == _psi_prefix(n)[:len(bases)] or any(
+            bases == group and n < bound for bound, group, _ in JAESCHKE), n
+        assert max(bases) < n, n
+
+
+# the bands between consecutive psi_k, and between consecutive edges of
+# the table _mr_bases reads (the psi_k and the Jaeschke bounds)
+_BANDS = sorted({*zip((3,) + PSI[:-1], PSI), *zip([3] + _EDGES[:-1], _EDGES)})
 
 
 @pytest.mark.parametrize("lo,hi", [b for b in _BANDS if b[0] < b[1]])

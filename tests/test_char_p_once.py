@@ -1,6 +1,11 @@
 """A characteristic is tested for primality once per public call: the
 entry point validates p and hands the checked value down, so the
-functions it calls accept it without a second Miller-Rabin run."""
+functions it calls accept it without a second Miller-Rabin run.  A call
+at the largest admitted p stays under a fixed bound, and the catalog
+guard keeps nothing per p."""
+
+import time
+import tracemalloc
 
 import pytest
 
@@ -18,6 +23,8 @@ from osculant import (
     z_divisor,
 )
 from osculant.cli import main
+
+from test_catalog import _largest_prime_below_bound, _twelve_base_verdict
 
 P = 1099511627791   # a prime near 2^40
 REF = LambdaSpec(4, 2, (3, 2, 2, 2))
@@ -66,3 +73,41 @@ def test_cli_tests_primality_once_per_command(prime_tests, capsys):
     assert main(["dims", "4", "2", "3,2,2,2", "--char-p", str(P)]) == 0
     assert "dim_lambda" in capsys.readouterr().out
     assert prime_tests == [P]
+
+
+P_MAX = _largest_prime_below_bound()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_call_at_the_largest_prime_takes_constant_time(name):
+    # the best of three runs must stay under 20 ms, far below any work
+    # that grows with p
+    CALLS[name](P_MAX)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        CALLS[name](P_MAX)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.02, (name, best)
+
+
+def test_catalog_forms_keep_nothing_per_prime():
+    primes = [n for n in range(3, 40_000, 2) if _twelve_base_verdict(n)]
+    primes = [osculant.catalog.validate_char_p(n) for n in primes[:2000]]
+    halves = primes[:1000], primes[1000:]
+    osculant.catalog._catalog_forms(primes[0])
+    peaks = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for half in halves:
+            tracemalloc.reset_peak()
+            for p in half:
+                osculant.catalog._catalog_forms(p)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # a cache of 1,000 forms would keep hundreds of KB
+    assert kept < 4096, kept
+    assert peaks[1] <= peaks[0] + 1024 and peaks[1] < 16384, peaks

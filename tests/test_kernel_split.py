@@ -34,6 +34,7 @@ from osculant.errors import InternalCheckFailure
 from osculant.nef import _catalog_guard, _lambda
 
 from test_benchmark_bindings import tracer
+from test_catalog import _largest_prime_below_bound, _twelve_base_verdict
 from test_nef import _least_prime_admitting, valid_specs
 
 REF = LambdaSpec(4, 2, (3, 2, 2, 2))
@@ -95,17 +96,49 @@ def test_corrupted_form_fails_the_guard(monkeypatch, row, delta, message):
 
 
 def test_corrupted_char_p_row_fails_the_guard(monkeypatch):
-    real = catalog._lambda_form
+    # C~7 pairs to 7w - gamma^(1) = 12 with REF upstairs; a w coefficient
+    # 14 less, through the slope (times 7) or the base, gives 12 - 42 < 0
+    for name, shift in (("_CP_SLOPE", 2), ("_CP_BASE", 2 * 7)):
+        coeffs = getattr(catalog, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, name,
+                          (*coeffs[:1], coeffs[1] - shift, *coeffs[2:]))
+            with pytest.raises(InternalCheckFailure,
+                               match="negatively with C~7"):
+                nef_check(REF, p=7)
+            assert nef_check(REF).is_nef()
 
-    def shifted(name, cls):
-        name, coeffs = real(name, cls)
-        return name, (*coeffs[:1], coeffs[1] - 2 * 7, *coeffs[2:])
 
-    monkeypatch.setattr(catalog, "_lambda_form", shifted)
-    # C~7 pairs to 7w - gamma^(1) = 12 with REF upstairs; 14 less is < 0
-    with pytest.raises(InternalCheckFailure, match="negatively with C~7"):
-        nef_check(REF, p=7)
-    assert nef_check(REF).is_nef()
+def _spread_primes() -> list[int]:
+    """3, then the least prime above 10^k for k = 1..22, 2^61 - 1, and
+    the largest prime below _MR_BOUND."""
+    primes = [3]
+    for k in range(1, 23):
+        n = 10 ** k + 1
+        while not _twelve_base_verdict(n):
+            n += 2
+        primes.append(n)
+    return [*primes, 2 ** 61 - 1, _largest_prime_below_bound()]
+
+
+def test_char_p_form_is_the_lattice_form_of_char_p_section():
+    for p in _spread_primes():
+        p = catalog.validate_char_p(p)
+        assert catalog._catalog_forms(p)[-1] == catalog._lambda_form(
+            f"C~{p}", catalog.char_p_section(p)), p
+
+
+@pytest.mark.parametrize("mode", ["brute", "both"])
+def test_guard_builds_no_char_p_class(monkeypatch, mode):
+    def refuse(p):
+        raise AssertionError(f"char_p_section({p}) called")
+
+    monkeypatch.setattr(catalog, "char_p_section", refuse)
+    p = 1099511627791
+    assert nef_check(REF, mode=mode, p=p).is_nef()
+    # the catalog itself still builds C~p on the lattice
+    with pytest.raises(AssertionError, match="char_p_section"):
+        negative_curve_catalog(p)
 
 
 def test_wrong_lambda_square_fails_the_guard(monkeypatch):
