@@ -23,7 +23,8 @@ from .errors import (
     RhoOutOfRange,
 )
 from .lattice import DivisorClass
-from .vectors import Vec4, as_int, at_least, coord_sum, norm_sq, of_kind, vec4
+from .vectors import (Vec4, as_int, at_least, coord_sum, norm_sq, of_kind,
+                      slot_setters, vec4)
 
 
 class Check(NamedTuple):
@@ -46,7 +47,7 @@ class Check(NamedTuple):
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoverInvariants:
     n: int
     d: int
@@ -56,15 +57,20 @@ class CoverInvariants:
     m: int
     gamma: Vec4
 
+    def __init__(self, n, d, g, g_tilde, rho, m, gamma):
+        for put, value in zip(_COVER_SLOTS, (n, d, g, g_tilde, rho, m,
+                                             gamma)):
+            put(self, value)
+        self.__post_init__()
+
     def __post_init__(self):
-        # every scalar under the integer rule (vectors.as_int), written
-        # again only when coerced, as in nef.LambdaSpec
-        for name in ("n", "d", "g", "g_tilde", "rho", "m"):
-            value = getattr(self, name)
-            checked = as_int(value, name)
-            if checked is not value:
-                object.__setattr__(self, name, checked)
-        object.__setattr__(self, "gamma", vec4(self.gamma))
+        # every scalar under the integer rule (vectors.as_int), then
+        # gamma, each written back through its slot descriptor
+        *scalars, put_gamma = _COVER_SLOTS
+        for name, put in zip(("n", "d", "g", "g_tilde", "rho", "m"),
+                             scalars):
+            put(self, as_int(getattr(self, name), name))
+        put_gamma(self, vec4(self.gamma))
 
     @property
     def gamma_sum(self) -> int:
@@ -73,6 +79,9 @@ class CoverInvariants:
     @property
     def gamma_sq(self) -> int:
         return norm_sq(self.gamma)
+
+
+_COVER_SLOTS = slot_setters(CoverInvariants)
 
 
 def validate_type(n: int, gamma) -> list[str]:

@@ -27,7 +27,7 @@ from .errors import (
 from .lattice import C, R, S, DivisorClass
 from .nef import LambdaSpec, _check_mu_pattern, _compose, nef_check
 from .vectors import (Vec4, as_int, at_least, coord_sum, fmt_vec, index4,
-                      norm_sq, of_kind)
+                      new_row, norm_sq, of_kind)
 
 
 def _sign_spread(mags: Vec4) -> list[Vec4]:
@@ -336,12 +336,11 @@ def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
     if g1 % 2 == 0:
         raise InternalCheckFailure(
             f"gamma^(1) = {g1} even for a valid type {fmt_vec(gamma)}")
-    return CensusRecord(
-        n=n, d=d, gamma=gamma, mu=dec.mu, eps=dec.eps,
-        nef_closed=closed_ok, nef_brute=brute_ok,
-        agreement=bool(report.agreement),
-        dim_moduli=dim, genus_g=(g1 - 1) // 2,
-        genus_tilde=_genus_tilde(n, d, 1, 1, gamma))
+    # every field, in field order (vectors.new_row)
+    return new_row(CensusRecord, (
+        n, d, gamma, dec.mu, dec.eps, closed_ok, brute_ok,
+        bool(report.agreement), dim, (g1 - 1) // 2,
+        _genus_tilde(n, d, 1, 1, gamma)))
 
 
 def census_csv(records) -> str:

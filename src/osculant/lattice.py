@@ -29,16 +29,20 @@ pulls back to -2C.
 
 Classes are validated once, when DivisorClass(...) is called; the
 arithmetic on them (+, -, unary -, integer multiples, dot) works on the
-stored int tuples with the pairing written out term by term.
+stored int tuples with the pairing written out term by term.  Both
+classes are frozen dataclasses whose fields are slots: __init__ writes
+each one through its slot descriptor (vectors.slot_setters), as do
+DivisorClass.__post_init__ for a coefficient it had to coerce and _make
+for the results of the arithmetic.
 """
 
 from dataclasses import dataclass
 
 from .errors import InternalCheckFailure, OddPairing
-from .vectors import Vec4, as_int, of_kind, vec4
+from .vectors import Vec4, as_int, of_kind, slot_setters, vec4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DivisorClass:
     """Integer class a*C + b*F - sum x_i s_i - sum y_i r_i ... except that
     the stored s/r coefficients are the plain basis coefficients, signs
@@ -54,18 +58,22 @@ class DivisorClass:
     s: Vec4 = (0, 0, 0, 0)
     r: Vec4 = (0, 0, 0, 0)
 
+    def __init__(self, c=0, f=0, s=(0, 0, 0, 0), r=(0, 0, 0, 0)):
+        put_c, put_f, put_s, put_r = _CLASS_SLOTS
+        put_c(self, c)
+        put_f(self, f)
+        put_s(self, s)
+        put_r(self, r)
+        self.__post_init__()
+
     def __post_init__(self):
         c, f = as_int(self.c, "coefficient c"), as_int(self.f, "coefficient f")
         s, r = vec4(self.s), vec4(self.r)
         # written again only when coerced, as in nef.LambdaSpec
-        if c is not self.c:
-            object.__setattr__(self, "c", c)
-        if f is not self.f:
-            object.__setattr__(self, "f", f)
-        if s is not self.s:
-            object.__setattr__(self, "s", s)
-        if r is not self.r:
-            object.__setattr__(self, "r", r)
+        if (c is not self.c or f is not self.f or s is not self.s
+                or r is not self.r):
+            for put, value in zip(_CLASS_SLOTS, (c, f, s, r)):
+                put(self, value)
 
     # -- module structure ------------------------------------------------
 
@@ -91,9 +99,9 @@ class DivisorClass:
                      (-r[0], -r[1], -r[2], -r[3]))
 
     def __mul__(self, n: int) -> "DivisorClass":
-        if not isinstance(n, int):
-            return NotImplemented
-        n = int(n)
+        n = _scalar(n)
+        if n is NotImplemented:
+            return n
         s, r = self.s, self.r
         return _make(n * self.c, n * self.f,
                      (n * s[0], n * s[1], n * s[2], n * s[3]),
@@ -124,12 +132,29 @@ class DivisorClass:
         return (self.c, self.f, *self.s, *self.r)
 
 
+_CLASS_SLOTS = slot_setters(DivisorClass)
+
+
 def _make(c: int, f: int, s: Vec4, r: Vec4) -> DivisorClass:
     """DivisorClass from coefficients already known to be valid ints,
     without the constructor's checks."""
     obj = object.__new__(DivisorClass)
-    obj.__dict__.update(c=c, f=f, s=s, r=r)
+    put_c, put_f, put_s, put_r = _CLASS_SLOTS
+    put_c(obj, c)
+    put_f(obj, f)
+    put_s(obj, s)
+    put_r(obj, r)
     return obj
+
+
+def _scalar(n) -> int:
+    """The integer multiplier of a class, under the integer rule
+    (vectors.as_int): an ``__index__`` value becomes its int and a bool
+    raises ``vec-integer``.  NotImplemented for a value without
+    ``__index__``, so that Python tries the other operand."""
+    if not hasattr(type(n), "__index__"):
+        return NotImplemented
+    return as_int(n, "multiplier")
 
 
 def _half(num: int, cls) -> int:
@@ -169,7 +194,7 @@ def arithmetic_genus(d: DivisorClass) -> int:
     return of_kind(d, DivisorClass).genus()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuotientClass:
     """Numerical class on the rational quotient, stored by its pullback.
 
@@ -181,6 +206,9 @@ class QuotientClass:
     """
 
     pullback: DivisorClass
+
+    def __init__(self, pullback):
+        _put_pullback(self, pullback)
 
     def dot(self, other: "QuotientClass") -> int:
         up = self.pullback.dot(other.pullback)
@@ -212,12 +240,15 @@ class QuotientClass:
         return QuotientClass(-self.pullback)
 
     def __mul__(self, n: int) -> "QuotientClass":
-        if not isinstance(n, int):
-            return NotImplemented
+        n = _scalar(n)
+        if n is NotImplemented:
+            return n
         return QuotientClass(n * self.pullback)
 
     __rmul__ = __mul__
 
+
+(_put_pullback,) = slot_setters(QuotientClass)
 
 K_TILDE = QuotientClass(DivisorClass(c=-2))
 

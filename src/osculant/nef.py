@@ -34,9 +34,8 @@ candidate minimizers mu, nat_mu and flat_mu, which is why closed and
 brute verdicts agree.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from inspect import signature
 from itertools import product
 from typing import NamedTuple
 
@@ -66,9 +65,11 @@ from .vectors import (
     coord_sum,
     fmt_vec,
     minority_index,
+    new_row,
     nonnegative,
     norm_sq,
     of_kind,
+    slot_setters,
     vec4,
 )
 
@@ -77,30 +78,36 @@ from .vectors import (
 # specs and decompositions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LambdaSpec:
     """Validated parameter tuple (n, d, gamma, rho) of a Lambda class:
     the cover-curve rules of catalog._cover_fields, then the type parity
-    and, at rho = 1, the rational-image constraint."""
+    and, at rho = 1, the rational-image constraint.  __init__ writes the
+    fields through their slot descriptors (vectors.slot_setters), and
+    __post_init__ writes back the same way any value it had to coerce."""
 
     n: int
     d: int
     gamma: Vec4
     rho: int = 1
 
+    def __init__(self, n, d, gamma, rho=1):
+        put_n, put_d, put_gamma, put_rho = _SPEC_SLOTS
+        put_n(self, n)
+        put_d(self, d)
+        put_gamma(self, gamma)
+        put_rho(self, rho)
+        self.__post_init__()
+
     def __post_init__(self):
         n, d, rho, gamma = _cover_fields(self.n, self.d, self.rho,
                                          self.gamma)
         # the checks hand back a plain int or int 4-tuple as the same
-        # object, so a field is written again only when coerced
-        if n is not self.n:
-            object.__setattr__(self, "n", n)
-        if d is not self.d:
-            object.__setattr__(self, "d", d)
-        if rho is not self.rho:
-            object.__setattr__(self, "rho", rho)
-        if gamma is not self.gamma:
-            object.__setattr__(self, "gamma", gamma)
+        # object, so the fields are written again only when coerced
+        if (n is not self.n or d is not self.d or rho is not self.rho
+                or gamma is not self.gamma):
+            for put, value in zip(_SPEC_SLOTS, (n, d, gamma, rho)):
+                put(self, value)
         bad = _validate_type(n, gamma)
         if bad:
             raise ParityViolation("; ".join(bad))
@@ -118,6 +125,9 @@ class LambdaSpec:
     def check_char_p(self, p: int | None) -> int | None:
         """_char_p_for_type on this spec; returns p checked."""
         return _char_p_for_type(self.gamma, self.w, p)
+
+
+_SPEC_SLOTS = slot_setters(LambdaSpec)
 
 
 def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:
@@ -279,7 +289,7 @@ def _decompose(gamma: Vec4, d: int) -> Decomposition:
         i, j = _PAIRS[sums.index(best)]
         flat = list(mu)
         flat[i], flat[j] = nat[i], nat[j]
-        return Decomposition(mu, eps, nat, (tuple(flat),))
+        return new_row(Decomposition, (mu, eps, nat, (tuple(flat),)))
     # nat_mu and mu differ in every coordinate, so distinct pairs give
     # distinct flat_mu
     flats = []
@@ -289,7 +299,7 @@ def _decompose(gamma: Vec4, d: int) -> Decomposition:
             flat[i], flat[j] = nat[i], nat[j]
             flats.append(tuple(flat))
     flats.sort()
-    return Decomposition(mu, eps, nat, tuple(flats))
+    return new_row(Decomposition, (mu, eps, nat, tuple(flats)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +467,7 @@ def _scan(gamma: Vec4, w: int, p: int | None) -> BoxScan:
                 f"gamma = {fmt_vec(gamma)}, d = {(w + 1) // 2}")
         hits.sort()
         found += low, tuple(hits)
-    return BoxScan(*found)
+    return new_row(BoxScan, found)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +488,9 @@ class NefReport:
     reuse the work instead of redoing it.
 
     The fields are slots, written once each by __init__ through their
-    slot descriptors, looked up by field name (_REPORT_SLOTS): the
-    generated frozen __init__ makes one object.__setattr__ call per
-    field, and took about twice as long per report."""
+    slot descriptors (vectors.slot_setters): the generated frozen
+    __init__ makes one object.__setattr__ call per field, and took about
+    twice as long per report."""
 
     verdict: str                      # "nef" | "not_nef"
     mode: str                         # "closed" | "brute" | "both"
@@ -498,19 +508,21 @@ class NefReport:
     def __init__(self, verdict, mode, failing_constraint, witness,
                  boundary_contacts, agreement, conditions=(), spec=None,
                  p=None, decomposition=None, scan=None, lam=None):
-        put = _REPORT_SLOTS
-        put["verdict"](self, verdict)
-        put["mode"](self, mode)
-        put["failing_constraint"](self, failing_constraint)
-        put["witness"](self, witness)
-        put["boundary_contacts"](self, boundary_contacts)
-        put["agreement"](self, agreement)
-        put["conditions"](self, conditions)
-        put["spec"](self, spec)
-        put["p"](self, p)
-        put["decomposition"](self, decomposition)
-        put["scan"](self, scan)
-        put["lam"](self, lam)
+        (put_verdict, put_mode, put_failing, put_witness, put_contacts,
+         put_agreement, put_conditions, put_spec, put_p, put_dec, put_scan,
+         put_lam) = _REPORT_SLOTS
+        put_verdict(self, verdict)
+        put_mode(self, mode)
+        put_failing(self, failing_constraint)
+        put_witness(self, witness)
+        put_contacts(self, boundary_contacts)
+        put_agreement(self, agreement)
+        put_conditions(self, conditions)
+        put_spec(self, spec)
+        put_p(self, p)
+        put_dec(self, decomposition)
+        put_scan(self, scan)
+        put_lam(self, lam)
 
     def is_nef(self) -> bool:
         return self.verdict == "nef"
@@ -536,14 +548,7 @@ class NefReport:
         }
 
 
-# the __set__ of each field's slot descriptor, by field name
-_REPORT_SLOTS = {f.name: vars(NefReport)[f.name].__set__
-                 for f in fields(NefReport)}
-# positional construction and dataclasses.replace rely on __init__
-# taking the fields in their declared order
-if [*signature(NefReport.__init__).parameters][1:] != [*_REPORT_SLOTS]:
-    raise TypeError("NefReport.__init__ must take the report's fields, "
-                    "in field order")
+_REPORT_SLOTS = slot_setters(NefReport)
 
 _PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
 
@@ -567,12 +572,14 @@ def _closed_conditions(dec: Decomposition, d: int,
     e2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     w_abs_sum = w * (a0 + a1 + a2 + a3)
     pair = a2 + a3 if pair_reading == "literal" else w * (a2 + a3)
+    # every field of each row, in field order (vectors.new_row)
     return (
-        Check("eps-norm", e2 >= d * d - d + 1, e2, d * d - d + 1),
-        Check("eps-sum", w_abs_sum <= 3 * d * d - 3 * d + e2,
-              w_abs_sum, 3 * d * d - 3 * d + e2),
-        Check("eps-pair", pair <= d * d - 1 + e2, pair, d * d - 1 + e2,
-              note),
+        new_row(Check, ("eps-norm", e2 >= d * d - d + 1, e2, d * d - d + 1,
+                        "", False)),
+        new_row(Check, ("eps-sum", w_abs_sum <= 3 * d * d - 3 * d + e2,
+                        w_abs_sum, 3 * d * d - 3 * d + e2, "", False)),
+        new_row(Check, ("eps-pair", pair <= d * d - 1 + e2, pair,
+                        d * d - 1 + e2, note, False)),
     )
 
 

@@ -163,6 +163,30 @@ def test_every_public_callable_keeps_the_input_contract():
     assert not broken, "\n".join(broken)
 
 
+# a class times a scalar, in both operand orders: the multiplier follows
+# the integer rule of every other public scalar
+PRODUCTS = {
+    "DivisorClass * n": lambda n: C * n,
+    "n * DivisorClass": lambda n: n * C,
+    "QuotientClass * n": lambda n: Q * n,
+    "n * QuotientClass": lambda n: n * Q,
+}
+
+
+def test_class_multiples_keep_the_input_contract():
+    broken = []
+    for name, product in PRODUCTS.items():
+        product(2)      # the known-good call succeeds
+        for bad in POOL:
+            escaped = _outcome(product, (bad,), {})
+            if escaped:
+                broken.append(f"{name} with n = {bad!r}: {escaped}")
+        with pytest.raises(DomainError) as info:
+            product(True)
+        assert info.value.constraint == "vec-integer", name
+    assert not broken, "\n".join(broken)
+
+
 def test_run_all_rejects_a_bad_seed_or_reading_before_its_battery(
         monkeypatch):
     first_block = verify._sweep_blocks

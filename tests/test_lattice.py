@@ -203,3 +203,40 @@ def test_divisor_class_scalars_must_be_integers():
 def test_coord_sum_and_norm_sq_match_the_sum_form(v, form):
     assert coord_sum(form(v)) == sum(v)
     assert norm_sq(form(v)) == sum(x * x for x in v)
+
+
+# a class times a scalar, in both operand orders
+PRODUCTS = {
+    "DivisorClass*n": lambda n: C * n,
+    "n*DivisorClass": lambda n: n * C,
+    "QuotientClass*n": lambda n: K_TILDE * n,
+    "n*QuotientClass": lambda n: n * K_TILDE,
+}
+
+
+@pytest.mark.parametrize("bad", [True, False], ids=repr)
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+def test_class_multiplier_rejects_a_bool(product, bad):
+    # C * True was C and K_TILDE * False was zero
+    with pytest.raises(DomainError) as info:
+        PRODUCTS[product](bad)
+    assert info.value.constraint == "vec-integer"
+
+
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+def test_class_multiplier_takes_an_index_integer(product):
+    # the constructor takes an __index__ value, so the multiplier does too
+    result = PRODUCTS[product](_Index(3))
+    assert result == PRODUCTS[product](3)
+    assert all(type(x) is int for x in getattr(result, "pullback",
+                                               result).coefficients())
+
+
+@pytest.mark.parametrize("bad", [2.0, "2", None, 1.5j], ids=repr)
+@pytest.mark.parametrize("product", sorted(PRODUCTS))
+def test_class_multiplier_without_index_is_not_implemented(product, bad):
+    # NotImplemented from both operands: Python raises the TypeError
+    with pytest.raises(TypeError):
+        PRODUCTS[product](bad)
+    assert C.__mul__(bad) is NotImplemented
+    assert K_TILDE.__mul__(bad) is NotImplemented

@@ -4,19 +4,25 @@ declared.
 A record that neither validates its fields in ``__post_init__`` nor
 carries a field outside its equality is a ``typing.NamedTuple``: it is
 as immutable, hashable and readable as a frozen dataclass, and much
-cheaper to build, since a frozen dataclass writes every field through
-``object.__setattr__``.  The repr strings below were taken from the
-frozen-dataclass declarations these records replaced."""
+cheaper to build, since a generated frozen ``__init__`` writes every
+field through ``object.__setattr__``.  The repr strings below were taken
+from the frozen-dataclass declarations these records replaced.  The
+frozen dataclasses that remain keep their fields in slots, which their
+own ``__init__`` writes through the slot descriptors; they must behave
+as the generated classes did."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import pytest
 
 import osculant
 from osculant import (
+    C,
     Check,
     CoverInvariants,
     DegreeTooSmall,
@@ -24,6 +30,7 @@ from osculant import (
     DomainError,
     ExceptionalSpec,
     LambdaSpec,
+    QuotientClass,
     census,
     closed_conditions,
     construction_kit,
@@ -48,9 +55,11 @@ from osculant import (
     z_divisor,
 )
 from osculant.cli import RunConfig
-from osculant.verify import CriterionResult
+from osculant.vectors import slot_setters
+from osculant.verify import CriterionResult, build_sweep
 
 REF = LambdaSpec(4, 2, (3, 2, 2, 2))
+GAMMA_REF = (3, 2, 2, 2)
 
 
 class _Index:
@@ -226,6 +235,10 @@ def test_frozen_dataclasses_follow_the_record_rule():
     names = {f"{cls.__module__}.{cls.__qualname__}" for cls in frozen}
     stray = []
     for cls in frozen:
+        # every one keeps its fields in slots and has its own __init__,
+        # which writes them through the slot descriptors
+        assert "__slots__" in vars(cls), cls
+        assert not cls.__dataclass_params__.init, cls
         name = f"{cls.__module__}.{cls.__qualname__}"
         if "__post_init__" in vars(cls) or name in ALLOWED:
             continue
@@ -236,6 +249,140 @@ def test_frozen_dataclasses_follow_the_record_rule():
         f"{stray}: a record with no __post_init__ and no compare=False "
         "field is a typing.NamedTuple")
     assert set(ALLOWED) <= names
+    assert names == set(SLOTTED)
+
+
+# ---------------------------------------------------------------------------
+# the slotted frozen dataclasses behave as the generated ones did
+
+SLOTTED = {
+    "osculant.nef.LambdaSpec": (
+        REF, {"n": 0}, DegreeTooSmall,
+        "LambdaSpec(n=4, d=2, gamma=(3, 2, 2, 2), rho=1)"),
+    "osculant.lattice.DivisorClass": (
+        DivisorClass(4, 3, (-1, 0, 0, 0), (-3, -2, -2, -2)), {"c": True},
+        DomainError, _LAMBDA),
+    "osculant.lattice.QuotientClass": (
+        QuotientClass(C), {"pullback": DivisorClass(c=2)}, None,
+        f"QuotientClass(pullback={_dc(1, 0, '(0, 0, 0, 0)', '(0, 0, 0, 0)')})"),
+    "osculant.covers.CoverInvariants": (
+        CoverInvariants(4, 2, 4, 0, 1, 1, GAMMA_REF), {"g": 4.0}, DomainError,
+        "CoverInvariants(n=4, d=2, g=4, g_tilde=0, rho=1, m=1, "
+        "gamma=(3, 2, 2, 2))"),
+    "osculant.nef.NefReport": (
+        nef_check(REF, p=7), {"agreement": False}, None,
+        "NefReport(verdict='nef', mode='both', failing_constraint=None, "
+        "witness=None, boundary_contacts=((0, 1, 1, 1), (1, 0, 0, 0), "
+        "(1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0), (2, 1, 1, 1)), "
+        "agreement=True, conditions=(" + ", ".join([
+            _check("eps-norm", 3, 3), _check("eps-sum", 9, 9),
+            _check("eps-pair", 6, 6, "factored reading")]) + "))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_slotted_record_is_a_frozen_value(name):
+    obj, change, error, text = SLOTTED[name]
+    assert f"{type(obj).__module__}.{type(obj).__qualname__}" == name
+    assert not hasattr(obj, "__dict__")
+    field = dataclasses.fields(obj)[0].name
+    for attr in (field, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, attr)
+    assert repr(obj) == text
+    for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+                  copy.deepcopy(obj)):
+        assert type(again) is type(obj) and again == obj
+        assert hash(again) == hash(obj) and repr(again) == text
+    # replace goes through __init__, so it validates again
+    if error is None:
+        changed = dataclasses.replace(obj, **change)
+        assert all(getattr(changed, key) == value
+                   for key, value in change.items())
+        assert changed != obj
+    else:
+        with pytest.raises(error):
+            dataclasses.replace(obj, **change)
+    assert dataclasses.replace(obj) == obj
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (obj, *_) in SLOTTED.items()
+    if "__post_init__" in vars(type(obj))))
+def test_slotted_record_runs_the_class_post_init(name, monkeypatch):
+    # construction looks __post_init__ up on the class at call time, so
+    # a wrapper put there (as benchmarks/tracer.py does) sees every one
+    obj = SLOTTED[name][0]
+    cls = type(obj)
+    calls = []
+    original = cls.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    again = cls(*(getattr(obj, f.name) for f in dataclasses.fields(cls)))
+    assert again == obj and calls == [again]
+    dataclasses.replace(obj)
+    assert len(calls) == 2
+
+
+def test_slot_setters_need_init_in_field_order():
+    @dataclasses.dataclass(frozen=True, slots=True, init=False)
+    class Swapped:
+        a: int
+        b: int = 0
+
+        def __init__(self, b=0, a=None):
+            pass
+
+    @dataclasses.dataclass(frozen=True, slots=True, init=False)
+    class Defaults:
+        a: int
+        b: int = 0
+
+        def __init__(self, a, b=1):
+            pass
+
+    for cls in (Swapped, Defaults):
+        with pytest.raises(TypeError):
+            slot_setters(cls)
+
+
+# ---------------------------------------------------------------------------
+# rows built positionally (vectors.new_row) are the rows the generated
+# __new__ builds: tuple.__new__ checks neither the field count nor the
+# order, so each must equal its keyword rebuild.  That catches a missing
+# or extra field; swapped fields rebuild alike, and are left to the
+# tests of their values.
+
+def _same_as_rebuilt(row) -> bool:
+    again = type(row)(**row._asdict())
+    return (type(again) is type(row) and again == row
+            and hash(again) == hash(row) and repr(again) == repr(row))
+
+
+@pytest.mark.parametrize("reading", ["factored", "literal"])
+def test_sweep_rows_equal_their_keyword_rebuild(reading):
+    reports = build_sweep((1, 4, 3), reading)
+    assert len(reports) == 10143
+    for report in reports:
+        assert report.conditions[2].note == f"{reading} reading"
+        for row in (*report.conditions, report.decomposition, report.scan):
+            assert _same_as_rebuilt(row), (report.spec, row)
+
+
+def test_census_rows_equal_their_keyword_rebuild():
+    rows = census(range(1, 7), range(1, 4), 15)
+    assert rows
+    for row in rows:
+        assert _same_as_rebuilt(row), row
+        report = nef_check(LambdaSpec(row.n, row.d, row.gamma))
+        for part in (*report.conditions, report.decomposition, report.scan):
+            assert _same_as_rebuilt(part), (row, part)
 
 
 # ---------------------------------------------------------------------------
