@@ -6,9 +6,16 @@ defaults.  Exit codes: 0 success, 1 domain error (the message carries
 the violated constraint id), 2 usage error, 3 internal consistency
 failure (including any verify-paper criterion failure), 141 when the
 reader closes stdout before the output is written.
+
+A command runs with the cyclic garbage collector paused.  osculant's
+values form no reference cycles (tests/test_collector.py), so the
+collector's passes during a sweep find nothing to free; main() restores
+the collector's state on every way out.  Library calls leave it alone.
 """
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import re
@@ -366,6 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector off, then give
+    back the state it found, however the block ends.  For code that owns
+    its process, such as a command; a library call leaves it alone."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -373,8 +394,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = RunConfig.resolve(args)
-        text, code = args.func(args, cfg)
+        with collector_paused():
+            cfg = RunConfig.resolve(args)
+            text, code = args.func(args, cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

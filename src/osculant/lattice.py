@@ -200,15 +200,17 @@ class QuotientClass:
 
     Pairings divide the upstairs pairing of the pullbacks by two; an odd
     upstairs pairing means some operand was not a pullback and raises
-    OddPairing.  Validity is checked lazily, at pairing time, so classes
-    can be assembled freely (sums and differences of pullbacks are again
-    pullbacks, hence close under the arithmetic).
+    OddPairing.  The constructor checks only that the pullback is a
+    DivisorClass (TypeError otherwise); whether it is a pullback is
+    checked lazily, at pairing time, so classes can be assembled freely
+    (sums and differences of pullbacks are again pullbacks, hence close
+    under the arithmetic).
     """
 
     pullback: DivisorClass
 
     def __init__(self, pullback):
-        _put_pullback(self, pullback)
+        _put_pullback(self, of_kind(pullback, DivisorClass))
 
     def dot(self, other: "QuotientClass") -> int:
         up = self.pullback.dot(other.pullback)

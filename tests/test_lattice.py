@@ -101,6 +101,18 @@ def test_quotient_canonical():
     assert K_TILDE.dot(K_TILDE) == 0
 
 
+@pytest.mark.parametrize("bad", [7, None, (1, 0, 0, 0), K_TILDE])
+def test_quotient_class_needs_a_divisor_class(bad):
+    # a wrong kind is refused when the class is built, not later as an
+    # AttributeError from the pairing
+    for use in (lambda: QuotientClass(bad),
+                lambda: 2 * QuotientClass(bad),
+                lambda: quotient_intersect(QuotientClass(bad), K_TILDE),
+                lambda: quotient_genus(QuotientClass(bad))):
+        with pytest.raises(TypeError, match="expected a DivisorClass"):
+            use()
+
+
 @given(classes, classes)
 def test_pairing_symmetry(a, b):
     assert a.dot(b) == b.dot(a)

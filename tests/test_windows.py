@@ -9,6 +9,7 @@ pins every verdict there.  Both use scripts/certify_windows.py, which
 runs the same check to any d."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -107,6 +108,31 @@ def test_certify_script_reports_and_exits_zero(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("d=1: 9 specs, 0 failures, ")
     assert lines[-1].startswith("d 1..3: 447 specs, 0 failures, ")
+
+
+def test_certify_script_pauses_the_collector_and_restores_it(
+        capsys, monkeypatch):
+    seen = []
+
+    def certify(d):
+        seen.append(gc.isenabled())
+        if d == 2:
+            raise KeyboardInterrupt
+        return iter(())
+
+    monkeypatch.setattr(certify_windows, "certify", certify)
+    assert certify_windows.main(["--d-max", "1"]) == 0
+    assert gc.isenabled() and seen == [False]
+    with pytest.raises(KeyboardInterrupt):
+        certify_windows.main(["--d-max", "2"])
+    assert gc.isenabled() and seen == [False, False, False]
+    gc.disable()
+    try:
+        assert certify_windows.main(["--d-max", "1"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_certify_script_names_failures_by_battery_key():
