@@ -16,6 +16,8 @@ untrustworthy result and map to a different process exit code in the
 CLI.
 """
 
+import copyreg
+
 
 class DomainError(ValueError):
     """Caller input violates a documented constraint."""
@@ -29,6 +31,14 @@ class DomainError(ValueError):
 
     def __str__(self) -> str:
         return f"[{self.constraint}] {super().__str__()}"
+
+    def __reduce__(self):
+        # Rebuild without calling __init__, whose signature differs by
+        # class (ExprError takes a position): args holds the message as
+        # formatted, __dict__ the constraint and position set on the
+        # instance.  So every class survives pickle, as a forked battery
+        # child's exception must.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class OddPairing(DomainError):

@@ -560,13 +560,20 @@ def closed_conditions(dec: Decomposition, d: int,
                               at_least(d, 1, "d"), pair_reading)
 
 
-def _closed_conditions(dec: Decomposition, d: int,
-                       pair_reading: str) -> tuple[Check, ...]:
-    """closed_conditions of a Decomposition at an int d >= 1."""
+def _pair_note(pair_reading: str) -> str:
+    """The eps-pair row's note for a pair reading; raises DomainError
+    for a reading that _PAIR_NOTES does not name."""
     note = _PAIR_NOTES.get(pair_reading)
     if note is None:
         raise DomainError(f"unknown pair reading {pair_reading!r}",
                           constraint="pair-reading")
+    return note
+
+
+def _closed_conditions(dec: Decomposition, d: int,
+                       pair_reading: str) -> tuple[Check, ...]:
+    """closed_conditions of a Decomposition at an int d >= 1."""
+    note = _pair_note(pair_reading)
     w = 2 * d - 1
     a0, a1, a2, a3 = sorted(map(abs, dec.eps))
     e2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3

@@ -21,12 +21,24 @@ reports), passes each block through the five steps and drops it, so its
 memory does not grow with the grid.  ``build_sweep`` returns a grid's
 whole list, and each public ``criterion_*(sweep)`` runs its row over a
 list taken as one block.
+
+The sweep and the other eight criteria share no state, so ``run_all``
+checks the sweep in the calling process while one forked child runs the
+eight (_beside), and sends back their results, or the exception that
+stopped them, pickled through a pipe.  Where forking is unsafe (no
+os.fork, another thread running) the eight run inline after the sweep.
+The results and errors are the same either way.
 """
 
+import os
+import pickle
 import random
-from collections.abc import Iterable, Iterator
+import signal
+import threading
+import traceback
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import expr
 from .catalog import (
@@ -47,6 +59,7 @@ from .nef import (
     _compose,
     _congruent,
     _minimizer,
+    _pair_note,
     _window,
     decompose_type,
     lambda_class,
@@ -523,6 +536,109 @@ def criterion_census_determinism() -> CriterionResult:
 # the full battery
 
 
+def _side_results(seed: int) -> list[CriterionResult]:
+    """The eight criteria that read no sweep, in battery order."""
+    return [
+        criterion_exceptional_catalog(),
+        criterion_negative_curve_catalog(),
+        criterion_pairing_closed_form(seed=seed),
+        criterion_family_generators(),
+        criterion_construction_kit(),
+        criterion_decomposition(seed=seed),
+        criterion_expression_round_trip(seed=seed),
+        criterion_census_determinism(),
+    ]
+
+
+def _may_fork() -> bool:
+    """Whether a forked child may run beside this process: the platform
+    forks and no other thread runs (a fork copies only the calling
+    thread, so a lock another thread held would stay held in the
+    child)."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc if it survives a pickle round trip, else an
+    InternalCheckFailure carrying its type name and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return InternalCheckFailure(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+# a part of the battery: its criteria's results, in battery order
+Part = Callable[[], list[CriterionResult]]
+
+
+def _child(side: Part, fd: int) -> NoReturn:
+    """A forked child's whole life: run side(), write ("ok", its result)
+    or ("raise", the exception it raised) pickled to fd, and end with
+    os._exit, which flushes none of the stdio buffers copied from the
+    parent and runs no atexit hook.  The exit code is 0 only once the
+    whole outcome is written.  A traceback does not pickle, so the
+    exception carries the child's as a note, which names where it rose."""
+    code = 1
+    try:
+        try:
+            outcome = ("ok", side())
+        except BaseException as exc:
+            sent = _portable(exc)
+            sent.add_note(traceback.format_exc())
+            outcome = ("raise", sent)
+        with open(fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _beside(main: Part, side: Part
+            ) -> tuple[list[CriterionResult], list[CriterionResult]]:
+    """(main(), side()), with side() run in one forked child while
+    main() runs here; or inline, main() first, where _may_fork says no.
+
+    Either way the results and the exceptions are the same: an exception
+    of main() wins, and the child is then killed; an exception of side()
+    is raised here with its type and text.  The child is reaped and the
+    pipe's ends closed on every path.  A child that ends without writing
+    its outcome raises InternalCheckFailure naming how it ended.
+    """
+    if not _may_fork():
+        return main(), side()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _child(side, write_fd)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            here = main()
+            data = pipe.read()     # to the child's end, before the reap
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = (f"was killed by signal {-code}" if code < 0
+               else f"exited with status {code}")
+        raise InternalCheckFailure(
+            f"the battery's forked child {how} before it sent its results")
+    tag, value = pickle.loads(data)
+    if tag == "raise":
+        raise value
+    return here, value
+
+
 def run_all(seed: int = 0,
             pair_reading: str = "factored") -> list[CriterionResult]:
     """All thirteen criteria, in specification order.
@@ -531,21 +647,18 @@ def run_all(seed: int = 0,
     one sweep built at characteristic zero; char-p behavior is covered
     by the unit suites, not by the battery.  Each (d, mu) block of the
     sweep goes through the five criteria, criterion by criterion, and
-    is dropped before the next block is built.
+    is dropped before the next block is built.  The sweep runs in this
+    process and the other eight criteria in one forked child beside it
+    (_beside), or after it where no child may be forked; the seed and
+    the pair reading are checked before either starts.
     """
     seed = as_int(seed, "seed")
-    agreement, *sweep_checks = _sweep_results(
-        _sweep_blocks(_BATTERY_GRID, pair_reading), pair_reading,
-        _grid_box(_BATTERY_GRID))
-    return [
-        criterion_exceptional_catalog(),
-        criterion_negative_curve_catalog(),
-        criterion_pairing_closed_form(seed=seed),
-        agreement,
-        criterion_family_generators(),
-        *sweep_checks,
-        criterion_construction_kit(),
-        criterion_decomposition(seed=seed),
-        criterion_expression_round_trip(seed=seed),
-        criterion_census_determinism(),
-    ]
+    _pair_note(pair_reading)
+    sweep, side = _beside(
+        lambda: _sweep_results(_sweep_blocks(_BATTERY_GRID, pair_reading),
+                               pair_reading, _grid_box(_BATTERY_GRID)),
+        lambda: _side_results(seed))
+    agreement, *sweep_checks = sweep
+    catalogs, negatives, pairing, families, *kit_onward = side
+    return [catalogs, negatives, pairing, agreement, families,
+            *sweep_checks, *kit_onward]

@@ -11,6 +11,8 @@ rejects."""
 
 import ast
 import inspect
+import os
+import pickle
 import time
 from pathlib import Path
 
@@ -195,7 +197,12 @@ def test_run_all_rejects_a_bad_seed_or_reading_before_its_battery(
         next(first_block(grid, reading))    # raises on a bad reading
         raise AssertionError("run_all took its arguments and ran its sweep")
 
+    def no_child():
+        raise AssertionError("run_all forked a child for arguments it "
+                             "rejects")
+
     monkeypatch.setattr(verify, "_sweep_blocks", no_battery)
+    monkeypatch.setattr(os, "fork", no_child)
     for name, params in REJECTED.items():
         fn = getattr(osculant, name)
         for param, (values, constraint) in params.items():
@@ -222,6 +229,29 @@ def test_a_constraint_id_with_a_class_is_raised_as_that_class():
                 found.append(f"{path.name}:{node.lineno} "
                              f"{node.value.value}")
     assert not found, found
+
+
+# one instance of every exception class in errors.py, and a plain
+# DomainError with an id set on the instance
+PICKLED = [cls("bad input", 3) if issubclass(cls, errors.ExprError)
+           else cls("bad input")
+           for cls in vars(errors).values()
+           if inspect.isclass(cls) and issubclass(cls, BaseException)
+           and cls.__module__ == errors.__name__]
+PICKLED.append(DomainError("bad input", constraint="k-index"))
+
+
+@pytest.mark.parametrize("exc", PICKLED,
+                         ids=[type(e).__name__ for e in PICKLED[:-1]]
+                         + ["DomainError-with-id"])
+def test_every_error_survives_pickle(exc):
+    # the battery's forked child sends its exception back pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert getattr(back, "constraint", None) == getattr(exc, "constraint",
+                                                        None)
+    assert getattr(back, "position", None) == getattr(exc, "position", None)
 
 
 # a kit-window spec at d = 10**40: eps = (0, d-1, d-1, d-1), mu = e_0
