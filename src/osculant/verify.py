@@ -14,30 +14,35 @@ its integers (nef._minimizer) and adjunction and dimensions reuse its
 Lambda, so no criterion redoes the report's work.
 
 The five criteria are one table, _SWEEP_CRITERIA: each row's step
-checks a block of reports, and _sweep_results folds blocks through the
-table, keeping per row only its counts and the failures it quotes.
-``run_all`` builds the sweep one (d, mu) block at a time (at most 864
-reports), passes each block through the five steps and drops it, so its
-memory does not grow with the grid.  ``build_sweep`` returns a grid's
-whole list, and each public ``criterion_*(sweep)`` runs its row over a
-list taken as one block.
+checks a block of reports.  A block's tally (_tally) keeps per row only
+its counts and the failures it may quote, and _fold sums the tallies in
+sweep order.  ``run_all`` builds the sweep one (d, mu) block at a time
+(at most 864 reports), tallies it and drops it, so its memory does not
+grow with the grid.  ``build_sweep`` returns a grid's whole list, and
+each public ``criterion_*(sweep)`` runs its row over a list taken as one
+block.
 
-The sweep and the other eight criteria share no state, so ``run_all``
-checks the sweep in the calling process while one forked child runs the
-eight (_beside), and sends back their results, or the exception that
-stopped them, pickled through a pipe.  Where forking is unsafe (no
-os.fork, another thread running) the eight run inline after the sweep.
-The results and errors are the same either way.
+The sweep's blocks and the other eight criteria share no state.  So
+``run_all`` makes the 128 blocks jobs on a token pipe (_share): the
+calling process claims blocks from the start, while one forked child
+runs the eight and then claims blocks too.  The child sends back its
+results, its blocks' tallies and the first exception that stopped it,
+pickled through a pipe.  Where forking is unsafe (no os.fork, another
+thread running), or a grid's tokens would not fit one atomic pipe
+write, all runs inline, the sweep first.  The results and errors are
+the same either way, whichever process runs a block.
 """
 
 import os
 import pickle
 import random
+import select
 import signal
 import threading
 import traceback
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
 from . import expr
@@ -69,7 +74,7 @@ from .nef import (
     mu_patterns,
     nef_check,
 )
-from .vectors import as_int, fmt_vec, norm_sq
+from .vectors import Vec4, as_int, fmt_vec, norm_sq
 
 
 class CriterionResult(NamedTuple):
@@ -90,19 +95,36 @@ Grid = tuple[int, int, int]
 _BATTERY_GRID: Grid = (2, 5, 3)
 
 
+# a block of a sweep: d, a mu pattern and the eps window of d
+Block = tuple[int, Vec4, list[Vec4]]
+
+
+def _grid_blocks(grid: Grid) -> list[Block]:
+    """The (d, mu) blocks of a grid in sweep order; the blocks of one d
+    share its window."""
+    d_lo, d_hi, mu_max = grid
+    mus = mu_patterns(mu_max)
+    return [(d, mu, window) for d in range(d_lo, d_hi + 1)
+            for window in [_window(d)] for mu in mus]
+
+
+def _sweep_block(d: int, mu: Vec4, window: list[Vec4],
+                 pair_reading: str = "factored") -> list[NefReport]:
+    """The both-mode nef report of each spec of the (d, mu) block, in
+    window order."""
+    specs = filter(None, (_compose(d, mu, eps) for eps in window))
+    return [nef_check(LambdaSpec(n, d, gamma), mode="both",
+                      pair_reading=pair_reading)
+            for n, gamma in specs]
+
+
 def _sweep_blocks(grid: Grid, pair_reading: str = "factored"
                   ) -> Iterator[list[NefReport]]:
     """The sweep of a grid in sweep order, one list of both-mode nef
     reports per (d, mu) pattern, so a caller can check a block and drop
     it."""
-    d_lo, d_hi, mu_max = grid
-    for d in range(d_lo, d_hi + 1):
-        window = _window(d)
-        for mu in mu_patterns(mu_max):
-            specs = filter(None, (_compose(d, mu, eps) for eps in window))
-            yield [nef_check(LambdaSpec(n, d, gamma), mode="both",
-                             pair_reading=pair_reading)
-                   for n, gamma in specs]
+    for block in _grid_blocks(grid):
+        yield _sweep_block(*block, pair_reading)
 
 
 def build_sweep(grid: Grid = _BATTERY_GRID,
@@ -345,28 +367,49 @@ def _grid_box(grid: Grid) -> str:
     return f" (d {d_lo}..{d_hi}, mu <= {mu_max}, full eps window)"
 
 
-def _sweep_results(blocks: Iterable[list[NefReport]], pair_reading: str,
-                   box: str, criteria=_SWEEP_CRITERIA
-                   ) -> list[CriterionResult]:
-    """The sweep criteria (rows of _SWEEP_CRITERIA), in order, over
-    blocks of reports taken one at a time: each block goes through every
-    criterion's step and is then dropped.  A criterion keeps only its
-    counts and the failures it quotes, so the memory does not grow with
-    the grid.  ``box`` notes the blocks' grid in the agreement detail
-    (_grid_box), or is empty."""
-    tallies = [[0, 0, []] for _ in criteria]
-    for block in blocks:
-        for (_, step, _, keep, _), tally in zip(criteria, tallies):
-            checked, bad = step(block)
-            tally[0] += checked
-            tally[1] += len(bad)
-            tally[2] += bad[:keep - len(tally[2])]
+# a block's tally: (reports checked, failures, the failures a detail may
+# quote) for each sweep criterion
+Tally = list[tuple[int, int, list[str]]]
+
+
+def _tally(block: list[NefReport], criteria=_SWEEP_CRITERIA) -> Tally:
+    """The block through each criterion's step (rows of
+    _SWEEP_CRITERIA), kept as counts and the failures it may quote."""
+    tally = []
+    for _, step, _, keep, _ in criteria:
+        checked, bad = step(block)
+        tally.append((checked, len(bad), bad[:keep]))
+    return tally
+
+
+def _fold(tallies: Iterable[Tally], pair_reading: str, box: str,
+          criteria=_SWEEP_CRITERIA) -> list[CriterionResult]:
+    """The criteria's results from their block tallies in sweep order:
+    the counts summed and the first failures quoted.  ``box`` notes the
+    blocks' grid in the agreement detail (_grid_box), or is empty."""
+    totals = [[0, 0, []] for _ in criteria]
+    for tally in tallies:
+        for (_, _, _, keep, _), total, (checked, failed, quoted) in zip(
+                criteria, totals, tally):
+            total[0] += checked
+            total[1] += failed
+            total[2] += quoted[:keep - len(total[2])]
     return [CriterionResult(key, not failed,
                             summary.format(checked=checked, failed=failed,
                                            box=box, reading=pair_reading)
                             + "".join(lead + text for text in quoted))
             for (key, _, summary, _, lead), (checked, failed, quoted)
-            in zip(criteria, tallies)]
+            in zip(criteria, totals)]
+
+
+def _sweep_results(blocks: Iterable[list[NefReport]], pair_reading: str,
+                   box: str, criteria=_SWEEP_CRITERIA
+                   ) -> list[CriterionResult]:
+    """The sweep criteria, in order, over blocks of reports taken one at
+    a time: each block is tallied and then dropped, so the memory does
+    not grow with the grid."""
+    return _fold((_tally(block, criteria) for block in blocks),
+                 pair_reading, box, criteria)
 
 
 def _on_list(key: str, sweep: list[NefReport],
@@ -558,55 +601,91 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _portable(exc: BaseException) -> BaseException:
-    """exc if it survives a pickle round trip, else an
-    InternalCheckFailure carrying its type name and message."""
+def _sendable(exc: BaseException) -> BaseException:
+    """exc, or an InternalCheckFailure naming its type and text where exc
+    does not survive a pickle round trip, with exc's traceback as a note:
+    a traceback does not pickle, and the note names where exc rose."""
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:
-        return InternalCheckFailure(f"{type(exc).__name__}: {exc}")
-    return exc
+        sent = InternalCheckFailure(f"{type(exc).__name__}: {exc}")
+    else:
+        sent = exc
+    sent.add_note("".join(traceback.format_exception(exc)))
+    return sent
 
 
 # a part of the battery: its criteria's results, in battery order
 Part = Callable[[], list[CriterionResult]]
 
+# A process's earliest failure, keyed by where the inline path meets it:
+# a sweep block's index, the block count for a side criterion, and -1
+# for a non-Exception that stopped a child.
+Failure = tuple[int, BaseException]
 
-def _child(side: Part, fd: int) -> NoReturn:
-    """A forked child's whole life: run side(), write ("ok", its result)
-    or ("raise", the exception it raised) pickled to fd, and end with
-    os._exit, which flushes none of the stdio buffers copied from the
-    parent and runs no atexit hook.  The exit code is 0 only once the
-    whole outcome is written.  A traceback does not pickle, so the
-    exception carries the child's as a note, which names where it rose."""
+# what a process claimed: the tallies of the blocks it ran, by index,
+# and its failure or None
+Claimed = tuple[dict[int, Tally], Failure | None]
+
+# what a child sends back: the side results (None where one raised),
+# then its Claimed
+Report = tuple[list[CriterionResult] | None, dict[int, Tally],
+               Failure | None]
+
+
+def _claim(tokens: int, width: int, job: Callable[[int], Tally]
+           ) -> Claimed:
+    """Claim block indices from the token pipe until it is empty, each
+    read taking one width-byte token, and run job on each.  Tokens leave
+    the pipe in index order, so after a failure every later token is
+    past it: it is still claimed, so that the other process runs out of
+    blocks sooner, but not run.  A non-Exception (KeyboardInterrupt,
+    SystemExit) propagates at once."""
+    done = {}
+    failure = None
+    while token := os.read(tokens, width):
+        if failure is None:
+            i = int(token)
+            try:
+                done[i] = job(i)
+            except Exception as exc:
+                failure = (i, exc)
+    return done, failure
+
+
+def _child(part: Callable[[], Report], fd: int) -> NoReturn:
+    """A forked child's whole life: run part(), write its report pickled
+    to fd, its failure made _sendable, and end with os._exit, which
+    flushes none of the stdio buffers copied from the parent and runs no
+    atexit hook.  The exit code is 0 only once the whole report is
+    written."""
     code = 1
     try:
         try:
-            outcome = ("ok", side())
+            side, done, failure = part()
         except BaseException as exc:
-            sent = _portable(exc)
-            sent.add_note(traceback.format_exc())
-            outcome = ("raise", sent)
+            side, done, failure = None, {}, (-1, exc)
+        if failure is not None:
+            failure = (failure[0], _sendable(failure[1]))
         with open(fd, "wb") as pipe:
-            pickle.dump(outcome, pipe)
+            pickle.dump((side, done, failure), pipe)
         code = 0
     finally:
         os._exit(code)
 
 
-def _beside(main: Part, side: Part
-            ) -> tuple[list[CriterionResult], list[CriterionResult]]:
-    """(main(), side()), with side() run in one forked child while
-    main() runs here; or inline, main() first, where _may_fork says no.
+def _beside(here: Callable[[], Claimed], there: Callable[[], Report]
+            ) -> tuple[Claimed, Report | None]:
+    """(here(), there()), with there() run in one forked child while
+    here() runs in this process.
 
-    Either way the results and the exceptions are the same: an exception
-    of main() wins, and the child is then killed; an exception of side()
-    is raised here with its type and text.  The child is reaped and the
-    pipe's ends closed on every path.  A child that ends without writing
-    its outcome raises InternalCheckFailure naming how it ended.
+    The child is killed at once when here() raises, and when here()
+    failed after running every block before its failure, since no report
+    could then change the outcome; the report is then None.  Otherwise
+    a child that ends without writing its report raises
+    InternalCheckFailure naming how it ended.  The child is reaped and
+    the pipe's ends closed on every path.
     """
-    if not _may_fork():
-        return main(), side()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -616,27 +695,83 @@ def _beside(main: Part, side: Part
         raise
     if pid == 0:
         os.close(read_fd)
-        _child(side, write_fd)
+        _child(there, write_fd)
     os.close(write_fd)
+    data = None
     with open(read_fd, "rb") as pipe:
         try:
-            here = main()
-            data = pipe.read()     # to the child's end, before the reap
+            claimed = here()
+            done, failure = claimed
+            if failure is None or len(done) < failure[0]:
+                data = pipe.read()     # to the child's end, before the reap
+            else:
+                os.kill(pid, signal.SIGKILL)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             _, status = os.waitpid(pid, 0)
+    if data is None:
+        return claimed, None
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         how = (f"was killed by signal {-code}" if code < 0
                else f"exited with status {code}")
         raise InternalCheckFailure(
             f"the battery's forked child {how} before it sent its results")
-    tag, value = pickle.loads(data)
-    if tag == "raise":
-        raise value
-    return here, value
+    return claimed, pickle.loads(data)
+
+
+def _share(count: int, job: Callable[[int], Tally], side: Part
+           ) -> tuple[list[Tally], list[CriterionResult]]:
+    """([job(i) for i in range(count)], side()), the jobs being the
+    sweep's blocks.
+
+    Where _may_fork says yes, every index is first written to a token
+    pipe as a fixed-width token, make's jobserver pattern: one write of
+    at most PIPE_BUF bytes is atomic and fits any pipe, and every read
+    takes one token.  Then one forked child runs side() and claims
+    blocks once it is done, while this process claims them from the
+    start (_claim, _beside).  The tallies come back by index, so their
+    fold does not depend on which process ran a block.  Where the tokens
+    would not fit, or no child may be forked, all runs inline, the
+    blocks first.
+
+    The results and the exceptions are the same on both paths: the
+    earliest block in sweep order to raise wins, and then the first side
+    criterion to raise.  A child's exception comes back with its type
+    and text and a note of its traceback (_sendable).
+    """
+    width = len(str(max(count - 1, 0)))
+    if count * width > select.PIPE_BUF or not _may_fork():
+        return [job(i) for i in range(count)], side()
+    tokens, filler = os.pipe()
+    try:
+        with open(filler, "wb", buffering=0) as pipe:
+            pipe.write("".join(f"{i:0{width}}"
+                               for i in range(count)).encode())
+
+        def after_side() -> Report:
+            try:
+                results, failure = side(), None
+            except Exception as exc:
+                results, failure = None, (count, exc)
+            done, first = _claim(tokens, width, job)
+            return results, done, first or failure
+
+        (done, failure), report = _beside(
+            lambda: _claim(tokens, width, job), after_side)
+    finally:
+        os.close(tokens)
+    side_results = None
+    if report is not None:
+        side_results, theirs, their_failure = report
+        done.update(theirs)
+        failure = min(filter(None, (failure, their_failure)),
+                      key=itemgetter(0), default=None)
+    if failure is not None:
+        raise failure[1]
+    return [done[i] for i in range(count)], side_results
 
 
 def run_all(seed: int = 0,
@@ -646,19 +781,22 @@ def run_all(seed: int = 0,
     The agreement/adjunction/dimension/minimizer/contact criteria share
     one sweep built at characteristic zero; char-p behavior is covered
     by the unit suites, not by the battery.  Each (d, mu) block of the
-    sweep goes through the five criteria, criterion by criterion, and
-    is dropped before the next block is built.  The sweep runs in this
-    process and the other eight criteria in one forked child beside it
-    (_beside), or after it where no child may be forked; the seed and
-    the pair reading are checked before either starts.
+    sweep is built, tallied through the five criteria and dropped; the
+    tallies are folded in sweep order.  This process claims blocks from
+    the start, and one forked child claims them once it has run the
+    other eight criteria (_share); where no child may be forked, all
+    runs inline.  The seed and the pair reading are checked before
+    either starts.
     """
     seed = as_int(seed, "seed")
     _pair_note(pair_reading)
-    sweep, side = _beside(
-        lambda: _sweep_results(_sweep_blocks(_BATTERY_GRID, pair_reading),
-                               pair_reading, _grid_box(_BATTERY_GRID)),
+    blocks = _grid_blocks(_BATTERY_GRID)
+    tallies, side = _share(
+        len(blocks),
+        lambda i: _tally(_sweep_block(*blocks[i], pair_reading)),
         lambda: _side_results(seed))
-    agreement, *sweep_checks = sweep
+    agreement, *sweep_checks = _fold(tallies, pair_reading,
+                                     _grid_box(_BATTERY_GRID))
     catalogs, negatives, pairing, families, *kit_onward = side
     return [catalogs, negatives, pairing, agreement, families,
             *sweep_checks, *kit_onward]

@@ -191,17 +191,17 @@ def test_class_multiples_keep_the_input_contract():
 
 def test_run_all_rejects_a_bad_seed_or_reading_before_its_battery(
         monkeypatch):
-    first_block = verify._sweep_blocks
+    real_block = verify._sweep_block
 
-    def no_battery(grid, reading):
-        next(first_block(grid, reading))    # raises on a bad reading
+    def no_battery(d, mu, window, reading):
+        real_block(d, mu, window, reading)    # raises on a bad reading
         raise AssertionError("run_all took its arguments and ran its sweep")
 
     def no_child():
         raise AssertionError("run_all forked a child for arguments it "
                              "rejects")
 
-    monkeypatch.setattr(verify, "_sweep_blocks", no_battery)
+    monkeypatch.setattr(verify, "_sweep_block", no_battery)
     monkeypatch.setattr(os, "fork", no_child)
     for name, params in REJECTED.items():
         fn = getattr(osculant, name)

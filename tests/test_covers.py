@@ -102,6 +102,29 @@ def test_stored_quotient_genus_is_cross_checked():
     report = validate_cover(inv)
     row = next(c for c in report.checks if c.id == "quotient-genus")
     assert not row.passed
+    assert row.note == "stored g_tilde = 1 disagrees with recomputed value"
+
+
+@pytest.mark.parametrize("n,gamma,rhs", [(4, (5, 2, 2, 2), -16),
+                                         (5, (3, 2, 2, 2), 6)])
+def test_quotient_genus_note_names_a_right_side_that_is_no_genus(
+        n, gamma, rhs):
+    # at m = 1 the right side must be >= 0 and divisible by 4m^2 = 4
+    inv = CoverInvariants(n=n, d=2, g=4, g_tilde=0, rho=1, m=1, gamma=gamma)
+    row = next(c for c in validate_cover(inv).checks
+               if c.id == "quotient-genus")
+    assert (row.passed, row.lhs, row.rhs) == (False, 0, rhs)
+    assert row.note == (f"right side {rhs} not a genus: must be >= 0 and "
+                        f"divisible by 4")
+
+
+def test_factorization_errors_name_the_failing_number():
+    for args, text in [((5, 7, 2), "m must be odd and >= 1, got 2"),
+                       ((4, 7, 3), "m = 3 does not divide 2d-1 = 7"),
+                       ((5, 6, 3), "m = 3 does not divide 2g+1 = 13")]:
+        with pytest.raises(NotDivisible) as caught:
+            factorization_relations(*args)
+        assert str(caught.value) == f"[divisibility] {text}", args
 
 
 def test_factorization():
