@@ -11,7 +11,6 @@ validate_cover never raises: every law becomes a pass/fail row, so batch
 census runs can record failures as data.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .catalog import _cover_fields, _perp_class, validate_char_p
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .lattice import DivisorClass
 from .vectors import (Vec4, as_int, at_least, coord_sum, norm_sq, of_kind,
-                      slot_setters, vec4)
+                      record, setters, vec4)
 
 
 class Check(NamedTuple):
@@ -47,7 +46,7 @@ class Check(NamedTuple):
         return d
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class CoverInvariants:
     n: int
     d: int
@@ -57,20 +56,16 @@ class CoverInvariants:
     m: int
     gamma: Vec4
 
-    def __init__(self, n, d, g, g_tilde, rho, m, gamma):
-        for put, value in zip(_COVER_SLOTS, (n, d, g, g_tilde, rho, m,
-                                             gamma)):
-            put(self, value)
-        self.__post_init__()
-
     def __post_init__(self):
         # every scalar under the integer rule (vectors.as_int), then
-        # gamma, each written back through its slot descriptor
-        *scalars, put_gamma = _COVER_SLOTS
-        for name, put in zip(("n", "d", "g", "g_tilde", "rho", "m"),
-                             scalars):
-            put(self, as_int(getattr(self, name), name))
-        put_gamma(self, vec4(self.gamma))
+        # gamma; written again only when coerced, as in nef.LambdaSpec
+        old = (self.n, self.d, self.g, self.g_tilde, self.rho, self.m,
+               self.gamma)
+        new = (*map(as_int, old[:6], ("n", "d", "g", "g_tilde", "rho", "m")),
+               vec4(self.gamma))
+        if any(a is not b for a, b in zip(old, new)):
+            for put, value in zip(setters(CoverInvariants), new):
+                put(self, value)
 
     @property
     def gamma_sum(self) -> int:
@@ -79,9 +74,6 @@ class CoverInvariants:
     @property
     def gamma_sq(self) -> int:
         return norm_sq(self.gamma)
-
-
-_COVER_SLOTS = slot_setters(CoverInvariants)
 
 
 def validate_type(n: int, gamma) -> list[str]:

@@ -30,19 +30,17 @@ pulls back to -2C.
 Classes are validated once, when DivisorClass(...) is called; the
 arithmetic on them (+, -, unary -, integer multiples, dot) works on the
 stored int tuples with the pairing written out term by term.  Both
-classes are frozen dataclasses whose fields are slots: __init__ writes
-each one through its slot descriptor (vectors.slot_setters), as do
+classes are records (vectors.record), whose fields are slots: the
+generated __init__ writes each one through its slot descriptor, as do
 DivisorClass.__post_init__ for a coefficient it had to coerce and _make
 for the results of the arithmetic.
 """
 
-from dataclasses import dataclass
-
 from .errors import InternalCheckFailure, OddPairing
-from .vectors import Vec4, as_int, of_kind, slot_setters, vec4
+from .vectors import Vec4, as_int, of_kind, record, setters, vec4
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class DivisorClass:
     """Integer class a*C + b*F - sum x_i s_i - sum y_i r_i ... except that
     the stored s/r coefficients are the plain basis coefficients, signs
@@ -57,14 +55,6 @@ class DivisorClass:
     f: int = 0
     s: Vec4 = (0, 0, 0, 0)
     r: Vec4 = (0, 0, 0, 0)
-
-    def __init__(self, c=0, f=0, s=(0, 0, 0, 0), r=(0, 0, 0, 0)):
-        put_c, put_f, put_s, put_r = _CLASS_SLOTS
-        put_c(self, c)
-        put_f(self, f)
-        put_s(self, s)
-        put_r(self, r)
-        self.__post_init__()
 
     def __post_init__(self):
         c, f = as_int(self.c, "coefficient c"), as_int(self.f, "coefficient f")
@@ -132,7 +122,7 @@ class DivisorClass:
         return (self.c, self.f, *self.s, *self.r)
 
 
-_CLASS_SLOTS = slot_setters(DivisorClass)
+_CLASS_SLOTS = setters(DivisorClass)
 
 
 def _make(c: int, f: int, s: Vec4, r: Vec4) -> DivisorClass:
@@ -194,7 +184,7 @@ def arithmetic_genus(d: DivisorClass) -> int:
     return of_kind(d, DivisorClass).genus()
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class QuotientClass:
     """Numerical class on the rational quotient, stored by its pullback.
 
@@ -209,8 +199,8 @@ class QuotientClass:
 
     pullback: DivisorClass
 
-    def __init__(self, pullback):
-        _put_pullback(self, of_kind(pullback, DivisorClass))
+    def __post_init__(self):
+        of_kind(self.pullback, DivisorClass)
 
     def dot(self, other: "QuotientClass") -> int:
         up = self.pullback.dot(other.pullback)
@@ -249,8 +239,6 @@ class QuotientClass:
 
     __rmul__ = __mul__
 
-
-(_put_pullback,) = slot_setters(QuotientClass)
 
 K_TILDE = QuotientClass(DivisorClass(c=-2))
 

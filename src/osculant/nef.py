@@ -34,7 +34,7 @@ candidate minimizers mu, nat_mu and flat_mu, which is why closed and
 brute verdicts agree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -69,7 +69,8 @@ from .vectors import (
     nonnegative,
     norm_sq,
     of_kind,
-    slot_setters,
+    record,
+    setters,
     vec4,
 )
 
@@ -78,26 +79,19 @@ from .vectors import (
 # specs and decompositions
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class LambdaSpec:
     """Validated parameter tuple (n, d, gamma, rho) of a Lambda class:
     the cover-curve rules of catalog._cover_fields, then the type parity
-    and, at rho = 1, the rational-image constraint.  __init__ writes the
-    fields through their slot descriptors (vectors.slot_setters), and
-    __post_init__ writes back the same way any value it had to coerce."""
+    and, at rho = 1, the rational-image constraint.  The generated
+    __init__ (vectors.record) writes the fields through their slot
+    descriptors, and __post_init__ writes back the same way any value it
+    had to coerce."""
 
     n: int
     d: int
     gamma: Vec4
     rho: int = 1
-
-    def __init__(self, n, d, gamma, rho=1):
-        put_n, put_d, put_gamma, put_rho = _SPEC_SLOTS
-        put_n(self, n)
-        put_d(self, d)
-        put_gamma(self, gamma)
-        put_rho(self, rho)
-        self.__post_init__()
 
     def __post_init__(self):
         n, d, rho, gamma = _cover_fields(self.n, self.d, self.rho,
@@ -106,7 +100,7 @@ class LambdaSpec:
         # object, so the fields are written again only when coerced
         if (n is not self.n or d is not self.d or rho is not self.rho
                 or gamma is not self.gamma):
-            for put, value in zip(_SPEC_SLOTS, (n, d, gamma, rho)):
+            for put, value in zip(setters(LambdaSpec), (n, d, gamma, rho)):
                 put(self, value)
         bad = _validate_type(n, gamma)
         if bad:
@@ -125,9 +119,6 @@ class LambdaSpec:
     def check_char_p(self, p: int | None) -> int | None:
         """_char_p_for_type on this spec; returns p checked."""
         return _char_p_for_type(self.gamma, self.w, p)
-
-
-_SPEC_SLOTS = slot_setters(LambdaSpec)
 
 
 def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:
@@ -480,17 +471,17 @@ def _carried():
     return field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class NefReport:
     """Verdict of one nef check.  It also carries what it was made from
     (spec, p) and what it computed (the decomposition, unless brute
     only; the brute scan and Lambda, unless closed only), so callers can
     reuse the work instead of redoing it.
 
-    The fields are slots, written once each by __init__ through their
-    slot descriptors (vectors.slot_setters): the generated frozen
-    __init__ makes one object.__setattr__ call per field, and took about
-    twice as long per report."""
+    The fields are slots, written once each by the generated __init__
+    through their slot descriptors (vectors.record): the dataclass
+    frozen __init__ makes one object.__setattr__ call per field, and
+    took about twice as long per report."""
 
     verdict: str                      # "nef" | "not_nef"
     mode: str                         # "closed" | "brute" | "both"
@@ -504,25 +495,6 @@ class NefReport:
     decomposition: Decomposition | None = _carried()   # None in brute mode
     scan: BoxScan | None = _carried()   # None in closed mode
     lam: QuotientClass | None = _carried()   # None in closed mode
-
-    def __init__(self, verdict, mode, failing_constraint, witness,
-                 boundary_contacts, agreement, conditions=(), spec=None,
-                 p=None, decomposition=None, scan=None, lam=None):
-        (put_verdict, put_mode, put_failing, put_witness, put_contacts,
-         put_agreement, put_conditions, put_spec, put_p, put_dec, put_scan,
-         put_lam) = _REPORT_SLOTS
-        put_verdict(self, verdict)
-        put_mode(self, mode)
-        put_failing(self, failing_constraint)
-        put_witness(self, witness)
-        put_contacts(self, boundary_contacts)
-        put_agreement(self, agreement)
-        put_conditions(self, conditions)
-        put_spec(self, spec)
-        put_p(self, p)
-        put_dec(self, decomposition)
-        put_scan(self, scan)
-        put_lam(self, lam)
 
     def is_nef(self) -> bool:
         return self.verdict == "nef"
@@ -547,8 +519,6 @@ class NefReport:
             "conditions": [c.to_dict() for c in self.conditions],
         }
 
-
-_REPORT_SLOTS = slot_setters(NefReport)
 
 _PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
 

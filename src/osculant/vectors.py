@@ -11,13 +11,13 @@ vector in N^4 (nonnegative), an index in 0..3 (index4) and the kind of
 a record (of_kind, a TypeError).  A public function puts its scalars
 through them first, then its vectors.
 
-Records are built by two helpers here too: slot_setters for the frozen
-dataclasses, which write their slots directly, and new_row for the
-NamedTuple rows made once per spec, which skip the generated __new__.
+Records are built by two helpers here too: the record decorator for
+the frozen dataclasses, whose generated __init__ writes their slots
+directly, and new_row for the NamedTuple rows made once per spec, which
+skip the generated __new__.
 """
 
-from dataclasses import MISSING, FrozenInstanceError, fields
-from inspect import Parameter, signature
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import index
 
 from .errors import DegreeTooSmall, DomainError, ParityViolation
@@ -72,32 +72,44 @@ def of_kind(x, kind: type):
     return x
 
 
-def slot_setters(cls: type) -> tuple:
-    """The __set__ of each field's slot descriptor, in field order, for a
-    frozen dataclass declared with slots=True and init=False.
+def record(cls: type) -> type:
+    """Declare cls a frozen dataclass with slots=True and init=False,
+    with an __init__ generated once from its fields.
 
-    The class's own __init__ writes each field through them and then,
-    if the class has one, calls self.__post_init__(), which checks the
-    fields and writes back the same way any value it had to coerce.  A
-    generated frozen __init__ makes one object.__setattr__ call per
-    field instead, which costs about twice as much.  Positional
-    construction and dataclasses.replace rely on that __init__ taking
-    the fields in field order, with the fields' defaults: a TypeError
-    at import says it does not.
-
-    It also gives the class a frozen guard that raises
-    FrozenInstanceError for every name: the guard dataclasses makes
-    for a frozen slotted class raises a bare TypeError on a name that
-    is not a field (Python 3.11)."""
-    want = [(f.name, Parameter.empty if f.default is MISSING else f.default)
-            for f in fields(cls)]
-    got = [(p.name, p.default)
-           for p in signature(cls.__init__).parameters.values()][1:]
-    if got != want:
-        raise TypeError(f"{cls.__name__}.__init__ must take the fields "
-                        f"{want} in field order, got {got}")
+    The __init__ takes the fields in field order, with their defaults,
+    and writes each through its slot descriptor's __set__ (setters),
+    bound into its namespace; then it calls self.__post_init__(), looked
+    up at call time, where the class has one.  The dataclass frozen
+    __init__ makes one object.__setattr__ call per field instead, which
+    costs about twice as much.  A class with its own __init__ raises
+    TypeError.  The frozen guard raises FrozenInstanceError for every
+    name; the dataclass one raises a bare TypeError on a name that is
+    not a field (Python 3.11)."""
+    if "__init__" in vars(cls):
+        raise TypeError(f"{cls.__name__} is a record, whose __init__ is "
+                        "generated from its fields")
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    space, params, body = {}, [], []
+    for f, put in zip(fields(cls), setters(cls)):
+        space[f"_put_{f.name}"] = put
+        params.append(f.name)
+        if f.default is not MISSING:
+            space[f"_default_{f.name}"] = f.default
+            params[-1] += f"=_default_{f.name}"
+        body.append(f"\n    _put_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("\n    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", space)
+    cls.__init__ = space["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__setattr__, cls.__delattr__ = _frozen_set, _frozen_del
-    return tuple(vars(cls)[name].__set__ for name, _ in want)
+    return cls
+
+
+def setters(cls: type) -> tuple:
+    """The __set__ of each field's slot descriptor of a record, in field
+    order."""
+    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
 
 
 def _frozen_set(self, name, value):

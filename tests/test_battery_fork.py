@@ -448,13 +448,18 @@ def test_the_child_flushes_no_inherited_buffer():
 def test_this_file_passes_in_dev_mode():
     # -X dev warns of every file never closed; pytest reports such a
     # warning, raised in a finalizer, as PytestUnraisableExceptionWarning
+    here = Path(__file__).relative_to(ROOT)
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
          "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-W", "error::pytest.PytestUnraisableExceptionWarning", __file__,
-         # that test's own interpreter runs without -X dev anyway
-         "--deselect", f"{Path(__file__).relative_to(ROOT)}::"
-         f"{test_the_child_flushes_no_inherited_buffer.__name__}"],
+         # that test's own interpreter runs without -X dev anyway, and the
+         # seed-7 test runs the full battery twice on the fork path that
+         # the schedule tests check on small batteries
+         "--deselect",
+         f"{here}::{test_the_child_flushes_no_inherited_buffer.__name__}",
+         "--deselect",
+         f"{here}::{test_fork_path_equals_inline_path_at_seed_7.__name__}"],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

@@ -7,9 +7,9 @@ as immutable, hashable and readable as a frozen dataclass, and much
 cheaper to build, since a generated frozen ``__init__`` writes every
 field through ``object.__setattr__``.  The repr strings below were taken
 from the frozen-dataclass declarations these records replaced.  The
-frozen dataclasses that remain keep their fields in slots, which their
-own ``__init__`` writes through the slot descriptors; they must behave
-as the generated classes did."""
+frozen dataclasses that remain keep their fields in slots, which the
+``__init__`` generated by ``vectors.record`` writes through the slot
+descriptors; they must behave as the dataclass-generated classes did."""
 
 import copy
 import dataclasses
@@ -55,7 +55,7 @@ from osculant import (
     z_divisor,
 )
 from osculant.cli import RunConfig
-from osculant.vectors import slot_setters
+from osculant.vectors import record
 from osculant.verify import CriterionResult, build_sweep
 
 REF = LambdaSpec(4, 2, (3, 2, 2, 2))
@@ -235,8 +235,9 @@ def test_frozen_dataclasses_follow_the_record_rule():
     names = {f"{cls.__module__}.{cls.__qualname__}" for cls in frozen}
     stray = []
     for cls in frozen:
-        # every one keeps its fields in slots and has its own __init__,
-        # which writes them through the slot descriptors
+        # every one keeps its fields in slots and has the __init__ that
+        # vectors.record generates, which writes them through the slot
+        # descriptors
         assert "__slots__" in vars(cls), cls
         assert not cls.__dataclass_params__.init, cls
         name = f"{cls.__module__}.{cls.__qualname__}"
@@ -330,26 +331,69 @@ def test_slotted_record_runs_the_class_post_init(name, monkeypatch):
     assert len(calls) == 2
 
 
-def test_slot_setters_need_init_in_field_order():
-    @dataclasses.dataclass(frozen=True, slots=True, init=False)
-    class Swapped:
-        a: int
-        b: int = 0
+# the signatures the hand-written constructors had, which positional
+# construction and dataclasses.replace rely on
+SIGNATURES = {
+    "osculant.nef.LambdaSpec": "(n, d, gamma, rho=1)",
+    "osculant.lattice.DivisorClass": "(c=0, f=0, s=(0, 0, 0, 0), "
+                                     "r=(0, 0, 0, 0))",
+    "osculant.lattice.QuotientClass": "(pullback)",
+    "osculant.covers.CoverInvariants": "(n, d, g, g_tilde, rho, m, gamma)",
+    "osculant.nef.NefReport": (
+        "(verdict, mode, failing_constraint, witness, boundary_contacts, "
+        "agreement, conditions=(), spec=None, p=None, decomposition=None, "
+        "scan=None, lam=None)"),
+}
 
-        def __init__(self, b=0, a=None):
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_record_init_takes_the_fields_in_field_order(name):
+    cls = type(SLOTTED[name][0])
+    sig = inspect.signature(cls)
+    assert str(sig) == SIGNATURES[name]
+    assert [(p.name, p.default, p.kind)
+            for p in sig.parameters.values()] == [
+        (f.name,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING
+         else f.default, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_record_init_makes_no_setattr_call(name):
+    # a census row makes 0 object.__setattr__ writes: the generated
+    # __init__ writes the slots through their descriptors
+    cls = type(SLOTTED[name][0])
+    assert "__setattr__" not in cls.__init__.__code__.co_names
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def test_record_refuses_a_hand_written_init():
+    class Own:
+        a: int
+
+        def __init__(self, a):
             pass
 
-    @dataclasses.dataclass(frozen=True, slots=True, init=False)
-    class Defaults:
-        a: int
-        b: int = 0
+    with pytest.raises(TypeError, match="generated from its fields"):
+        record(Own)
+    assert "__slots__" not in vars(Own)
 
-        def __init__(self, a, b=1):
-            pass
 
-    for cls in (Swapped, Defaults):
-        with pytest.raises(TypeError):
-            slot_setters(cls)
+def test_cover_invariants_write_back_only_what_they_coerce():
+    # plain ints and an int 4-tuple are kept as the very objects passed
+    gamma = (3, 2, 2, 2)
+    values = (10 ** 30, 2, 10 ** 30 + 1, 0, 1, 1, gamma)
+    inv = CoverInvariants(*values)
+    assert all(getattr(inv, f.name) is value
+               for f, value in zip(dataclasses.fields(inv), values))
+    inv = CoverInvariants(_Index(4), _Index(2), _Index(4), _Index(0),
+                          _Index(1), _Index(1), [_Index(3), 2, 2, 2])
+    assert inv == CoverInvariants(4, 2, 4, 0, 1, 1, gamma)
+    assert all(type(getattr(inv, f.name)) is int
+               for f in dataclasses.fields(inv)[:6])
+    assert type(inv.gamma) is tuple
+    assert all(type(x) is int for x in inv.gamma)
 
 
 # ---------------------------------------------------------------------------
