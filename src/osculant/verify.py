@@ -22,15 +22,19 @@ grow with the grid.  ``build_sweep`` returns a grid's whole list, and
 each public ``criterion_*(sweep)`` runs its row over a list taken as one
 block.
 
-The sweep's blocks and the other eight criteria share no state.  So
-``run_all`` makes the 128 blocks jobs on a token pipe (_share): the
-calling process claims blocks from the start, while one forked child
-runs the eight and then claims blocks too.  The child sends back its
-results, its blocks' tallies and the first exception that stopped it,
-pickled through a pipe.  Where forking is unsafe (no os.fork, another
-thread running), or a grid's tokens would not fit one atomic pipe
-write, all runs inline, the sweep first.  The results and errors are
-the same either way, whichever process runs a block.
+The sweep's blocks and the other eight criteria share no state, so
+``run_all`` runs them as 136 jobs through one runner (_run_jobs).  A
+job's rank is its place in the inline order: the 128 blocks, then the
+eight.  Its claim order is the place of its token on a jobserver pipe:
+the eight first, longest first, then the blocks in sweep order.  The
+calling process and one forked child claim tokens until the pipe is
+empty, and the child sends back its results by job index and its
+failure, pickled through a pipe.  The failure of least rank wins, as
+inline, and the parent kills the child once it has itself run every
+job ranked below its own failure.  Where forking is unsafe (no os.fork,
+another thread running), or the tokens would not fit one atomic pipe
+write, all runs inline in rank order.  The results and errors are the
+same either way, whichever process runs a job.
 """
 
 import os
@@ -40,8 +44,9 @@ import select
 import signal
 import threading
 import traceback
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
@@ -576,21 +581,7 @@ def criterion_census_determinism() -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# the full battery
-
-
-def _side_results(seed: int) -> list[CriterionResult]:
-    """The eight criteria that read no sweep, in battery order."""
-    return [
-        criterion_exceptional_catalog(),
-        criterion_negative_curve_catalog(),
-        criterion_pairing_closed_form(seed=seed),
-        criterion_family_generators(),
-        criterion_construction_kit(),
-        criterion_decomposition(seed=seed),
-        criterion_expression_round_trip(seed=seed),
-        criterion_census_determinism(),
-    ]
+# the job runner
 
 
 def _may_fork() -> bool:
@@ -615,163 +606,160 @@ def _sendable(exc: BaseException) -> BaseException:
     return sent
 
 
-# a part of the battery: its criteria's results, in battery order
-Part = Callable[[], list[CriterionResult]]
+# a job: a function of nothing whose result any process may compute
+Job = Callable[[], object]
 
-# A process's earliest failure, keyed by where the inline path meets it:
-# a sweep block's index, the block count for a side criterion, and -1
-# for a non-Exception that stopped a child.
+# A process's failure: the rank of the job that raised, or -1 for a
+# non-Exception that stopped a child, and the exception.
 Failure = tuple[int, BaseException]
 
-# what a process claimed: the tallies of the blocks it ran, by index,
-# and its failure or None
-Claimed = tuple[dict[int, Tally], Failure | None]
-
-# what a child sends back: the side results (None where one raised),
-# then its Claimed
-Report = tuple[list[CriterionResult] | None, dict[int, Tally],
-               Failure | None]
+# what a process ran: the results of its jobs by index, and its failure
+# of least rank or None
+Ran = tuple[dict[int, object], Failure | None]
 
 
-def _claim(tokens: int, width: int, job: Callable[[int], Tally]
-           ) -> Claimed:
-    """Claim block indices from the token pipe until it is empty, each
-    read taking one width-byte token, and run job on each.  Tokens leave
-    the pipe in index order, so after a failure every later token is
-    past it: it is still claimed, so that the other process runs out of
-    blocks sooner, but not run.  A non-Exception (KeyboardInterrupt,
-    SystemExit) propagates at once."""
+def _claim(tokens: int, width: int) -> int | None:
+    """The job index of the next token on the pipe, read as one
+    width-byte token, or None once the pipe is empty."""
+    token = os.read(tokens, width)
+    return int(token) if token else None
+
+
+def _work(jobs: list[Job], claims: Iterable[int]) -> Ran:
+    """Run each claimed job; a job's index is its rank.  After a failure
+    at rank r a process still claims, so that the other runs out of
+    jobs sooner, but runs only the jobs ranked below r, whose failure
+    would win.  A non-Exception (KeyboardInterrupt, SystemExit)
+    propagates at once."""
     done = {}
     failure = None
-    while token := os.read(tokens, width):
-        if failure is None:
-            i = int(token)
+    for i in claims:
+        if failure is None or i < failure[0]:
             try:
-                done[i] = job(i)
+                done[i] = jobs[i]()
             except Exception as exc:
                 failure = (i, exc)
     return done, failure
 
 
-def _child(part: Callable[[], Report], fd: int) -> NoReturn:
-    """A forked child's whole life: run part(), write its report pickled
+def _child(work: Callable[[], Ran], fd: int) -> NoReturn:
+    """A forked child's whole life: run work(), write what it ran pickled
     to fd, its failure made _sendable, and end with os._exit, which
     flushes none of the stdio buffers copied from the parent and runs no
-    atexit hook.  The exit code is 0 only once the whole report is
-    written."""
+    atexit hook.  The exit code is 0 only once all of it is written."""
     code = 1
     try:
         try:
-            side, done, failure = part()
+            done, failure = work()
         except BaseException as exc:
-            side, done, failure = None, {}, (-1, exc)
+            done, failure = {}, (-1, exc)
         if failure is not None:
             failure = (failure[0], _sendable(failure[1]))
         with open(fd, "wb") as pipe:
-            pickle.dump((side, done, failure), pipe)
+            pickle.dump((done, failure), pipe)
         code = 0
     finally:
         os._exit(code)
 
 
-def _beside(here: Callable[[], Claimed], there: Callable[[], Report]
-            ) -> tuple[Claimed, Report | None]:
-    """(here(), there()), with there() run in one forked child while
-    here() runs in this process.
+def _forked(jobs: list[Job], order: list[int], width: int) -> Ran:
+    """What this process and one forked child ran of the jobs, both
+    claiming them from a token pipe filled in the given order.
 
-    The child is killed at once when here() raises, and when here()
-    failed after running every block before its failure, since no report
-    could then change the outcome; the report is then None.  Otherwise
-    a child that ends without writing its report raises
-    InternalCheckFailure naming how it ended.  The child is reaped and
-    the pipe's ends closed on every path.
+    The child is killed at once when this process raises, and when it
+    failed after running every job ranked below its failure, since no
+    answer could then change the outcome.  Otherwise a child that ends
+    without answering raises InternalCheckFailure naming how it ended.
+    The child is reaped and every pipe end closed on every path.
     """
-    read_fd, write_fd = os.pipe()
+    tokens, filler = os.pipe()
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        _child(there, write_fd)
-    os.close(write_fd)
-    data = None
-    with open(read_fd, "rb") as pipe:
+        with open(filler, "wb", buffering=0) as pipe:
+            pipe.write("".join(f"{i:0{width}}" for i in order).encode())
+        claims = iter(partial(_claim, tokens, width), None)
+        answers, sent = os.pipe()
         try:
-            claimed = here()
-            done, failure = claimed
-            if failure is None or len(done) < failure[0]:
-                data = pipe.read()     # to the child's end, before the reap
-            else:
-                os.kill(pid, signal.SIGKILL)
+            pid = os.fork()
         except BaseException:
-            os.kill(pid, signal.SIGKILL)
+            os.close(answers)
+            os.close(sent)
             raise
-        finally:
-            _, status = os.waitpid(pid, 0)
+        if pid == 0:
+            os.close(answers)
+            _child(lambda: _work(jobs, claims), sent)
+        os.close(sent)
+        data = None
+        with open(answers, "rb") as pipe:
+            try:
+                done, failure = _work(jobs, claims)
+                if failure is not None \
+                        and done.keys() >= set(range(failure[0])):
+                    os.kill(pid, signal.SIGKILL)
+                else:
+                    data = pipe.read()   # to the child's end, before the reap
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                _, status = os.waitpid(pid, 0)
+    finally:
+        os.close(tokens)
     if data is None:
-        return claimed, None
+        return done, failure
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         how = (f"was killed by signal {-code}" if code < 0
                else f"exited with status {code}")
         raise InternalCheckFailure(
             f"the battery's forked child {how} before it sent its results")
-    return claimed, pickle.loads(data)
+    theirs, their_failure = pickle.loads(data)
+    done.update(theirs)
+    return done, min(filter(None, (failure, their_failure)),
+                     key=itemgetter(0), default=None)
 
 
-def _share(count: int, job: Callable[[int], Tally], side: Part
-           ) -> tuple[list[Tally], list[CriterionResult]]:
-    """([job(i) for i in range(count)], side()), the jobs being the
-    sweep's blocks.
+def _run_jobs(jobs: list[Job], first: Sequence[int]) -> list:
+    """[job() for job in jobs], the jobs listed in rank order.
 
-    Where _may_fork says yes, every index is first written to a token
-    pipe as a fixed-width token, make's jobserver pattern: one write of
-    at most PIPE_BUF bytes is atomic and fits any pipe, and every read
-    takes one token.  Then one forked child runs side() and claims
-    blocks once it is done, while this process claims them from the
-    start (_claim, _beside).  The tallies come back by index, so their
-    fold does not depend on which process ran a block.  Where the tokens
-    would not fit, or no child may be forked, all runs inline, the
-    blocks first.
+    Where _may_fork says yes, each job's index is first written to a
+    token pipe as a fixed-width token, make's jobserver pattern: one
+    write of at most PIPE_BUF bytes is atomic and fits any pipe, and
+    every read takes one token.  The tokens go in claim order, the
+    indices in ``first`` and then the others in rank order, and this
+    process and one forked child claim them until the pipe is empty
+    (_forked).  The child's results come back pickled and keyed by
+    index, so they do not depend on which process ran a job.  Where the
+    tokens would not fit, or no child may be forked, all runs inline in
+    rank order.
 
-    The results and the exceptions are the same on both paths: the
-    earliest block in sweep order to raise wins, and then the first side
-    criterion to raise.  A child's exception comes back with its type
-    and text and a note of its traceback (_sendable).
+    The exception raised is the same on both paths: that of the job of
+    least rank to raise, unless a non-Exception stops a process.  A
+    child's exception comes back with its type and text and a note of
+    its traceback (_sendable), and its non-Exception ranks before every
+    job.
     """
+    count = len(jobs)
     width = len(str(max(count - 1, 0)))
     if count * width > select.PIPE_BUF or not _may_fork():
-        return [job(i) for i in range(count)], side()
-    tokens, filler = os.pipe()
-    try:
-        with open(filler, "wb", buffering=0) as pipe:
-            pipe.write("".join(f"{i:0{width}}"
-                               for i in range(count)).encode())
-
-        def after_side() -> Report:
-            try:
-                results, failure = side(), None
-            except Exception as exc:
-                results, failure = None, (count, exc)
-            done, first = _claim(tokens, width, job)
-            return results, done, first or failure
-
-        (done, failure), report = _beside(
-            lambda: _claim(tokens, width, job), after_side)
-    finally:
-        os.close(tokens)
-    side_results = None
-    if report is not None:
-        side_results, theirs, their_failure = report
-        done.update(theirs)
-        failure = min(filter(None, (failure, their_failure)),
-                      key=itemgetter(0), default=None)
+        done, failure = _work(jobs, range(count))
+    else:
+        order = [*first, *(i for i in range(count) if i not in first)]
+        done, failure = _forked(jobs, order, width)
     if failure is not None:
         raise failure[1]
-    return [done[i] for i in range(count)], side_results
+    return [done[i] for i in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# the full battery
+
+
+# The claim order of the eight criteria that read no sweep, as their
+# places in battery order, longest first.  In-process milliseconds on
+# a 2-core x86-64 VM: expression round trip 250, family generators 67,
+# pairing 55, exceptional catalog 30, construction kit 7, census
+# determinism 6, decomposition 3, negative-curve catalog under 1.
+_SIDE_CLAIMS = (6, 3, 2, 0, 4, 7, 5, 1)
 
 
 def run_all(seed: int = 0,
@@ -780,23 +768,32 @@ def run_all(seed: int = 0,
 
     The agreement/adjunction/dimension/minimizer/contact criteria share
     one sweep built at characteristic zero; char-p behavior is covered
-    by the unit suites, not by the battery.  Each (d, mu) block of the
-    sweep is built, tallied through the five criteria and dropped; the
-    tallies are folded in sweep order.  This process claims blocks from
-    the start, and one forked child claims them once it has run the
-    other eight criteria (_share); where no child may be forked, all
-    runs inline.  The seed and the pair reading are checked before
-    either starts.
+    by the unit suites, not by the battery.  The 136 jobs are the
+    sweep's (d, mu) blocks in sweep order, each built, tallied through
+    the five criteria and dropped, then the other eight criteria in
+    battery order.  _run_jobs runs them on two processes, the eight
+    claimed first, longest first, or inline, and the tallies are folded
+    in sweep order.  The seed and the pair reading are checked before
+    any job runs.
     """
     seed = as_int(seed, "seed")
     _pair_note(pair_reading)
     blocks = _grid_blocks(_BATTERY_GRID)
-    tallies, side = _share(
-        len(blocks),
-        lambda i: _tally(_sweep_block(*blocks[i], pair_reading)),
-        lambda: _side_results(seed))
-    agreement, *sweep_checks = _fold(tallies, pair_reading,
+    side = [criterion_exceptional_catalog,
+            criterion_negative_curve_catalog,
+            partial(criterion_pairing_closed_form, seed=seed),
+            criterion_family_generators,
+            criterion_construction_kit,
+            partial(criterion_decomposition, seed=seed),
+            partial(criterion_expression_round_trip, seed=seed),
+            criterion_census_determinism]
+    sweep = [lambda block=block: _tally(_sweep_block(*block, pair_reading))
+             for block in blocks]
+    results = _run_jobs(sweep + side,
+                        [len(blocks) + k for k in _SIDE_CLAIMS])
+    agreement, *sweep_checks = _fold(results[:len(blocks)], pair_reading,
                                      _grid_box(_BATTERY_GRID))
-    catalogs, negatives, pairing, families, *kit_onward = side
+    catalogs, negatives, pairing, families, *kit_onward = \
+        results[len(blocks):]
     return [catalogs, negatives, pairing, agreement, families,
             *sweep_checks, *kit_onward]

@@ -1,24 +1,33 @@
-"""The battery's forked child.
+"""The battery's job runner.
 
-``verify.run_all`` splits the battery between the calling process and
-one forked child (``verify._share``): the child runs the eight criteria
-that read no sweep and then claims sweep blocks from a token pipe,
-while the calling process claims them from the start; or all runs
-inline where no child may be forked.  These tests hold the two paths to
-the same results and the same errors, whichever process runs a block,
-and pin the child's lifecycle: one child per call, reaped and with
-every pipe fd closed whether the call returns or raises, and no stdio
-buffer of the parent flushed twice.  The last test runs this file again
-under ``python -X dev`` with ResourceWarning made an error, so a file
-left open fails the suite.
+``verify.run_all`` lists its work as 136 jobs in rank order, which is
+the inline order: the sweep's 128 blocks, then the eight criteria that
+read no sweep.  ``verify._run_jobs`` writes one token per job to a pipe
+in a separate claim order, the eight first and longest first, then the
+blocks in sweep order, and the calling process and one forked child
+both claim tokens until the pipe is empty; where no child may be
+forked, all runs inline in rank order.  The failure of least rank wins,
+and a child's KeyboardInterrupt or SystemExit ranks before every job.
+A process that failed at rank r still runs the jobs of rank below r
+that it claims, and the parent kills the child once it has itself run
+every job ranked below its own failure.  These tests hold the two
+paths to the same results and the same errors, whichever process runs
+a job, under set schedules of the claims, and pin the child's
+lifecycle: one child per call, reaped and with every pipe fd closed
+whether the call returns or raises, and no stdio buffer of the parent
+flushed twice.  The last test runs this file again under ``python -X
+dev`` with ResourceWarning made an error, so a file left open fails the
+suite.
 """
 
+import ast
 import dataclasses
 import os
 import select
 import signal
 import subprocess
 import sys
+import time
 import traceback
 from contextlib import contextmanager
 from pathlib import Path
@@ -37,6 +46,14 @@ fork_only = pytest.mark.skipif(
 
 # a grid of a few specs, for tests about the child rather than the sweep
 SMALL_GRID = (2, 2, 1)
+
+# the criteria that read no sweep, in battery order, and the one whose
+# token the runner writes first
+SIDE = ["criterion_exceptional_catalog", "criterion_negative_curve_catalog",
+        "criterion_pairing_closed_form", "criterion_family_generators",
+        "criterion_construction_kit", "criterion_decomposition",
+        "criterion_expression_round_trip", "criterion_census_determinism"]
+FIRST_CLAIMED = SIDE[verify._SIDE_CLAIMS[0]]
 
 
 @pytest.fixture(params=["fork", "inline"])
@@ -93,29 +110,35 @@ def _wait(fd: int) -> None:
 
 
 @contextmanager
-def scheduled(monkeypatch, schedule: str, planted=None):
-    """The forked battery held to one split of the sweep's blocks, with
-    planted[i] raised by block i.  Yields the indices of the blocks this
-    process built, in order.
+def scheduled(monkeypatch, schedule: str, planted=None, claimed=None):
+    """The forked battery held to one split of its jobs, with planted[i]
+    raised by block i.  Yields the indices of the blocks this process
+    built, in order; ``claimed``, where given, gets the index of each
+    token this process claimed, and the None of the empty pipe.
 
-    - "child-none": the child runs its side criteria only once this
-      process has claimed every block;
-    - "child-most": this process holds its first block until the child
-      has claimed every other;
-    - "child-first": the child claims block 0 and holds it until this
-      process has started block 1;
+    - "child-none": the child claims nothing until this process has
+      claimed every token;
+    - "child-most": the child claims every side job before this process
+      claims a token; then this process claims block 0 and holds it
+      until the child has claimed every other token;
+    - "child-first": the child claims every side job and block 0 before
+      this process claims a token, and holds block 0 until this process
+      has started block 1;
+    - "child-side": the child claims the first token, a side job's,
+      before this process claims one;
     - "free": no hold.
     """
     planted = planted or {}
     parent = os.getpid()
     index = {(d, mu): i for i, (d, mu, _)
              in enumerate(verify._grid_blocks(verify._BATTERY_GRID))}
+    sides = len(verify._SIDE_CLAIMS)
     built = []
+    claims = [] if claimed is None else claimed
     to_parent, from_child = os.pipe()
     to_child, from_parent = os.pipe()
     real_block = verify._sweep_block
     real_claim = verify._claim
-    real_side = verify._side_results
 
     def block(d, mu, window, reading):
         i = index[d, mu]
@@ -132,27 +155,32 @@ def scheduled(monkeypatch, schedule: str, planted=None):
             raise planted[i]
         return real_block(d, mu, window, reading)
 
-    def claim(*args):
+    def claim(tokens, width):
+        # each process appends to its own copy of claims
         here = os.getpid() == parent
-        if schedule == "child-first" and here:
+        n = len(claims)
+        if here and n == 0 and schedule in (
+                "child-most", "child-first", "child-side"):
             _wait(to_parent)
-        claimed = real_claim(*args)
-        if schedule == "child-none" and here:
-            os.write(from_parent, b".")
-        if schedule == "child-most" and not here:
-            os.write(from_child, b".")
-        return claimed
-
-    def side(seed):
-        if schedule == "child-none" and os.getpid() != parent:
+        if not here and (schedule, n) in {("child-none", 0),
+                                          ("child-most", sides)}:
             _wait(to_child)
-        return real_side(seed)
+        i = real_claim(tokens, width)
+        claims.append(i)
+        if here and n == 0 and schedule == "child-most":
+            os.write(from_parent, b".")
+        if not here and (schedule, n + 1) in {("child-most", sides),
+                                              ("child-side", 1)}:
+            os.write(from_child, b".")
+        if i is None and (schedule, here) in {("child-none", True),
+                                              ("child-most", False)}:
+            os.write(from_parent if here else from_child, b".")
+        return i
 
     try:
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_sweep_block", block)
             patch.setattr(verify, "_claim", claim)
-            patch.setattr(verify, "_side_results", side)
             yield built
     finally:
         for fd in (to_parent, from_child, to_child, from_parent):
@@ -206,7 +234,8 @@ def test_fork_path_equals_inline_path_under_each_schedule(
     inline = INLINE[seed, reading]
     assert (reading == "literal") == (not inline[3].passed)
     count = len(verify._grid_blocks(SCHEDULE_GRID))
-    with scheduled(monkeypatch, schedule) as built:
+    claimed = []
+    with scheduled(monkeypatch, schedule, claimed=claimed) as built:
         forks = _counted_forks(monkeypatch)
         with leaves_nothing_behind():
             forked = verify.run_all(seed=seed, pair_reading=reading)
@@ -214,6 +243,9 @@ def test_fork_path_equals_inline_path_under_each_schedule(
     assert forked == inline
     if schedule == "child-none":
         assert built == list(range(count))
+        # the claim order: the side jobs longest first, then the blocks
+        assert claimed == [*(count + k for k in verify._SIDE_CLAIMS),
+                           *range(count), None]
     if schedule == "child-most":
         assert built == [0]
 
@@ -261,6 +293,126 @@ def test_a_block_error_beats_a_side_error(monkeypatch, small_battery,
     assert str(caught.value) == "planted block"
 
 
+@pytest.mark.parametrize("schedule", ["child-none", "inline"])
+def test_a_side_job_that_fails_first_loses_to_a_block(
+        monkeypatch, small_battery, schedule):
+    # under "child-none" this process claims every token, so the first
+    # side job fails before the blocks run and the last block fails;
+    # inline, the blocks run first and the side job never does
+    schedule = _on_path(monkeypatch, schedule)
+    last = len(verify._grid_blocks(SCHEDULE_GRID)) - 1
+    side_failed_after = []
+    with scheduled(monkeypatch, schedule,
+                   {last: InternalCheckFailure("planted block")}) as built:
+        def side(*args, **kwargs):
+            side_failed_after.append(len(built))
+            raise ExprSyntaxError("planted side", 0)
+
+        monkeypatch.setattr(verify, FIRST_CLAIMED, side)
+        with leaves_nothing_behind():
+            with pytest.raises(InternalCheckFailure) as caught:
+                verify.run_all()
+    assert str(caught.value) == "planted block"
+    assert built[-1] == last
+    assert side_failed_after == ([] if schedule == "free" else [0])
+
+
+@pytest.mark.parametrize("schedule", ["child-none", "child-most", "inline"])
+def test_a_process_that_failed_still_runs_a_lower_ranked_job(
+        monkeypatch, small_battery, schedule):
+    # the side job claimed first fails, and a side job claimed after it
+    # but ranked below it fails too, and wins: both in this process
+    # under "child-none", both in the child under "child-most", and
+    # inline the lower ranked runs first and the other not at all
+    schedule = _on_path(monkeypatch, schedule)
+    first, lower = verify._SIDE_CLAIMS[0], min(verify._SIDE_CLAIMS)
+    assert lower < first
+    ran = []
+
+    def planted(key, exc):
+        def criterion(*args, **kwargs):
+            ran.append(key)
+            raise exc
+        return criterion
+
+    monkeypatch.setattr(verify, SIDE[first], planted(
+        "first", InternalCheckFailure("planted first")))
+    monkeypatch.setattr(verify, SIDE[lower], planted(
+        "lower", ExprSyntaxError("planted lower", 1)))
+    with scheduled(monkeypatch, schedule):
+        with leaves_nothing_behind():
+            with pytest.raises(ExprSyntaxError) as caught:
+                verify.run_all()
+    assert str(caught.value) == "[expr-syntax] planted lower (at position 1)"
+    assert ran == {"child-none": ["first", "lower"], "child-most": [],
+                   "free": ["lower"]}[schedule]
+
+
+@pytest.mark.parametrize("schedule,interrupted", [
+    ("child-first", 0), ("child-first", 2), ("inline", 0)])
+def test_a_child_interrupt_beats_a_block_failure_here(
+        monkeypatch, small_battery, schedule, interrupted):
+    # under "child-first" the child holds block 0 while this process
+    # fails at block 1; with interrupted = 2 this process holds that
+    # failure until the child, which ran block 0, is interrupted in
+    # block 2, ranked above it.  Inline, block 0 is interrupted first.
+    schedule = _on_path(monkeypatch, schedule)
+    parent = os.getpid()
+    entered, enters = os.pipe()
+    try:
+        with scheduled(monkeypatch, schedule,
+                       {interrupted: KeyboardInterrupt("planted")}) as built:
+            held = verify._sweep_block
+            one, two = [block[:2] for block
+                        in verify._grid_blocks(SCHEDULE_GRID)[1:3]]
+
+            def block(d, mu, window, reading):
+                if (d, mu) == two and os.getpid() != parent:
+                    os.write(enters, b".")
+                rows = held(d, mu, window, reading)
+                if (d, mu) == one and os.getpid() == parent:
+                    if interrupted == 2:
+                        _wait(entered)
+                    raise InternalCheckFailure("planted block")
+                return rows
+
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_sweep_block", block)
+                with leaves_nothing_behind():
+                    with pytest.raises(KeyboardInterrupt) as caught:
+                        verify.run_all()
+    finally:
+        os.close(entered)
+        os.close(enters)
+    assert str(caught.value) == "planted"
+    assert built == ([0] if schedule == "free" else [1])
+
+
+@fork_only
+def test_the_child_is_killed_once_no_answer_can_win(monkeypatch,
+                                                    small_battery):
+    # the child stalls in the side job it claims first; this process
+    # fails at block 0, which has no job ranked below it, so it kills
+    # the child rather than wait for its answer
+    stall, never = os.pipe()
+    monkeypatch.setattr(verify, FIRST_CLAIMED,
+                        lambda *args, **kwargs: select.select(
+                            [stall], [], [], 30))
+    try:
+        with scheduled(monkeypatch, "child-side",
+                       {0: InternalCheckFailure("planted block")}) as built:
+            start = time.monotonic()
+            with leaves_nothing_behind():
+                with pytest.raises(InternalCheckFailure,
+                                   match="^planted block$"):
+                    verify.run_all()
+            assert time.monotonic() - start < 10
+    finally:
+        os.close(stall)
+        os.close(never)
+    assert built == [0]
+
+
 @fork_only
 def test_quotes_fold_in_sweep_order(monkeypatch, small_battery):
     # the child runs block 0 and this process block 1, each with one
@@ -287,12 +439,13 @@ def test_quotes_fold_in_sweep_order(monkeypatch, small_battery):
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
 def test_an_interrupt_in_the_side_criteria_comes_back(monkeypatch, path,
                                                       interrupt):
+    # on the fork path the child claims the side job that raises
     monkeypatch.setattr(verify, "_BATTERY_GRID", SMALL_GRID)
-    monkeypatch.setattr(verify, "criterion_pairing_closed_form",
-                        _raises(interrupt("planted")))
-    with leaves_nothing_behind():
-        with pytest.raises(interrupt) as caught:
-            verify.run_all()
+    monkeypatch.setattr(verify, FIRST_CLAIMED, _raises(interrupt("planted")))
+    with scheduled(monkeypatch, "child-side" if path == "fork" else "free"):
+        with leaves_nothing_behind():
+            with pytest.raises(interrupt) as caught:
+                verify.run_all()
     assert type(caught.value) is interrupt
     assert str(caught.value) == "planted"
 
@@ -311,8 +464,9 @@ def test_tokens_past_pipe_buf_run_inline(monkeypatch):
     monkeypatch.setattr(verify, "_BATTERY_GRID", grid)
     monkeypatch.setattr(verify, "_sweep_block",
                         lambda d, mu, window, reading: built.append(mu) or [])
-    monkeypatch.setattr(verify, "_side_results", lambda seed: [
-        CriterionResult(f"side-{i}", True, "") for i in range(8)])
+    for i, name in enumerate(SIDE):
+        monkeypatch.setattr(verify, name, lambda *args, i=i, **kwargs:
+                            CriterionResult(f"side-{i}", True, ""))
     monkeypatch.setattr(os, "fork", no_child)
     with leaves_nothing_behind():
         results = verify.run_all()
@@ -333,14 +487,18 @@ def test_fork_path_equals_inline_path_at_seed_7(monkeypatch):
 
 
 def test_a_sweep_error_wins_and_the_child_is_reaped(monkeypatch, path):
-    # the child is still running its criteria when the sweep raises
+    # every block raises, and so does a side job; on the fork path this
+    # process fails at block 0 while the child runs the side job it
+    # claimed first
     monkeypatch.setattr(verify, "_sweep_block",
                         _raises(InternalCheckFailure("planted sweep")))
     monkeypatch.setattr(verify, "criterion_exceptional_catalog",
                         _raises(InternalCheckFailure("planted side")))
-    with leaves_nothing_behind():
-        with pytest.raises(InternalCheckFailure, match="^planted sweep$"):
-            verify.run_all()
+    with scheduled(monkeypatch, "child-side" if path == "fork" else "free"):
+        with leaves_nothing_behind():
+            with pytest.raises(InternalCheckFailure,
+                               match="^planted sweep$"):
+                verify.run_all()
 
 
 def test_an_interrupt_in_the_sweep_reaps_the_child(monkeypatch, path):
@@ -351,12 +509,14 @@ def test_an_interrupt_in_the_sweep_reaps_the_child(monkeypatch, path):
 
 
 def test_a_side_failure_comes_back_unchanged(monkeypatch, path):
+    # on the fork path the child runs every side job
     monkeypatch.setattr(verify, "_BATTERY_GRID", SMALL_GRID)
     monkeypatch.setattr(verify, "criterion_construction_kit",
                         _raises(InternalCheckFailure("planted side")))
-    with leaves_nothing_behind():
-        with pytest.raises(InternalCheckFailure) as caught:
-            verify.run_all()
+    with scheduled(monkeypatch, "child-most" if path == "fork" else "free"):
+        with leaves_nothing_behind():
+            with pytest.raises(InternalCheckFailure) as caught:
+                verify.run_all()
     assert str(caught.value) == "planted side"
     # the traceback as printed, the child's note included, still names
     # the function that raised
@@ -385,12 +545,14 @@ class Unpicklable(Exception):
 
 @fork_only
 def test_an_exception_that_does_not_pickle_names_its_type(monkeypatch):
+    # the child runs every side job
     monkeypatch.setattr(verify, "_BATTERY_GRID", SMALL_GRID)
     monkeypatch.setattr(verify, "criterion_exceptional_catalog",
                         _raises(Unpicklable("planted")))
-    with leaves_nothing_behind():
-        with pytest.raises(InternalCheckFailure) as caught:
-            verify.run_all()
+    with scheduled(monkeypatch, "child-most"):
+        with leaves_nothing_behind():
+            with pytest.raises(InternalCheckFailure) as caught:
+                verify.run_all()
     assert str(caught.value) == "Unpicklable: planted"
 
 
@@ -399,16 +561,19 @@ def test_a_child_killed_before_its_result_is_an_internal_failure(
         monkeypatch):
     parent = os.getpid()
 
-    def killed():
+    def killed(*args, **kwargs):
         assert os.getpid() != parent, "the side criteria ran inline"
         os.kill(os.getpid(), signal.SIGKILL)
 
+    # the child claims the side job that kills it
     monkeypatch.setattr(verify, "_BATTERY_GRID", SMALL_GRID)
-    monkeypatch.setattr(verify, "criterion_exceptional_catalog", killed)
-    with leaves_nothing_behind():
-        with pytest.raises(InternalCheckFailure,
-                           match=f"killed by signal {int(signal.SIGKILL)} "):
-            verify.run_all()
+    monkeypatch.setattr(verify, FIRST_CLAIMED, killed)
+    with scheduled(monkeypatch, "child-side"):
+        with leaves_nothing_behind():
+            with pytest.raises(
+                    InternalCheckFailure,
+                    match=f"killed by signal {int(signal.SIGKILL)} "):
+                verify.run_all()
 
 
 def test_a_side_failure_exits_3_from_the_cli(monkeypatch, capsys, path):
@@ -419,6 +584,42 @@ def test_a_side_failure_exits_3_from_the_cli(monkeypatch, capsys, path):
         code = cli.main(["verify-paper", "--output", "text"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (3, "", "internal check failed: planted side\n")
+
+
+def test_the_package_forks_and_exits_in_the_runner_only():
+    # a second fork path, such as a census on two CPUs, reuses the runner
+    found = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, path):
+            self.path, self.where = path, []
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Attribute(self, node):
+            if isinstance(node.value, ast.Name) and node.value.id == "os" \
+                    and node.attr in ("fork", "_exit", "forkpty"):
+                found.append((self.path, self.where[-1:], node.attr))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            assert node.module != "os", (self.path, node.lineno)
+
+        def visit_Import(self, node):
+            for alias in node.names:
+                assert alias.name.split(".")[0] not in (
+                    "multiprocessing", "concurrent"), (
+                    self.path, node.lineno)
+
+    package = ROOT / "src" / "osculant"
+    for path in sorted(package.rglob("*.py")):
+        name = str(path.relative_to(package))
+        Calls(name).visit(ast.parse(path.read_text(), name))
+    assert found == [("verify.py", ["_child"], "_exit"),
+                     ("verify.py", ["_forked"], "fork")]
 
 
 _BUFFERED = """

@@ -211,12 +211,9 @@ def test_validated_fields_stored_as_plain_ints():
 
 
 # frozen dataclasses that neither validate in __post_init__ nor carry a
-# field outside equality, each with the reason it is not a NamedTuple
-ALLOWED = {
-    "osculant.lattice.QuotientClass":
-        "a lattice value with its own +, - and *; as a tuple it would "
-        "also iterate, have a len and equal the 1-tuple of its pullback",
-}
+# field outside equality, each with the reason it is not a NamedTuple;
+# none at present
+ALLOWED: dict[str, str] = {}
 
 
 def _package_classes():
