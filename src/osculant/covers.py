@@ -122,13 +122,19 @@ def genus_tilde(n: int, d: int, rho: int, m: int, gamma) -> int:
     return _genus_tilde(n, d, rho, m, gamma)
 
 
+def _genus_numerator(n: int, w: int, rho: int, m: int, g2: int) -> int:
+    """4m^2 g~ = w(2n-2m) + 4m^2 - rho^2 - g2, w = 2d-1, g2 = gamma^(2):
+    >= 0 exactly when g2 <= 2w(n-m) + 4m^2 - rho^2 (type-norm-bound)."""
+    return w * (2 * n - 2 * m) + 4 * m * m - rho * rho - g2
+
+
 def _genus_tilde(n: int, d: int, rho: int, m: int, gamma: Vec4) -> int:
     """genus_tilde of ints with m >= 1 and an int 4-tuple gamma."""
-    num = (2 * d - 1) * (2 * n - 2 * m) + 4 * m * m - rho * rho - norm_sq(gamma)
+    g2 = norm_sq(gamma)
+    num = _genus_numerator(n, 2 * d - 1, rho, m, g2)
     if num < 0:
-        bound = 2 * (2 * d - 1) * (n - m) + 4 * m * m - rho * rho
         raise NegativeGenus(
-            f"gamma^(2) = {norm_sq(gamma)} exceeds {bound}; numerator {num} < 0")
+            f"gamma^(2) = {g2} exceeds {num + g2}; numerator {num} < 0")
     if num % (4 * m * m):
         raise NotDivisible(
             f"numerator {num} not divisible by 4m^2 = {4 * m * m}")
@@ -183,7 +189,7 @@ def validate_cover(inv: CoverInvariants, p: int | None = None) -> CoverReport:
     checks.append(Check("genus-le-type-sum", 2 * g + 1 <= g1, 2 * g + 1, g1))
 
     # quotient-genus identity, with the stored g_tilde cross-checked
-    num = w * (2 * n - 2 * m) + 4 * m * m - rho * rho - g2
+    num = _genus_numerator(n, w, rho, m, g2)
     ok = m >= 1 and num >= 0 and num % (4 * m * m) == 0 and num == 4 * m * m * inv.g_tilde
     note = ""
     if m >= 1 and (num < 0 or num % (4 * m * m)):
@@ -191,8 +197,7 @@ def validate_cover(inv: CoverInvariants, p: int | None = None) -> CoverReport:
     elif not ok:
         note = f"stored g_tilde = {inv.g_tilde} disagrees with recomputed value"
     checks.append(Check("quotient-genus", ok, 4 * m * m * inv.g_tilde, num, note=note))
-    checks.append(Check("type-norm-bound", g2 <= 2 * w * (n - m) + 4 * m * m - rho * rho,
-                        g2, 2 * w * (n - m) + 4 * m * m - rho * rho))
+    checks.append(Check("type-norm-bound", num >= 0, g2, num + g2))
 
     lhs = (2 * g + 1) ** 2
     mid = 8 * w * (n - m) + 13 * m * m - 4 * rho * rho

@@ -25,7 +25,7 @@ from .errors import (
     NoSolutions,
 )
 from .lattice import C, R, S, DivisorClass
-from .nef import LambdaSpec, _check_mu_pattern, _compose, nef_check
+from .nef import LambdaSpec, _check_mu_pattern, _compose, _moduli, nef_check
 from .vectors import (Vec4, as_int, at_least, coord_sum, fmt_vec, index4,
                       new_row, norm_sq, of_kind)
 
@@ -326,21 +326,15 @@ def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
     report = nef_check(LambdaSpec(n, d, gamma), mode="both", p=p,
                        pair_reading=pair_reading)
     dec = report.decomposition
-    closed_ok = report.failing_constraint is None
-    brute_ok = report.is_nef()
-    if d == 1:
-        dim = 0
-    else:
-        dim = d - 1 if brute_ok else None
     g1 = coord_sum(gamma)
     if g1 % 2 == 0:
         raise InternalCheckFailure(
             f"gamma^(1) = {g1} even for a valid type {fmt_vec(gamma)}")
     # every field, in field order (vectors.new_row)
     return new_row(CensusRecord, (
-        n, d, gamma, dec.mu, dec.eps, closed_ok, brute_ok,
-        bool(report.agreement), dim, (g1 - 1) // 2,
-        _genus_tilde(n, d, 1, 1, gamma)))
+        n, d, gamma, dec.mu, dec.eps, report.failing_constraint is None,
+        report.is_nef(), bool(report.agreement), _moduli(report),
+        (g1 - 1) // 2, _genus_tilde(n, d, 1, 1, gamma)))
 
 
 def census_csv(records) -> str:

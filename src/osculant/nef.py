@@ -704,8 +704,8 @@ def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None, *,
 
     ``report`` is reused as in linear_system_dims; without one, a fresh
     brute-mode nef_check supplies the scan."""
-    p = _admit(spec, p)
-    return _claim_report(spec.w, *_minimizer(_brute_report(report, spec, p)))
+    report = _brute_report(report, spec, p)
+    return _claim_report(spec.w, *_minimizer(report))
 
 
 def _minimizer(report: NefReport
@@ -759,10 +759,11 @@ def _claim_report(w: int, dec: Decomposition, cand_xs: list[int],
 def _brute_report(report: NefReport | None, spec: LambdaSpec,
                   p: int | None) -> NefReport:
     """A fresh brute-mode report on (spec, p) when ``report`` is None;
-    else ``report``, rejected unless it is a brute-route verdict on
-    (spec, p)."""
+    else, the spec admitted (_admit), ``report``, rejected unless it is
+    a brute-route verdict on (spec, p)."""
     if report is None:
         return nef_check(spec, mode="brute", p=p)
+    p = _admit(spec, p)
     of_kind(report, NefReport)
     if (report.spec != spec or report.p != p or report.scan is None
             or report.lam is None):
@@ -817,13 +818,16 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
                        report: NefReport | None = None) -> tuple[int, int]:
     """Dimensions of |Lambda| and |Lambda - C~o| by the anticanonical
     dimension formula dim|D| = D.(D - K~)/2, cross-checked against the
-    closed forms 2d-2 and d-2.
+    closed forms 2d-2 and d-2 (_dims).
 
     Pass the brute or both nef_check report of (spec, p) as ``report``
     to reuse its verdict and its Lambda; one made for another spec or p
     is rejected (``report-mismatch``)."""
-    p = _admit(spec, p)
-    report = _brute_report(report, spec, p)
+    return _dims(_brute_report(report, spec, p))
+
+
+def _dims(report: NefReport) -> tuple[int, int]:
+    """linear_system_dims on the Lambda of a brute or both report."""
     lam = report.lam
     deg = -K_TILDE.dot(lam)
     if deg < 2:
@@ -839,7 +843,7 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
 
     dim_l = harbourne(lam)
     dim_lc = harbourne(lam - section_image())
-    d = spec.d
+    d = report.spec.d
     if dim_l != 2 * d - 2 or dim_lc != d - 2:
         raise InternalCheckFailure(
             f"dimension formulas disagree with closed forms: "
@@ -849,15 +853,19 @@ def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
 
 def moduli_dimension(spec: LambdaSpec, p: int | None = None, *,
                      report: NefReport | None = None) -> int:
-    """Dimension of the moduli space the spec defines: d-1 for nef
-    specs with d >= 2, and 0 for d = 1 (a single cover, gamma = mu).
+    """Dimension of the moduli space the spec defines (_moduli): d-1 for
+    nef specs with d >= 2, and 0 for d = 1; NotNef for the others.
 
     ``report`` is reused as in linear_system_dims."""
-    p = _admit(spec, p)
     report = _brute_report(report, spec, p)
-    if spec.d == 1:
-        # the spec invariants already force gamma = mu and
-        # gamma^(2) = 2n+1 at d = 1; the moduli space is one point
-        return 0
-    _require_nef(report)
-    return spec.d - 1
+    dim = _moduli(report)
+    if dim is None:
+        _require_nef(report)
+    return dim
+
+
+def _moduli(report: NefReport) -> int | None:
+    """The moduli dimension of a report's spec: 0 at d = 1 (the spec
+    forces gamma = mu, one cover), else d-1 when nef and None when not."""
+    d = report.spec.d
+    return 0 if d == 1 else d - 1 if report.is_nef() else None

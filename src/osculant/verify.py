@@ -10,8 +10,9 @@ spec nef._compose builds from each window (d, mu, eps) with d in [2, 5],
 mu in nef.mu_patterns(3) and eps in nef._window(d).  Each spec gets one
 both-mode nef report, which carries its decomposition, scan and Lambda,
 and all five criteria read that report: the minimizer claim decides on
-its integers (nef._minimizer) and adjunction and dimensions reuse its
-Lambda, so no criterion redoes the report's work.
+its integers (nef._minimizer), adjunction and dimensions read its Lambda
+(covers._genus_identity, nef._dims, nef._moduli), so no criterion
+redoes the report's work or admits its spec again.
 
 The five criteria are one table, _SWEEP_CRITERIA: each row's step
 checks a block of reports.  A block's tally (_tally) keeps per row only
@@ -68,14 +69,14 @@ from .nef import (
     _claim_report,
     _compose,
     _congruent,
+    _dims,
     _minimizer,
+    _moduli,
     _pair_note,
     _window,
     decompose_type,
     lambda_class,
     lambda_dot_exceptional_closed,
-    linear_system_dims,
-    moduli_dimension,
     mu_patterns,
     nef_check,
 )
@@ -298,20 +299,17 @@ def _adjunction_step(block: list[NefReport]) -> tuple[int, list[str]]:
 
 def _dimensions_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
-    checked = 0
-    for row in block:
-        if not row.is_nef():
-            continue
-        checked += 1
+    nef = [row for row in block if row.is_nef()]
+    for row in nef:
         s = row.spec
         try:
             # raises InternalCheckFailure unless the dims are (2d-2, d-2)
-            linear_system_dims(s, report=row)
-            if moduli_dimension(s, report=row) != s.d - 1:
+            _dims(row)
+            if _moduli(row) != s.d - 1:
                 bad.append(f"{_spec_tag(s)}: moduli != d-1")
         except InternalCheckFailure as exc:
             bad.append(f"{_spec_tag(s)}: {exc}")
-    return checked, bad
+    return len(nef), bad
 
 
 def _minimizer_step(block: list[NefReport]) -> tuple[int, list[str]]:
@@ -331,16 +329,13 @@ def _minimizer_step(block: list[NefReport]) -> tuple[int, list[str]]:
 
 def _contacts_step(block: list[NefReport]) -> tuple[int, list[str]]:
     bad = []
-    checked = 0
-    for row in block:
-        if not row.is_nef():
-            continue
-        checked += 1
+    nef = [row for row in block if row.is_nef()]
+    for row in nef:
         for k, hits in row.contacts_by_k().items():
             if len(hits) > 1:
                 bad.append(f"{_spec_tag(row.spec)}: k={k} contacts "
                            f"{[fmt_vec(a) for a in hits]}")
-    return checked, bad
+    return len(nef), bad
 
 
 # The five sweep criteria in battery order: key, block step, summary
@@ -407,28 +402,18 @@ def _fold(tallies: Iterable[Tally], pair_reading: str, box: str,
             in zip(criteria, totals)]
 
 
-def _sweep_results(blocks: Iterable[list[NefReport]], pair_reading: str,
-                   box: str, criteria=_SWEEP_CRITERIA
-                   ) -> list[CriterionResult]:
-    """The sweep criteria, in order, over blocks of reports taken one at
-    a time: each block is tallied and then dropped, so the memory does
-    not grow with the grid."""
-    return _fold((_tally(block, criteria) for block in blocks),
-                 pair_reading, box, criteria)
-
-
 def _on_list(key: str, sweep: list[NefReport],
              pair_reading: str = "factored") -> CriterionResult:
     """The sweep criterion ``key`` over one list of reports.  A list does
     not say what grid it was built on, so the detail names none."""
-    return _sweep_results([sweep], pair_reading, "",
-                          [row for row in _SWEEP_CRITERIA if row[0] == key])[0]
+    rows = [row for row in _SWEEP_CRITERIA if row[0] == key]
+    return _fold([_tally(sweep, rows)], pair_reading, "", rows)[0]
 
 
 def _brute_rows(sweep: list[NefReport]) -> list[NefReport]:
     """The sweep, checked to hold only brute or both reports: the
-    adjunction and minimizer steps read their Lambda and scan without
-    the check verify_minimizer_claim makes."""
+    adjunction, dimension and minimizer steps read their Lambda and scan
+    without the check nef._brute_report makes."""
     for row in sweep:
         if row.scan is None or row.lam is None:
             raise DomainError(
@@ -449,7 +434,7 @@ def criterion_adjunction(sweep: list[NefReport]) -> CriterionResult:
 
 
 def criterion_dimensions(sweep: list[NefReport]) -> CriterionResult:
-    return _on_list("dimension-formulas", sweep)
+    return _on_list("dimension-formulas", _brute_rows(sweep))
 
 
 def criterion_minimizer(sweep: list[NefReport]) -> CriterionResult:
@@ -592,18 +577,20 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _sendable(exc: BaseException) -> BaseException:
+class _ChildTraceback(Exception):
+    """A forked child's traceback, as text."""
+
+
+def _sendable(exc: BaseException) -> tuple[BaseException, str]:
     """exc, or an InternalCheckFailure naming its type and text where exc
-    does not survive a pickle round trip, with exc's traceback as a note:
-    a traceback does not pickle, and the note names where exc rose."""
+    does not survive a pickle round trip, and exc's traceback as text: a
+    traceback does not pickle, and the text names where exc rose."""
+    text = "".join(traceback.format_exception(exc))
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:
-        sent = InternalCheckFailure(f"{type(exc).__name__}: {exc}")
-    else:
-        sent = exc
-    sent.add_note("".join(traceback.format_exception(exc)))
-    return sent
+        exc = InternalCheckFailure(f"{type(exc).__name__}: {exc}")
+    return exc, text
 
 
 # a job: a function of nothing whose result any process may compute
@@ -654,7 +641,7 @@ def _child(work: Callable[[], Ran], fd: int) -> NoReturn:
         except BaseException as exc:
             done, failure = {}, (-1, exc)
         if failure is not None:
-            failure = (failure[0], _sendable(failure[1]))
+            failure = (failure[0], *_sendable(failure[1]))
         with open(fd, "wb") as pipe:
             pickle.dump((done, failure), pipe)
         code = 0
@@ -713,6 +700,11 @@ def _forked(jobs: list[Job], order: list[int], width: int) -> Ran:
         raise InternalCheckFailure(
             f"the battery's forked child {how} before it sent its results")
     theirs, their_failure = pickle.loads(data)
+    if their_failure is not None:
+        # a __cause__ does not pickle, so the child's is set here
+        rank, exc, text = their_failure
+        exc.__cause__ = _ChildTraceback(text)
+        their_failure = rank, exc
     done.update(theirs)
     return done, min(filter(None, (failure, their_failure)),
                      key=itemgetter(0), default=None)
@@ -734,9 +726,9 @@ def _run_jobs(jobs: list[Job], first: Sequence[int]) -> list:
 
     The exception raised is the same on both paths: that of the job of
     least rank to raise, unless a non-Exception stops a process.  A
-    child's exception comes back with its type and text and a note of
-    its traceback (_sendable), and its non-Exception ranks before every
-    job.
+    child's exception comes back with its type, text and notes, and its
+    traceback as its __cause__ (_sendable); its non-Exception ranks
+    before every job.
     """
     count = len(jobs)
     width = len(str(max(count - 1, 0)))

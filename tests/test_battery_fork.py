@@ -518,10 +518,39 @@ def test_a_side_failure_comes_back_unchanged(monkeypatch, path):
             with pytest.raises(InternalCheckFailure) as caught:
                 verify.run_all()
     assert str(caught.value) == "planted side"
-    # the traceback as printed, the child's note included, still names
-    # the function that raised
+    # the traceback as printed, the child's one included as the cause,
+    # still names the function that raised
     printed = "".join(traceback.format_exception(caught.value))
     assert ", in criterion\n" in printed
+
+
+@fork_only
+def test_a_failure_is_the_same_exception_on_both_paths(monkeypatch):
+    # the child runs every side job under "child-most"; its traceback
+    # comes back as the cause, not as a note the inline path lacks
+    def criterion(*args, **kwargs):
+        exc = InternalCheckFailure("planted side")
+        exc.add_note("planted note")
+        raise exc
+
+    monkeypatch.setattr(verify, "_BATTERY_GRID", SMALL_GRID)
+    monkeypatch.setattr(verify, "criterion_construction_kit", criterion)
+    caught = {}
+    for path, schedule in (("fork", "child-most"), ("inline", "free")):
+        with monkeypatch.context() as patch:
+            if path == "inline":
+                patch.delattr(os, "fork")
+            with scheduled(patch, schedule):
+                with leaves_nothing_behind():
+                    with pytest.raises(InternalCheckFailure) as info:
+                        verify.run_all()
+        caught[path] = info.value
+    forked, inline = ((type(exc), str(exc), exc.__notes__)
+                      for exc in caught.values())
+    assert forked == inline == (
+        InternalCheckFailure, "planted side", ["planted note"])
+    assert caught["inline"].__cause__ is None
+    assert ", in criterion\n" in str(caught["fork"].__cause__)
 
 
 def test_the_first_side_criterion_to_raise_wins(monkeypatch, path):

@@ -52,8 +52,9 @@ def family_types():
 
 
 BATCH_PATHS = {
-    "sweep": lambda: verify._sweep_results(
-        verify._sweep_blocks((2, 3, 3)), "factored", ""),
+    "sweep": lambda: verify._fold(
+        (verify._tally(block) for block in verify._sweep_blocks((2, 3, 3))),
+        "factored", ""),
     "census-1": lambda: tiny_census(1),
     "census-3": lambda: tiny_census(3),
     "census-char-p": lambda: tiny_census(3, p=7),

@@ -5,7 +5,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osculant import (
     CoverInvariants,
@@ -116,6 +116,67 @@ def test_quotient_genus_note_names_a_right_side_that_is_no_genus(
     assert (row.passed, row.lhs, row.rhs) == (False, 0, rhs)
     assert row.note == (f"right side {rhs} not a genus: must be >= 0 and "
                         f"divisible by 4")
+
+
+def _genus_rows(inv):
+    return [c for c in validate_cover(inv).checks
+            if c.id in ("quotient-genus", "type-norm-bound")]
+
+
+def _written_out(inv):
+    """The quotient-genus and type-norm-bound rows, each law spelled out
+    on its own."""
+    n, d, rho, m, g2 = inv.n, inv.d, inv.rho, inv.m, inv.gamma_sq
+    w, mm = 2 * d - 1, 4 * m * m
+    num = w * (2 * n - 2 * m) + 4 * m * m - rho * rho - g2
+    ok = m >= 1 and num >= 0 and num % mm == 0 and num == mm * inv.g_tilde
+    note = ""
+    if m >= 1 and (num < 0 or num % mm):
+        note = f"right side {num} not a genus: must be >= 0 and divisible by {mm}"
+    elif not ok:
+        note = f"stored g_tilde = {inv.g_tilde} disagrees with recomputed value"
+    bound = 2 * w * (n - m) + 4 * m * m - rho * rho
+    return [("quotient-genus", ok, mm * inv.g_tilde, num, note),
+            ("type-norm-bound", g2 <= bound, g2, bound, "")]
+
+
+# m = 0 and even rho included, and numerators of either sign
+covers = st.builds(CoverInvariants, n=st.integers(0, 12),
+                   d=st.integers(1, 6), g=st.integers(0, 6),
+                   g_tilde=st.integers(-1, 3), rho=st.integers(0, 7),
+                   m=st.integers(0, 3),
+                   gamma=st.tuples(*[st.integers(0, 9)] * 4))
+
+
+@given(covers)
+@settings(max_examples=300, deadline=None)
+def test_genus_rows_match_the_laws_written_out(inv):
+    assert [(c.id, c.passed, c.lhs, c.rhs, c.note)
+            for c in _genus_rows(inv)] == _written_out(inv)
+
+
+# numerators 0, 12, 6 (not divisible by 4), -16 and -4 at d = 2
+@given(covers.filter(lambda inv: inv.m >= 1))
+@example(CoverInvariants(4, 2, 0, 0, 1, 1, (3, 2, 2, 2)))
+@example(CoverInvariants(6, 2, 0, 0, 1, 1, (3, 2, 2, 2)))
+@example(CoverInvariants(5, 2, 0, 0, 1, 1, (3, 2, 2, 2)))
+@example(CoverInvariants(4, 2, 0, 0, 1, 1, (5, 2, 2, 2)))
+@example(CoverInvariants(2, 2, 0, 0, 1, 1, (3, 2, 0, 0)))
+@settings(max_examples=300, deadline=None)
+def test_type_norm_bound_fails_where_genus_tilde_is_negative(inv):
+    (bound,) = [c for c in _genus_rows(inv) if c.id == "type-norm-bound"]
+    args = (inv.n, inv.d, inv.rho, inv.m, inv.gamma)
+    try:
+        genus_tilde(*args)
+    except NegativeGenus as exc:
+        assert not bound.passed
+        assert str(exc) == (
+            f"[genus-nonnegative] gamma^(2) = {bound.lhs} exceeds "
+            f"{bound.rhs}; numerator {bound.rhs - bound.lhs} < 0")
+    except NotDivisible:
+        assert bound.passed
+    else:
+        assert bound.passed
 
 
 def test_factorization_errors_name_the_failing_number():

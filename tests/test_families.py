@@ -17,8 +17,10 @@ from osculant import (
     construction_kit,
     generate_nef_types,
     generate_non_nef_types,
+    moduli_dimension,
     nef_check,
     LambdaSpec,
+    NotNef,
 )
 from osculant.lattice import C, F, R, S, DivisorClass
 from osculant.verify import _FAMILY_MUS
@@ -178,6 +180,20 @@ def test_census_degree_one_rows():
         assert r.dim_moduli == 0
         assert not r.nef_brute and not r.nef_closed and r.agreement
         assert r.eps == (0, 0, 0, 0) and r.mu == r.gamma
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_census_moduli_is_the_public_moduli_dimension(p):
+    rows = census(range(1, 9), range(1, 5), 21, p=p)
+    assert {r.d for r in rows} == {1, 2, 3, 4}
+    assert {r.dim_moduli is None for r in rows} == {True, False}
+    for r in rows:
+        spec = LambdaSpec(r.n, r.d, r.gamma)
+        if r.dim_moduli is None:
+            with pytest.raises(NotNef):
+                moduli_dimension(spec, p)
+        else:
+            assert moduli_dimension(spec, p) == r.dim_moduli
 
 
 def test_census_routes_always_agree():

@@ -12,9 +12,10 @@ import pytest
 import osculant.verify as verify
 from osculant.errors import InternalCheckFailure
 from osculant.verify import (
+    _fold,
     _grid_box,
     _sweep_blocks,
-    _sweep_results,
+    _tally,
     build_sweep,
     criterion_adjunction,
     criterion_contacts,
@@ -39,7 +40,7 @@ def list_pass(sweep):
 
 def block_pass(blocks):
     """The block pass with no grid noted, to compare with list_pass."""
-    return _sweep_results(blocks, "factored", "")
+    return _fold((_tally(block) for block in blocks), "factored", "")
 
 
 def carried(rows):
@@ -68,7 +69,8 @@ def test_agreement_names_only_the_grid_it_was_run_on(blocks):
     plain = criterion_nef_agreement(build_sweep((2, 3, 3)))
     assert plain.detail == ("3192 specs, factored reading: "
                             "0 disagreements")
-    named = _sweep_results(blocks, "factored", _grid_box((2, 3, 3)))[0]
+    named = _fold((_tally(block) for block in blocks), "factored",
+                  _grid_box((2, 3, 3)))[0]
     assert named.detail == ("3192 specs (d 2..3, mu <= 3, full eps window), "
                             "factored reading: 0 disagreements")
     assert named.passed and plain.passed
@@ -146,8 +148,8 @@ def test_failing_checks_fail_alike(blocks, monkeypatch):
     blocks = sample(blocks)
     picked = {blocks[b][i].spec for b, i in picks(blocks)}
     real_identity = verify._genus_identity
-    real_moduli = verify.moduli_dimension
-    real_dims = verify.linear_system_dims
+    real_moduli = verify._moduli
+    real_dims = verify._dims
     order = sorted(picked, key=lambda s: (s.d, s.gamma))
 
     def identity(perp, n, d, rho, gamma):
@@ -155,17 +157,17 @@ def test_failing_checks_fail_alike(blocks, monkeypatch):
         hit = any(s.n == n and s.d == d and s.gamma == gamma for s in picked)
         return lhs, rhs + hit
 
-    def moduli(spec, p=None, *, report=None):
-        return real_moduli(spec, p, report=report) + (spec in picked)
+    def moduli(report):
+        return real_moduli(report) + (report.spec in picked)
 
-    def dims(spec, p=None, *, report=None):
-        if spec == order[-1]:
+    def dims(report):
+        if report.spec == order[-1]:
             raise InternalCheckFailure("doctored")
-        return real_dims(spec, p, report=report)
+        return real_dims(report)
 
     monkeypatch.setattr(verify, "_genus_identity", identity)
-    monkeypatch.setattr(verify, "moduli_dimension", moduli)
-    monkeypatch.setattr(verify, "linear_system_dims", dims)
+    monkeypatch.setattr(verify, "_moduli", moduli)
+    monkeypatch.setattr(verify, "_dims", dims)
     flat = [row for block in blocks for row in block]
     by_blocks, by_list = block_pass(blocks), list_pass(flat)
     assert by_blocks == by_list

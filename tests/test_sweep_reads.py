@@ -25,17 +25,20 @@ from osculant import (
     LambdaSpec,
     lambda_class,
     linear_system_dims,
+    moduli_dimension,
     nef_check,
     verify_minimizer_claim,
 )
 from osculant.errors import InternalCheckFailure
 from osculant.nef import _claim_report, _minimizer
 from osculant.verify import (
+    _fold,
     _minimizer_step,
     _spec_tag,
     _sweep_blocks,
-    _sweep_results,
+    _tally,
     criterion_adjunction,
+    criterion_dimensions,
     criterion_minimizer,
 )
 
@@ -130,9 +133,11 @@ def test_report_for_another_spec_is_rejected():
 
 
 def test_sweep_criteria_reject_closed_reports():
-    # the adjunction and minimizer steps read a brute scan and Lambda
+    # the adjunction, dimension and minimizer steps read a brute scan
+    # and Lambda
     closed = [nef_check(REF), nef_check(REF, mode="closed")]
-    for criterion in (criterion_adjunction, criterion_minimizer):
+    for criterion in (criterion_adjunction, criterion_dimensions,
+                      criterion_minimizer):
         with pytest.raises(DomainError) as info:
             criterion(closed)
         assert info.value.constraint == "report-mismatch"
@@ -156,11 +161,39 @@ def test_divisor_class_built_once_per_report(monkeypatch):
             blocks.append(block)
             yield block
 
-    results = _sweep_results(kept(), "factored", "")
+    results = _fold((_tally(block) for block in kept()), "factored", "")
     assert all(r.passed for r in results)
     (block,) = blocks
     assert {row.is_nef() for row in block} == {True, False}
     assert counting.counters["lattice.divisor_class"][0] == len(block)
+
+
+def test_each_call_admits_its_spec_once(monkeypatch):
+    """nef._admit runs once per call of the functions that read a brute
+    report, with or without ``report=``, and never in the five sweep
+    steps, which read the reports they are given through nef's kernels."""
+    nef = importlib.import_module("osculant.nef")
+    real_admit = nef._admit
+    admitted = []
+
+    def admit(spec, p):
+        admitted.append(spec)
+        return real_admit(spec, p)
+
+    blocks = list(islice(_sweep_blocks((2, 3, 2)), 3))
+    report = nef_check(REF)
+    monkeypatch.setattr(nef, "_admit", admit)
+    for call in (verify_minimizer_claim, linear_system_dims,
+                 moduli_dimension):
+        for kwargs in ({}, {"report": report}):
+            admitted.clear()
+            call(REF, **kwargs)
+            assert admitted == [REF], (call.__name__, kwargs)
+    admitted.clear()
+    results = _fold((_tally(block) for block in blocks), "factored", "")
+    assert all(r.passed for r in results)
+    assert sum(row.is_nef() for block in blocks for row in block) > 0
+    assert admitted == []
 
 
 _UNDER_O = """
