@@ -195,11 +195,12 @@ def _cmd_zdiv(args, cfg):
 
 def _cmd_dims(args, cfg):
     spec = nef.LambdaSpec(args.n, args.d, args.gamma)
+    # one admitted brute report, read by the two kernels; _dims raises
+    # AnticanonicalDegreeTooSmall and NotNef first, so _moduli is d-1
     report = nef.nef_check(spec, mode="brute", p=cfg.char_p)
-    dim_l, dim_lc = nef.linear_system_dims(spec, p=cfg.char_p, report=report)
+    dim_l, dim_lc = nef._dims(report)
     payload = {"dim_lambda": dim_l, "dim_lambda_minus_co": dim_lc,
-               "dim_moduli": nef.moduli_dimension(spec, p=cfg.char_p,
-                                                  report=report)}
+               "dim_moduli": nef._moduli(report)}
     return _render(payload, cfg.output), 0
 
 

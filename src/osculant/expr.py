@@ -25,6 +25,8 @@ unit coefficients left implicit, zero terms dropped, and ``0`` for the
 zero class.  ``parse(format(D)) == D`` for every class D.
 """
 
+from collections.abc import Iterable
+
 from .errors import BareSectionSymbol, ExprSyntaxError, UnknownSymbol
 from .lattice import C, F, R, S, DivisorClass, _make, canonical_class
 
@@ -186,29 +188,28 @@ def parse(text: str) -> DivisorClass:
                  (x[6], x[7], x[8], x[9]))
 
 
-def _join(parts: list[tuple[int, str]]) -> str:
-    """Render (coefficient, symbol) pairs, skipping zeros."""
-    pieces = []
-    for coef, sym in parts:
-        if coef == 0:
-            continue
-        mag = abs(coef)
-        body = sym if mag == 1 else f"{mag}*{sym}"
-        if not pieces:
-            pieces.append(body if coef > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coef > 0 else f"- {body}")
-    return " ".join(pieces)
+# the symbols of the s and r coefficients, in format's order
+_SECTION_SYMBOLS = ("s0", "s1", "s2", "s3", "r0", "r1", "r2", "r3")
+
+
+def _append(text: str, terms: Iterable[tuple[int, str]]) -> str:
+    """text followed by each nonzero (coefficient, symbol) term, with a
+    unary minus on a negative first term and a spaced + or - before the
+    others; a unit coefficient is left implicit."""
+    for coef, sym in terms:
+        if coef:
+            body = sym if coef == 1 or coef == -1 else f"{abs(coef)}*{sym}"
+            if text:
+                text += f" + {body}" if coef > 0 else f" - {body}"
+            else:
+                text = body if coef > 0 else f"-{body}"
+    return text
 
 
 def format(dclass: DivisorClass) -> str:
     if not isinstance(dclass, DivisorClass):
         raise TypeError(
             f"format takes a DivisorClass, got {type(dclass).__name__}")
-    parts: list[tuple[int, str]] = []
-    pull = _join([(dclass.c, "Co"), (dclass.f, "So")])
-    if pull:
-        parts.append((1, f"e*({pull})"))
-    parts += [(dclass.s[i], f"s{i}") for i in range(4)]
-    parts += [(dclass.r[i], f"r{i}") for i in range(4)]
-    return _join(parts) or "0"
+    pull = _append("", ((dclass.c, "Co"), (dclass.f, "So")))
+    return _append(f"e*({pull})" if pull else "",
+                   zip((*dclass.s, *dclass.r), _SECTION_SYMBOLS)) or "0"

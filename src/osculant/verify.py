@@ -62,7 +62,7 @@ from .errors import DomainError, ExprError, IdentityFailure, \
     InternalCheckFailure
 from .families import census, census_csv, construction_kit, generate_nef_types, \
     generate_non_nef_types
-from .lattice import K_TILDE, DivisorClass
+from .lattice import K_TILDE, DivisorClass, _make
 from .nef import (
     LambdaSpec,
     NefReport,
@@ -183,17 +183,38 @@ def criterion_negative_curve_catalog() -> CriterionResult:
     return CriterionResult("negative-curve-catalog", not problems, detail)
 
 
+def _randint(rng: random.Random) -> Callable[[int, int], int]:
+    """The draw kernel of the seeded criteria: draw(lo, hi) returns what
+    rng.randint(lo, hi) would and leaves rng in the same state, without
+    randint's argument checks.  It is CPython's randrange on a step of 1,
+    _randbelow_with_getrandbits: getrandbits(k) for k the bit length of
+    the width, drawn again until it falls below the width.  Every integer
+    draw of the battery goes through it; rng.random() is called as is."""
+    getrandbits = rng.getrandbits
+
+    def draw(lo: int, hi: int) -> int:
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    return draw
+
+
 # the two parity orientations of mu, (1, 0, 0, 0) and (0, 1, 1, 1)
 _ORIENTATIONS = tuple(mu_patterns(1))
 
 
 def _random_spec(rng: random.Random) -> LambdaSpec:
+    draw = _randint(rng)
     while True:
-        d = rng.randint(1, 8)
+        d = draw(1, 8)
         # mu: one of the two parity orientations, raised by 0, 2 or 4
         bits = _ORIENTATIONS[0 if rng.random() < 0.5 else 1]
-        mu = tuple(b + 2 * rng.randrange(3) for b in bits)
-        eps = tuple(rng.randint(-(d - 1), d - 1) for _ in range(4)) \
+        mu = tuple(b + 2 * draw(0, 2) for b in bits)
+        eps = tuple(draw(-(d - 1), d - 1) for _ in range(4)) \
             if d > 1 else (0, 0, 0, 0)
         found = _congruent(eps, 2 * d - 1) and _compose(d, mu, eps)
         if found:
@@ -205,12 +226,13 @@ _PAIRING_TRIALS = 1000
 
 def criterion_pairing_closed_form(seed: int = 0) -> CriterionResult:
     rng = random.Random(as_int(seed, "seed"))
+    draw = _randint(rng)
     mismatches = []
     done = 0
     while done < _PAIRING_TRIALS:
         spec = _random_spec(rng)
         dec = decompose_type(spec.gamma, spec.d)
-        alpha = tuple(max(0, m + rng.randint(-3, 3)) for m in dec.mu)
+        alpha = tuple(max(0, m + draw(-3, 3)) for m in dec.mu)
         if norm_sq(alpha) % 2 == 0:
             continue
         closed = lambda_dot_exceptional_closed(spec.d, spec.gamma, alpha)
@@ -472,7 +494,7 @@ def criterion_construction_kit() -> CriterionResult:
 
 
 def criterion_decomposition(seed: int = 0) -> CriterionResult:
-    rng = random.Random(as_int(seed, "seed"))
+    draw = _randint(random.Random(as_int(seed, "seed")))
     bad = []
     for d in range(1, 6):
         w = 2 * d - 1
@@ -485,9 +507,9 @@ def criterion_decomposition(seed: int = 0) -> CriterionResult:
             if len(sols) != 1 or sols[0][0] < 0:
                 bad.append(f"d={d}, value {v}: solutions {sols}")
     for _ in range(500):
-        d = rng.randint(1, 5)
+        d = draw(1, 5)
         w = 2 * d - 1
-        gamma = tuple(rng.randint(0, 6 * w) for _ in range(4))
+        gamma = tuple(draw(0, 6 * w) for _ in range(4))
         dec = decompose_type(gamma, d)
         rebuilt = tuple(w * m + 2 * e for m, e in zip(dec.mu, dec.eps))
         if rebuilt != gamma or any(abs(e) > d - 1 for e in dec.eps) \
@@ -510,14 +532,14 @@ _MALFORMED = (
 
 
 def _random_class(rng: random.Random) -> DivisorClass:
-    def coef() -> int:
-        if rng.random() < 0.1:
-            return rng.randint(-10 ** 6, 10 ** 6)
-        return rng.randint(-9, 9)
-
-    return DivisorClass(c=coef(), f=coef(),
-                        s=tuple(coef() for _ in range(4)),
-                        r=tuple(coef() for _ in range(4)))
+    """Ten coefficients, each in [-10**6, 10**6] with probability 0.1 and
+    else in [-9, 9]; they are ints by construction, so the class is built
+    unchecked (lattice._make)."""
+    draw = _randint(rng)
+    x = [draw(-10 ** 6, 10 ** 6) if rng.random() < 0.1 else draw(-9, 9)
+         for _ in range(10)]
+    return _make(x[0], x[1], (x[2], x[3], x[4], x[5]),
+                 (x[6], x[7], x[8], x[9]))
 
 
 _ROUND_TRIPS = 10_000
@@ -748,9 +770,9 @@ def _run_jobs(jobs: list[Job], first: Sequence[int]) -> list:
 
 # The claim order of the eight criteria that read no sweep, as their
 # places in battery order, longest first.  In-process milliseconds on
-# a 2-core x86-64 VM: expression round trip 250, family generators 67,
-# pairing 55, exceptional catalog 30, construction kit 7, census
-# determinism 6, decomposition 3, negative-curve catalog under 1.
+# a 2-core x86-64 VM: expression round trip 198, family generators 70,
+# pairing 46, exceptional catalog 30, construction kit 7.5, census
+# determinism 5.5, decomposition 2.7, negative-curve catalog under 1.
 _SIDE_CLAIMS = (6, 3, 2, 0, 4, 7, 5, 1)
 
 

@@ -1,12 +1,17 @@
-"""Reference parser for ``osculant.expr.parse``.
+"""Reference parser and formatter for ``osculant.expr``.
 
-This was the library's parser before it learned to accumulate
+The parser was the library's before it learned to accumulate
 coefficients: tokens are objects, and the recursive descent builds a
 ``DivisorClass`` for every atom, multiple and partial sum.  The tests
 keep it as an independent oracle.  It scans INT runs with
 ``str.isdigit`` and calls ``int`` unguarded, so a non-decimal digit such
 as '\u00b2' in a multiplier, or a literal longer than the interpreter's
 int-string limit, makes it raise a bare ``ValueError``.
+
+The formatter was the library's before it rendered in one pass: it
+lists (coefficient, symbol) pairs, joins the pullback's pairs into an
+``e*(...)`` term of coefficient 1, and joins that with the s and r
+pairs (_join).
 """
 
 from osculant.errors import BareSectionSymbol, ExprSyntaxError, UnknownSymbol
@@ -148,3 +153,28 @@ def parse(text: str) -> DivisorClass:
     if tail.kind != "end":
         raise ExprSyntaxError(f"trailing input {tail.text!r}", tail.pos)
     return result
+
+
+def _join(parts: list[tuple[int, str]]) -> str:
+    """Render (coefficient, symbol) pairs, skipping zeros."""
+    pieces = []
+    for coef, sym in parts:
+        if coef == 0:
+            continue
+        mag = abs(coef)
+        body = sym if mag == 1 else f"{mag}*{sym}"
+        if not pieces:
+            pieces.append(body if coef > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def format(dclass: DivisorClass) -> str:
+    parts: list[tuple[int, str]] = []
+    pull = _join([(dclass.c, "Co"), (dclass.f, "So")])
+    if pull:
+        parts.append((1, f"e*({pull})"))
+    parts += [(dclass.s[i], f"s{i}") for i in range(4)]
+    parts += [(dclass.r[i], f"r{i}") for i in range(4)]
+    return _join(parts) or "0"

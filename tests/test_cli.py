@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import osculant.cli as cli
+import osculant.nef as nef
 from osculant import CSV_COLUMNS, CriterionResult
 from osculant.cli import RunConfig, main
 
@@ -112,6 +113,42 @@ def test_dims(capsys):
     payload = run_json(capsys, "dims", "4", "2", "3,2,2,2")
     assert payload == {"dim_lambda": 2, "dim_lambda_minus_co": 0,
                        "dim_moduli": 1}
+
+
+_DIMS_NEF = ('{\n  "dim_lambda": 2,\n  "dim_lambda_minus_co": 0,\n'
+             '  "dim_moduli": 1\n}\n')
+
+
+@pytest.mark.parametrize("char_p", [[], ["--char-p", "7"]], ids=["0", "7"])
+@pytest.mark.parametrize("argv, out, err, code", [
+    (["dims", "4", "2", "3,2,2,2"], _DIMS_NEF, "", 0),
+    (["dims", "8", "3", "5,4,4,4"],
+     '{\n  "dim_lambda": 4,\n  "dim_lambda_minus_co": 1,\n'
+     '  "dim_moduli": 2\n}\n', "", 0),
+    (["--output", "text", "dims", "4", "2", "3,2,2,2"],
+     "dim_lambda: 2\ndim_lambda_minus_co: 0\ndim_moduli: 1\n", "", 0),
+    (["dims", "2", "3", "3,0,0,2"], "",
+     "error: [nef-required] Lambda(2,3,1,(3,0,0,2)) is not nef\n", 1),
+    (["dims", "1", "1", "0,1,1,1"], "",
+     "error: [anticanonical-degree] -K~.Lambda = 1 < 2; the dimension "
+     "formula needs >= 2\n", 1),
+], ids=["nef", "nef-d3", "text", "not-nef", "d1"])
+def test_dims_output_is_pinned(capsys, char_p, argv, out, err, code):
+    assert run_cli(capsys, *char_p, *argv) == (code, out, err)
+
+
+def test_dims_admits_its_spec_once(capsys, monkeypatch):
+    calls = []
+    real_admit = nef._admit
+
+    def counted(spec, p):
+        calls.append(p)
+        return real_admit(spec, p)
+
+    monkeypatch.setattr(nef, "_admit", counted)
+    argv = ("--char-p", "1000000000039", "dims", "4", "2", "3,2,2,2")
+    assert run_cli(capsys, *argv) == (0, _DIMS_NEF, "")
+    assert calls == [1000000000039]
 
 
 def test_exceptional(capsys):

@@ -1,6 +1,8 @@
 """Divisor expression language: parsing, canonical formatting, error
 positions, and the round-trip guarantee."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from osculant import (
 )
 from osculant.lattice import C, F, R, S
 
+import draw_oracle
 import expr_oracle
 
 
@@ -87,6 +90,14 @@ def test_format_sign_handling():
     assert format_divisor(-2 * C) == "e*(-2*Co)"
     assert format_divisor(C - F) == "e*(Co - So)"
     assert format_divisor(-C + 5 * F) == "e*(-Co + 5*So)"
+    assert format_divisor(C) == "e*(Co)"
+    assert format_divisor(-F) == "e*(-So)"
+    assert format_divisor(-10 ** 6 * S[0]) == "-1000000*s0"
+    assert format_divisor(DivisorClass(
+        10 ** 6, -10 ** 6, (10 ** 6, 0, -10 ** 6, 1),
+        (0, -1, 10 ** 6, -10 ** 6))) == (
+        "e*(1000000*Co - 1000000*So) + 1000000*s0 - 1000000*s2 + s3 - r1 "
+        "+ 1000000*r2 - 1000000*r3")
 
 
 coeffs = st.integers(-50, 50)
@@ -224,3 +235,34 @@ def test_format_rejects_a_quotient_class():
     from osculant import section_image
     with pytest.raises(TypeError, match="got QuotientClass"):
         format_divisor(section_image())
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the reference formatter (tests/expr_oracle.py)
+
+
+_FORMAT_EDGES = (
+    ZERO, C, -C, F, -F, 3 * C, -7 * F, C + F, -C - F,
+    S[0], -S[0], R[3], -R[3], -S[2] + R[1], -R[0] - R[1],
+    DivisorClass(1, -1, (1, -1, 1, -1), (-1, 1, -1, 1)),
+    DivisorClass(10 ** 6, -10 ** 6, (10 ** 6, 0, -10 ** 6, 1),
+                 (0, -1, 10 ** 6, -10 ** 6)),
+    DivisorClass(-10 ** 6, 0, (0, 0, 0, 0), (0, 0, 0, 10 ** 6)),
+    DivisorClass(0, 0, (-10 ** 6, 0, 0, 0), (0, 0, 0, 0)),
+    DivisorClass(0, -1, (0, 0, 0, 0), (0, 0, 0, -1)),
+)
+
+
+@pytest.mark.parametrize("d", _FORMAT_EDGES, ids=expr_oracle.format)
+def test_format_matches_reference_on_edges(d):
+    assert format_divisor(d) == expr_oracle.format(d)
+    assert parse_divisor(format_divisor(d)) == d
+
+
+def test_format_matches_reference_on_seeded_classes():
+    rng = random.Random(0)
+    for _ in range(10_000):
+        d = draw_oracle.random_class(rng)
+        text = format_divisor(d)
+        assert text == expr_oracle.format(d)
+        assert parse_divisor(text) == d
