@@ -29,11 +29,13 @@ of a catalog row is the integer linear form
 
     n*(C.P) + w*(F.P) - rho*(s_0.P) - sum_i gamma_i*(r_i.P)
 
-and Lambda . N is half of it.  _catalog_forms gives each row's seven
+and Lambda . N is half of it.  _BASE_FORMS holds each base row's seven
 coefficients, taken with DivisorClass.dot on the lattice once per
 process.  The form is linear in P, so C~p's is p times the form of C
-plus the form of -r0-r1-r2-r3: two fixed 7-tuples, and no class is
-built per call.
+plus the form of -r0-r1-r2-r3: two fixed 7-tuples (_CP_SLOPE and
+_CP_BASE), and no class is built per call.  _compile_guard writes these
+tables once, at import, into _row_guard: one straight-line check per
+row with only the nonzero terms of its form.
 """
 
 from bisect import bisect_right
@@ -41,7 +43,14 @@ from math import isqrt
 from operator import index
 from typing import NamedTuple
 
-from .errors import CharPExcluded, ParityViolation, RhoEven, RhoOutOfRange, DomainError
+from .errors import (
+    CharPExcluded,
+    DomainError,
+    InternalCheckFailure,
+    ParityViolation,
+    RhoEven,
+    RhoOutOfRange,
+)
 from .lattice import C, F, S, R, DivisorClass, QuotientClass
 from .vectors import (
     Vec4,
@@ -281,17 +290,66 @@ _CP_SLOPE = tuple(b.dot(C) for b in _LAMBDA_BASIS)
 _CP_BASE = tuple(b.dot(DivisorClass(r=(-1, -1, -1, -1))) for b in _LAMBDA_BASIS)
 
 
-def _catalog_forms(p: int | None) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(name, coefficients of (n, w, rho, gamma_0..gamma_3)) for each row
-    of negative_curve_catalog(p), in its order; p already validated.
-    C~p's form is p*_CP_SLOPE + _CP_BASE, so no class is built and no
-    cache grows with p."""
-    if p is None:
-        return _BASE_FORMS
-    # a list, not a generator: tuple() then sizes it exactly, with no
-    # resize per call
-    form = tuple([p * a + b for a, b in zip(_CP_SLOPE, _CP_BASE)])
-    return (*_BASE_FORMS, (f"C~{p}", form))
+# the names _compile_guard gives n, w, rho and gamma_0..gamma_3, the
+# order of the seven coefficients of a form
+_FORM_VARS = ("n", "w", "rho", "g0", "g1", "g2", "g3")
+
+
+def _linear(terms) -> str:
+    """Source of the sum of coef * factor over the (coef, factor) pairs:
+    the nonzero terms only, a unit coefficient without a multiply, and
+    "0" when every coefficient is zero."""
+    out = ""
+    for coef, factor in terms:
+        if coef:
+            term = factor if abs(coef) == 1 else f"{abs(coef)} * {factor}"
+            if not out:
+                out = f"-{term}" if coef < 0 else term
+            else:
+                out += f" - {term}" if coef < 0 else f" + {term}"
+    return out or "0"
+
+
+def _guard_failure(up: int, name: str) -> InternalCheckFailure:
+    """The failure of a catalog row whose upstairs pairing with Lambda
+    is up: odd first, then negative."""
+    if up % 2:
+        return InternalCheckFailure(
+            f"upstairs pairing {up} with {name} is odd; Lambda is not "
+            f"a pullback")
+    return InternalCheckFailure(
+        f"valid spec pairs negatively with {name}: {up // 2}")
+
+
+def _compile_guard(base_forms, cp_slope, cp_base):
+    """The guard of nef._catalog_guard, generated from the form tables
+    once: _row_guard(n, w, rho, gamma, p) raises InternalCheckFailure
+    (_guard_failure) at the first row of negative_curve_catalog(p)
+    whose upstairs pairing with Lambda is odd or negative, p already
+    validated.
+
+    One line per row, in catalog order, evaluates its form at (n, w,
+    rho, gamma) with only the nonzero terms (_linear), then checks
+    parity, then sign.  C~p's line is p*cp_slope + cp_base written out,
+    so nothing is kept per p."""
+    lines = ["def _row_guard(n, w, rho, gamma, p):",
+             "    g0, g1, g2, g3 = gamma"]
+
+    def row(expr: str, name: str) -> None:
+        lines.append(f"    if (up := {expr}) % 2 or up < 0: "
+                     f"raise _guard_failure(up, {name})")
+
+    for name, form in base_forms:
+        row(_linear(zip(form, _FORM_VARS)), repr(name))
+    lines.append("    if p is None: return")
+    row(_linear([*zip(cp_slope, [f"p * {v}" for v in _FORM_VARS]),
+                 *zip(cp_base, _FORM_VARS)]), 'f"C~{p}"')
+    space = {"_guard_failure": _guard_failure}
+    exec("\n".join(lines), space)
+    return space["_row_guard"]
+
+
+_row_guard = _compile_guard(_BASE_FORMS, _CP_SLOPE, _CP_BASE)
 
 
 def negative_curve_catalog(p: int | None = None) -> list[tuple[str, QuotientClass, int]]:

@@ -14,6 +14,7 @@ assumed: D0 = D1, and F_j = G = pullback(Lambda) for every j.
 
 from itertools import product
 from math import isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 from .catalog import gamma_perp_class, validate_char_p
@@ -25,7 +26,8 @@ from .errors import (
     NoSolutions,
 )
 from .lattice import C, R, S, DivisorClass
-from .nef import LambdaSpec, _check_mu_pattern, _compose, _moduli, nef_check
+from .nef import (LambdaSpec, _check_mu_pattern, _compose, _moduli,
+                  _pair_note, nef_check)
 from .vectors import (Vec4, as_int, at_least, coord_sum, fmt_vec, index4,
                       new_row, norm_sq, of_kind)
 
@@ -305,6 +307,9 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions}",
                           constraint="partitions")
+    _pair_note(pair_reading)
+    # read once: an iterator as d_range would be spent after the first n
+    n_range, d_range = tuple(n_range), tuple(d_range)
     cells = sorted({(at_least(n, 1, "n"), at_least(d, 1, "d"))
                     for n in n_range for d in d_range})
 
@@ -314,10 +319,11 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     for block in blocks:
         for n, d in block:
             for gamma in _cell_types(n, d, gamma_bound):
-                if not char_p_admits(gamma, 2 * d - 1, p):
+                if p is not None and not char_p_admits(gamma, 2 * d - 1, p):
                     continue
                 records.append(_census_record(n, d, gamma, p, pair_reading))
-    records.sort(key=CensusRecord.key)
+    # (n, d, gamma), the order of CensusRecord.key
+    records.sort(key=itemgetter(0, 1, 2))
     return records
 
 

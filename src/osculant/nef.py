@@ -41,9 +41,9 @@ from typing import NamedTuple
 
 from .catalog import (
     ExceptionalSpec,
-    _catalog_forms,
     _cover_fields,
     _perp_class,
+    _row_guard,
     section_image,
     validate_char_p,
 )
@@ -526,8 +526,9 @@ _PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
 def closed_conditions(dec: Decomposition, d: int,
                       pair_reading: str = "factored") -> tuple[Check, ...]:
     """The three closed inequalities on eps, as check rows."""
-    return _closed_conditions(of_kind(dec, Decomposition),
-                              at_least(d, 1, "d"), pair_reading)
+    dec, d = of_kind(dec, Decomposition), at_least(d, 1, "d")
+    _pair_note(pair_reading)
+    return _closed_conditions(dec, d, pair_reading)
 
 
 def _pair_note(pair_reading: str) -> str:
@@ -542,8 +543,9 @@ def _pair_note(pair_reading: str) -> str:
 
 def _closed_conditions(dec: Decomposition, d: int,
                        pair_reading: str) -> tuple[Check, ...]:
-    """closed_conditions of a Decomposition at an int d >= 1."""
-    note = _pair_note(pair_reading)
+    """closed_conditions of a Decomposition at an int d >= 1, under a
+    pair reading that _pair_note has accepted."""
+    note = _PAIR_NOTES[pair_reading]
     w = 2 * d - 1
     a0, a1, a2, a3 = sorted(map(abs, dec.eps))
     e2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
@@ -562,10 +564,14 @@ def _closed_conditions(dec: Decomposition, d: int,
 
 def _admit(spec: LambdaSpec, p: int | None) -> int | None:
     """Front door of the rho = 1 analyses: an unramified spec, admitted
-    in characteristic p.  Returns p checked, to be passed along."""
+    in characteristic p.  Returns p checked, to be passed along; in
+    characteristic 0 (p None) every type is admitted, so nothing is
+    checked."""
     if of_kind(spec, LambdaSpec).rho != 1:
         raise ConstraintViolation(
             f"this analysis needs rho = 1, got rho = {spec.rho}")
+    if p is None:
+        return None
     return spec.check_char_p(p)
 
 
@@ -578,19 +584,21 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     family through the two exact minimizations of q (scan_box), and the
     finite (-2)-list through each row's pairing with Lambda, an integer
     linear form in (n, w, rho, gamma) taken from the lattice once per
-    process (catalog._catalog_forms), with Lambda^2 = 2d-3 checked on
-    the lattice itself (_catalog_guard).
+    process and compiled into one check (catalog._row_guard), with
+    Lambda^2 = 2d-3 checked on the lattice itself (_catalog_guard).
     Both mode runs the two and records their agreement; the reported
     verdict is then the brute one.
 
-    The spec's fields are already checked (LambdaSpec), so after mode
-    and p the work runs on the kernels: _decompose for the closed route,
+    The spec's fields are already checked (LambdaSpec), so after mode,
+    p and the pair reading (_pair_note, checked in every mode) the work
+    runs on the kernels: _decompose for the closed route,
     _scan and the guard for the brute one.  The report carries what each
     route built: the decomposition, and the scan and Lambda.
     """
     if mode not in ("closed", "brute", "both"):
         raise DomainError(f"unknown mode {mode!r}", constraint="nef-mode")
     p = _admit(spec, p)
+    _pair_note(pair_reading)
     d, gamma = spec.d, spec.gamma
     w = 2 * d - 1
 
@@ -643,24 +651,15 @@ def _catalog_guard(spec: LambdaSpec, p: int | None) -> QuotientClass:
     and Lambda . Lambda = 2d - 3, for an unramified spec admitted at p;
     returns Lambda.
 
-    Each row's pairing is half its integer form (catalog._catalog_forms)
-    evaluated at (n, w, rho, gamma), checked even; the square is taken
-    on the lattice (_lambda, QuotientClass.dot), and is the
-    rational-image constraint that _excess rests on.  Both hold for
-    every valid spec, so a failure means the validation or the lattice
-    arithmetic is broken."""
-    n, d, rho = spec.n, spec.d, spec.rho
-    w = 2 * d - 1
-    g0, g1, g2, g3 = spec.gamma
-    for name, (c, f, s, r0, r1, r2, r3) in _catalog_forms(p):
-        up = c * n + f * w + s * rho + r0 * g0 + r1 * g1 + r2 * g2 + r3 * g3
-        if up % 2:
-            raise InternalCheckFailure(
-                f"upstairs pairing {up} with {name} is odd; Lambda is not "
-                f"a pullback")
-        if up < 0:
-            raise InternalCheckFailure(
-                f"valid spec pairs negatively with {name}: {up // 2}")
+    The rows are checked by catalog._row_guard, one straight-line check
+    per row compiled at import from the row's integer form: twice the
+    pairing, evaluated at (n, w, rho, gamma) and checked even, then
+    nonnegative.  The square is taken on the lattice (_lambda,
+    QuotientClass.dot), and is the rational-image constraint that
+    _excess rests on.  Both hold for every valid spec, so a failure
+    means the validation or the lattice arithmetic is broken."""
+    d = spec.d
+    _row_guard(spec.n, 2 * d - 1, spec.rho, spec.gamma, p)
     lam = _lambda(spec)
     square = lam.dot(lam)
     if square != 2 * d - 3:

@@ -92,10 +92,13 @@ def test_a_call_at_the_largest_prime_takes_constant_time(name):
 
 
 def test_catalog_forms_keep_nothing_per_prime():
+    # the compiled guard evaluates C~p's form as p*slope + base per call
     primes = [n for n in range(3, 40_000, 2) if _twelve_base_verdict(n)]
     primes = [osculant.catalog.validate_char_p(n) for n in primes[:2000]]
     halves = primes[:1000], primes[1000:]
-    osculant.catalog._catalog_forms(primes[0])
+    guard = osculant.catalog._row_guard
+    at = REF.n, REF.w, REF.rho, REF.gamma
+    guard(*at, primes[0])
     peaks = []
     tracemalloc.start()
     try:
@@ -103,7 +106,7 @@ def test_catalog_forms_keep_nothing_per_prime():
         for half in halves:
             tracemalloc.reset_peak()
             for p in half:
-                osculant.catalog._catalog_forms(p)
+                guard(*at, p)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:

@@ -207,6 +207,22 @@ def test_census_empty_ranges():
     assert census(range(4, 4), range(1, 3), 5) == []
 
 
+def test_census_reads_each_range_once():
+    # an iterator as d_range once ran out after the first n: 3 rows
+    base = census(range(1, 8), range(1, 4), 15)
+    assert len(base) == 106
+    assert census(range(1, 8), iter(range(1, 4)), 15) == base
+    assert census((n for n in range(1, 8)), (d for d in range(1, 4)),
+                  15) == base
+
+
+@pytest.mark.parametrize("ns,ds", [([], []), (range(1, 3), range(1, 3))])
+def test_census_checks_the_pair_reading_before_any_row(ns, ds):
+    with pytest.raises(DomainError) as info:
+        census(ns, ds, 5, pair_reading="bogus")
+    assert info.value.constraint == "pair-reading"
+
+
 def test_census_partition_determinism():
     base = census(range(1, 6), range(1, 4), 11, partitions=1)
     assert base == census(range(1, 6), range(1, 4), 11, partitions=3)

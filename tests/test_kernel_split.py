@@ -1,8 +1,14 @@
 """The nef layer validates once, at the public entry points, and then
 runs on private kernels over plain checked ints.  These tests pin that
-split: the catalog guard's integer forms against the lattice, the
-guard itself (also under ``python -O``), the vec4 calls a census row
-makes, and the rejections each public wrapper keeps."""
+split: the catalog guard's integer forms against the lattice, the guard
+compiled from them against their dense evaluation, the guard itself
+(also under ``python -O``), the vec4 calls a census row makes, and the
+rejections each public wrapper keeps.
+
+The guard is compiled from catalog's form tables at import, so a test
+that corrupts a table puts the corrupted tables through the same
+generator (catalog._compile_guard) and installs the result where
+_catalog_guard reads it."""
 
 import dataclasses
 import importlib
@@ -46,12 +52,55 @@ def _lattice_pairings(spec, p):
     return [lam.dot(cls) for _, cls, _ in negative_curve_catalog(p)]
 
 
-def _form_values(spec, p):
+TABLES = {"base_forms": catalog._BASE_FORMS,
+          "cp_slope": catalog._CP_SLOPE, "cp_base": catalog._CP_BASE}
+
+
+def _dense_forms(p, base_forms, cp_slope, cp_base):
+    """(name, all seven coefficients) of each row of
+    negative_curve_catalog(p) from the tables, C~p's as p*slope + base:
+    the reference the compiled guard is checked against."""
+    if p is None:
+        return base_forms
+    form = tuple(p * a + b for a, b in zip(cp_slope, cp_base))
+    return (*base_forms, (f"C~{p}", form))
+
+
+def _form_values(spec, p, tables=TABLES):
     """Each catalog form evaluated at (n, w, rho, gamma): twice the
     pairing of Lambda with its row."""
     at = (spec.n, spec.w, spec.rho, *spec.gamma)
-    return [sum(c * x for c, x in zip(form, at))
-            for _, form in catalog._catalog_forms(p)]
+    return [(name, sum(c * x for c, x in zip(form, at)))
+            for name, form in _dense_forms(p, **tables)]
+
+
+def _dense_failure(spec, p, tables):
+    """The message of the first row whose dense value is odd or
+    negative, parity before sign, as the guard words it; None when every
+    row passes."""
+    for name, up in _form_values(spec, p, tables):
+        if up % 2:
+            return (f"upstairs pairing {up} with {name} is odd; Lambda is "
+                    f"not a pullback")
+        if up < 0:
+            return f"valid spec pairs negatively with {name}: {up // 2}"
+    return None
+
+
+def _compiled_failure(spec, p, tables):
+    guard = catalog._compile_guard(**tables)
+    try:
+        guard(spec.n, spec.w, spec.rho, spec.gamma, p)
+    except InternalCheckFailure as exc:
+        return str(exc)
+    return None
+
+
+def _install(monkeypatch, **tables):
+    """Compile the guard from the tables, the real ones where not
+    given, and install it for _catalog_guard."""
+    monkeypatch.setattr(nef, "_row_guard",
+                        catalog._compile_guard(**{**TABLES, **tables}))
 
 
 @given(valid_specs())
@@ -66,11 +115,17 @@ def test_forms_guard_equals_lattice_pairings(spec):
         except DomainError:
             continue
         p = catalog.validate_char_p(p)
-        names = [name for name, _ in catalog._catalog_forms(p)]
-        assert names == [name for name, _, _ in negative_curve_catalog(p)]
-        assert _form_values(spec, p) == [2 * x for x in
-                                         _lattice_pairings(spec, p)]
+        values = _form_values(spec, p)
+        assert [name for name, _ in values] == \
+            [name for name, _, _ in negative_curve_catalog(p)]
+        assert [up for _, up in values] == [2 * x for x in
+                                            _lattice_pairings(spec, p)]
         _catalog_guard(spec, p)
+
+
+def _shifted(coeffs, i, by):
+    """coeffs with by added to coefficient i."""
+    return (*coeffs[:i], coeffs[i] + by, *coeffs[i + 1:])
 
 
 def _corrupt(row: int, delta: tuple[int, ...]):
@@ -87,7 +142,7 @@ def _corrupt(row: int, delta: tuple[int, ...]):
     (2, (0, 0, -2, 0, 0, 0, 0), "pairs negatively with s~1")],
     ids=["negative", "odd", "negative-zero-row"])
 def test_corrupted_form_fails_the_guard(monkeypatch, row, delta, message):
-    monkeypatch.setattr(catalog, "_BASE_FORMS", _corrupt(row, delta))
+    _install(monkeypatch, base_forms=_corrupt(row, delta))
     for mode in ("brute", "both"):
         with pytest.raises(InternalCheckFailure, match=message):
             nef_check(REF, mode=mode)
@@ -98,15 +153,72 @@ def test_corrupted_form_fails_the_guard(monkeypatch, row, delta, message):
 def test_corrupted_char_p_row_fails_the_guard(monkeypatch):
     # C~7 pairs to 7w - gamma^(1) = 12 with REF upstairs; a w coefficient
     # 14 less, through the slope (times 7) or the base, gives 12 - 42 < 0
-    for name, shift in (("_CP_SLOPE", 2), ("_CP_BASE", 2 * 7)):
-        coeffs = getattr(catalog, name)
+    for name, shift in (("cp_slope", 2), ("cp_base", 2 * 7)):
         with monkeypatch.context() as patch:
-            patch.setattr(catalog, name,
-                          (*coeffs[:1], coeffs[1] - shift, *coeffs[2:]))
+            _install(patch, **{name: _shifted(TABLES[name], 1, -shift)})
             with pytest.raises(InternalCheckFailure,
                                match="negatively with C~7"):
                 nef_check(REF, p=7)
             assert nef_check(REF).is_nef()
+
+
+# one corrupted table set per case: the corruptions of the two tests
+# above, a pairing both odd and negative (parity is reported), then each
+# row of negative_curve_catalog(7) pushed 2 below 0 at REF through its
+# rho coefficient (REF's rho is 1), C~7 last
+CORRUPTIONS = {
+    "negative": {"base_forms": _corrupt(5, (0, 0, 0, -4, 0, 0, 0))},
+    "odd": {"base_forms": _corrupt(0, (0, 1, 0, 0, 0, 0, 0))},
+    "negative-zero-row": {"base_forms": _corrupt(2, (0, 0, -2, 0, 0, 0, 0))},
+    "odd-negative": {"base_forms": _corrupt(0, (0, -1, 0, 0, 0, 0, 0))},
+    "slope": {"cp_slope": _shifted(catalog._CP_SLOPE, 1, -2)},
+    "base": {"cp_base": _shifted(catalog._CP_BASE, 1, -2 * 7)},
+    **{f"row-{name}": {"base_forms": _corrupt(
+        row, (0, 0, -up - 2, 0, 0, 0, 0))}
+       for row, (name, up) in enumerate(_form_values(REF, None))},
+    "row-C~7": {"cp_base": _shifted(catalog._CP_BASE, 2,
+                                    -_form_values(REF, 7)[-1][1] - 2)},
+}
+
+
+@pytest.mark.parametrize("name", [case[len("row-"):] for case in CORRUPTIONS
+                                  if case.startswith("row-")])
+def test_every_row_is_checked(monkeypatch, name):
+    _install(monkeypatch, **CORRUPTIONS[f"row-{name}"])
+    for mode in ("brute", "both"):
+        with pytest.raises(InternalCheckFailure,
+                           match=f"^valid spec pairs negatively with "
+                                 f"{name}: -1$"):
+            nef_check(REF, mode=mode, p=7)
+
+
+@given(valid_specs())
+@settings(max_examples=60, deadline=None)
+def test_compiled_guard_equals_dense_evaluation(spec):
+    """Same first failing row and value, or none, on the real tables and
+    on every corruption, at char 0 and at primes admitting the spec."""
+    if spec is None:
+        return
+    for p in (None, _least_prime_admitting(spec), 1000000000039):
+        if p is not None:
+            try:
+                p = spec.check_char_p(p)
+            except DomainError:
+                continue
+        for tables in (TABLES, *CORRUPTIONS.values()):
+            tables = {**TABLES, **tables}
+            assert _compiled_failure(spec, p, tables) == \
+                _dense_failure(spec, p, tables), (spec, p, tables)
+
+
+def test_compiled_guard_equals_dense_evaluation_at_ref():
+    # at REF and p = 7 every corruption fails, so the messages compare
+    for case, tables in CORRUPTIONS.items():
+        tables = {**TABLES, **tables}
+        for p in (None, catalog.validate_char_p(7)):
+            want = _dense_failure(REF, p, tables)
+            assert _compiled_failure(REF, p, tables) == want, (case, p)
+            assert want is not None or p is None, case
 
 
 def _spread_primes() -> list[int]:
@@ -124,7 +236,7 @@ def _spread_primes() -> list[int]:
 def test_char_p_form_is_the_lattice_form_of_char_p_section():
     for p in _spread_primes():
         p = catalog.validate_char_p(p)
-        assert catalog._catalog_forms(p)[-1] == catalog._lambda_form(
+        assert _dense_forms(p, **TABLES)[-1] == catalog._lambda_form(
             f"C~{p}", catalog.char_p_section(p)), p
 
 
@@ -151,12 +263,14 @@ def test_wrong_lambda_square_fails_the_guard(monkeypatch):
 
 _UNDER_O = """
 import osculant.catalog as catalog
+import osculant.nef as nef
 from osculant import LambdaSpec, nef_check
 from osculant.errors import InternalCheckFailure
 assert False  # stripped under -O
 forms = list(catalog._BASE_FORMS)
 forms[5] = forms[5][0], (0, 0, 0, -2, 0, 0, 0)
-catalog._BASE_FORMS = tuple(forms)
+nef._row_guard = catalog._compile_guard(tuple(forms), catalog._CP_SLOPE,
+                                        catalog._CP_BASE)
 try:
     nef_check(LambdaSpec(4, 2, (3, 2, 2, 2)))
 except InternalCheckFailure as exc:

@@ -311,6 +311,14 @@ def test_pair_readings_differ_on_synthetic_decomposition():
         closed_conditions(None, 3)
 
 
+@pytest.mark.parametrize("mode", ["closed", "brute", "both"])
+def test_nef_check_rejects_an_unknown_pair_reading_in_every_mode(mode):
+    # the brute route reads no eps row, but the reading is still checked
+    with pytest.raises(DomainError) as info:
+        nef_check(REF, mode=mode, pair_reading="bogus")
+    assert info.value.constraint == "pair-reading"
+
+
 class _Index:
     """An integer-like value that is not an int, as numpy's are."""
 
