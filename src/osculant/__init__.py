@@ -18,7 +18,7 @@ import sys
 __version__ = "0.2.0"
 
 _SUBMODULES = ("catalog", "cli", "covers", "errors", "expr", "families",
-               "lattice", "nef", "vectors", "verify")
+               "jobs", "lattice", "nef", "vectors", "verify")
 
 # public name -> (submodule, attribute there)
 _EXPORTS = {name: (module, name) for module, names in (

@@ -36,8 +36,8 @@ class DomainError(ValueError):
         # Rebuild without calling __init__, whose signature differs by
         # class (ExprError takes a position): args holds the message as
         # formatted, __dict__ the constraint and position set on the
-        # instance.  So every class survives pickle, as a forked battery
-        # child's exception must.
+        # instance.  So every class survives pickle, as the exception of
+        # a job run in a forked child (jobs._run_jobs) must.
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 

@@ -2,7 +2,7 @@
 
 ``verify.run_all`` lists its work as 136 jobs in rank order, which is
 the inline order: the sweep's 128 blocks, then the eight criteria that
-read no sweep.  ``verify._run_jobs`` writes one token per job to a pipe
+read no sweep.  ``jobs._run_jobs`` writes one token per job to a pipe
 in a separate claim order, the eight first and longest first, then the
 blocks in sweep order, and the calling process and one forked child
 both claim tokens until the pipe is empty; where no child may be
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from osculant import cli, verify
+from osculant import cli, jobs, verify
 from osculant.errors import ExprSyntaxError, InternalCheckFailure
 from osculant.verify import CriterionResult
 
@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # for the tests that only a forked child can pass
 fork_only = pytest.mark.skipif(
-    not verify._may_fork(), reason="this host runs the battery inline")
+    not jobs._may_fork(), reason="this host runs the battery inline")
 
 # a grid of a few specs, for tests about the child rather than the sweep
 SMALL_GRID = (2, 2, 1)
@@ -62,7 +62,7 @@ def path(request, monkeypatch):
     and with os.fork taken away, which makes run_all run inline."""
     if request.param == "inline":
         monkeypatch.delattr(os, "fork")
-    elif not verify._may_fork():
+    elif not jobs._may_fork():
         pytest.skip("this host runs the battery inline")
     return request.param
 
@@ -138,7 +138,7 @@ def scheduled(monkeypatch, schedule: str, planted=None, claimed=None):
     to_parent, from_child = os.pipe()
     to_child, from_parent = os.pipe()
     real_block = verify._sweep_block
-    real_claim = verify._claim
+    real_claim = jobs._claim
 
     def block(d, mu, window, reading):
         i = index[d, mu]
@@ -180,7 +180,7 @@ def scheduled(monkeypatch, schedule: str, planted=None, claimed=None):
     try:
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_sweep_block", block)
-            patch.setattr(verify, "_claim", claim)
+            patch.setattr(jobs, "_claim", claim)
             yield built
     finally:
         for fd in (to_parent, from_child, to_child, from_parent):
@@ -214,7 +214,7 @@ def _on_path(monkeypatch, schedule: str) -> str:
     if schedule == "inline":
         monkeypatch.delattr(os, "fork")
         return "free"
-    if not verify._may_fork():
+    if not jobs._may_fork():
         pytest.skip("this host runs the battery inline")
     return schedule
 
@@ -647,8 +647,8 @@ def test_the_package_forks_and_exits_in_the_runner_only():
     for path in sorted(package.rglob("*.py")):
         name = str(path.relative_to(package))
         Calls(name).visit(ast.parse(path.read_text(), name))
-    assert found == [("verify.py", ["_child"], "_exit"),
-                     ("verify.py", ["_forked"], "fork")]
+    assert found == [("jobs.py", ["_child"], "_exit"),
+                     ("jobs.py", ["_forked"], "fork")]
 
 
 _BUFFERED = """

@@ -324,6 +324,26 @@ def test_verify_paper_exit_codes(capsys, monkeypatch):
     assert json.loads(out)[1]["passed"] is False
 
 
+def test_census_and_verify_paper_alias_their_output_formats(capsys,
+                                                            monkeypatch):
+    # census writes CSV for text too; verify-paper writes its PASS/FAIL
+    # lines for csv too
+    census = ("census", "--n-max", "4", "--d-max", "2", "--gamma-max", "9")
+    as_csv = run_cli(capsys, *census, "--output", "csv")
+    assert as_csv[1].startswith(CSV_COLUMNS + "\n")
+    assert run_cli(capsys, *census, "--output", "text") == as_csv
+
+    def fake_fail(seed=0, pair_reading="factored"):
+        return [CriterionResult("a", True, "ok"),
+                CriterionResult("b", False, "broken")]
+
+    monkeypatch.setattr(cli.verify, "run_all", fake_fail)
+    lines = "PASS  a: ok\nFAIL  b: broken\n1/2 criteria passed\n"
+    for output in ("text", "csv"):
+        assert run_cli(capsys, "verify-paper", "--output", output) == (
+            3, lines, "")
+
+
 def test_internal_failure_exit_three(capsys, monkeypatch):
     def boom(args, cfg):
         raise cli.InternalCheckFailure("wired for the test")

@@ -245,7 +245,8 @@ PICKLED.append(DomainError("bad input", constraint="k-index"))
                          ids=[type(e).__name__ for e in PICKLED[:-1]]
                          + ["DomainError-with-id"])
 def test_every_error_survives_pickle(exc):
-    # the battery's forked child sends its exception back pickled
+    # a job run in a forked child (jobs._run_jobs) sends its exception
+    # back pickled
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)

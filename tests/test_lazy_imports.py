@@ -45,7 +45,8 @@ def test_submodule_bodies_run_on_first_use():
     assert stages["parser"] == ["osculant.cli", "osculant.errors"]
     assert stages["code"] == 0
     assert "osculant.nef" in stages["nef"]
-    for idle in ("osculant.verify", "osculant.families", "osculant.expr"):
+    for idle in ("osculant.verify", "osculant.families", "osculant.expr",
+                 "osculant.jobs"):
         assert idle not in stages["nef"]
 
 
