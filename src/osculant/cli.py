@@ -28,6 +28,9 @@ from . import catalog, expr, families, lattice, nef, verify
 from .errors import DomainError, InternalCheckFailure
 
 _ENV_PREFIX = "OSCULANT_"
+# the flags' and the environment's choices; nef._PAIR_NOTES's readings
+_PAIR_READINGS = ("factored", "literal")
+_OUTPUTS = ("json", "csv", "text")
 
 
 class RunConfig(NamedTuple):
@@ -38,13 +41,13 @@ class RunConfig(NamedTuple):
 
     @classmethod
     def resolve(cls, args) -> "RunConfig":
-        def pick(name: str, default, conv):
+        def pick(name: str, conv):
             value = getattr(args, name, None)
             if value is not None:
                 return value
             raw = os.environ.get(_ENV_PREFIX + name.upper())
             if raw is None:
-                return default
+                return cls._field_defaults[name]
             try:
                 return conv(raw)
             except ValueError:
@@ -52,17 +55,16 @@ class RunConfig(NamedTuple):
                     f"environment {_ENV_PREFIX}{name.upper()} = {raw!r} "
                     f"is not valid", constraint="run-config")
 
-        char_p = catalog.validate_char_p(pick("char_p", None, int))
-        reading = pick("pair_reading", "factored", str)
-        if reading not in ("factored", "literal"):
+        char_p = catalog.validate_char_p(pick("char_p", int))
+        reading = pick("pair_reading", str)
+        if reading not in _PAIR_READINGS:
             raise DomainError(f"unknown pair reading {reading!r}",
                               constraint="pair-reading")
-        output = pick("output", "json", str)
-        if output not in ("json", "csv", "text"):
+        output = pick("output", str)
+        if output not in _OUTPUTS:
             raise DomainError(f"unknown output format {output!r}",
                               constraint="output-format")
-        seed = pick("seed", 0, int)
-        return cls(char_p, reading, output, seed)
+        return cls(char_p, reading, output, pick("seed", int))
 
 
 def _vec_arg(text: str) -> tuple:
@@ -284,9 +286,9 @@ def _common_flags() -> argparse.ArgumentParser:
     add("--char-p", dest="char_p", type=int, default=argparse.SUPPRESS,
         metavar="P", help="odd prime characteristic (default: none)")
     add("--pair-reading", dest="pair_reading",
-        choices=("factored", "literal"), default=argparse.SUPPRESS,
+        choices=_PAIR_READINGS, default=argparse.SUPPRESS,
         help="reading of the pairwise closed nef condition")
-    add("--output", dest="output", choices=("json", "csv", "text"),
+    add("--output", dest="output", choices=_OUTPUTS,
         default=argparse.SUPPRESS, help="output format (default json)")
     add("--seed", dest="seed", type=int, default=argparse.SUPPRESS,
         metavar="N", help="seed for randomized sweeps")

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .lattice import DivisorClass
 from .vectors import (Vec4, as_int, at_least, coord_sum, norm_sq, of_kind,
-                      record, setters, vec4)
+                      record, vec4)
 
 
 class Check(NamedTuple):
@@ -58,14 +58,10 @@ class CoverInvariants:
 
     def __post_init__(self):
         # every scalar under the integer rule (vectors.as_int), then
-        # gamma; written again only when coerced, as in nef.LambdaSpec
-        old = (self.n, self.d, self.g, self.g_tilde, self.rho, self.m,
-               self.gamma)
-        new = (*map(as_int, old[:6], ("n", "d", "g", "g_tilde", "rho", "m")),
-               vec4(self.gamma))
-        if any(a is not b for a, b in zip(old, new)):
-            for put, value in zip(setters(CoverInvariants), new):
-                put(self, value)
+        # gamma; vectors.record writes back any value coerced
+        return (as_int(self.n, "n"), as_int(self.d, "d"), as_int(self.g, "g"),
+                as_int(self.g_tilde, "g_tilde"), as_int(self.rho, "rho"),
+                as_int(self.m, "m"), vec4(self.gamma))
 
     @property
     def gamma_sum(self) -> int:

@@ -8,10 +8,10 @@ process and one forked child claim tokens until the pipe is empty, and
 the child sends back its results by job index and its failure, pickled
 through a pipe.  The failure of least rank wins, as inline, and the
 parent kills the child once it has itself run every job ranked below its
-own failure.  Where forking is unsafe (no os.fork, another thread
-running), or the tokens would not fit one atomic pipe write, all runs
-inline in rank order.  The results and errors are the same either way,
-whichever process runs a job.
+own failure.  All runs inline in rank order where there are fewer than
+two jobs, where forking is unsafe (no os.fork, another thread running),
+or where the tokens would not fit one atomic pipe write.  The results
+and errors are the same either way, whichever process runs a job.
 
 This module holds the package's only os.fork and os._exit, and imports
 only the standard library and ``errors``, so any module may run jobs
@@ -183,9 +183,9 @@ def _run_jobs(jobs: list[Job], first: Sequence[int]) -> list:
     indices in ``first`` and then the others in rank order, and this
     process and one forked child claim them until the pipe is empty
     (_forked).  The child's results come back pickled and keyed by
-    index, so they do not depend on which process ran a job.  Where the
-    tokens would not fit, or no child may be forked, all runs inline in
-    rank order.
+    index, so they do not depend on which process ran a job.  Where there
+    are fewer than two jobs, the tokens would not fit, or no child may be
+    forked, all runs inline in rank order.
 
     The exception raised is the same on both paths: that of the job of
     least rank to raise, unless a non-Exception stops a process.  A
@@ -194,8 +194,8 @@ def _run_jobs(jobs: list[Job], first: Sequence[int]) -> list:
     before every job.
     """
     count = len(jobs)
-    width = len(str(max(count - 1, 0)))
-    if count * width > select.PIPE_BUF or not _may_fork():
+    width = len(str(count - 1))
+    if count < 2 or count * width > select.PIPE_BUF or not _may_fork():
         done, failure = _work(jobs, range(count))
     else:
         order = [*first, *(i for i in range(count) if i not in first)]

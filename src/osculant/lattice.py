@@ -31,13 +31,12 @@ Classes are validated once, when DivisorClass(...) is called; the
 arithmetic on them (+, -, unary -, integer multiples, dot) works on the
 stored int tuples with the pairing written out term by term.  Both
 classes are records (vectors.record), whose fields are slots: the
-generated __init__ writes each one through its slot descriptor, as do
-DivisorClass.__post_init__ for a coefficient it had to coerce and _make
-for the results of the arithmetic.
+generated __init__ writes each one through its slot descriptor, and so
+does _make, generated by vectors.unchecked, for the arithmetic's results.
 """
 
 from .errors import InternalCheckFailure, OddPairing
-from .vectors import Vec4, as_int, of_kind, record, setters, vec4
+from .vectors import Vec4, as_int, of_kind, record, unchecked, vec4
 
 
 @record
@@ -57,13 +56,8 @@ class DivisorClass:
     r: Vec4 = (0, 0, 0, 0)
 
     def __post_init__(self):
-        c, f = as_int(self.c, "coefficient c"), as_int(self.f, "coefficient f")
-        s, r = vec4(self.s), vec4(self.r)
-        # written again only when coerced, as in nef.LambdaSpec
-        if (c is not self.c or f is not self.f or s is not self.s
-                or r is not self.r):
-            for put, value in zip(_CLASS_SLOTS, (c, f, s, r)):
-                put(self, value)
+        return (as_int(self.c, "coefficient c"),
+                as_int(self.f, "coefficient f"), vec4(self.s), vec4(self.r))
 
     # -- module structure ------------------------------------------------
 
@@ -122,19 +116,7 @@ class DivisorClass:
         return (self.c, self.f, *self.s, *self.r)
 
 
-_CLASS_SLOTS = setters(DivisorClass)
-
-
-def _make(c: int, f: int, s: Vec4, r: Vec4) -> DivisorClass:
-    """DivisorClass from coefficients already known to be valid ints,
-    without the constructor's checks."""
-    obj = object.__new__(DivisorClass)
-    put_c, put_f, put_s, put_r = _CLASS_SLOTS
-    put_c(obj, c)
-    put_f(obj, f)
-    put_s(obj, s)
-    put_r(obj, r)
-    return obj
+_make = unchecked(DivisorClass)
 
 
 def _scalar(n) -> int:

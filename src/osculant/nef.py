@@ -70,7 +70,6 @@ from .vectors import (
     norm_sq,
     of_kind,
     record,
-    setters,
     vec4,
 )
 
@@ -85,8 +84,8 @@ class LambdaSpec:
     the cover-curve rules of catalog._cover_fields, then the type parity
     and, at rho = 1, the rational-image constraint.  The generated
     __init__ (vectors.record) writes the fields through their slot
-    descriptors, and __post_init__ writes back the same way any value it
-    had to coerce."""
+    descriptors, and writes back the same way any value that
+    __post_init__ had to coerce."""
 
     n: int
     d: int
@@ -94,14 +93,10 @@ class LambdaSpec:
     rho: int = 1
 
     def __post_init__(self):
+        # the checks hand back a plain int or int 4-tuple as the same
+        # object, so vectors.record writes a field again only when coerced
         n, d, rho, gamma = _cover_fields(self.n, self.d, self.rho,
                                          self.gamma)
-        # the checks hand back a plain int or int 4-tuple as the same
-        # object, so the fields are written again only when coerced
-        if (n is not self.n or d is not self.d or rho is not self.rho
-                or gamma is not self.gamma):
-            for put, value in zip(setters(LambdaSpec), (n, d, gamma, rho)):
-                put(self, value)
         bad = _validate_type(n, gamma)
         if bad:
             raise ParityViolation("; ".join(bad))
@@ -111,6 +106,7 @@ class LambdaSpec:
                 raise RationalImageViolation(
                     f"gamma^(2) = {norm_sq(gamma)} but rho = 1 requires "
                     f"(2d-1)(2n-2)+3 = {want}")
+        return n, d, gamma, rho
 
     @property
     def w(self) -> int:

@@ -11,10 +11,11 @@ vector in N^4 (nonnegative), an index in 0..3 (index4) and the kind of
 a record (of_kind, a TypeError).  A public function puts its scalars
 through them first, then its vectors.
 
-Records are built by two helpers here too: the record decorator for
-the frozen dataclasses, whose generated __init__ writes their slots
-directly, and new_row for the NamedTuple rows made once per spec, which
-skip the generated __new__.
+Records are built here too: by the record decorator, whose generated
+__init__ writes a frozen dataclass's slots and writes back what its
+__post_init__ coerced; by unchecked, a builder without the checks
+(lattice._make); and by new_row, for NamedTuple rows made once per spec,
+which skip the generated __new__.
 """
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
@@ -77,39 +78,52 @@ def record(cls: type) -> type:
     with an __init__ generated once from its fields.
 
     The __init__ takes the fields in field order, with their defaults,
-    and writes each through its slot descriptor's __set__ (setters),
-    bound into its namespace; then it calls self.__post_init__(), looked
-    up at call time, where the class has one.  The dataclass frozen
-    __init__ makes one object.__setattr__ call per field instead, which
-    costs about twice as much.  A class with its own __init__ raises
-    TypeError.  The frozen guard raises FrozenInstanceError for every
-    name; the dataclass one raises a bare TypeError on a name that is
-    not a field (Python 3.11)."""
+    and writes each through its slot descriptor's __set__, bound into its
+    namespace; then it calls self.__post_init__(), looked up at call
+    time, where the class has one, and writes back each field it returns
+    that is not the object passed: a value as_int or vec4 coerced.  The
+    dataclass frozen __init__ makes one object.__setattr__ call per field
+    instead, which costs about twice as much.  A class with its own
+    __init__ raises TypeError.  The frozen guard raises
+    FrozenInstanceError for every name; the dataclass one raises a bare
+    TypeError on a name that is not a field (Python 3.11)."""
     if "__init__" in vars(cls):
         raise TypeError(f"{cls.__name__} is a record, whose __init__ is "
                         "generated from its fields")
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    space, params, body = {}, [], []
-    for f, put in zip(fields(cls), setters(cls)):
-        space[f"_put_{f.name}"] = put
-        params.append(f.name)
-        if f.default is not MISSING:
-            space[f"_default_{f.name}"] = f.default
-            params[-1] += f"=_default_{f.name}"
-        body.append(f"\n    _put_{f.name}(self, {f.name})")
+    names = [f.name for f in fields(cls)]
+    space = {f"_default_{f.name}": f.default for f in fields(cls)
+             if f.default is not MISSING}
+    params = [f"{n}=_default_{n}" if f"_default_{n}" in space else n
+              for n in names]
+    body = [f"_put_{n}(self, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
-        body.append("\n    self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", space)
-    cls.__init__ = space["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        body += ["fixed = self.__post_init__()", "if fixed is not None:",
+                 f"    {''.join(f'{n}_, ' for n in names)}= fixed",
+                 *(f"    if {n}_ is not {n}: _put_{n}(self, {n}_)"
+                   for n in names)]
+    cls.__init__ = _define(cls, "__init__", ["self", *params], body, space)
     cls.__setattr__, cls.__delattr__ = _frozen_set, _frozen_del
     return cls
 
 
-def setters(cls: type) -> tuple:
-    """The __set__ of each field's slot descriptor of a record, in field
-    order."""
-    return tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+def unchecked(cls: type):
+    """A builder of the record cls from its fields, in field order, that
+    writes them as its __init__ does but runs no __post_init__."""
+    names = [f.name for f in fields(cls)]
+    body = ["self = _new(_cls)", *(f"_put_{n}(self, {n})" for n in names)]
+    return _define(cls, "unchecked", names, [*body, "return self"],
+                   {"_new": object.__new__, "_cls": cls})
+
+
+def _define(cls: type, name: str, params: list, body: list, space: dict):
+    """def name(params): body, in space, with _put_<f> = f's slot __set__."""
+    for f in fields(cls):
+        space[f"_put_{f.name}"] = vars(cls)[f.name].__set__
+    exec(f"def {name}({', '.join(params)}):"
+         + "".join(f"\n    {line}" for line in body), space)
+    space[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    return space[name]
 
 
 def _frozen_set(self, name, value):

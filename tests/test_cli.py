@@ -12,7 +12,7 @@ import pytest
 
 import osculant.cli as cli
 import osculant.nef as nef
-from osculant import CSV_COLUMNS, CriterionResult
+from osculant import CSV_COLUMNS, CriterionResult, DomainError
 from osculant.cli import RunConfig, main
 
 
@@ -279,19 +279,37 @@ def test_bad_env_value_is_domain_error(capsys, monkeypatch):
     assert code == 1 and "run-config" in err
 
 
+@pytest.mark.parametrize("name,value,constraint", [
+    ("OSCULANT_PAIR_READING", "sloppy", "pair-reading"),
+    ("OSCULANT_OUTPUT", "yaml", "output-format")])
+def test_bad_env_choice_is_domain_error(capsys, monkeypatch, name, value,
+                                        constraint):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, "genus", "K")
+    assert code == 1 and out == ""
+    assert f"[{constraint}]" in err
+
+
 def test_run_config_validation():
     class Args:
         pass
 
     args = Args()
     args.pair_reading = "sloppy"
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError) as info:
         RunConfig.resolve(args)
+    assert info.value.constraint == "pair-reading"
     args = Args()
     args.char_p = 4
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError) as info:
         RunConfig.resolve(args)
+    assert info.value.constraint == "char-p-config"
     assert RunConfig.resolve(Args()) == RunConfig()
+
+
+def test_pair_readings_are_the_library_readings():
+    # the parser loads no nef, so the CLI keeps its own tuple of readings
+    assert cli._PAIR_READINGS == tuple(nef._PAIR_NOTES)
 
 
 def test_output_csv_of_mapping(capsys):

@@ -54,3 +54,22 @@ def test_the_runner_imports_only_the_standard_library_and_errors():
             assert (level, module) == (1, "errors")
         else:
             assert module.split(".")[0] in sys.stdlib_module_names, module
+
+
+@pytest.mark.parametrize("count,forks", [(0, 0), (1, 0), (2, 1)])
+def test_the_runner_forks_only_for_two_jobs_or_more(monkeypatch, count,
+                                                    forks):
+    # a fork, two pipes and a pickle round trip buy nothing for one job
+    if not jobs._may_fork():
+        pytest.skip("this host runs jobs inline")
+    made = []
+    real_fork = os.fork
+
+    def counted_fork():
+        made.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    work = [partial(pow, i, 2) for i in range(count)]
+    assert jobs._run_jobs(work, []) == [i * i for i in range(count)]
+    assert len(made) == forks

@@ -17,6 +17,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -319,7 +320,7 @@ def test_slotted_record_runs_the_class_post_init(name, monkeypatch):
 
     def counted(self):
         calls.append(self)
-        original(self)
+        return original(self)
 
     monkeypatch.setattr(cls, "__post_init__", counted)
     again = cls(*(getattr(obj, f.name) for f in dataclasses.fields(cls)))
@@ -365,6 +366,19 @@ def test_record_init_makes_no_setattr_call(name):
     assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
 
 
+SRC = Path(osculant.__file__).resolve().parent
+
+
+def test_only_vectors_touches_a_slot_descriptor():
+    # vectors.record writes the fields and writes back what __post_init__
+    # coerced, and vectors.unchecked generates lattice._make
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "_CLASS_SLOTS" not in text, path.name
+        if path.name != "vectors.py":
+            assert "__set__" not in text and "setters" not in text, path.name
+
+
 def test_record_refuses_a_hand_written_init():
     class Own:
         a: int
@@ -377,20 +391,51 @@ def test_record_refuses_a_hand_written_init():
     assert "__slots__" not in vars(Own)
 
 
-def test_cover_invariants_write_back_only_what_they_coerce():
-    # plain ints and an int 4-tuple are kept as the very objects passed
-    gamma = (3, 2, 2, 2)
-    values = (10 ** 30, 2, 10 ** 30 + 1, 0, 1, 1, gamma)
-    inv = CoverInvariants(*values)
-    assert all(getattr(inv, f.name) is value
-               for f, value in zip(dataclasses.fields(inv), values))
-    inv = CoverInvariants(_Index(4), _Index(2), _Index(4), _Index(0),
-                          _Index(1), _Index(1), [_Index(3), 2, 2, 2])
-    assert inv == CoverInvariants(4, 2, 4, 0, 1, 1, gamma)
-    assert all(type(getattr(inv, f.name)) is int
-               for f in dataclasses.fields(inv)[:6])
-    assert type(inv.gamma) is tuple
-    assert all(type(x) is int for x in inv.gamma)
+def _plain(value) -> bool:
+    """value is a plain int, or a plain tuple of plain ints."""
+    if type(value) is tuple:
+        return all(type(x) is int for x in value)
+    return type(value) is int
+
+
+def _rebuilds(cls, values):
+    """cls(*values), and dataclasses.replace of it with the same values:
+    each goes through the generated __init__."""
+    built = cls(*values)
+    names = [f.name for f in dataclasses.fields(cls)]
+    return built, dataclasses.replace(built, **dict(zip(names, values)))
+
+
+# record -> (values kept as passed, integer-like values, their plain twin)
+WRITE_BACK = {
+    "LambdaSpec": (
+        LambdaSpec, (10 ** 30 + 1, 10 ** 30, (0, 1, 1, 1), 3),
+        (_Index(4), _Index(2), [_Index(3), 2, 2, 2], _Index(1)),
+        (4, 2, (3, 2, 2, 2), 1)),
+    "DivisorClass": (
+        DivisorClass, (10 ** 30, -10 ** 30, (1, 0, 0, 0), (-3, -2, -2, -2)),
+        (_Index(2), _Index(-1), [1, 0, 0, _Index(0)], (_Index(0), 0, 0, 0)),
+        (2, -1, (1, 0, 0, 0), (0, 0, 0, 0))),
+    "CoverInvariants": (
+        CoverInvariants, (10 ** 30, 2, 10 ** 30 + 1, 0, 1, 1, (3, 2, 2, 2)),
+        (_Index(4), _Index(2), _Index(4), _Index(0), _Index(1), _Index(1),
+         [_Index(3), 2, 2, 2]),
+        (4, 2, 4, 0, 1, 1, (3, 2, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_BACK))
+def test_records_write_back_only_what_they_coerce(name):
+    cls, kept, coerced, plain = WRITE_BACK[name]
+    names = [f.name for f in dataclasses.fields(cls)]
+    # plain ints and int 4-tuples are kept as the very objects passed
+    for built in _rebuilds(cls, kept):
+        assert all(getattr(built, key) is value
+                   for key, value in zip(names, kept))
+    # integer-like values and a list are stored as plain ints and tuples
+    for built in _rebuilds(cls, coerced):
+        assert built == cls(*plain) and hash(built) == hash(cls(*plain))
+        assert all(_plain(getattr(built, key)) for key in names)
 
 
 # ---------------------------------------------------------------------------
