@@ -30,6 +30,8 @@ from .errors import DomainError, InternalCheckFailure
 _ENV_PREFIX = "OSCULANT_"
 # the flags' and the environment's choices; nef._PAIR_NOTES's readings
 _PAIR_READINGS = ("factored", "literal")
+# nef --mode's choices; nef._MODES
+_MODES = ("closed", "brute", "both")
 _OUTPUTS = ("json", "csv", "text")
 
 
@@ -340,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("d", type=int)
         p.add_argument("gamma", type=_vec_arg, metavar="g0,g1,g2,g3")
         if name == "nef":
-            p.add_argument("--mode", choices=("closed", "brute", "both"),
-                           default="both")
+            p.add_argument("--mode", choices=_MODES, default="both")
 
     p = cmd("exceptional", _cmd_exceptional,
             "enumerate exceptional classes by square sum")

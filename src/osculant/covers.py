@@ -22,8 +22,8 @@ from .errors import (
     RhoOutOfRange,
 )
 from .lattice import DivisorClass
-from .vectors import (Vec4, as_int, at_least, coord_sum, norm_sq, of_kind,
-                      record, vec4)
+from .vectors import (Vec4, as_int, at_least, coord_sum, nonnegative,
+                      norm_sq, of_kind, record, vec4)
 
 
 class Check(NamedTuple):
@@ -73,10 +73,10 @@ class CoverInvariants:
 
 
 def validate_type(n: int, gamma) -> list[str]:
-    """Parity law of the type vector: gamma_0 + 1 and gamma_1, gamma_2,
-    gamma_3 must all be congruent to n mod 2.  Returns the list of
-    violated coordinates (empty = ok)."""
-    return _validate_type(as_int(n, "n"), vec4(gamma))
+    """Parity law of a type vector gamma in N^4: gamma_0 + 1 and gamma_1,
+    gamma_2, gamma_3 must all be congruent to n mod 2.  Returns the list
+    of violated coordinates (empty = ok)."""
+    return _validate_type(as_int(n, "n"), nonnegative(vec4(gamma), "gamma"))
 
 
 def _validate_type(n: int, gamma: Vec4) -> list[str]:
@@ -106,13 +106,14 @@ def genus_tilde(n: int, d: int, rho: int, m: int, gamma) -> int:
 
         4 m^2 g~ = (2d-1)(2n-2m) + 4m^2 - rho^2 - gamma^(2).
 
-    The right side must be nonnegative (NegativeGenus otherwise, i.e.
+    d must be >= 1 and gamma lie in N^4.  The right side must be
+    nonnegative (NegativeGenus otherwise, i.e.
     gamma^(2) > 2(2d-1)(n-m) + 4m^2 - rho^2) and divisible by 4m^2
     (NotDivisible otherwise).
     """
-    n, d = as_int(n, "n"), as_int(d, "d")
+    n, d = as_int(n, "n"), at_least(d, 1, "d")
     rho, m = as_int(rho, "rho"), as_int(m, "m")
-    gamma = vec4(gamma)
+    gamma = nonnegative(vec4(gamma), "gamma")
     if m < 1:
         raise NotDivisible(f"m must be >= 1, got {m}")
     return _genus_tilde(n, d, rho, m, gamma)

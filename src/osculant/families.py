@@ -308,10 +308,11 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
         raise DomainError(f"partitions must be >= 1, got {partitions}",
                           constraint="partitions")
     _pair_note(pair_reading)
-    # read once: an iterator as d_range would be spent after the first n
-    n_range, d_range = tuple(n_range), tuple(d_range)
-    cells = sorted({(at_least(n, 1, "n"), at_least(d, 1, "d"))
-                    for n in n_range for d in d_range})
+    # each range read once and checked on its own, so an iterator is not
+    # spent after the first n and an empty range skips no check
+    n_range = tuple(at_least(n, 1, "n") for n in n_range)
+    d_range = tuple(at_least(d, 1, "d") for d in d_range)
+    cells = sorted({(n, d) for n in n_range for d in d_range})
 
     blocks = [cells[i::partitions]
               for i in range(min(partitions, len(cells)))]

@@ -1,17 +1,18 @@
 """The job runner: a list of jobs, each a function of nothing, run on
 two processes or inline, with the same results and errors either way.
 
-A job's rank is its place in the list, which is the inline order.  Its
-claim order is the place of its token on a jobserver pipe: the indices
-the caller lists first, then the others in rank order.  The calling
-process and one forked child claim tokens until the pipe is empty, and
-the child sends back its results by job index and its failure, pickled
-through a pipe.  The failure of least rank wins, as inline, and the
-parent kills the child once it has itself run every job ranked below its
-own failure.  All runs inline in rank order where there are fewer than
-two jobs, where forking is unsafe (no os.fork, another thread running),
-or where the tokens would not fit one atomic pipe write.  The results
-and errors are the same either way, whichever process runs a job.
+A job's rank is its place in the list, which is the inline order and
+the order in which its token goes on a jobserver pipe.  The calling
+process and one forked child claim tokens until the pipe is empty, so
+each claims its jobs in rising rank, and the child sends back its
+results by job index and its failure, pickled through a pipe.  The
+failure of least rank wins, as inline, and a process runs nothing after
+its own failure, since every job it claims later ranks above it.  The
+parent kills the child once it has itself run every job ranked below
+its own failure.  All runs inline where there are fewer than two jobs,
+where forking is unsafe (no os.fork, another thread running), or where
+the tokens would not fit one atomic pipe write.  The results and errors
+are the same either way, whichever process runs a job.
 
 This module holds the package's only os.fork and os._exit, and imports
 only the standard library and ``errors``, so any module may run jobs
@@ -24,7 +25,7 @@ import select
 import signal
 import threading
 import traceback
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from functools import partial
 from operator import itemgetter
 from typing import NoReturn
@@ -64,7 +65,7 @@ Job = Callable[[], object]
 Failure = tuple[int, BaseException]
 
 # what a process ran: the results of its jobs by index, and its failure
-# of least rank or None
+# or None
 Ran = tuple[dict[int, object], Failure | None]
 
 
@@ -76,20 +77,21 @@ def _claim(tokens: int, width: int) -> int | None:
 
 
 def _work(jobs: list[Job], claims: Iterable[int]) -> Ran:
-    """Run each claimed job; a job's index is its rank.  After a failure
-    at rank r a process still claims, so that the other runs out of
-    jobs sooner, but runs only the jobs ranked below r, whose failure
-    would win.  A non-Exception (KeyboardInterrupt, SystemExit)
-    propagates at once."""
+    """Run each claimed job, claimed in rising rank; a job's index is
+    its rank.  After a failure a process runs nothing more, since every
+    job it claims later ranks above it, but it claims the rest so that
+    the other process runs out of jobs sooner.  A non-Exception
+    (KeyboardInterrupt, SystemExit) propagates at once."""
     done = {}
-    failure = None
+    claims = iter(claims)
     for i in claims:
-        if failure is None or i < failure[0]:
-            try:
-                done[i] = jobs[i]()
-            except Exception as exc:
-                failure = (i, exc)
-    return done, failure
+        try:
+            done[i] = jobs[i]()
+        except Exception as exc:
+            for _ in claims:
+                pass
+            return done, (i, exc)
+    return done, None
 
 
 def _child(work: Callable[[], Ran], fd: int) -> NoReturn:
@@ -112,9 +114,9 @@ def _child(work: Callable[[], Ran], fd: int) -> NoReturn:
         os._exit(code)
 
 
-def _forked(jobs: list[Job], order: list[int], width: int) -> Ran:
+def _forked(jobs: list[Job], width: int) -> Ran:
     """What this process and one forked child ran of the jobs, both
-    claiming them from a token pipe filled in the given order.
+    claiming them from a token pipe filled in rank order.
 
     The child is killed at once when this process raises, and when it
     failed after running every job ranked below its failure, since no
@@ -125,7 +127,8 @@ def _forked(jobs: list[Job], order: list[int], width: int) -> Ran:
     tokens, filler = os.pipe()
     try:
         with open(filler, "wb", buffering=0) as pipe:
-            pipe.write("".join(f"{i:0{width}}" for i in order).encode())
+            pipe.write("".join(f"{i:0{width}}"
+                               for i in range(len(jobs))).encode())
         claims = iter(partial(_claim, tokens, width), None)
         answers, sent = os.pipe()
         try:
@@ -142,8 +145,7 @@ def _forked(jobs: list[Job], order: list[int], width: int) -> Ran:
         with open(answers, "rb") as pipe:
             try:
                 done, failure = _work(jobs, claims)
-                if failure is not None \
-                        and done.keys() >= set(range(failure[0])):
+                if failure is not None and len(done) == failure[0]:
                     os.kill(pid, signal.SIGKILL)
                 else:
                     data = pipe.read()   # to the child's end, before the reap
@@ -173,19 +175,18 @@ def _forked(jobs: list[Job], order: list[int], width: int) -> Ran:
                      key=itemgetter(0), default=None)
 
 
-def _run_jobs(jobs: list[Job], first: Sequence[int]) -> list:
-    """[job() for job in jobs], the jobs listed in rank order.
+def _run_jobs(jobs: list[Job]) -> list:
+    """[job() for job in jobs]; a job's rank is its place in the list.
 
     Where _may_fork says yes, each job's index is first written to a
-    token pipe as a fixed-width token, make's jobserver pattern: one
-    write of at most PIPE_BUF bytes is atomic and fits any pipe, and
-    every read takes one token.  The tokens go in claim order, the
-    indices in ``first`` and then the others in rank order, and this
-    process and one forked child claim them until the pipe is empty
-    (_forked).  The child's results come back pickled and keyed by
-    index, so they do not depend on which process ran a job.  Where there
-    are fewer than two jobs, the tokens would not fit, or no child may be
-    forked, all runs inline in rank order.
+    token pipe as a fixed-width token, in rank order, make's jobserver
+    pattern: one write of at most PIPE_BUF bytes is atomic and fits any
+    pipe, and every read takes one token.  This process and one forked
+    child claim the tokens until the pipe is empty (_forked).  The
+    child's results come back pickled and keyed by index, so they do
+    not depend on which process ran a job.  Where there are fewer than
+    two jobs, the tokens would not fit, or no child may be forked, all
+    runs inline.
 
     The exception raised is the same on both paths: that of the job of
     least rank to raise, unless a non-Exception stops a process.  A
@@ -198,8 +199,7 @@ def _run_jobs(jobs: list[Job], first: Sequence[int]) -> list:
     if count < 2 or count * width > select.PIPE_BUF or not _may_fork():
         done, failure = _work(jobs, range(count))
     else:
-        order = [*first, *(i for i in range(count) if i not in first)]
-        done, failure = _forked(jobs, order, width)
+        done, failure = _forked(jobs, width)
     if failure is not None:
         raise failure[1]
     return [done[i] for i in range(count)]

@@ -571,6 +571,10 @@ def _admit(spec: LambdaSpec, p: int | None) -> int | None:
     return spec.check_char_p(p)
 
 
+# nef_check's modes; the CLI's --mode choices (cli._MODES)
+_MODES = ("closed", "brute", "both")
+
+
 def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
               pair_reading: str = "factored") -> NefReport:
     """Decide nefness of Lambda(spec) by the requested route(s).
@@ -591,7 +595,7 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     _scan and the guard for the brute one.  The report carries what each
     route built: the decomposition, and the scan and Lambda.
     """
-    if mode not in ("closed", "brute", "both"):
+    if mode not in _MODES:
         raise DomainError(f"unknown mode {mode!r}", constraint="nef-mode")
     p = _admit(spec, p)
     _pair_note(pair_reading)

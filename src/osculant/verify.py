@@ -25,9 +25,8 @@ block.
 
 The sweep's blocks and the other eight criteria share no state, so
 ``run_all`` runs them as 136 jobs through the job runner
-(jobs._run_jobs), ranked in the inline order, the 128 blocks then the
-eight, and claimed the eight first, longest first, then the blocks in
-sweep order.
+(jobs._run_jobs), listed in the order they run inline and are claimed:
+the eight in battery order, then the 128 blocks in sweep order.
 """
 
 import random
@@ -577,14 +576,6 @@ def criterion_census_determinism() -> CriterionResult:
 # the full battery
 
 
-# The claim order of the eight criteria that read no sweep, as their
-# places in battery order, longest first.  In-process milliseconds on
-# a 2-core x86-64 VM: expression round trip 198, family generators 70,
-# pairing 46, exceptional catalog 30, construction kit 7.5, census
-# determinism 5.5, decomposition 2.7, negative-curve catalog under 1.
-_SIDE_CLAIMS = (6, 3, 2, 0, 4, 7, 5, 1)
-
-
 def run_all(seed: int = 0,
             pair_reading: str = "factored") -> list[CriterionResult]:
     """All thirteen criteria, in specification order.
@@ -592,12 +583,11 @@ def run_all(seed: int = 0,
     The agreement/adjunction/dimension/minimizer/contact criteria share
     one sweep built at characteristic zero; char-p behavior is covered
     by the unit suites, not by the battery.  The 136 jobs are the
-    sweep's (d, mu) blocks in sweep order, each built, tallied through
-    the five criteria and dropped, then the other eight criteria in
-    battery order.  _run_jobs runs them on two processes, the eight
-    claimed first, longest first, or inline, and the tallies are folded
-    in sweep order.  The seed and the pair reading are checked before
-    any job runs.
+    other eight criteria in battery order, then the sweep's (d, mu)
+    blocks in sweep order, each built, tallied through the five
+    criteria and dropped.  _run_jobs runs them on two processes or
+    inline, and the tallies are folded in sweep order.  The seed and
+    the pair reading are checked before any job runs.
     """
     seed = as_int(seed, "seed")
     _pair_note(pair_reading)
@@ -612,11 +602,10 @@ def run_all(seed: int = 0,
             criterion_census_determinism]
     sweep = [lambda block=block: _tally(_sweep_block(*block, pair_reading))
              for block in blocks]
-    results = _run_jobs(sweep + side,
-                        [len(blocks) + k for k in _SIDE_CLAIMS])
-    agreement, *sweep_checks = _fold(results[:len(blocks)], pair_reading,
-                                     _grid_box(_BATTERY_GRID))
+    results = _run_jobs(side + sweep)
     catalogs, negatives, pairing, families, *kit_onward = \
-        results[len(blocks):]
+        results[:len(side)]
+    agreement, *sweep_checks = _fold(results[len(side):], pair_reading,
+                                     _grid_box(_BATTERY_GRID))
     return [catalogs, negatives, pairing, agreement, families,
             *sweep_checks, *kit_onward]

@@ -1,15 +1,14 @@
 """The battery's job runner.
 
-``verify.run_all`` lists its work as 136 jobs in rank order, which is
-the inline order: the sweep's 128 blocks, then the eight criteria that
-read no sweep.  ``jobs._run_jobs`` writes one token per job to a pipe
-in a separate claim order, the eight first and longest first, then the
-blocks in sweep order, and the calling process and one forked child
-both claim tokens until the pipe is empty; where no child may be
-forked, all runs inline in rank order.  The failure of least rank wins,
-and a child's KeyboardInterrupt or SystemExit ranks before every job.
-A process that failed at rank r still runs the jobs of rank below r
-that it claims, and the parent kills the child once it has itself run
+``verify.run_all`` lists its work as 136 jobs: the eight criteria that
+read no sweep, in battery order, then the sweep's 128 blocks in sweep
+order.  A job's rank is its place in the list.  ``jobs._run_jobs``
+writes one token per job to a pipe in rank order, and the calling
+process and one forked child both claim tokens until the pipe is
+empty; where no child may be forked, all runs inline in the same
+order.  The failure of least rank wins, and a child's KeyboardInterrupt
+or SystemExit ranks before every job.  A process runs no job after its
+own failure, and the parent kills the child once it has itself run
 every job ranked below its own failure.  These tests hold the two
 paths to the same results and the same errors, whichever process runs
 a job, under set schedules of the claims, and pin the child's
@@ -47,13 +46,12 @@ fork_only = pytest.mark.skipif(
 # a grid of a few specs, for tests about the child rather than the sweep
 SMALL_GRID = (2, 2, 1)
 
-# the criteria that read no sweep, in battery order, and the one whose
-# token the runner writes first
+# the criteria that read no sweep, in battery order, which is the order
+# of their tokens, before every block's
 SIDE = ["criterion_exceptional_catalog", "criterion_negative_curve_catalog",
         "criterion_pairing_closed_form", "criterion_family_generators",
         "criterion_construction_kit", "criterion_decomposition",
         "criterion_expression_round_trip", "criterion_census_determinism"]
-FIRST_CLAIMED = SIDE[verify._SIDE_CLAIMS[0]]
 
 
 @pytest.fixture(params=["fork", "inline"])
@@ -126,13 +124,15 @@ def scheduled(monkeypatch, schedule: str, planted=None, claimed=None):
       has started block 1;
     - "child-side": the child claims the first token, a side job's,
       before this process claims one;
+    - "child-second": this process claims the first token, and the
+      child the second, before this process claims another;
     - "free": no hold.
     """
     planted = planted or {}
     parent = os.getpid()
     index = {(d, mu): i for i, (d, mu, _)
              in enumerate(verify._grid_blocks(verify._BATTERY_GRID))}
-    sides = len(verify._SIDE_CLAIMS)
+    sides = len(SIDE)
     built = []
     claims = [] if claimed is None else claimed
     to_parent, from_child = os.pipe()
@@ -163,14 +163,18 @@ def scheduled(monkeypatch, schedule: str, planted=None, claimed=None):
                 "child-most", "child-first", "child-side"):
             _wait(to_parent)
         if not here and (schedule, n) in {("child-none", 0),
-                                          ("child-most", sides)}:
+                                          ("child-most", sides),
+                                          ("child-second", 0)}:
             _wait(to_child)
         i = real_claim(tokens, width)
         claims.append(i)
-        if here and n == 0 and schedule == "child-most":
+        if here and n == 0 and schedule in ("child-most", "child-second"):
             os.write(from_parent, b".")
+            if schedule == "child-second":
+                _wait(to_parent)
         if not here and (schedule, n + 1) in {("child-most", sides),
-                                              ("child-side", 1)}:
+                                              ("child-side", 1),
+                                              ("child-second", 1)}:
             os.write(from_child, b".")
         if i is None and (schedule, here) in {("child-none", True),
                                               ("child-most", False)}:
@@ -243,18 +247,17 @@ def test_fork_path_equals_inline_path_under_each_schedule(
     assert forked == inline
     if schedule == "child-none":
         assert built == list(range(count))
-        # the claim order: the side jobs longest first, then the blocks
-        assert claimed == [*(count + k for k in verify._SIDE_CLAIMS),
-                           *range(count), None]
+        # the list order: the side jobs, then the blocks
+        assert claimed == [*range(len(SIDE) + count), None]
     if schedule == "child-most":
         assert built == [0]
 
 
 # (schedule, the two planted blocks, the blocks this process builds)
 PLANTED = [
-    ("child-none", (3, 7), [0, 1, 2, 3]),   # both here
+    ("child-none", (3, 7), [0, 1, 2, 3]),   # the earlier here, and no more
     ("child-most", (0, 5), [0]),            # the earlier here
-    ("child-most", (3, 7), [0]),            # both in the child
+    ("child-most", (3, 7), [0]),            # the earlier in the child
     ("child-first", (0, 1), [1]),           # the earlier in the child
     ("free", (3, 7), None),
 ]
@@ -278,27 +281,31 @@ def test_the_earlier_failing_block_wins(monkeypatch, small_battery,
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES + ["inline"])
-def test_a_block_error_beats_a_side_error(monkeypatch, small_battery,
+def test_a_side_error_beats_a_block_error(monkeypatch, small_battery,
                                           schedule):
+    # under "child-most" this process fails at block 0 while the child,
+    # which claims every side job, fails at the last; elsewhere the
+    # process that fails at the side job builds no block after it
+    built_here = {"child-most": [0], "free": None}.get(schedule, [])
     schedule = _on_path(monkeypatch, schedule)
-    last = len(verify._grid_blocks(SCHEDULE_GRID)) - 1
-    monkeypatch.setattr(verify, "criterion_exceptional_catalog",
+    monkeypatch.setattr(verify, SIDE[-1],
                         _raises(ExprSyntaxError("planted side", 0)))
-    # under "child-most" the child, whose side criteria raised, runs it
     with scheduled(monkeypatch, schedule,
-                   {last: InternalCheckFailure("planted block")}):
+                   {0: InternalCheckFailure("planted block")}) as built:
         with leaves_nothing_behind():
-            with pytest.raises(InternalCheckFailure) as caught:
+            with pytest.raises(ExprSyntaxError) as caught:
                 verify.run_all()
-    assert str(caught.value) == "planted block"
+    assert str(caught.value) == "[expr-syntax] planted side (at position 0)"
+    if built_here is not None:
+        assert built == built_here
 
 
 @pytest.mark.parametrize("schedule", ["child-none", "inline"])
-def test_a_side_job_that_fails_first_loses_to_a_block(
+def test_a_side_job_that_fails_first_beats_a_block(
         monkeypatch, small_battery, schedule):
     # under "child-none" this process claims every token, so the first
-    # side job fails before the blocks run and the last block fails;
-    # inline, the blocks run first and the side job never does
+    # side job fails before any block runs, and inline the same: the
+    # planted block is never built, nor any other
     schedule = _on_path(monkeypatch, schedule)
     last = len(verify._grid_blocks(SCHEDULE_GRID)) - 1
     side_failed_after = []
@@ -308,44 +315,13 @@ def test_a_side_job_that_fails_first_loses_to_a_block(
             side_failed_after.append(len(built))
             raise ExprSyntaxError("planted side", 0)
 
-        monkeypatch.setattr(verify, FIRST_CLAIMED, side)
-        with leaves_nothing_behind():
-            with pytest.raises(InternalCheckFailure) as caught:
-                verify.run_all()
-    assert str(caught.value) == "planted block"
-    assert built[-1] == last
-    assert side_failed_after == ([] if schedule == "free" else [0])
-
-
-@pytest.mark.parametrize("schedule", ["child-none", "child-most", "inline"])
-def test_a_process_that_failed_still_runs_a_lower_ranked_job(
-        monkeypatch, small_battery, schedule):
-    # the side job claimed first fails, and a side job claimed after it
-    # but ranked below it fails too, and wins: both in this process
-    # under "child-none", both in the child under "child-most", and
-    # inline the lower ranked runs first and the other not at all
-    schedule = _on_path(monkeypatch, schedule)
-    first, lower = verify._SIDE_CLAIMS[0], min(verify._SIDE_CLAIMS)
-    assert lower < first
-    ran = []
-
-    def planted(key, exc):
-        def criterion(*args, **kwargs):
-            ran.append(key)
-            raise exc
-        return criterion
-
-    monkeypatch.setattr(verify, SIDE[first], planted(
-        "first", InternalCheckFailure("planted first")))
-    monkeypatch.setattr(verify, SIDE[lower], planted(
-        "lower", ExprSyntaxError("planted lower", 1)))
-    with scheduled(monkeypatch, schedule):
+        monkeypatch.setattr(verify, SIDE[0], side)
         with leaves_nothing_behind():
             with pytest.raises(ExprSyntaxError) as caught:
                 verify.run_all()
-    assert str(caught.value) == "[expr-syntax] planted lower (at position 1)"
-    assert ran == {"child-none": ["first", "lower"], "child-most": [],
-                   "free": ["lower"]}[schedule]
+    assert str(caught.value) == "[expr-syntax] planted side (at position 0)"
+    assert built == []
+    assert side_failed_after == [0]
 
 
 @pytest.mark.parametrize("schedule,interrupted", [
@@ -391,26 +367,27 @@ def test_a_child_interrupt_beats_a_block_failure_here(
 @fork_only
 def test_the_child_is_killed_once_no_answer_can_win(monkeypatch,
                                                     small_battery):
-    # the child stalls in the side job it claims first; this process
-    # fails at block 0, which has no job ranked below it, so it kills
-    # the child rather than wait for its answer
+    # the child stalls in the second side job, which it claims; this
+    # process fails at the first, which has no job ranked below it, so
+    # it kills the child rather than wait for its answer
     stall, never = os.pipe()
-    monkeypatch.setattr(verify, FIRST_CLAIMED,
+    monkeypatch.setattr(verify, SIDE[0],
+                        _raises(InternalCheckFailure("planted side")))
+    monkeypatch.setattr(verify, SIDE[1],
                         lambda *args, **kwargs: select.select(
                             [stall], [], [], 30))
     try:
-        with scheduled(monkeypatch, "child-side",
-                       {0: InternalCheckFailure("planted block")}) as built:
+        with scheduled(monkeypatch, "child-second") as built:
             start = time.monotonic()
             with leaves_nothing_behind():
                 with pytest.raises(InternalCheckFailure,
-                                   match="^planted block$"):
+                                   match="^planted side$"):
                     verify.run_all()
             assert time.monotonic() - start < 10
     finally:
         os.close(stall)
         os.close(never)
-    assert built == [0]
+    assert built == []
 
 
 @fork_only
@@ -441,7 +418,7 @@ def test_an_interrupt_in_the_side_criteria_comes_back(monkeypatch, path,
                                                       interrupt):
     # on the fork path the child claims the side job that raises
     monkeypatch.setattr(verify, "_BATTERY_GRID", SMALL_GRID)
-    monkeypatch.setattr(verify, FIRST_CLAIMED, _raises(interrupt("planted")))
+    monkeypatch.setattr(verify, SIDE[0], _raises(interrupt("planted")))
     with scheduled(monkeypatch, "child-side" if path == "fork" else "free"):
         with leaves_nothing_behind():
             with pytest.raises(interrupt) as caught:
@@ -487,13 +464,11 @@ def test_fork_path_equals_inline_path_at_seed_7(monkeypatch):
 
 
 def test_a_sweep_error_wins_and_the_child_is_reaped(monkeypatch, path):
-    # every block raises, and so does a side job; on the fork path this
-    # process fails at block 0 while the child runs the side job it
+    # every block raises; on the fork path this process fails at the
+    # first block it claims while the child runs the side job it
     # claimed first
     monkeypatch.setattr(verify, "_sweep_block",
                         _raises(InternalCheckFailure("planted sweep")))
-    monkeypatch.setattr(verify, "criterion_exceptional_catalog",
-                        _raises(InternalCheckFailure("planted side")))
     with scheduled(monkeypatch, "child-side" if path == "fork" else "free"):
         with leaves_nothing_behind():
             with pytest.raises(InternalCheckFailure,
@@ -596,7 +571,7 @@ def test_a_child_killed_before_its_result_is_an_internal_failure(
 
     # the child claims the side job that kills it
     monkeypatch.setattr(verify, "_BATTERY_GRID", SMALL_GRID)
-    monkeypatch.setattr(verify, FIRST_CLAIMED, killed)
+    monkeypatch.setattr(verify, SIDE[0], killed)
     with scheduled(monkeypatch, "child-side"):
         with leaves_nothing_behind():
             with pytest.raises(

@@ -312,6 +312,11 @@ def test_pair_readings_are_the_library_readings():
     assert cli._PAIR_READINGS == tuple(nef._PAIR_NOTES)
 
 
+def test_nef_modes_are_the_library_modes():
+    # the parser loads no nef, so the CLI keeps its own tuple of modes
+    assert cli._MODES == nef._MODES
+
+
 def test_output_csv_of_mapping(capsys):
     code, out, _ = run_cli(capsys, "genus", "K", "--output", "csv")
     assert code == 0

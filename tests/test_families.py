@@ -216,6 +216,17 @@ def test_census_reads_each_range_once():
                   15) == base
 
 
+@pytest.mark.parametrize("ns,ds,constraint", [
+    ([], ["x"], "vec-integer"), ([0], [], "degree-min"),
+    # n_range is checked first
+    ([0], ["x"], "degree-min"), ([1, 0], [1.5], "degree-min")])
+def test_census_checks_each_range_even_when_the_other_is_empty(
+        ns, ds, constraint):
+    with pytest.raises(DomainError) as info:
+        census(ns, ds, 5)
+    assert info.value.constraint == constraint
+
+
 @pytest.mark.parametrize("ns,ds", [([], []), (range(1, 3), range(1, 3))])
 def test_census_checks_the_pair_reading_before_any_row(ns, ds):
     with pytest.raises(DomainError) as info:

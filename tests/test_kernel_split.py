@@ -334,6 +334,12 @@ REJECTED = {
         lambda: genus_tilde(4, 2, 1, 1, (3, 2, 2, 2.5)), "vec-integer"),
     "genus_tilde-m0": (lambda: genus_tilde(4, 2, 1, 0, (3, 2, 2, 2)),
                        NotDivisible.constraint),
+    "genus_tilde-d0": (lambda: genus_tilde(2, 0, 1, 1, (1, 0, 0, 0)),
+                       "degree-min"),
+    "genus_tilde-negative": (lambda: genus_tilde(2, 1, 1, 1, (-1, 0, 0, 0)),
+                             "gamma-nonnegative"),
+    "validate_type-negative": (lambda: validate_type(1, (-2, 1, 1, 1)),
+                               "gamma-nonnegative"),
 }
 
 
