@@ -266,12 +266,37 @@ CSV_COLUMNS = ("n,d,gamma0,gamma1,gamma2,gamma3,mu0,mu1,mu2,mu3,"
                "dim_moduli,genus_g,genus_tilde")
 
 
-def _cell_types(n: int, d: int, gamma_bound: int) -> list[Vec4]:
+def _cell_total(n: int, d: int) -> int:
+    """gamma^(2) of every type in the (n, d) cell: (2d-1)(2n-2) + 3."""
+    return (2 * d - 1) * (2 * n - 2) + 3
+
+
+def _pair_tables(top: int, cap: int) -> tuple[dict, dict]:
+    """For each parity q, every sum a^2 + b^2 <= top with a = b = q mod 2
+    and 0 <= a, b <= cap, mapped to its pairs (a, b), a ascending.
+
+    Sized by the sphere of radius^2 top, so a cap far past isqrt(top)
+    costs nothing: about pi*top/16 pairs per parity."""
+    cap = min(cap, isqrt(top))
+    tables: tuple[dict, dict] = ({}, {})
+    for a in range(cap + 1):
+        table, room = tables[a % 2], top - a * a
+        for b in range(a % 2, min(cap, isqrt(room)) + 1, 2):
+            table.setdefault(a * a + b * b, []).append((a, b))
+    return tables
+
+
+def _cell_types(n: int, d: int, gamma_bound: int,
+                tables: tuple[dict, dict]) -> list[Vec4]:
     """Type vectors for one (n, d) cell: correct parity, coordinates up
-    to the bound, square sum pinned by the rational-image constraint."""
-    w = 2 * d - 1
-    total = w * (2 * n - 2) + 3
+    to the bound, square sum pinned by the rational-image constraint.
+
+    (g0, g1) walk the disc; the pairs (g2, g3) with the remaining square
+    sum come from `_pair_tables` built with the same bound, so a cell
+    costs O(r^2 + rows).  The order is lexicographic in (g0, g1, g2)."""
+    total = _cell_total(n, d)
     p0, pj = (n + 1) % 2, n % 2
+    pairs = tables[pj]
     out = []
     for g0 in range(p0, gamma_bound + 1, 2):
         r0 = total - g0 * g0
@@ -281,13 +306,8 @@ def _cell_types(n: int, d: int, gamma_bound: int) -> list[Vec4]:
             r1 = r0 - g1 * g1
             if r1 < 0:
                 break
-            for g2 in range(pj, gamma_bound + 1, 2):
-                r2 = r1 - g2 * g2
-                if r2 < 0:
-                    break
-                g3 = isqrt(r2)
-                if g3 * g3 == r2 and g3 <= gamma_bound and (g3 - pj) % 2 == 0:
-                    out.append((g0, g1, g2, g3))
+            if r1 in pairs:
+                out += [(g0, g1, g2, g3) for g2, g3 in pairs[r1]]
     return out
 
 
@@ -316,10 +336,14 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
 
     blocks = [cells[i::partitions]
               for i in range(min(partitions, len(cells)))]
+    # one pair table per parity for the whole sweep, sized by the
+    # largest cell's sphere
+    top = max((_cell_total(n, d) for n, d in cells), default=0)
+    tables = _pair_tables(top, gamma_bound)
     records = []
     for block in blocks:
         for n, d in block:
-            for gamma in _cell_types(n, d, gamma_bound):
+            for gamma in _cell_types(n, d, gamma_bound, tables):
                 if p is not None and not char_p_admits(gamma, 2 * d - 1, p):
                     continue
                 records.append(_census_record(n, d, gamma, p, pair_reading))

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import time
 import tracemalloc
+from math import isqrt
 
 import pytest
 
@@ -22,9 +24,11 @@ from osculant import (
     LambdaSpec,
     NotNef,
 )
+from osculant.families import _cell_total, _cell_types, _pair_tables
 from osculant.lattice import C, F, R, S, DivisorClass
 from osculant.verify import _FAMILY_MUS
 
+import cell_types_oracle
 import non_nef_oracle
 
 
@@ -205,6 +209,46 @@ def test_census_routes_always_agree():
 def test_census_empty_ranges():
     assert census([], [], 5) == []
     assert census(range(4, 4), range(1, 3), 5) == []
+    # a negative bound empties every cell
+    assert census([], [], -1) == []
+    assert census(range(1, 4), range(1, 3), -1) == []
+    assert census(range(1, 4), range(1, 3), -7, p=7, partitions=3) == []
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 7, 80, 10**6])
+def test_cell_types_are_the_cube_walk_on_every_small_cell(bound):
+    # the census builds its tables once, for its largest cell
+    tables = _pair_tables(_cell_total(40, 8), bound)
+    for n in range(1, 41):
+        for d in range(1, 9):
+            assert _cell_types(n, d, bound, tables) == \
+                cell_types_oracle.cell_types(n, d, bound), (n, d)
+
+
+@pytest.mark.parametrize("n,d", [(120, 10), (119, 10), (120, 9), (97, 7)])
+@pytest.mark.parametrize("bound", [40, 150, 10**6])
+def test_cell_types_are_the_cube_walk_on_large_cells(n, d, bound):
+    expected = cell_types_oracle.cell_types(n, d, bound)
+    for top in (_cell_total(n, d), _cell_total(n + 5, d + 3)):
+        assert _cell_types(n, d, bound, _pair_tables(top, bound)) == expected
+
+
+def test_census_cost_does_not_grow_with_a_bound_past_the_sphere():
+    # a table sized by the bound alone would hold about 2.5e11 pairs
+    base = census(range(1, 4), range(1, 3), 100)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rows = census(range(1, 4), range(1, 3), 10**6)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == base
+    assert took < 0.1, took
+    assert peak < 2**20, peak
+    top = _cell_total(3, 2)
+    assert _pair_tables(top, 10**6) == _pair_tables(top, isqrt(top))
 
 
 def test_census_reads_each_range_once():
@@ -222,9 +266,11 @@ def test_census_reads_each_range_once():
     ([0], ["x"], "degree-min"), ([1, 0], [1.5], "degree-min")])
 def test_census_checks_each_range_even_when_the_other_is_empty(
         ns, ds, constraint):
-    with pytest.raises(DomainError) as info:
-        census(ns, ds, 5)
-    assert info.value.constraint == constraint
+    # and before a negative bound empties every cell
+    for bound in (5, -1):
+        with pytest.raises(DomainError) as info:
+            census(ns, ds, bound)
+        assert info.value.constraint == constraint
 
 
 @pytest.mark.parametrize("ns,ds", [([], []), (range(1, 3), range(1, 3))])

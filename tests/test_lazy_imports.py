@@ -1,7 +1,8 @@
 """The package loads lazily: ``import osculant`` runs no submodule, the
 CLI parser runs only ``cli`` and ``errors``, and a subcommand runs only
-the modules it calls.  The package's names resolve, on first use, to
-the objects their submodules define."""
+the modules it calls: ``nef`` runs neither the census nor the battery,
+and ``census`` not the battery.  The package's names resolve, on first
+use, to the objects their submodules define."""
 
 import json
 import os
@@ -30,6 +31,11 @@ stages["parser"] = executed()
 with contextlib.redirect_stdout(io.StringIO()):
     stages["code"] = osculant.cli.main(["nef", "4", "2", "3,2,2,2"])
 stages["nef"] = executed()
+with contextlib.redirect_stdout(io.StringIO()):
+    stages["census_code"] = osculant.cli.main(
+        ["census", "--n-max", "4", "--d-max", "2", "--gamma-max", "9",
+         "--output", "csv"])
+stages["census"] = executed()
 print(json.dumps(stages))
 """
 
@@ -48,6 +54,11 @@ def test_submodule_bodies_run_on_first_use():
     for idle in ("osculant.verify", "osculant.families", "osculant.expr",
                  "osculant.jobs"):
         assert idle not in stages["nef"]
+    # the census may come to load jobs; it never loads verify or expr
+    assert stages["census_code"] == 0
+    assert "osculant.families" in stages["census"]
+    for idle in ("osculant.verify", "osculant.expr"):
+        assert idle not in stages["census"]
 
 
 def test_exports_are_their_submodules_objects():

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from osculant.nef import (
     LambdaSpec,
     _compose,
+    _minimizer,
     _window,
     mu_patterns,
     n_for_type,
@@ -190,3 +191,52 @@ def test_char_p_keeps_the_minima_and_drops_only_minimizers_over_p():
     # the budget drops a minimizer of 89 specs, so the argmin checks
     # are not vacuous
     assert dropped == 89
+
+
+def _coordinates(report) -> list:
+    """(|eps_i|, gamma_i = 0) for each coordinate of a report's spec."""
+    return [(abs(e), g == 0) for e, g in
+            zip(report.decomposition.eps, report.spec.gamma)]
+
+
+def _class_key(report) -> tuple:
+    """A window spec's class: mu_0's parity, (|eps_0|, gamma_0 = 0) and
+    the sorted triple of (|eps_i|, gamma_i = 0) for i = 1..3."""
+    pairs = _coordinates(report)
+    return report.decomposition.mu[0] % 2, pairs[0], tuple(sorted(pairs[1:]))
+
+
+def _signature(report, failed) -> tuple:
+    """What the certificate reads of a both-mode report: both verdicts,
+    the failing constraint, both class excesses, the minimizer claim and
+    its argmin count, the contact counts per k and the three checks.
+
+    Contact k counts the alphas whose minority index is k, so permuting
+    coordinates 1..3 permutes the counts: each count is kept beside
+    coordinate k's part of the class key, in that key's order."""
+    t0, t1 = thresholds(report.spec.d)
+    _, cand_xs, least, argmins = _minimizer(report)
+    counts = [len(v) for v in report.contacts_by_k().values()]
+    return (report.failing_constraint is None, report.is_nef(),
+            report.failing_constraint,
+            report.scan.min_k0 - t0, report.scan.min_other - t1,
+            min(cand_xs) == least, len(argmins),
+            tuple(sorted(zip(_coordinates(report)[1:], counts))),
+            tuple(failed))
+
+
+def test_every_window_spec_has_the_signature_of_its_class():
+    # the class key decides everything the certificate checks, so one
+    # spec per class would certify a whole window
+    classes = {}
+    for d in REP_COUNTS:
+        for report, failed in certify_windows.certify(d):
+            key = (d, _class_key(report))
+            sig = _signature(report, failed)
+            assert classes.setdefault(key, sig) == sig, (report.spec, key)
+    assert len(classes) == 321
+    # the classes are not all alike: verdicts, failing rows and contacts
+    # differ between them
+    sigs = set(classes.values())
+    assert {s[2] for s in sigs} == {None, "eps-norm", "eps-sum", "eps-pair"}
+    assert len({s[7] for s in sigs}) > 1
