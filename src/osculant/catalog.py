@@ -35,7 +35,8 @@ process.  The form is linear in P, so C~p's is p times the form of C
 plus the form of -r0-r1-r2-r3: two fixed 7-tuples (_CP_SLOPE and
 _CP_BASE), and no class is built per call.  _compile_guard writes these
 tables once, at import, into _row_guard: one straight-line check per
-row with only the nonzero terms of its form.
+row with only the nonzero terms of its form (vectors.signed_terms),
+compiled by vectors.define.
 """
 
 from bisect import bisect_right
@@ -57,11 +58,13 @@ from .vectors import (
     as_int,
     at_least,
     coord_sum,
+    define,
     fmt_vec,
     index4,
     minority_index,
     nonnegative,
     norm_sq,
+    signed_terms,
     vec4,
 )
 
@@ -206,23 +209,24 @@ def exceptional_class(alpha, p: int | None = None) -> QuotientClass:
 
 def enumerate_exceptional(max_sq: int, p: int | None = None) -> list[ExceptionalSpec]:
     """All alpha in N^4 with odd alpha^(2) <= max_sq (and alpha^(1) <= p
-    in characteristic p), in lexicographic order of alpha."""
+    in characteristic p), in lexicographic order of alpha.  Each
+    coordinate stops at the square and at the sum left, so a char-p walk
+    is O(p^4) whatever max_sq; in char 0 the sum left starts at max_sq,
+    which never binds, since alpha^(1) <= alpha^(2)."""
     max_sq = as_int(max_sq, "max_sq")
     p = validate_char_p(p)
     if max_sq < 0:
         return []
     out = []
-    for a0 in range(isqrt(max_sq) + 1):
-        q0 = a0 * a0
-        for a1 in range(isqrt(max_sq - q0) + 1):
-            q1 = q0 + a1 * a1
-            for a2 in range(isqrt(max_sq - q1) + 1):
+    left = max_sq if p is None else p
+    for a0 in range(min(isqrt(max_sq), left) + 1):
+        q0, l0 = a0 * a0, left - a0
+        for a1 in range(min(isqrt(max_sq - q0), l0) + 1):
+            q1, l1 = q0 + a1 * a1, l0 - a1
+            for a2 in range(min(isqrt(max_sq - q1), l1) + 1):
                 q2 = q1 + a2 * a2
-                for a3 in range(isqrt(max_sq - q2) + 1):
-                    if (q2 + a3 * a3) % 2 == 0:
-                        continue
-                    if p is not None and a0 + a1 + a2 + a3 > p:
-                        continue
+                top = min(isqrt(max_sq - q2), l1 - a2)
+                for a3 in range(1 - q2 % 2, top + 1, 2):  # alpha^(2) odd
                     out.append(ExceptionalSpec.from_alpha((a0, a1, a2, a3)))
     return out
 
@@ -295,21 +299,6 @@ _CP_BASE = tuple(b.dot(DivisorClass(r=(-1, -1, -1, -1))) for b in _LAMBDA_BASIS)
 _FORM_VARS = ("n", "w", "rho", "g0", "g1", "g2", "g3")
 
 
-def _linear(terms) -> str:
-    """Source of the sum of coef * factor over the (coef, factor) pairs:
-    the nonzero terms only, a unit coefficient without a multiply, and
-    "0" when every coefficient is zero."""
-    out = ""
-    for coef, factor in terms:
-        if coef:
-            term = factor if abs(coef) == 1 else f"{abs(coef)} * {factor}"
-            if not out:
-                out = f"-{term}" if coef < 0 else term
-            else:
-                out += f" - {term}" if coef < 0 else f" + {term}"
-    return out or "0"
-
-
 def _guard_failure(up: int, name: str) -> InternalCheckFailure:
     """The failure of a catalog row whose upstairs pairing with Lambda
     is up: odd first, then negative."""
@@ -329,24 +318,22 @@ def _compile_guard(base_forms, cp_slope, cp_base):
     validated.
 
     One line per row, in catalog order, evaluates its form at (n, w,
-    rho, gamma) with only the nonzero terms (_linear), then checks
-    parity, then sign.  C~p's line is p*cp_slope + cp_base written out,
-    so nothing is kept per p."""
-    lines = ["def _row_guard(n, w, rho, gamma, p):",
-             "    g0, g1, g2, g3 = gamma"]
+    rho, gamma) with only the nonzero terms (vectors.signed_terms), then
+    checks parity, then sign.  C~p's line is p*cp_slope + cp_base
+    written out, so nothing is kept per p."""
 
-    def row(expr: str, name: str) -> None:
-        lines.append(f"    if (up := {expr}) % 2 or up < 0: "
-                     f"raise _guard_failure(up, {name})")
+    def row(terms, name: str) -> str:
+        return (f"if (up := {signed_terms('', terms) or '0'}) % 2 "
+                f"or up < 0: raise _guard_failure(up, {name})")
 
-    for name, form in base_forms:
-        row(_linear(zip(form, _FORM_VARS)), repr(name))
-    lines.append("    if p is None: return")
-    row(_linear([*zip(cp_slope, [f"p * {v}" for v in _FORM_VARS]),
-                 *zip(cp_base, _FORM_VARS)]), 'f"C~{p}"')
-    space = {"_guard_failure": _guard_failure}
-    exec("\n".join(lines), space)
-    return space["_row_guard"]
+    return define("_row_guard", ["n", "w", "rho", "gamma", "p"], [
+        "g0, g1, g2, g3 = gamma",
+        *(row(zip(form, _FORM_VARS), repr(name))
+          for name, form in base_forms),
+        "if p is None: return",
+        row([*zip(cp_slope, [f"p*{v}" for v in _FORM_VARS]),
+             *zip(cp_base, _FORM_VARS)], 'f"C~{p}"')],
+        {"_guard_failure": _guard_failure})
 
 
 _row_guard = _compile_guard(_BASE_FORMS, _CP_SLOPE, _CP_BASE)

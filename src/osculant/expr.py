@@ -22,13 +22,13 @@ that every formatted class parses back.
 ``format`` emits the canonical form: the e*() wrapper first (omitted
 when c = f = 0, with Co before So inside), then s0..s3, then r0..r3,
 unit coefficients left implicit, zero terms dropped, and ``0`` for the
-zero class.  ``parse(format(D)) == D`` for every class D.
+zero class.  ``parse(format(D)) == D`` for every class D.  The terms
+are written by vectors.signed_terms, as the catalog guard's are.
 """
-
-from collections.abc import Iterable
 
 from .errors import BareSectionSymbol, ExprSyntaxError, UnknownSymbol
 from .lattice import C, F, R, S, DivisorClass, _make, canonical_class
+from .vectors import signed_terms
 
 
 def _terms(cls: DivisorClass) -> tuple[tuple[int, int], ...]:
@@ -192,24 +192,10 @@ def parse(text: str) -> DivisorClass:
 _SECTION_SYMBOLS = ("s0", "s1", "s2", "s3", "r0", "r1", "r2", "r3")
 
 
-def _append(text: str, terms: Iterable[tuple[int, str]]) -> str:
-    """text followed by each nonzero (coefficient, symbol) term, with a
-    unary minus on a negative first term and a spaced + or - before the
-    others; a unit coefficient is left implicit."""
-    for coef, sym in terms:
-        if coef:
-            body = sym if coef == 1 or coef == -1 else f"{abs(coef)}*{sym}"
-            if text:
-                text += f" + {body}" if coef > 0 else f" - {body}"
-            else:
-                text = body if coef > 0 else f"-{body}"
-    return text
-
-
 def format(dclass: DivisorClass) -> str:
     if not isinstance(dclass, DivisorClass):
         raise TypeError(
             f"format takes a DivisorClass, got {type(dclass).__name__}")
-    pull = _append("", ((dclass.c, "Co"), (dclass.f, "So")))
-    return _append(f"e*({pull})" if pull else "",
-                   zip((*dclass.s, *dclass.r), _SECTION_SYMBOLS)) or "0"
+    pull = signed_terms("", ((dclass.c, "Co"), (dclass.f, "So")))
+    return signed_terms(f"e*({pull})" if pull else "",
+                        zip((*dclass.s, *dclass.r), _SECTION_SYMBOLS)) or "0"

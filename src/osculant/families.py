@@ -26,8 +26,8 @@ from .errors import (
     NoSolutions,
 )
 from .lattice import C, R, S, DivisorClass
-from .nef import (LambdaSpec, _check_mu_pattern, _compose, _moduli,
-                  _pair_note, nef_check)
+from .nef import (LambdaSpec, _check_mu_pattern, _compose, _image_total,
+                  _moduli, _pair_note, nef_check)
 from .vectors import (Vec4, as_int, at_least, coord_sum, fmt_vec, index4,
                       new_row, norm_sq, of_kind)
 
@@ -266,11 +266,6 @@ CSV_COLUMNS = ("n,d,gamma0,gamma1,gamma2,gamma3,mu0,mu1,mu2,mu3,"
                "dim_moduli,genus_g,genus_tilde")
 
 
-def _cell_total(n: int, d: int) -> int:
-    """gamma^(2) of every type in the (n, d) cell: (2d-1)(2n-2) + 3."""
-    return (2 * d - 1) * (2 * n - 2) + 3
-
-
 def _pair_tables(top: int, cap: int) -> tuple[dict, dict]:
     """For each parity q, every sum a^2 + b^2 <= top with a = b = q mod 2
     and 0 <= a, b <= cap, mapped to its pairs (a, b), a ascending.
@@ -294,7 +289,7 @@ def _cell_types(n: int, d: int, gamma_bound: int,
     (g0, g1) walk the disc; the pairs (g2, g3) with the remaining square
     sum come from `_pair_tables` built with the same bound, so a cell
     costs O(r^2 + rows).  The order is lexicographic in (g0, g1, g2)."""
-    total = _cell_total(n, d)
+    total = _image_total(n, d)
     p0, pj = (n + 1) % 2, n % 2
     pairs = tables[pj]
     out = []
@@ -320,7 +315,7 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     partitions, each computed independently, then merged by sorted key;
     the output is identical for any partition count.  Partitions beyond
     the number of cells would be empty, so no block is made for them.
-    """
+    In characteristic p the cells that admit no type are dropped first."""
     p = validate_char_p(p)
     gamma_bound = as_int(gamma_bound, "gamma_bound")
     partitions = as_int(partitions, "partitions")
@@ -332,13 +327,15 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     # spent after the first n and an empty range skips no check
     n_range = tuple(at_least(n, 1, "n") for n in n_range)
     d_range = tuple(at_least(d, 1, "d") for d in d_range)
-    cells = sorted({(n, d) for n in n_range for d in d_range})
+    # (gamma^(1))^2 >= gamma^(2) in N^4: a cell past (p(2d-1))^2 is empty
+    cells = sorted({(n, d) for n in n_range for d in d_range if p is None
+                    or _image_total(n, d) <= (p * (2 * d - 1)) ** 2})
 
     blocks = [cells[i::partitions]
               for i in range(min(partitions, len(cells)))]
     # one pair table per parity for the whole sweep, sized by the
     # largest cell's sphere
-    top = max((_cell_total(n, d) for n, d in cells), default=0)
+    top = max((_image_total(n, d) for n, d in cells), default=0)
     tables = _pair_tables(top, gamma_bound)
     records = []
     for block in blocks:

@@ -101,7 +101,7 @@ class LambdaSpec:
         if bad:
             raise ParityViolation("; ".join(bad))
         if rho == 1:
-            want = (2 * d - 1) * (2 * n - 2) + 3
+            want = _image_total(n, d)
             if norm_sq(gamma) != want:
                 raise RationalImageViolation(
                     f"gamma^(2) = {norm_sq(gamma)} but rho = 1 requires "
@@ -115,6 +115,12 @@ class LambdaSpec:
     def check_char_p(self, p: int | None) -> int | None:
         """_char_p_for_type on this spec; returns p checked."""
         return _char_p_for_type(self.gamma, self.w, p)
+
+
+def _image_total(n: int, d: int) -> int:
+    """gamma^(2) of every rho = 1 type at (n, d), the rational-image
+    constraint; LambdaSpec checks it and census sizes its cells by it."""
+    return (2 * d - 1) * (2 * n - 2) + 3
 
 
 def _char_p_for_type(gamma: Vec4, w: int, p: int | None) -> int | None:

@@ -15,9 +15,11 @@ Records are built here too: by the record decorator, whose generated
 __init__ writes a frozen dataclass's slots and writes back what its
 __post_init__ coerced; by unchecked, a builder without the checks
 (lattice._make); and by new_row, for NamedTuple rows made once per spec,
-which skip the generated __new__.
+which skip the generated __new__.  define is the package's one code
+generator, and signed_terms its one writer of signed-term text.
 """
 
+from collections.abc import Iterable
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import index
 
@@ -102,7 +104,7 @@ def record(cls: type) -> type:
                  f"    {''.join(f'{n}_, ' for n in names)}= fixed",
                  *(f"    if {n}_ is not {n}: _put_{n}(self, {n}_)"
                    for n in names)]
-    cls.__init__ = _define(cls, "__init__", ["self", *params], body, space)
+    cls.__init__ = _method(cls, "__init__", ["self", *params], body, space)
     cls.__setattr__, cls.__delattr__ = _frozen_set, _frozen_del
     return cls
 
@@ -112,18 +114,24 @@ def unchecked(cls: type):
     writes them as its __init__ does but runs no __post_init__."""
     names = [f.name for f in fields(cls)]
     body = ["self = _new(_cls)", *(f"_put_{n}(self, {n})" for n in names)]
-    return _define(cls, "unchecked", names, [*body, "return self"],
+    return _method(cls, "unchecked", names, [*body, "return self"],
                    {"_new": object.__new__, "_cls": cls})
 
 
-def _define(cls: type, name: str, params: list, body: list, space: dict):
-    """def name(params): body, in space, with _put_<f> = f's slot __set__."""
-    for f in fields(cls):
-        space[f"_put_{f.name}"] = vars(cls)[f.name].__set__
+def define(name: str, params: list, body: list, space: dict):
+    """def name(params): body, one line per body item, run in space."""
     exec(f"def {name}({', '.join(params)}):"
          + "".join(f"\n    {line}" for line in body), space)
-    space[name].__qualname__ = f"{cls.__qualname__}.{name}"
     return space[name]
+
+
+def _method(cls: type, name: str, params: list, body: list, space: dict):
+    """define, with _put_<f> = f's slot __set__, as a method of cls."""
+    for f in fields(cls):
+        space[f"_put_{f.name}"] = vars(cls)[f.name].__set__
+    method = define(name, params, body, space)
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return method
 
 
 def _frozen_set(self, name, value):
@@ -201,3 +209,17 @@ def minority_index(alpha) -> int:
 
 def fmt_vec(v) -> str:
     return "(" + ",".join(str(int(x)) for x in v) + ")"
+
+
+def signed_terms(text: str, terms: Iterable[tuple[int, str]]) -> str:
+    """text followed by each nonzero (coefficient, symbol) term, with a
+    unary minus on a negative first term and a spaced + or - before the
+    others; a unit coefficient is left implicit."""
+    for coef, sym in terms:
+        if coef:
+            body = sym if coef == 1 or coef == -1 else f"{abs(coef)}*{sym}"
+            if text:
+                text += f" + {body}" if coef > 0 else f" - {body}"
+            else:
+                text = body if coef > 0 else f"-{body}"
+    return text

@@ -2,6 +2,7 @@
 fiber components, and the cover-class template."""
 
 import random
+import time
 from bisect import bisect_right
 
 import pytest
@@ -86,6 +87,21 @@ def test_enumeration_is_lexicographic_and_filtered():
     assert all(sum(x * x for x in a) % 2 == 1 for a in alphas)
     capped = [e.alpha for e in enumerate_exceptional(30, p=3)]
     assert capped == [a for a in alphas if sum(a) <= 3]
+
+
+@pytest.mark.parametrize("max_sq,p", [
+    (199, 3), (199, 7), (2000, 13), (6400, 3), (6400, 7), (25600, 3)])
+def test_a_char_p_enumeration_walks_only_its_budget(max_sq, p):
+    # the walk once covered the whole ball alpha^(2) <= max_sq whatever
+    # p: 0.66 s at (6400, 3) and 10.6 s at (25600, 3)
+    start = time.perf_counter()
+    capped = [e.alpha for e in enumerate_exceptional(max_sq, p)]
+    took = time.perf_counter() - start
+    assert took < 0.05, took
+    # alpha^(1) <= p gives alpha^(2) <= p^2, so the char-0 list at
+    # min(max_sq, p^2) holds every row
+    full = [e.alpha for e in enumerate_exceptional(min(max_sq, p * p))]
+    assert capped == [a for a in full if sum(a) <= p]
 
 
 def test_base_catalog():

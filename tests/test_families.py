@@ -8,6 +8,7 @@ from math import isqrt
 
 import pytest
 
+import osculant.families as families
 from osculant import (
     CSV_COLUMNS,
     DomainError,
@@ -24,8 +25,10 @@ from osculant import (
     LambdaSpec,
     NotNef,
 )
-from osculant.families import _cell_total, _cell_types, _pair_tables
+from osculant.covers import char_p_admits
+from osculant.families import _cell_types, _pair_tables
 from osculant.lattice import C, F, R, S, DivisorClass
+from osculant.nef import _image_total
 from osculant.verify import _FAMILY_MUS
 
 import cell_types_oracle
@@ -218,7 +221,7 @@ def test_census_empty_ranges():
 @pytest.mark.parametrize("bound", [0, 1, 2, 7, 80, 10**6])
 def test_cell_types_are_the_cube_walk_on_every_small_cell(bound):
     # the census builds its tables once, for its largest cell
-    tables = _pair_tables(_cell_total(40, 8), bound)
+    tables = _pair_tables(_image_total(40, 8), bound)
     for n in range(1, 41):
         for d in range(1, 9):
             assert _cell_types(n, d, bound, tables) == \
@@ -229,7 +232,7 @@ def test_cell_types_are_the_cube_walk_on_every_small_cell(bound):
 @pytest.mark.parametrize("bound", [40, 150, 10**6])
 def test_cell_types_are_the_cube_walk_on_large_cells(n, d, bound):
     expected = cell_types_oracle.cell_types(n, d, bound)
-    for top in (_cell_total(n, d), _cell_total(n + 5, d + 3)):
+    for top in (_image_total(n, d), _image_total(n + 5, d + 3)):
         assert _cell_types(n, d, bound, _pair_tables(top, bound)) == expected
 
 
@@ -247,8 +250,30 @@ def test_census_cost_does_not_grow_with_a_bound_past_the_sphere():
     assert rows == base
     assert took < 0.1, took
     assert peak < 2**20, peak
-    top = _cell_total(3, 2)
+    top = _image_total(3, 2)
     assert _pair_tables(top, 10**6) == _pair_tables(top, isqrt(top))
+
+
+def test_a_char_p_census_walks_only_cells_that_admit_a_type(monkeypatch):
+    # (gamma^(1))^2 >= gamma^(2) in N^4, so a cell whose total passes
+    # (p(2d-1))^2 admits none; all 2,400 cells were once walked here
+    walked = []
+    cell_types = families._cell_types
+
+    def counted(n, d, gamma_bound, tables):
+        walked.append((n, d))
+        return cell_types(n, d, gamma_bound, tables)
+
+    monkeypatch.setattr(families, "_cell_types", counted)
+    rows = census(range(1, 801), range(1, 4), 10**6, p=3)
+    assert walked == [(n, d) for n in range(1, 801) for d in range(1, 4)
+                      if _image_total(n, d) <= (3 * (2 * d - 1)) ** 2]
+    assert len(walked) == 41
+    # every admitted type lies at n <= 23 here
+    monkeypatch.undo()
+    assert len(rows) == 140
+    assert rows == [r for r in census(range(1, 24), range(1, 4), 10**6)
+                    if char_p_admits(r.gamma, 2 * r.d - 1, 3)]
 
 
 def test_census_reads_each_range_once():

@@ -11,6 +11,7 @@ frozen dataclasses that remain keep their fields in slots, which the
 ``__init__`` generated by ``vectors.record`` writes through the slot
 descriptors; they must behave as the dataclass-generated classes did."""
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -377,6 +378,30 @@ def test_only_vectors_touches_a_slot_descriptor():
         assert "_CLASS_SLOTS" not in text, path.name
         if path.name != "vectors.py":
             assert "__set__" not in text and "setters" not in text, path.name
+
+
+def test_the_package_generates_code_in_vectors_define_only():
+    # record, unchecked and the catalog guard all compile through it
+    found = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, name):
+            self.name, self.where = name, []
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name) and node.func.id in (
+                    "exec", "eval"):
+                found.append((self.name, self.where[-1:], node.func.id))
+            self.generic_visit(node)
+
+    for path in sorted(SRC.rglob("*.py")):
+        Calls(path.name).visit(ast.parse(path.read_text(), path.name))
+    assert found == [("vectors.py", ["define"], "exec")]
 
 
 def test_record_refuses_a_hand_written_init():
