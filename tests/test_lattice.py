@@ -252,3 +252,30 @@ def test_class_multiplier_without_index_is_not_implemented(product, bad):
         PRODUCTS[product](bad)
     assert C.__mul__(bad) is NotImplemented
     assert K_TILDE.__mul__(bad) is NotImplemented
+
+
+class _Right:
+    """A right-hand operand that takes + and - from any left operand."""
+
+    def __radd__(self, left):
+        return ("radd", left)
+
+    def __rsub__(self, left):
+        return ("rsub", left)
+
+
+SUMS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b}
+
+
+@pytest.mark.parametrize("op", sorted(SUMS))
+@pytest.mark.parametrize("left, other", [(DivisorClass(), K_TILDE),
+                                         (QuotientClass(C), C)],
+                         ids=["DivisorClass", "QuotientClass"])
+def test_class_sum_with_another_type_is_not_implemented(left, other, op):
+    # NotImplemented from both operands: Python raises the TypeError
+    for bad in (1, other):
+        with pytest.raises(TypeError):
+            SUMS[op](left, bad)
+    # else Python hands the sum to the right operand's reflected method
+    assert SUMS[op](left, _Right()) == (
+        "radd" if op == "+" else "rsub", left)

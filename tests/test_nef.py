@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import osculant
+import osculant.nef as nef_impl
 
 from osculant import (
     AnticanonicalDegreeTooSmall,
@@ -41,7 +42,7 @@ from osculant import (
 )
 from osculant.catalog import exceptional_class, gamma_perp_class
 from osculant.lattice import QuotientClass
-from osculant.nef import _lambda
+from osculant.nef import _lambda, _nearest
 
 import minimizer_oracle
 from box_oracle import box_scan, class_of
@@ -249,6 +250,43 @@ def test_scan_box_huge_entries_use_pure_path():
     scan = scan_box(gamma, d)
     assert scan.min_k0 == 0 and scan.argmin_k0 == (gamma,)
     assert scan == box_scan(gamma, d, gamma)
+
+
+# nef._scan reads _nearest's results from a table row for w < 32 and
+# gamma_i < 256.  These specs put a 255 or a 256 in each coordinate, at
+# the last w in the table (d = 16) and the first past it (d = 17).  Each
+# sums to 17w, and at p = 17 the budget drops minimizers of each base.
+TABLE_EDGE = {d: [base[k:] + base[:k] for base in bases for k in range(4)]
+              for d, bases in ((16, ((255, 224, 48, 0), (256, 224, 47, 0))),
+                               (17, ((255, 150, 156, 0), (256, 150, 155, 0))))}
+
+
+def test_every_table_row_holds_nearest_entries(monkeypatch):
+    monkeypatch.setattr(nef_impl, "_ROWS", [None] * 32)
+    for w in range(1, 32, 2):
+        nef_impl._scan((255, 0, 0, 0), w, None)
+        assert nef_impl._ROWS[w] == [_nearest(g, w) for g in range(256)]
+    assert [w for w, row in enumerate(nef_impl._ROWS) if row] == list(
+        range(1, 32, 2))
+
+
+@pytest.mark.parametrize("p", [None, 17])
+@pytest.mark.parametrize("d", sorted(TABLE_EDGE))
+def test_scan_box_matches_box_oracle_at_the_table_bounds(d, p):
+    for gamma in TABLE_EDGE[d]:
+        mu = decompose_type(gamma, d).mu
+        assert scan_box(gamma, d, p) == box_scan(gamma, d, mu, p=p)
+
+
+def test_the_table_serves_w_below_32_and_gamma_below_256_only(monkeypatch):
+    monkeypatch.setattr(nef_impl, "_ROWS", [None] * 32)
+    for d, specs in TABLE_EDGE.items():
+        for gamma in specs:
+            if d == 17 or 256 in gamma:
+                nef_impl._scan(gamma, 2 * d - 1, None)
+    assert not any(nef_impl._ROWS)
+    nef_impl._scan((255, 224, 48, 0), 31, None)
+    assert [w for w, row in enumerate(nef_impl._ROWS) if row] == [31]
 
 
 def test_nef_check_mode_validation():
