@@ -48,6 +48,13 @@ class Check(NamedTuple):
 
 @record
 class CoverInvariants:
+    """The invariants of one cover: n, its degree over the base elliptic
+    curve; d, the osculating order; g, its arithmetic genus; g_tilde, the
+    genus of the image curve on the quotient; rho, the ramification index
+    at the marked point; m, the degree of the induced base map; gamma,
+    the type vector in N^4.  Each field is checked to be an integer
+    (gamma a 4-vector of them); validate_cover checks the laws."""
+
     n: int
     d: int
     g: int

@@ -12,6 +12,7 @@ pure lattice algebra and are verified here on every construction, not
 assumed: D0 = D1, and F_j = G = pullback(Lambda) for every j.
 """
 
+from bisect import bisect_left, bisect_right
 from itertools import product
 from math import isqrt
 from operator import itemgetter
@@ -72,29 +73,41 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
     return out
 
 
+def _pairs(values: range, top: int) -> dict[int, list[tuple[int, int]]]:
+    """Every sum a^2 + b^2 <= top with a, b in the ascending range
+    values, mapped to its pairs (a, b) in lexicographic order.  Each
+    coordinate is clipped to the square left, so the table is sized by
+    the disc of radius^2 top however long the range."""
+    def within(m: int) -> range:
+        return values[bisect_left(values, -m):bisect_right(values, m)]
+
+    table: dict = {}
+    for a in within(isqrt(top)):
+        for b in within(isqrt(top - a * a)):
+            table.setdefault(a * a + b * b, []).append((a, b))
+    return table
+
+
+def _sphere_points(total: int, first: range, rest: range,
+                   pairs: dict) -> list[Vec4]:
+    """Every (x0, x1, x2, x3) with x0 in first, x1 in rest and
+    x0^2 + x1^2 + x2^2 + x3^2 = total, where pairs (from _pairs) holds
+    the (x2, x3) of each remaining square sum.  The order is
+    lexicographic, and the cost O(len(first) * len(rest) + points)."""
+    out = []
+    for x0 in first:
+        r0 = total - x0 * x0
+        out += [(x0, x1, x2, x3) for x1 in rest
+                for x2, x3 in pairs.get(r0 - x1 * x1, ())]
+    return out
+
+
 def _sphere(target: int, cap: int) -> list[Vec4]:
     """Every eps with eps^(2) = target and |eps_i| <= cap, in the
-    lexicographic order of the cube [-cap, cap]^4.
-
-    Each coordinate ranges only as far as the remainder of the target
-    allows, and the last one is +-isqrt of what is left, -e3 first."""
-    out = []
-    m0 = min(cap, isqrt(target))
-    for e0 in range(-m0, m0 + 1):
-        r0 = target - e0 * e0
-        m1 = min(cap, isqrt(r0))
-        for e1 in range(-m1, m1 + 1):
-            r1 = r0 - e1 * e1
-            m2 = min(cap, isqrt(r1))
-            for e2 in range(-m2, m2 + 1):
-                r2 = r1 - e2 * e2
-                e3 = isqrt(r2)
-                if e3 * e3 != r2 or e3 > cap:
-                    continue
-                out.append((e0, e1, e2, -e3))
-                if e3:
-                    out.append((e0, e1, e2, e3))
-    return out
+    lexicographic order of the cube [-cap, cap]^4."""
+    c = min(cap, isqrt(target))
+    values = range(-c, c + 1)
+    return _sphere_points(target, values, values, _pairs(values, target))
 
 
 def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
@@ -120,10 +133,9 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
         raise InternalCheckFailure(
             f"non-nef target eps^(2) = {num}/4 at d = {d} is not an integer "
             f"8h^2 + 3(2k-3)h + k^2 - 3k + 3 inside the eps window")
-    cap = min(bound, isqrt(target))
 
     out = []
-    for eps in _sphere(target, cap):
+    for eps in _sphere(target, bound):
         found = _compose(d, mu, eps)
         if found is not None and char_p_admits(found[1], w, p):
             out.append((*found, eps))
@@ -267,18 +279,10 @@ CSV_COLUMNS = ("n,d,gamma0,gamma1,gamma2,gamma3,mu0,mu1,mu2,mu3,"
 
 
 def _pair_tables(top: int, cap: int) -> tuple[dict, dict]:
-    """For each parity q, every sum a^2 + b^2 <= top with a = b = q mod 2
-    and 0 <= a, b <= cap, mapped to its pairs (a, b), a ascending.
-
-    Sized by the sphere of radius^2 top, so a cap far past isqrt(top)
-    costs nothing: about pi*top/16 pairs per parity."""
-    cap = min(cap, isqrt(top))
-    tables: tuple[dict, dict] = ({}, {})
-    for a in range(cap + 1):
-        table, room = tables[a % 2], top - a * a
-        for b in range(a % 2, min(cap, isqrt(room)) + 1, 2):
-            table.setdefault(a * a + b * b, []).append((a, b))
-    return tables
+    """For each parity q, _pairs over the coordinates 0 <= a <= cap with
+    a = q mod 2: about pi*top/16 pairs per parity, however far cap lies
+    past isqrt(top)."""
+    return tuple(_pairs(range(q, cap + 1, 2), top) for q in (0, 1))
 
 
 def _cell_types(n: int, d: int, gamma_bound: int,
@@ -286,24 +290,14 @@ def _cell_types(n: int, d: int, gamma_bound: int,
     """Type vectors for one (n, d) cell: correct parity, coordinates up
     to the bound, square sum pinned by the rational-image constraint.
 
-    (g0, g1) walk the disc; the pairs (g2, g3) with the remaining square
-    sum come from `_pair_tables` built with the same bound, so a cell
-    costs O(r^2 + rows).  The order is lexicographic in (g0, g1, g2)."""
-    total = _image_total(n, d)
-    p0, pj = (n + 1) % 2, n % 2
-    pairs = tables[pj]
-    out = []
-    for g0 in range(p0, gamma_bound + 1, 2):
-        r0 = total - g0 * g0
-        if r0 < 0:
-            break
-        for g1 in range(pj, gamma_bound + 1, 2):
-            r1 = r0 - g1 * g1
-            if r1 < 0:
-                break
-            if r1 in pairs:
-                out += [(g0, g1, g2, g3) for g2, g3 in pairs[r1]]
-    return out
+    The 4-sphere walk of `_sphere_points` over the two parity ranges,
+    clipped at the radius, with (g2, g3) read from the census's
+    `_pair_tables` built with the same bound; so a cell costs
+    O(r^2 + rows), in lexicographic order."""
+    total, pj = _image_total(n, d), n % 2
+    end = min(gamma_bound, isqrt(total)) + 1
+    return _sphere_points(total, range(1 - pj, end, 2), range(pj, end, 2),
+                          tables[pj])
 
 
 def census(n_range, d_range, gamma_bound: int, p: int | None = None,

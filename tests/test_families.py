@@ -26,7 +26,7 @@ from osculant import (
     NotNef,
 )
 from osculant.covers import char_p_admits
-from osculant.families import _cell_types, _pair_tables
+from osculant.families import _cell_types, _pair_tables, _sphere
 from osculant.lattice import C, F, R, S, DivisorClass
 from osculant.nef import _image_total
 from osculant.verify import _FAMILY_MUS
@@ -120,6 +120,25 @@ def test_non_nef_sphere_matches_cube_filter(d):
                     non_nef_oracle.generate_non_nef_types, *args), args
                 empty += not isinstance(got, list)
     assert empty > 0  # bound -1 at least has no solution
+
+
+@pytest.mark.parametrize("d", [13, 31, 57, 101])
+def test_sphere_is_the_nested_isqrt_walk(d):
+    # the pair-table walk against the walk it replaced, order included
+    target = non_nef_oracle.non_nef_target(d)
+    for cap in (-1, 0, 1, d // 4, d):
+        assert _sphere(target, cap) == non_nef_oracle.sphere(target, cap), cap
+
+
+def test_sphere_cost_is_its_disc_and_its_points():
+    # the nested isqrt walk took about 1.2 s on a 2-core host: O(c^3)
+    # for c = 141
+    target = non_nef_oracle.non_nef_target(201)
+    start = time.perf_counter()
+    points = _sphere(target, 201)
+    took = time.perf_counter() - start
+    assert (target, len(points)) == (20151, 232960)
+    assert took < 0.3, took
 
 
 def test_kit_reference_degree_two():

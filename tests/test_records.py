@@ -57,7 +57,7 @@ from osculant import (
     z_divisor,
 )
 from osculant.cli import RunConfig
-from osculant.vectors import record
+from osculant.vectors import _frozen_set, record
 from osculant.verify import CriterionResult, build_sweep
 
 REF = LambdaSpec(4, 2, (3, 2, 2, 2))
@@ -250,6 +250,18 @@ def test_frozen_dataclasses_follow_the_record_rule():
         "field is a typing.NamedTuple")
     assert set(ALLOWED) <= names
     assert names == set(SLOTTED)
+
+
+def test_every_record_has_its_own_docstring():
+    # dataclasses writes a docstring from inspect.signature for a class
+    # with none, which loads tokenize's regexes on every import
+    records = [cls for cls in _package_classes()
+               if vars(cls).get("__setattr__") is _frozen_set]
+    assert {f"{cls.__module__}.{cls.__qualname__}" for cls in records} \
+        == set(SLOTTED)
+    for cls in records:
+        node, = ast.parse(inspect.getsource(cls)).body
+        assert ast.get_docstring(node, clean=False) == cls.__doc__, cls
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from osculant.nef import (
 )
 from osculant.verify import _sweep_blocks
 
+from test_nef import _least_prime_admitting
+
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_windows.py"
 _spec = importlib.util.spec_from_file_location("certify_windows", _SCRIPT)
 certify_windows = importlib.util.module_from_spec(_spec)
@@ -147,6 +149,37 @@ def test_certify_script_names_failures_by_battery_key():
         "nef-criterion-agreement", "minimizer-claim", "contact-uniqueness"]
 
 
+def test_certify_script_quotes_three_failures_per_d_and_exits_one(
+        capsys, monkeypatch):
+    # five planted failures among the 106 specs of d = 2
+    planted = {0: ["minimizer-claim"],
+               7: ["nef-criterion-agreement", "contact-uniqueness"],
+               30: ["contact-uniqueness"], 31: ["minimizer-claim"],
+               105: ["nef-criterion-agreement"]}
+    real = certify_windows.failed_checks
+    seen = []
+
+    def failed_checks(report):
+        if report.spec.d != 2:
+            return real(report)
+        seen.append(report.spec)
+        return planted.get(len(seen) - 1) or real(report)
+
+    monkeypatch.setattr(certify_windows, "failed_checks", failed_checks)
+    assert certify_windows.main(["--d-max", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(seen) == 106
+    assert lines[1:4] == [
+        "  FAIL n=2 d=2 gamma=(1, 0, 2, 2): minimizer-claim",
+        "  FAIL n=6 d=2 gamma=(5, 2, 2, 0): nef-criterion-agreement, "
+        "contact-uniqueness",
+        "  FAIL n=14 d=2 gamma=(5, 2, 4, 6): contact-uniqueness"]
+    assert lines[4].startswith("d=2: 106 specs, 5 failures, ")
+    assert lines[5].startswith("d=3: 332 specs, 0 failures, ")
+    assert lines[6].startswith("d 1..3: 447 specs, 5 failures, ")
+    assert len(lines) == 7
+
+
 @pytest.mark.parametrize("bad", ["0", "-3", "x"])
 def test_certify_script_rejects_a_d_max_below_one(bad, capsys):
     with pytest.raises(SystemExit) as stop:
@@ -156,24 +189,15 @@ def test_certify_script_rejects_a_d_max_below_one(bad, capsys):
     assert out == "" and "--d-max" in err
 
 
-def _least_admitting_prime(total: int, w: int) -> int:
-    """The least odd prime p with total <= p*w."""
-    p = max(3, -(-total // w))
-    while p % 2 == 0 or any(p % q == 0 for q in range(3, p, 2)):
-        p += 1
-    return p
-
-
 def test_char_p_keeps_the_minima_and_drops_only_minimizers_over_p():
     # scan_box's lemma at the least prime each representative of d <= 5
     # admits: the class minima and verdicts are the char-0 ones, and the
     # argmins and contacts are the char-0 ones with alpha^(1) <= p
     dropped = 0
     for d in range(1, 6):
-        w = 2 * d - 1
         for n, gamma in certify_windows.representatives(d):
             spec = LambdaSpec(n, d, gamma)
-            p = _least_admitting_prime(sum(gamma), w)
+            p = _least_prime_admitting(spec)
             zero = nef_check(spec, mode="both")
             char_p = nef_check(spec, mode="both", p=p)
 
