@@ -728,15 +728,12 @@ def _frac_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def verify_minimizer_claim(spec: LambdaSpec, p: int | None = None, *,
-                           report: NefReport | None = None
-                           ) -> MinimizerReport:
+def verify_minimizer_claim(spec: LambdaSpec,
+                           p: int | None = None) -> MinimizerReport:
     """Check that the minimal pairing value over all exceptional classes
-    is attained at mu, nat_mu, or a flat_mu (recorded, not assumed).
-
-    ``report`` is reused as in linear_system_dims; without one, a fresh
-    brute-mode nef_check supplies the scan."""
-    report = _brute_report(report, spec, p)
+    is attained at mu, nat_mu, or a flat_mu (recorded, not assumed); a
+    brute-mode nef_check supplies the scan (_minimizer)."""
+    report = nef_check(spec, mode="brute", p=p)
     return _claim_report(spec.w, *_minimizer(report))
 
 
@@ -788,24 +785,6 @@ def _claim_report(w: int, dec: Decomposition, cand_xs: list[int],
                            () if holds else argmins)
 
 
-def _brute_report(report: NefReport | None, spec: LambdaSpec,
-                  p: int | None) -> NefReport:
-    """A fresh brute-mode report on (spec, p) when ``report`` is None;
-    else, the spec admitted (_admit), ``report``, rejected unless it is
-    a brute-route verdict on (spec, p)."""
-    if report is None:
-        return nef_check(spec, mode="brute", p=p)
-    p = _admit(spec, p)
-    of_kind(report, NefReport)
-    if (report.spec != spec or report.p != p or report.scan is None
-            or report.lam is None):
-        raise DomainError(
-            f"report was made for spec {report.spec}, p = {report.p} in "
-            f"{report.mode} mode; need a brute or both report for {spec}, "
-            f"p = {p}", constraint="report-mismatch")
-    return report
-
-
 def _require_nef(report: NefReport) -> None:
     if not report.is_nef():
         spec = report.spec
@@ -846,16 +825,12 @@ def z_divisor(spec: LambdaSpec, p: int | None = None) -> ContactDivisor:
     return ContactDivisor(tuple(comps), tuple(anomalies))
 
 
-def linear_system_dims(spec: LambdaSpec, p: int | None = None, *,
-                       report: NefReport | None = None) -> tuple[int, int]:
+def linear_system_dims(spec: LambdaSpec,
+                       p: int | None = None) -> tuple[int, int]:
     """Dimensions of |Lambda| and |Lambda - C~o| by the anticanonical
     dimension formula dim|D| = D.(D - K~)/2, cross-checked against the
-    closed forms 2d-2 and d-2 (_dims).
-
-    Pass the brute or both nef_check report of (spec, p) as ``report``
-    to reuse its verdict and its Lambda; one made for another spec or p
-    is rejected (``report-mismatch``)."""
-    return _dims(_brute_report(report, spec, p))
+    closed forms 2d-2 and d-2 (_dims on a brute-mode nef_check)."""
+    return _dims(nef_check(spec, mode="brute", p=p))
 
 
 def _dims(report: NefReport) -> tuple[int, int]:
@@ -883,13 +858,11 @@ def _dims(report: NefReport) -> tuple[int, int]:
     return dim_l, dim_lc
 
 
-def moduli_dimension(spec: LambdaSpec, p: int | None = None, *,
-                     report: NefReport | None = None) -> int:
-    """Dimension of the moduli space the spec defines (_moduli): d-1 for
-    nef specs with d >= 2, and 0 for d = 1; NotNef for the others.
-
-    ``report`` is reused as in linear_system_dims."""
-    report = _brute_report(report, spec, p)
+def moduli_dimension(spec: LambdaSpec, p: int | None = None) -> int:
+    """Dimension of the moduli space the spec defines (_moduli on a
+    brute-mode nef_check): d-1 for nef specs with d >= 2, and 0 for
+    d = 1; NotNef for the others."""
+    report = nef_check(spec, mode="brute", p=p)
     dim = _moduli(report)
     if dim is None:
         _require_nef(report)

@@ -54,6 +54,7 @@ from .nef import (
     _claim_report,
     _compose,
     _congruent,
+    _decompose,
     _dims,
     _minimizer,
     _moduli,
@@ -420,7 +421,7 @@ def _on_list(key: str, sweep: list[NefReport],
 def _brute_rows(sweep: list[NefReport]) -> list[NefReport]:
     """The sweep, checked to hold only brute or both reports: the
     adjunction, dimension and minimizer steps read their Lambda and scan
-    without the check nef._brute_report makes."""
+    through nef's kernels, which do not check for them."""
     for row in sweep:
         if row.scan is None or row.lam is None:
             raise DomainError(
@@ -491,6 +492,13 @@ def criterion_decomposition(seed: int = 0) -> CriterionResult:
                     sols.append((m, rem // 2))
             if len(sols) != 1 or sols[0][0] < 0:
                 bad.append(f"d={d}, value {v}: solutions {sols}")
+                continue
+            # the program's decomposition finds the one solution too
+            (m, e), = sols
+            dec = _decompose((v, v, v, v), d)
+            if dec.mu != (m,) * 4 or dec.eps != (e,) * 4:
+                bad.append(f"d={d}, value {v}: solution {(m, e)}, but "
+                           f"_decompose gives mu={dec.mu}, eps={dec.eps}")
     for _ in range(500):
         d = draw(1, 5)
         w = 2 * d - 1

@@ -209,6 +209,26 @@ def test_11_decomposition_uniqueness_fails_on_a_wrong_mu(monkeypatch):
                "gamma=(26,2,16,32): got mu=(5, 0, 2, 4), eps=(-1, 1, 1, 2)")
 
 
+def test_11_decomposition_uniqueness_fails_on_a_wrong_decompose(
+        monkeypatch):
+    # the exhaustive half checks the program's _decompose on each
+    # (v, v, v, v) against the one window/parity solution
+    real = verify._decompose
+
+    def decompose(gamma, d):
+        dec = real(gamma, d)
+        return dec._replace(mu=(*dec.mu[:3], dec.mu[3] + 1)) if d == 3 \
+            else dec
+
+    monkeypatch.setattr(verify, "_decompose", decompose)
+    fails_with(verify.criterion_decomposition(), "decomposition-uniqueness",
+               "per-coordinate exhaustive (d 1..5, values 0..6(2d-1)): "
+               "exactly one window/parity solution, always nonnegative; 500 "
+               "random 4-vectors reconstruct; 31 failures; first: d=3, value "
+               "0: solution (0, 0), but _decompose gives mu=(0, 0, 0, 1), "
+               "eps=(0, 0, 0, 0)")
+
+
 def test_12_expression_round_trip(battery):
     check(battery, 12)
 
@@ -253,3 +273,17 @@ def test_12_expression_round_trip_fails_on_a_bad_format(monkeypatch):
 
 def test_13_census_determinism(battery):
     check(battery, 13)
+
+
+def test_13_census_determinism_fails_when_a_partition_drops_a_row(
+        monkeypatch):
+    real = verify.census
+
+    def census(*args, partitions=1):
+        rows = real(*args, partitions=partitions)
+        return rows[1:] if partitions == 8 else rows
+
+    monkeypatch.setattr(verify, "census", census)
+    fails_with(verify.criterion_census_determinism(), "census-determinism",
+               "census n <= 6, d <= 3, gamma <= 15 (83 rows): partition "
+               "outputs differ")

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import osculant
-from osculant import errors, verify
+from osculant import errors, nef, verify
 from osculant.nef import _compose
 from osculant import (
     C,
@@ -31,7 +31,6 @@ from osculant import (
     census,
     construction_kit,
     decompose_type,
-    nef_check,
     scan_box,
     verify_minimizer_claim,
 )
@@ -39,7 +38,6 @@ from osculant import (
 GAMMA = (3, 2, 2, 2)
 MU = (0, 1, 1, 1)
 SPEC = LambdaSpec(4, 2, GAMMA)
-REPORT = nef_check(SPEC)
 DEC = decompose_type(GAMMA, 2)
 RECORDS = census(range(4, 5), range(2, 3), 5)
 Q = QuotientClass(DivisorClass(c=1, s=(-1, -1, -1, -1)))
@@ -86,9 +84,9 @@ GOOD = {
     "intersect": ((C, F), {}),
     "lambda_class": ((SPEC, None), {}),
     "lambda_dot_exceptional_closed": ((2, GAMMA, (1, 0, 0, 0)), {}),
-    "linear_system_dims": ((SPEC, None), {"report": REPORT}),
+    "linear_system_dims": ((SPEC, None), {}),
     "max_genus_dominated": ((4, 1), {}),
-    "moduli_dimension": ((SPEC, None), {"report": REPORT}),
+    "moduli_dimension": ((SPEC, None), {}),
     "n_for_type": ((2, GAMMA), {}),
     "nef_check": ((SPEC, "both", None, "factored"), {}),
     "negative_curve_catalog": ((None,), {}),
@@ -105,7 +103,7 @@ GOOD = {
     "validate_char_p": ((3,), {}),
     "validate_cover": ((COVER, None), {}),
     "validate_type": ((4, GAMMA), {}),
-    "verify_minimizer_claim": ((SPEC, None), {"report": REPORT}),
+    "verify_minimizer_claim": ((SPEC, None), {}),
     "z_divisor": ((SPEC, None), {}),
 }
 
@@ -293,3 +291,16 @@ def test_a_call_at_d_10_to_the_40_takes_constant_time(name):
         fn(*args)
         best = min(best, time.perf_counter() - start)
     assert best < 0.02, (name, best)
+
+
+# the functions that read a brute report each run one brute nef_check
+# and pass it to nef's kernels; none takes a report of its own
+def test_each_brute_reader_takes_only_a_spec_and_p():
+    want = [("spec", inspect.Parameter.empty), ("p", None)]
+    for name in ("verify_minimizer_claim", "z_divisor", "linear_system_dims",
+                 "moduli_dimension"):
+        params = inspect.signature(getattr(osculant, name)).parameters
+        assert [(k, v.default) for k, v in params.items()] == want, name
+        assert all(v.kind is v.POSITIONAL_OR_KEYWORD
+                   for v in params.values()), name
+    assert not hasattr(nef, "_brute_report")

@@ -42,7 +42,7 @@ from osculant import (
 )
 from osculant.catalog import exceptional_class, gamma_perp_class
 from osculant.lattice import QuotientClass
-from osculant.nef import _lambda, _nearest
+from osculant.nef import _claim_report, _dims, _lambda, _minimizer, _moduli, _nearest
 
 import minimizer_oracle
 from box_oracle import box_scan, class_of
@@ -598,9 +598,8 @@ def test_minimizer_claim_and_contact_uniqueness_on_random_specs(case):
     if case is None:
         return
     spec, p = case
-    report = nef_check(spec, mode="brute", p=p)
-    assert verify_minimizer_claim(spec, p, report=report).holds
-    if report.is_nef():
+    assert verify_minimizer_claim(spec, p).holds
+    if nef_check(spec, mode="brute", p=p).is_nef():
         assert z_divisor(spec, p).anomalies == ()
 
 
@@ -681,45 +680,30 @@ def test_report_scan_equals_fresh_scan(case):
         assert report.decomposition == (dec if mode == "both" else None)
         assert report.scan == scan_box(spec.gamma, spec.d, p)
         assert report.lam == lambda_class(spec, p)
-        assert verify_minimizer_claim(spec, p, report=report) == \
+        assert _claim_report(spec.w, *_minimizer(report)) == \
             verify_minimizer_claim(spec, p)
 
 
 def test_report_reuse_gives_same_dimensions():
+    # the kernels on a brute or both report give the public results
     for spec in (REF, LambdaSpec(8, 3, (5, 4, 4, 4)),
                  LambdaSpec(2, 1, (1, 2, 0, 0))):
         for mode in ("brute", "both"):
             report = nef_check(spec, mode=mode)
-            assert moduli_dimension(spec, report=report) == \
-                moduli_dimension(spec)
+            assert _moduli(report) == moduli_dimension(spec)
             if spec.d > 1:
-                assert linear_system_dims(spec, report=report) == \
-                    linear_system_dims(spec)
+                assert _dims(report) == linear_system_dims(spec)
+    assert _dims(nef_check(LambdaSpec(8, 3, (5, 4, 4, 4)))) == (4, 1)
+    assert _dims(nef_check(REF, p=3)) == linear_system_dims(REF, 3) \
+        == (2, 0)
     not_nef = LambdaSpec(6, 3, (7, 2, 0, 0))
     report = nef_check(not_nef, mode="both")
     with pytest.raises(NotNef):
-        linear_system_dims(not_nef, report=report)
-    with pytest.raises(NotNef):
-        moduli_dimension(not_nef, report=report)
-
-
-def test_mismatched_report_is_rejected():
-    other = LambdaSpec(8, 3, (5, 4, 4, 4))
-    wrong = [nef_check(other, mode="both"),          # another spec
-             nef_check(REF, mode="both", p=3),       # another p
-             nef_check(REF, mode="closed")]          # no brute verdict
-    for report in wrong:
-        for call in (linear_system_dims, moduli_dimension,
-                     verify_minimizer_claim):
-            with pytest.raises(DomainError) as info:
-                call(REF, report=report)
-            assert info.value.constraint == "report-mismatch"
-    d_one = LambdaSpec(2, 1, (1, 2, 0, 0))
-    with pytest.raises(DomainError) as info:
-        moduli_dimension(d_one, report=nef_check(REF))
-    assert info.value.constraint == "report-mismatch"
-    assert linear_system_dims(REF, p=3,
-                              report=nef_check(REF, p=3)) == (2, 0)
+        _dims(report)
+    assert _moduli(report) is None
+    for call in (linear_system_dims, moduli_dimension):
+        with pytest.raises(NotNef):
+            call(not_nef)
 
 
 def test_parity_violation_lists_each_coordinate():
@@ -743,15 +727,11 @@ def test_spec_must_be_a_lambda_spec(call, bad):
         call(bad)
 
 
-# likewise a report= that is no NefReport, and a decomposition that is
-# no Decomposition: a TypeError naming the type, not an AttributeError
+# likewise a decomposition that is no Decomposition: a TypeError naming
+# the type, not an AttributeError
 @pytest.mark.parametrize("call,kind", [
-    (lambda bad: linear_system_dims(REF, report=bad), "NefReport"),
-    (lambda bad: moduli_dimension(REF, report=bad), "NefReport"),
-    (lambda bad: verify_minimizer_claim(REF, report=bad), "NefReport"),
     (lambda bad: closed_conditions(bad, 2), "Decomposition")],
-    ids=["linear_system_dims", "moduli_dimension", "verify_minimizer_claim",
-         "closed_conditions"])
+    ids=["closed_conditions"])
 @pytest.mark.parametrize("bad", [
     5, REF, tuple(decompose_type(REF.gamma, 2)), nef_check(REF).to_dict()],
     ids=["int", "LambdaSpec", "tuple", "dict"])

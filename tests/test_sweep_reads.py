@@ -34,7 +34,6 @@ from osculant.nef import _claim_report, _minimizer
 from osculant.verify import (
     _fold,
     _minimizer_step,
-    _spec_tag,
     _sweep_blocks,
     _tally,
     criterion_adjunction,
@@ -62,20 +61,11 @@ def test_kernel_verdict_matches_the_claim_and_its_oracle(case):
         report = nef_check(spec, mode=mode, p=p)
         found = _minimizer(report)
         _, cand_xs, xmin, _ = found
-        claim = verify_minimizer_claim(spec, p, report=report)
+        claim = verify_minimizer_claim(spec, p)
         assert (min(cand_xs) == xmin) == claim.holds == want.holds
         assert _claim_report(spec.w, *found) == claim == want
         checked, bad = _minimizer_step([report])
         assert checked == 1 and bool(bad) != claim.holds
-
-
-def _public_text(report) -> str:
-    """The minimizer failure line, built from the public claim."""
-    claim = verify_minimizer_claim(report.spec, report.p, report=report)
-    assert not claim.holds
-    best = min(v for _, _, v in claim.candidates)
-    return (f"{_spec_tag(report.spec)}: min {claim.min_value} only at "
-            f"{list(claim.counterexamples)}, candidates reach {best}")
 
 
 def _wrong_argmin(report):
@@ -91,14 +81,21 @@ def _no_flats(report):
                                decomposition=dec._replace(flat_mu_set=()))
 
 
-@pytest.mark.parametrize("spec,doctor", [
-    (REF, _wrong_argmin), (FLAT_ONLY, _no_flats)],
+# each detail is the failure line the public claim's fields give on the
+# doctored report: its spec, min_value, counterexamples and least
+# candidate value
+@pytest.mark.parametrize("spec,doctor,detail", [
+    (REF, _wrong_argmin, "(n=4, d=2, gamma=(3,2,2,2)): min 1200 only at "
+     "[(41, 0, 0, 0), (41, 0, 0, 0)], candidates reach 0"),
+    (FLAT_ONLY, _no_flats, "(n=2, d=4, gamma=(1,0,0,4)): min -1 only at "
+     "[(0, 0, 0, 1)], candidates reach 0")],
     ids=["wrong-argmin", "emptied-flat-set"])
-def test_doctored_report_fails_with_the_public_text(spec, doctor):
+def test_doctored_report_fails_with_the_public_text(spec, doctor, detail):
     report = nef_check(spec)
-    assert verify_minimizer_claim(spec, report=report).holds
+    assert verify_minimizer_claim(spec).holds
     bad = doctor(report)
-    assert _minimizer_step([bad]) == (1, [_public_text(bad)])
+    assert not _claim_report(spec.w, *_minimizer(bad)).holds
+    assert _minimizer_step([bad]) == (1, [detail])
 
 
 def test_flat_only_spec_needs_its_flat_mu():
@@ -117,19 +114,6 @@ def test_carried_lambda_is_lambda_class(case):
     for mode in ("brute", "both"):
         assert nef_check(spec, mode=mode, p=p).lam == lambda_class(spec, p)
     assert nef_check(spec, mode="closed", p=p).lam is None
-
-
-def test_report_for_another_spec_is_rejected():
-    other = LambdaSpec(8, 3, (5, 4, 4, 4))
-    report = nef_check(other)
-    no_lambda = dataclasses.replace(nef_check(REF), lam=None)
-    for wrong in (report, no_lambda):
-        for call in (linear_system_dims, verify_minimizer_claim):
-            with pytest.raises(DomainError) as info:
-                call(REF, report=wrong)
-            assert info.value.constraint == "report-mismatch"
-    # the carried Lambda of the right report gives the dimensions
-    assert linear_system_dims(other, report=report) == (4, 1)
 
 
 def test_sweep_criteria_reject_closed_reports():
@@ -170,8 +154,8 @@ def test_divisor_class_built_once_per_report(monkeypatch):
 
 def test_each_call_admits_its_spec_once(monkeypatch):
     """nef._admit runs once per call of the functions that read a brute
-    report, with or without ``report=``, and never in the five sweep
-    steps, which read the reports they are given through nef's kernels."""
+    report, and never in the five sweep steps, which read the reports
+    they are given through nef's kernels."""
     nef = importlib.import_module("osculant.nef")
     real_admit = nef._admit
     admitted = []
@@ -181,14 +165,12 @@ def test_each_call_admits_its_spec_once(monkeypatch):
         return real_admit(spec, p)
 
     blocks = list(islice(_sweep_blocks((2, 3, 2)), 3))
-    report = nef_check(REF)
     monkeypatch.setattr(nef, "_admit", admit)
     for call in (verify_minimizer_claim, linear_system_dims,
                  moduli_dimension):
-        for kwargs in ({}, {"report": report}):
-            admitted.clear()
-            call(REF, **kwargs)
-            assert admitted == [REF], (call.__name__, kwargs)
+        admitted.clear()
+        call(REF)
+        assert admitted == [REF], call.__name__
     admitted.clear()
     results = _fold((_tally(block) for block in blocks), "factored", "")
     assert all(r.passed for r in results)
@@ -198,9 +180,9 @@ def test_each_call_admits_its_spec_once(monkeypatch):
 
 _UNDER_O = """
 import dataclasses
-from osculant import LambdaSpec, nef_check, verify_minimizer_claim
+from osculant import LambdaSpec, nef_check
 from osculant.errors import InternalCheckFailure
-from osculant.nef import _compose
+from osculant.nef import _claim_report, _compose, _minimizer
 from osculant.verify import _minimizer_step
 assert False  # stripped under -O
 report = nef_check(LambdaSpec(2, 4, (1, 0, 0, 4)))
@@ -209,7 +191,8 @@ flatless = dataclasses.replace(report, decomposition=dec._replace(
     flat_mu_set=()))
 print("steps:", _minimizer_step([report])[1], len(
     _minimizer_step([flatless])[1]))
-print("public:", verify_minimizer_claim(report.spec, report=flatless).holds)
+print("public:", _claim_report(report.spec.w,
+                               *_minimizer(flatless)).holds)
 # 4 eps^(2) - 3 = 1 is not divisible by w = 7
 broken = dataclasses.replace(report, decomposition=dec._replace(
     eps=(0, 0, 0, 1)))
