@@ -1,50 +1,23 @@
-"""Both nef routes on complete characteristic-p slabs.
+"""Both nef routes on complete characteristic-p slabs, walked by
+scripts/certify.py, whose docstring says why a slab is finite and why
+its reduced walk is sound; the unreduced slabs at p = 3 and 5 check it."""
 
-A slab is every spec admitted at one (p, d): gamma in N^4 with the type
-parity, the char-p rule gamma^(1) <= p(2d-1) and an integral n >= 1
-from the rational-image constraint.  Each slab is finite: the char-p
-rule keeps gamma in the simplex of coordinate sum p(2d-1), and gamma
-fixes n.  So walking that simplex gives the whole slab, and a check on
-it holds for every spec at that (p, d), with no period lemma.
-
-The reduced slab keeps gamma_1 <= gamma_2 <= gamma_3.  The reduction
-is sound because everything checked is symmetric in coordinates 1..3:
-the char-p rule, the C~p row (p*w - gamma^(1)), both routes' rows and
-the pairing q(alpha) = ||gamma - w*alpha||^2, under one permutation of
-gamma and alpha alike.  The unreduced slabs at p = 3 and 5 check it."""
-
+import dataclasses
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-from osculant.nef import LambdaSpec, _minimizer, nef_check, thresholds
+import pytest
 
-from test_windows import certify_windows
+from osculant.nef import LambdaSpec, _minimizer, nef_check
+
+from test_windows import certify
 
 # specs per reduced slab, summed over d <= 4, and per unreduced slab
 REDUCED = {3: 117, 5: 583, 7: 1823}
 UNREDUCED = {3: 392, 5: 2374}
-
-
-def _slab(p: int, d: int, reduced: bool):
-    """(n, gamma) of every admitted spec at (p, d), gamma_1 <= gamma_2
-    <= gamma_3 when reduced: gamma_0 of the other parity than gamma_1..3,
-    each coordinate within the sum p(2d-1) leaves, n of gamma_1's parity."""
-    w = 2 * d - 1
-    left = p * w
-    for q in (0, 1):
-        for g0 in range(1 - q, left + 1, 2):
-            for g1 in range(q, left - g0 + 1, 2):
-                for g2 in range(g1 if reduced else q, left - g0 - g1 + 1, 2):
-                    for g3 in range(g2 if reduced else q,
-                                    left - g0 - g1 - g2 + 1, 2):
-                        num = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 - 3
-                        n = num // (2 * w) + 1
-                        if num >= 0 and num % (2 * w) == 0 and n % 2 == q:
-                            yield n, (g0, g1, g2, g3)
-
-
-def _order(gamma) -> tuple[int, ...]:
-    """The coordinate order that sorts gamma_1..3, gamma_0 first."""
-    return (0, *sorted((1, 2, 3), key=gamma.__getitem__))
 
 
 def _moved(points, order) -> tuple:
@@ -53,27 +26,11 @@ def _moved(points, order) -> tuple:
 
 
 def _signature(report, order=(0, 1, 2, 3)) -> tuple:
-    """Both verdicts, the failing row, both class excesses, the
-    minimizer claim and the three certificate checks, with the argmins
-    and the contacts (so the contacts of each k) moved by order."""
-    t0, t1 = thresholds(report.spec.d)
-    _, cand_xs, least, argmins = _minimizer(report)
-    return (report.failing_constraint is None, report.is_nef(),
-            report.failing_constraint,
-            report.scan.min_k0 - t0, report.scan.min_other - t1,
-            min(cand_xs) == least, _moved(argmins, order),
-            _moved(report.boundary_contacts, order),
-            tuple(certify_windows.failed_checks(report)))
-
-
-def _least_candidate_sums(report) -> list[int]:
-    """alpha^(1) of each candidate (mu, nat_mu or a flat_mu) that
-    reaches the least excess.  A candidate past p is no curve in
-    characteristic p, and the code never asks whether one within p
-    reaches it."""
-    dec, cand_xs, least, _ = _minimizer(report)
-    cands = (dec.mu, dec.nat_mu, *dec.flat_mu_set)
-    return [sum(v) for v, x in zip(cands, cand_xs) if x == least]
+    """certify.signature, with the argmins and the contacts (so the
+    contacts of each k) moved by order."""
+    return (*certify.signature(report),
+            _moved(_minimizer(report)[3], order),
+            _moved(report.boundary_contacts, order))
 
 
 def test_every_reduced_slab_up_to_p_7_and_d_4_is_certified():
@@ -83,14 +40,10 @@ def test_every_reduced_slab_up_to_p_7_and_d_4_is_certified():
     for p in REDUCED:
         counts[p] = 0
         for d in range(1, 5):
-            for n, gamma in _slab(p, d, reduced=True):
-                report = nef_check(LambdaSpec(n, d, gamma), mode="both", p=p)
-                sig = _signature(report)
-                assert sig[-1] == (), (p, report.spec, sig[-1])
-                sums = _least_candidate_sums(report)
-                assert min(sums) <= p, (p, report.spec, sums)
-                over_budget += max(sums) > p
-                seen.add(sig[2])
+            for report, failed in certify.certify(d, p):
+                assert failed == [], (p, report.spec, failed)
+                over_budget += max(certify.least_candidate_sums(report)) > p
+                seen.add(report.failing_constraint)
                 counts[p] += 1
     assert counts == REDUCED
     # the slabs hold nef specs and two kinds of failing row (none fails
@@ -105,12 +58,12 @@ def test_a_reduced_slab_has_the_signatures_of_the_unreduced_one():
     for p in UNREDUCED:
         count = 0
         for d in range(1, 5):
-            reduced = {gamma: _signature(nef_check(LambdaSpec(n, d, gamma),
-                                                   mode="both", p=p))
-                       for n, gamma in _slab(p, d, reduced=True)}
+            reduced = {report.spec.gamma: _signature(report)
+                       for report, _ in certify.certify(d, p)}
             orbits = set()
-            for n, gamma in _slab(p, d, reduced=False):
-                order = _order(gamma)
+            for n, gamma in certify.slab(p, d, reduced=False):
+                # the coordinate order that sorts gamma_1..3
+                order = (0, *sorted((1, 2, 3), key=gamma.__getitem__))
                 key = tuple(gamma[i] for i in order)
                 report = nef_check(LambdaSpec(n, d, gamma), mode="both", p=p)
                 assert _signature(report, order) == reduced[key], (p, gamma)
@@ -118,3 +71,51 @@ def test_a_reduced_slab_has_the_signatures_of_the_unreduced_one():
                 count += 1
             assert orbits == set(reduced)
         assert count == UNREDUCED[p]
+
+
+def test_the_budget_check_fails_when_every_least_candidate_lies_past_p(
+        monkeypatch):
+    # mu, nat_mu and three flat_mu all reach the least excess, with
+    # alpha^(1) = 1, 5, 3, 3, 3; the budget needs one of them within p
+    report = nef_check(LambdaSpec(4, 2, (3, 2, 2, 2)), mode="both", p=3)
+    real = certify.least_candidate_sums
+    assert real(report) == [1, 5, 3, 3, 3]
+    assert certify.failed_checks(report) == []
+    monkeypatch.setattr(certify, "least_candidate_sums",
+                        lambda r: [s for s in real(r) if s > 3])
+    assert certify.failed_checks(report) == ["char-p-budget"]
+    # characteristic 0 has no budget
+    assert certify.failed_checks(nef_check(report.spec, mode="both")) == []
+    # with no least candidate at all the claim fails, and the budget too
+    far = ((41, 0, 0, 0),)
+    doctored = dataclasses.replace(
+        report, scan=report.scan._replace(argmin_k0=far, argmin_other=far))
+    monkeypatch.setattr(certify, "least_candidate_sums", real)
+    assert real(doctored) == []
+    assert certify.failed_checks(doctored) == ["minimizer-claim",
+                                               "char-p-budget"]
+
+
+@pytest.mark.parametrize("bad", ["4", "9", "1"])
+def test_certify_script_rejects_a_char_p_that_is_no_odd_prime(bad, capsys):
+    with pytest.raises(SystemExit) as stop:
+        certify.main(["--d-max", "2", "--char-p", bad])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "char-p-config" in err
+
+
+def test_certify_script_walks_a_slab_under_python_O():
+    # the script's own entry point, with asserts stripped
+    root = Path(certify.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-O", str(root / "scripts" / "certify.py"),
+         "--char-p", "3", "--d-max", "2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("d=1: 3 specs, 0 failures, ")
+    assert lines[1].startswith("d=2: 15 specs, 0 failures, ")
+    assert lines[2].startswith("d 1..2: 18 specs, 0 failures, ")

@@ -29,7 +29,6 @@ from osculant import (
     nef_check,
     verify_minimizer_claim,
 )
-from osculant.errors import InternalCheckFailure
 from osculant.nef import _claim_report, _minimizer
 from osculant.verify import (
     _fold,

@@ -5,8 +5,8 @@ The period-2w lemma in nef._nearest says that gamma_i -> gamma_i + 2wk
 property test checks that on shifted specs.  The lemma makes the valid
 specs with gamma in [0, 2w]^4 a complete set of representatives, so the
 exhaustive test over them certifies every spec of d <= 7, and its digest
-pins every verdict there.  Both use scripts/certify_windows.py, which
-runs the same check to any d."""
+pins every verdict there.  Both use scripts/certify.py, which runs the
+same check to any d."""
 
 import dataclasses
 import gc
@@ -17,24 +17,16 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from osculant.nef import (
-    LambdaSpec,
-    _compose,
-    _minimizer,
-    _window,
-    mu_patterns,
-    n_for_type,
-    nef_check,
-    thresholds,
-)
+from osculant.nef import (LambdaSpec, _compose, _minimizer, _window,
+                          mu_patterns, n_for_type, nef_check, thresholds)
 from osculant.verify import _sweep_blocks
 
 from test_nef import _least_prime_admitting
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_windows.py"
-_spec = importlib.util.spec_from_file_location("certify_windows", _SCRIPT)
-certify_windows = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(certify_windows)
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify.py"
+_spec = importlib.util.spec_from_file_location("certify", _SCRIPT)
+certify = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(certify)
 
 # representatives per d, and the SHA-256 of one repr line per
 # representative, (d, gamma, verdict, failing constraint, witness,
@@ -86,7 +78,7 @@ def test_every_representative_up_to_d_7_is_certified_and_pinned():
     counts = {}
     for d in REP_COUNTS:
         counts[d] = 0
-        for report, failed in certify_windows.certify(d):
+        for report, failed in certify.certify(d):
             assert not failed, (report.spec, failed)
             counts[d] += 1
             row = (d, report.spec.gamma, report.verdict,
@@ -103,11 +95,11 @@ def test_representatives_are_the_sweep_box_cut_to_2w():
         box = [(row.spec.n, row.spec.gamma)
                for block in _sweep_blocks((d, d, 2)) for row in block
                if max(row.spec.gamma) <= 2 * (2 * d - 1)]
-        assert box == list(certify_windows.representatives(d))
+        assert box == list(certify.representatives(d))
 
 
 def test_certify_script_reports_and_exits_zero(capsys):
-    assert certify_windows.main(["--d-max", "3"]) == 0
+    assert certify.main(["--d-max", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("d=1: 9 specs, 0 failures, ")
     assert lines[-1].startswith("d 1..3: 447 specs, 0 failures, ")
@@ -117,21 +109,21 @@ def test_certify_script_pauses_the_collector_and_restores_it(
         capsys, monkeypatch):
     seen = []
 
-    def certify(d):
+    def walk(d, p):
         seen.append(gc.isenabled())
         if d == 2:
             raise KeyboardInterrupt
         return iter(())
 
-    monkeypatch.setattr(certify_windows, "certify", certify)
-    assert certify_windows.main(["--d-max", "1"]) == 0
+    monkeypatch.setattr(certify, "certify", walk)
+    assert certify.main(["--d-max", "1"]) == 0
     assert gc.isenabled() and seen == [False]
     with pytest.raises(KeyboardInterrupt):
-        certify_windows.main(["--d-max", "2"])
+        certify.main(["--d-max", "2"])
     assert gc.isenabled() and seen == [False, False, False]
     gc.disable()
     try:
-        assert certify_windows.main(["--d-max", "1"]) == 0
+        assert certify.main(["--d-max", "1"]) == 0
         assert not gc.isenabled()
     finally:
         gc.enable()
@@ -144,8 +136,8 @@ def test_certify_script_names_failures_by_battery_key():
     doctored = dataclasses.replace(
         report, agreement=False, boundary_contacts=((0, 1, 0, 0), (0, 1, 2, 0)),
         scan=report.scan._replace(argmin_k0=far, argmin_other=far))
-    assert report.is_nef() and certify_windows.failed_checks(report) == []
-    assert certify_windows.failed_checks(doctored) == [
+    assert report.is_nef() and certify.failed_checks(report) == []
+    assert certify.failed_checks(doctored) == [
         "nef-criterion-agreement", "minimizer-claim", "contact-uniqueness"]
 
 
@@ -156,7 +148,7 @@ def test_certify_script_quotes_three_failures_per_d_and_exits_one(
                7: ["nef-criterion-agreement", "contact-uniqueness"],
                30: ["contact-uniqueness"], 31: ["minimizer-claim"],
                105: ["nef-criterion-agreement"]}
-    real = certify_windows.failed_checks
+    real = certify.failed_checks
     seen = []
 
     def failed_checks(report):
@@ -165,8 +157,8 @@ def test_certify_script_quotes_three_failures_per_d_and_exits_one(
         seen.append(report.spec)
         return planted.get(len(seen) - 1) or real(report)
 
-    monkeypatch.setattr(certify_windows, "failed_checks", failed_checks)
-    assert certify_windows.main(["--d-max", "3"]) == 1
+    monkeypatch.setattr(certify, "failed_checks", failed_checks)
+    assert certify.main(["--d-max", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(seen) == 106
     assert lines[1:4] == [
@@ -183,7 +175,7 @@ def test_certify_script_quotes_three_failures_per_d_and_exits_one(
 @pytest.mark.parametrize("bad", ["0", "-3", "x"])
 def test_certify_script_rejects_a_d_max_below_one(bad, capsys):
     with pytest.raises(SystemExit) as stop:
-        certify_windows.main(["--d-max", bad])
+        certify.main(["--d-max", bad])
     assert stop.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "--d-max" in err
@@ -195,7 +187,7 @@ def test_char_p_keeps_the_minima_and_drops_only_minimizers_over_p():
     # argmins and contacts are the char-0 ones with alpha^(1) <= p
     dropped = 0
     for d in range(1, 6):
-        for n, gamma in certify_windows.representatives(d):
+        for n, gamma in certify.representatives(d):
             spec = LambdaSpec(n, d, gamma)
             p = _least_prime_admitting(spec)
             zero = nef_check(spec, mode="both")
@@ -230,23 +222,13 @@ def _class_key(report) -> tuple:
     return report.decomposition.mu[0] % 2, pairs[0], tuple(sorted(pairs[1:]))
 
 
-def _signature(report, failed) -> tuple:
-    """What the certificate reads of a both-mode report: both verdicts,
-    the failing constraint, both class excesses, the minimizer claim and
-    its argmin count, the contact counts per k and the three checks.
-
-    Contact k counts the alphas whose minority index is k, so permuting
-    coordinates 1..3 permutes the counts: each count is kept beside
-    coordinate k's part of the class key, in that key's order."""
-    t0, t1 = thresholds(report.spec.d)
-    _, cand_xs, least, argmins = _minimizer(report)
+def _signature(report) -> tuple:
+    """certify.signature, the argmin count and the contact counts per k.
+    Permuting coordinates 1..3 permutes the counts, so each is kept
+    beside coordinate k's part of the class key, in that key's order."""
     counts = [len(v) for v in report.contacts_by_k().values()]
-    return (report.failing_constraint is None, report.is_nef(),
-            report.failing_constraint,
-            report.scan.min_k0 - t0, report.scan.min_other - t1,
-            min(cand_xs) == least, len(argmins),
-            tuple(sorted(zip(_coordinates(report)[1:], counts))),
-            tuple(failed))
+    return (*certify.signature(report), len(_minimizer(report)[3]),
+            tuple(sorted(zip(_coordinates(report)[1:], counts))))
 
 
 def test_every_window_spec_has_the_signature_of_its_class():
@@ -254,13 +236,13 @@ def test_every_window_spec_has_the_signature_of_its_class():
     # spec per class would certify a whole window
     classes = {}
     for d in REP_COUNTS:
-        for report, failed in certify_windows.certify(d):
+        for report, _ in certify.certify(d):
             key = (d, _class_key(report))
-            sig = _signature(report, failed)
+            sig = _signature(report)
             assert classes.setdefault(key, sig) == sig, (report.spec, key)
     assert len(classes) == 321
     # the classes are not all alike: verdicts, failing rows and contacts
     # differ between them
     sigs = set(classes.values())
     assert {s[2] for s in sigs} == {None, "eps-norm", "eps-sum", "eps-pair"}
-    assert len({s[7] for s in sigs}) > 1
+    assert len({s[-1] for s in sigs}) > 1
