@@ -13,15 +13,22 @@ n >= 1 from the rational-image constraint.  A slab is finite, as the
 rule keeps gamma in a simplex and gamma fixes n, so it needs no lemma.
 The walk keeps gamma_1 <= gamma_2 <= gamma_3.  That is sound because
 all that is checked is symmetric in coordinates 1..3: the char-p rule,
-the C~p row (pw - gamma^(1)), both routes' rows and the pairing
-q(alpha) = ||gamma - w*alpha||^2, under one permutation of gamma and
-alpha alike (tests/test_char_p_slabs.py checks it at p = 3 and 5).
+the C~p row (pw - gamma^(1)), both routes' rows, the pairing
+q(alpha) = ||gamma - w*alpha||^2, the genus identity and the dimension
+formulas, under one permutation of gamma and alpha alike
+(tests/test_char_p_slabs.py checks it at p = 3 and 5).
 
-Each spec gets a both-mode nef_check and three rows of the battery's
+Each spec gets a both-mode nef_check and the five rows of the battery's
 table (verify._SWEEP_CRITERIA), and in characteristic p one check more,
 each named by its key:
 
 - nef-criterion-agreement: the closed and brute verdicts agree;
+- adjunction-consistency: the arithmetic genus of Lambda's pullback
+  equals 2g~ + (rho - 2 + gamma^(1))/2 (covers._genus_identity);
+- dimension-formulas: a nef spec has dim|Lambda| = 2d-2,
+  dim|Lambda - C~o| = d-2 and moduli d-1 (nef._dims, nef._moduli).  A
+  d = 1 spec is never nef (Lambda^2 = -1), so the row never meets d = 1's
+  anticanonical-degree error;
 - minimizer-claim: the least exceptional pairing is attained at mu,
   nat_mu or a flat_mu (nef._minimizer);
 - contact-uniqueness: a nef spec has at most one zero-pairing alpha per
@@ -52,9 +59,7 @@ from osculant.nef import (LambdaSpec, _compose, _minimizer, _window,
                           mu_patterns, nef_check, thresholds)
 from osculant.verify import _SWEEP_CRITERIA
 
-_STEPS = [(key, step) for key, step, *_ in _SWEEP_CRITERIA
-          if key in ("nef-criterion-agreement", "minimizer-claim",
-                     "contact-uniqueness")]
+_STEPS = [(key, step) for key, step, *_ in _SWEEP_CRITERIA]
 
 
 def representatives(d: int):

@@ -212,7 +212,9 @@ def enumerate_exceptional(max_sq: int, p: int | None = None) -> list[Exceptional
     in characteristic p), in lexicographic order of alpha.  Each
     coordinate stops at the square and at the sum left, so a char-p walk
     is O(p^4) whatever max_sq; in char 0 the sum left starts at max_sq,
-    which never binds, since alpha^(1) <= alpha^(2)."""
+    which never binds, since alpha^(1) <= alpha^(2).  The walk makes
+    only such alphas and holds each one's square sum, so it builds each
+    spec directly, with none of from_alpha's checks."""
     max_sq = as_int(max_sq, "max_sq")
     p = validate_char_p(p)
     if max_sq < 0:
@@ -227,7 +229,9 @@ def enumerate_exceptional(max_sq: int, p: int | None = None) -> list[Exceptional
                 q2 = q1 + a2 * a2
                 top = min(isqrt(max_sq - q2), l1 - a2)
                 for a3 in range(1 - q2 % 2, top + 1, 2):  # alpha^(2) odd
-                    out.append(ExceptionalSpec.from_alpha((a0, a1, a2, a3)))
+                    alpha = (a0, a1, a2, a3)
+                    out.append(ExceptionalSpec(alpha, (q2 + a3 * a3 - 1) // 2,
+                                               minority_index(alpha)))
     return out
 
 

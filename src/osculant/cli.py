@@ -5,7 +5,8 @@ from flags, falling back to OSCULANT_* environment variables, then to
 defaults.  Exit codes: 0 success, 1 domain error (the message carries
 the violated constraint id), 2 usage error, 3 internal consistency
 failure (including any verify-paper criterion failure), 141 when the
-reader closes stdout before the output is written.
+reader closes stdout before the output is written.  A handler returns
+its data, or its own text, and main() alone renders it (_render).
 
 A command runs with the cyclic garbage collector paused.  osculant's
 values form no reference cycles (tests/test_collector.py), so the
@@ -97,6 +98,9 @@ def _div_json(dclass: "lattice.DivisorClass") -> dict:
 
 
 def _render(payload, output: str) -> str:
+    """A command's result as text: a str as it is, data in the format"""
+    if isinstance(payload, str):
+        return payload
     if output == "json":
         return json.dumps(payload, indent=2, sort_keys=True)
     if output == "csv":
@@ -135,110 +139,99 @@ def _render_text(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# handlers (each returns rendered output and an exit code)
+# handlers (each returns its data or its own text, and an exit code)
+
+
+def _spec(args) -> "nef.LambdaSpec":
+    return nef.LambdaSpec(args.n, args.d, args.gamma)
+
+
+def _family_rows(triples) -> list:
+    return [{"n": n, "gamma": list(g), "eps": list(e)} for n, g, e in triples]
 
 
 def _cmd_intersect(args, cfg):
     a, b = expr.parse(args.left), expr.parse(args.right)
-    payload = {"left": expr.format(a), "right": expr.format(b),
-               "value": a.dot(b)}
-    return _render(payload, cfg.output), 0
+    return {"left": expr.format(a), "right": expr.format(b),
+            "value": a.dot(b)}, 0
 
 
 def _cmd_genus(args, cfg):
     dclass = expr.parse(args.expr)
-    payload = {"class": expr.format(dclass),
-               "self_intersection": dclass.self_intersection(),
-               "value": lattice.arithmetic_genus(dclass)}
-    return _render(payload, cfg.output), 0
+    return {"class": expr.format(dclass),
+            "self_intersection": dclass.self_intersection(),
+            "value": lattice.arithmetic_genus(dclass)}, 0
 
 
 def _cmd_lambda(args, cfg):
     spec = nef.LambdaSpec(args.n, args.d, args.gamma, rho=args.rho)
     qc = nef.lambda_class(spec, cfg.char_p)
-    payload = {
+    return {
         "n": spec.n, "d": spec.d, "rho": spec.rho,
         "gamma": list(spec.gamma),
         "pullback": _div_json(qc.pullback),
         "self_intersection": qc.self_intersection(),
         "k_degree": qc.dot(lattice.K_TILDE),
         "genus": qc.genus(),
-    }
-    return _render(payload, cfg.output), 0
+    }, 0
 
 
 def _cmd_decompose(args, cfg):
     dec = nef.decompose_type(args.gamma, args.d)
-    payload = {
+    return {
         "gamma": list(args.gamma), "d": args.d,
         "mu": list(dec.mu), "eps": list(dec.eps),
         "nat_mu": list(dec.nat_mu),
         "flat_mu_set": [list(v) for v in dec.flat_mu_set],
-    }
-    return _render(payload, cfg.output), 0
+    }, 0
 
 
 def _cmd_nef(args, cfg):
-    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
-    report = nef.nef_check(spec, mode=args.mode, p=cfg.char_p,
-                       pair_reading=cfg.pair_reading)
-    return _render(report.to_dict(), cfg.output), 0
+    return nef.nef_check(_spec(args), mode=args.mode, p=cfg.char_p,
+                         pair_reading=cfg.pair_reading).to_dict(), 0
 
 
 def _cmd_minimizer(args, cfg):
-    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
-    report = nef.verify_minimizer_claim(spec, p=cfg.char_p)
-    return _render(report.to_dict(), cfg.output), 0
+    return nef.verify_minimizer_claim(_spec(args), p=cfg.char_p).to_dict(), 0
 
 
 def _cmd_zdiv(args, cfg):
-    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
-    contact = nef.z_divisor(spec, p=cfg.char_p)
-    return _render(contact.to_dict(), cfg.output), 0
+    return nef.z_divisor(_spec(args), p=cfg.char_p).to_dict(), 0
 
 
 def _cmd_dims(args, cfg):
-    spec = nef.LambdaSpec(args.n, args.d, args.gamma)
     # one admitted brute report, read by the two kernels; _dims raises
     # AnticanonicalDegreeTooSmall and NotNef first, so _moduli is d-1
-    report = nef.nef_check(spec, mode="brute", p=cfg.char_p)
+    report = nef.nef_check(_spec(args), mode="brute", p=cfg.char_p)
     dim_l, dim_lc = nef._dims(report)
-    payload = {"dim_lambda": dim_l, "dim_lambda_minus_co": dim_lc,
-               "dim_moduli": nef._moduli(report)}
-    return _render(payload, cfg.output), 0
+    return {"dim_lambda": dim_l, "dim_lambda_minus_co": dim_lc,
+            "dim_moduli": nef._moduli(report)}, 0
 
 
 def _cmd_exceptional(args, cfg):
-    rows = []
-    for es in catalog.enumerate_exceptional(args.max_sq, cfg.char_p):
-        rows.append({"alpha": list(es.alpha), "a": es.a, "k": es.k,
-                     "pullback": _div_json(es.pullback())})
-    return _render(rows, cfg.output), 0
+    specs = catalog.enumerate_exceptional(args.max_sq, cfg.char_p)
+    return [{"alpha": list(es.alpha), "a": es.a, "k": es.k,
+             "pullback": _div_json(es.pullback())} for es in specs], 0
 
 
 def _cmd_catalog(args, cfg):
-    rows = [{"name": name, "pullback": _div_json(qc.pullback), "self": si}
-            for name, qc, si in catalog.negative_curve_catalog(cfg.char_p)]
-    return _render(rows, cfg.output), 0
+    return [{"name": name, "pullback": _div_json(qc.pullback), "self": si}
+            for name, qc, si in catalog.negative_curve_catalog(cfg.char_p)], 0
 
 
 def _cmd_family_nef(args, cfg):
-    rows = [{"n": n, "gamma": list(g), "eps": list(e)}
-            for n, g, e in families.generate_nef_types(
-                args.d, args.k, args.mu, cfg.char_p)]
-    return _render(rows, cfg.output), 0
+    return _family_rows(families.generate_nef_types(
+        args.d, args.k, args.mu, cfg.char_p)), 0
 
 
 def _cmd_family_nonnef(args, cfg):
-    rows = [{"n": n, "gamma": list(g), "eps": list(e)}
-            for n, g, e in families.generate_non_nef_types(
-                args.d, args.mu, args.bound, cfg.char_p)]
-    return _render(rows, cfg.output), 0
+    return _family_rows(families.generate_non_nef_types(
+        args.d, args.mu, args.bound, cfg.char_p)), 0
 
 
 def _cmd_kit(args, cfg):
     kit = families.construction_kit(args.d, args.mu)
-    payload = {
+    return {
         "d": kit.d, "mu": list(kit.mu), "gamma": list(kit.gamma),
         "n": kit.n, "genus": kit.genus,
         "divisors": [{"name": name, "class": _div_json(dc)}
@@ -248,8 +241,7 @@ def _cmd_kit(args, cfg):
             "f_all_equal_g": all(fj == kit.g for fj in kit.f),
             "g_equals_lambda_pullback": kit.g == kit.lambda_pullback,
         },
-    }
-    return _render(payload, cfg.output), 0
+    }, 0
 
 
 def _cmd_census(args, cfg):
@@ -258,24 +250,20 @@ def _cmd_census(args, cfg):
                               p=cfg.char_p, pair_reading=cfg.pair_reading,
                               partitions=args.partitions)
     if cfg.output == "json":
-        payload = families.census_json(records)
-        return json.dumps(payload, indent=2, sort_keys=True), 0
+        return families.census_json(records), 0
     return families.census_csv(records).rstrip("\n"), 0
 
 
 def _cmd_verify_paper(args, cfg):
     results = verify.run_all(seed=cfg.seed, pair_reading=cfg.pair_reading)
     failures = sum(not r.passed for r in results)
+    code = 3 if failures else 0
     if cfg.output == "json":
-        payload = [{"key": r.key, "passed": r.passed, "detail": r.detail}
-                   for r in results]
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        lines = [r.line() for r in results]
-        lines.append(f"{len(results) - failures}/{len(results)} "
-                     f"criteria passed")
-        text = "\n".join(lines)
-    return text, (0 if failures == 0 else 3)
+        return [{"key": r.key, "passed": r.passed, "detail": r.detail}
+                for r in results], code
+    lines = [r.line() for r in results]
+    lines.append(f"{len(results) - failures}/{len(results)} criteria passed")
+    return "\n".join(lines), code
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +388,8 @@ def main(argv=None) -> int:
     try:
         with collector_paused():
             cfg = RunConfig.resolve(args)
-            text, code = args.func(args, cfg)
+            result, code = args.func(args, cfg)
+            text = _render(result, cfg.output)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -220,7 +220,7 @@ def construction_kit(d: int, mu) -> KitDivisors:
         zunder = zbar + 2 * R[0]
     zprime = _z_template(shift(0, 2, 1, 1), 1)
     zsecond = _z_template(shift(0, 0, 1, 1), 1)
-    zk = (_z_template(shift(0, 0, 1, 1), 1),
+    zk = (zsecond,
           _z_template(shift(0, 1, 0, 1), 2),
           _z_template(shift(0, 1, 1, 0), 3))
     z = _z_template(mu, 0)

@@ -89,6 +89,15 @@ def test_enumeration_is_lexicographic_and_filtered():
     assert capped == [a for a in alphas if sum(a) <= 3]
 
 
+@pytest.mark.parametrize("p", [None, 3, 13])
+def test_each_enumerated_spec_is_the_one_from_alpha_builds(p):
+    # the walk builds each spec directly; from_alpha checks and derives
+    # a and k from alpha alone
+    specs = enumerate_exceptional(199, p)
+    assert specs == [ExceptionalSpec.from_alpha(es.alpha, p) for es in specs]
+    assert max(es.alpha[3] for es in specs) >= 3
+
+
 @pytest.mark.parametrize("max_sq,p", [
     (199, 3), (199, 7), (2000, 13), (6400, 3), (6400, 7), (25600, 3)])
 def test_a_char_p_enumeration_walks_only_its_budget(max_sq, p):

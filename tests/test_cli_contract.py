@@ -7,6 +7,7 @@ on stderr, the error the library raises for that input; or exits 2 with
 one of argparse's own parse errors.  Never a traceback, never exit 3.
 Each id seen must be in the README's list of constraint ids."""
 
+import ast
 import contextlib
 import io
 import re
@@ -17,6 +18,7 @@ import pytest
 from osculant import verify
 from osculant.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 POOL = ("-1", "0", "2.0", "x", "1,2,3", "-3,2,2,2")
 GLOBAL_FLAGS = ("--char-p", "--pair-reading", "--output", "--seed")
 
@@ -142,11 +144,48 @@ def test_every_subcommand_keeps_the_input_contract(sweep):
     assert not broken, "\n".join(broken)
 
 
-def test_every_constraint_id_seen_is_in_the_readme(sweep):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+def _readme_ids() -> set[str]:
+    """The constraint ids README's command-line section lists."""
+    readme = (ROOT / "README.md").read_text()
     start = readme.index("Constraint ids appearing in domain errors")
-    listed = set(re.findall(r"`([a-z0-9-]+)`",
-                            readme[start:readme.index("\n\n", start)]))
+    return set(re.findall(r"`([a-z0-9-]+)`",
+                          readme[start:readme.index("\n\n", start)]))
+
+
+def test_every_constraint_id_seen_is_in_the_readme(sweep):
+    listed = _readme_ids()
     _, ids = sweep
     assert ids >= set(NAMED.values())
     assert ids <= listed, sorted(ids - listed)
+
+
+def _raised_ids() -> set[str]:
+    """Every constraint id spelled in the package's source: a class's
+    ``constraint`` attribute, a ``constraint=`` keyword, index4's third
+    argument and nonnegative's ``<what>-nonnegative``.  The base class's
+    ``domain`` names no constraint and is left out."""
+    ids = set()
+    for path in (ROOT / "src" / "osculant").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Assign)
+                    and ast.unparse(node.targets[0]) == "constraint"
+                    and isinstance(node.value, ast.Constant)):
+                ids.add(node.value.value)   # a class attribute
+            if not isinstance(node, ast.Call):
+                continue
+            ids.update(kw.value.value for kw in node.keywords
+                       if kw.arg == "constraint"
+                       and isinstance(kw.value, ast.Constant))
+            name = ast.unparse(node.func)
+            if name == "index4":
+                ids.add(node.args[2].value)
+            elif name == "nonnegative":
+                ids.add(f"{node.args[1].value}-nonnegative")
+    return ids - {"domain"}
+
+
+def test_every_constraint_id_the_package_raises_is_in_the_readme():
+    raised, listed = _raised_ids(), _readme_ids()
+    assert {"unramified-base", "alpha-nonnegative", "branch-index",
+            "fiber-index", "vec-length", "type-parity"} <= raised
+    assert raised <= listed, sorted(raised - listed)

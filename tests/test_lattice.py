@@ -96,6 +96,14 @@ def test_quotient_rejects_odd_pairing():
         QuotientClass(S[0]).self_intersection()
 
 
+@given(classes, classes)
+def test_quotient_sum_and_negation_act_on_pullbacks(a, b):
+    q, e = QuotientClass(a), QuotientClass(b)
+    assert (q + e).pullback == q.pullback + e.pullback
+    assert (-q).pullback == -q.pullback
+    assert isinstance(q + e, QuotientClass) and isinstance(-q, QuotientClass)
+
+
 def test_quotient_canonical():
     assert K_TILDE.pullback == -2 * C
     assert K_TILDE.dot(K_TILDE) == 0

@@ -3,6 +3,7 @@ the closed pairing form, the exact minimizer of q, and the derived
 reports."""
 
 import ast
+import dataclasses
 import importlib.util
 import pkgutil
 from fractions import Fraction
@@ -17,6 +18,7 @@ import osculant.nef as nef_impl
 from osculant import (
     AnticanonicalDegreeTooSmall,
     CharPExcluded,
+    ConstraintViolation,
     Decomposition,
     DomainError,
     LambdaSpec,
@@ -427,6 +429,32 @@ def test_moduli_dimension():
     assert moduli_dimension(LambdaSpec(8, 3, (5, 4, 4, 4))) == 2
     with pytest.raises(NotNef):
         moduli_dimension(LambdaSpec(6, 3, (7, 2, 0, 0)))
+
+
+def test_rho_one_analyses_reject_a_ramified_spec():
+    ramified = LambdaSpec(4, 2, (3, 2, 2, 2), rho=3)
+    calls = [lambda mode=mode: nef_check(ramified, mode=mode)
+             for mode in ("closed", "brute", "both")]
+    calls += [lambda f=f: f(ramified)
+              for f in (verify_minimizer_claim, z_divisor,
+                        linear_system_dims, moduli_dimension)]
+    for call in calls:
+        with pytest.raises(ConstraintViolation) as info:
+            call()
+        assert info.value.constraint == "unramified-base"
+        assert "needs rho = 1, got rho = 3" in str(info.value)
+    assert lambda_class(ramified) == _lambda(ramified)
+
+
+def test_z_divisor_reports_two_contacts_of_one_index_as_an_anomaly(
+        monkeypatch):
+    real = nef_check(REF, mode="brute")
+    two = ((1, 0, 1, 1), (3, 0, 1, 1))   # both have k(alpha) = 1
+    monkeypatch.setattr(nef_impl, "nef_check", lambda spec, mode, p: (
+        dataclasses.replace(real, boundary_contacts=two)))
+    zd = z_divisor(REF)
+    assert zd.anomalies == ((1, two),)
+    assert [c.alpha for c in zd.components] == list(two)
 
 
 @st.composite
