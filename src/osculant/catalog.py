@@ -365,7 +365,8 @@ def fiber_component_class(i: int) -> DivisorClass:
     Upstairs class; its image downstairs is G~alpha for alpha = e_i.
     """
     i = index4(i, "fiber index", "fiber-index")
-    return F - S[i] - R[i]
+    e_i = tuple(int(j == i) for j in range(4))
+    return ExceptionalSpec(e_i, 0, i).pullback()
 
 
 def gamma_perp_class(n: int, d: int, rho: int, gamma) -> DivisorClass:

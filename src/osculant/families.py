@@ -3,13 +3,13 @@ divisors behind the existence theorem, and the census sweep.
 
 The kit realizes the pullback of Lambda(n, d, 1, gamma) for
 gamma = (2d-1)mu + 2(0, d-1, d-1, d-1) as sums of effective pieces.
-Every piece is an instance of one template
+Every piece is the pullback of an exceptional class G~nu,
 
     Z(nu, b) = m*C + F - s_b - sum_i nu_i r_i,   2m + 1 = nu^(2),
 
-evaluated at small shifts of mu.  The identities the theorem needs are
-pure lattice algebra and are verified here on every construction, not
-assumed: D0 = D1, and F_j = G = pullback(Lambda) for every j.
+at a small shift nu of mu, with b = k(nu) (_z_template).  The identities
+the theorem needs are pure lattice algebra, verified on every
+construction, not assumed: D0 = D1, and F_j = G = pullback(Lambda).
 """
 
 from bisect import bisect_left, bisect_right
@@ -18,7 +18,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
-from .catalog import gamma_perp_class, validate_char_p
+from .catalog import ExceptionalSpec, gamma_perp_class, validate_char_p
 from .covers import _genus_tilde, char_p_admits
 from .errors import (
     DomainError,
@@ -30,7 +30,7 @@ from .lattice import C, R, S, DivisorClass
 from .nef import (LambdaSpec, _check_mu_pattern, _compose, _image_total,
                   _moduli, _pair_note, nef_check)
 from .vectors import (Vec4, as_int, at_least, coord_sum, fmt_vec, index4,
-                      new_row, norm_sq, of_kind)
+                      minority_index, new_row, norm_sq, of_kind)
 
 
 def _sign_spread(mags: Vec4) -> list[Vec4]:
@@ -53,7 +53,6 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
     d, k = at_least(d, 2, "d"), index4(k, "index k", "k-index")
     mu = _check_mu_pattern(mu)
     p = validate_char_p(p)
-    w = 2 * d - 1
 
     patterns = [tuple(0 if i == k else d - 1 for i in range(4))]
     if d % 2:
@@ -65,10 +64,16 @@ def generate_nef_types(d: int, k: int, mu, p: int | None = None
 
     # at d = 2 both patterns are (0, 1, 1, 1) at k: each eps once
     spread = dict.fromkeys(e for mags in patterns for e in _sign_spread(mags))
+    return _triples(d, mu, spread, p)
+
+
+def _triples(d: int, mu: Vec4, epss, p: int | None
+             ) -> list[tuple[int, Vec4, Vec4]]:
+    """(n, gamma, eps) for each eps of epss that _compose and p admit."""
     out = []
-    for eps in spread:
+    for eps in epss:
         found = _compose(d, mu, eps)
-        if found is not None and char_p_admits(found[1], w, p):
+        if found is not None and char_p_admits(found[1], 2 * d - 1, p):
             out.append((*found, eps))
     return out
 
@@ -134,11 +139,7 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
             f"non-nef target eps^(2) = {num}/4 at d = {d} is not an integer "
             f"8h^2 + 3(2k-3)h + k^2 - 3k + 3 inside the eps window")
 
-    out = []
-    for eps in _sphere(target, bound):
-        found = _compose(d, mu, eps)
-        if found is not None and char_p_admits(found[1], w, p):
-            out.append((*found, eps))
+    out = _triples(d, mu, _sphere(target, bound), p)
     if not out:
         raise NoSolutions(
             f"no eps with eps^(2) = {target}, |eps_i| <= {bound} "
@@ -150,13 +151,17 @@ def generate_non_nef_types(d: int, mu, bound: int, p: int | None = None
 # construction kit
 
 
-def _z_template(nu: Vec4, base: int) -> DivisorClass:
+def _z_template(nu: Vec4) -> DivisorClass:
+    """Z(nu, b) = pullback(G~nu), b = k(nu).  A mu pattern has its
+    odd-one-out parity at index 0; adding (1,1,1,1) or (-1,1,1,1) flips
+    every parity, so it stays at 0; adding (0,2,1,1) or (0,0,1,1) flips
+    indices 2 and 3, which moves it to 1; (0,1,0,1) moves it to 2 and
+    (0,1,1,0) to 3."""
     sq = norm_sq(nu)
     if sq % 2 == 0:
         raise IdentityFailure(
             f"template vector {fmt_vec(nu)} must have odd square sum")
-    s = tuple(-1 if i == base else 0 for i in range(4))
-    return DivisorClass((sq - 1) // 2, 1, s, tuple(-x for x in nu))
+    return ExceptionalSpec(nu, (sq - 1) // 2, minority_index(nu)).pullback()
 
 
 class KitDivisors(NamedTuple):
@@ -193,7 +198,8 @@ class KitDivisors(NamedTuple):
 
 
 def construction_kit(d: int, mu) -> KitDivisors:
-    """Assemble and verify the kit for eps = (0, d-1, d-1, d-1)."""
+    """Assemble and verify the kit for eps = (0, d-1, d-1, d-1).  Each
+    piece _z_template builds is the pullback of G~nu, with b = k(nu)."""
     d = at_least(d, 2, "d")
     mu = _check_mu_pattern(mu)
     w = 2 * d - 1
@@ -213,17 +219,17 @@ def construction_kit(d: int, mu) -> KitDivisors:
     def shift(*delta: int) -> Vec4:
         return tuple(m + x for m, x in zip(mu, delta))
 
-    zbar = _z_template(shift(1, 1, 1, 1), 0)
+    zbar = _z_template(shift(1, 1, 1, 1))
     if mu[0] != 0:
-        zunder = _z_template(shift(-1, 1, 1, 1), 0)
+        zunder = _z_template(shift(-1, 1, 1, 1))
     else:
-        zunder = zbar + 2 * R[0]
-    zprime = _z_template(shift(0, 2, 1, 1), 1)
-    zsecond = _z_template(shift(0, 0, 1, 1), 1)
+        zunder = zbar + 2 * R[0]  # nu_0 = -1: no G~nu
+    zprime = _z_template(shift(0, 2, 1, 1))
+    zsecond = _z_template(shift(0, 0, 1, 1))
     zk = (zsecond,
-          _z_template(shift(0, 1, 0, 1), 2),
-          _z_template(shift(0, 1, 1, 0), 3))
-    z = _z_template(mu, 0)
+          _z_template(shift(0, 1, 0, 1)),
+          _z_template(shift(0, 1, 1, 0)))
+    z = _z_template(mu)
 
     d0 = zbar + zunder + 2 * S[0]
     d1 = zprime + zsecond + 2 * S[1]
@@ -377,14 +383,6 @@ def census_csv(records) -> str:
 
 
 def census_json(records) -> list[dict]:
-    out = []
-    for r in records:
-        of_kind(r, CensusRecord)
-        out.append({
-            "n": r.n, "d": r.d, "gamma": list(r.gamma), "mu": list(r.mu),
-            "eps": list(r.eps), "nef_closed": r.nef_closed,
-            "nef_brute": r.nef_brute, "agreement": r.agreement,
-            "dim_moduli": r.dim_moduli, "genus_g": r.genus_g,
-            "genus_tilde": r.genus_tilde,
-        })
-    return out
+    """CensusRecord fields, in order, of each record; vectors as lists."""
+    return [{**of_kind(r, CensusRecord)._asdict(), "gamma": list(r.gamma),
+             "mu": list(r.mu), "eps": list(r.eps)} for r in records]

@@ -821,7 +821,7 @@ def z_divisor(spec: LambdaSpec, p: int | None = None) -> ContactDivisor:
     for k, hits in report.contacts_by_k().items():
         if len(hits) > 1:
             anomalies.append((k, tuple(hits)))
-        comps += [ExceptionalSpec.from_alpha(a) for a in hits]
+        comps += [ExceptionalSpec(a, (norm_sq(a) - 1) // 2, k) for a in hits]
     return ContactDivisor(tuple(comps), tuple(anomalies))
 
 

@@ -229,6 +229,18 @@ def test_11_decomposition_uniqueness_fails_on_a_wrong_decompose(
                "eps=(0, 0, 0, 0)")
 
 
+def test_11_decomposition_uniqueness_fails_on_a_second_solution(
+        monkeypatch):
+    # an abs that lets every remainder into the window gives some
+    # values two window/parity solutions
+    monkeypatch.setattr(verify, "abs", lambda x: 0, raising=False)
+    fails_with(verify.criterion_decomposition(), "decomposition-uniqueness",
+               "per-coordinate exhaustive (d 1..5, values 0..6(2d-1)): "
+               "exactly one window/parity solution, always nonnegative; 500 "
+               "random 4-vectors reconstruct; 155 failures; first: d=1, value "
+               "0: solutions [(-2, 1), (0, 0)]")
+
+
 def test_12_expression_round_trip(battery):
     check(battery, 12)
 

@@ -386,6 +386,10 @@ def test_fiber_component():
     assert s0.self_intersection() == -2
     assert s0.dot(C) == 1
     assert arithmetic_genus(s0) == 0
+    for i in range(4):
+        e_i = tuple(int(j == i) for j in range(4))
+        assert fiber_component_class(i) == F - S[i] - R[i] == (
+            ExceptionalSpec.from_alpha(e_i).pullback())
 
 
 def test_cover_class_template():

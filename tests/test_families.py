@@ -27,8 +27,9 @@ from osculant import (
 )
 from osculant.covers import char_p_admits
 from osculant.families import _cell_types, _pair_tables, _sphere
-from osculant.lattice import C, F, R, S, DivisorClass
-from osculant.nef import _image_total
+from osculant.catalog import ExceptionalSpec
+from osculant.lattice import K_TILDE, C, F, R, S, DivisorClass, QuotientClass
+from osculant.nef import _image_total, mu_patterns
 from osculant.verify import _FAMILY_MUS
 
 import cell_types_oracle
@@ -167,6 +168,28 @@ def test_kit_zero_mu0_branch():
     assert kit.zunder == kit.zbar + 2 * R[0]
     assert kit.d0 == kit.d1
     assert (kit.gamma, kit.n, kit.genus) == ((0, 5, 5, 5), 13, 7)
+
+
+def test_kit_pieces_are_exceptional_class_pullbacks():
+    # the shift of mu each piece is built from (Z(1) is Zsecond); Zunder
+    # is a G~nu piece only at mu_0 > 0, since at mu_0 = 0 its nu_0 is -1
+    count = 0
+    for d in range(2, 9):
+        for mu in mu_patterns(5):
+            kit = construction_kit(d, mu)
+            pieces = [(kit.zbar, (1, 1, 1, 1)), (kit.zprime, (0, 2, 1, 1)),
+                      (kit.zsecond, (0, 0, 1, 1)), (kit.zk[1], (0, 1, 0, 1)),
+                      (kit.zk[2], (0, 1, 1, 0)), (kit.z, (0, 0, 0, 0))]
+            if mu[0]:
+                pieces.append((kit.zunder, (-1, 1, 1, 1)))
+            for piece, delta in pieces:
+                nu = tuple(m + x for m, x in zip(mu, delta))
+                assert piece == ExceptionalSpec.from_alpha(nu).pullback(), (
+                    d, mu, delta)
+                q = QuotientClass(piece)
+                assert (q.self_intersection(), q.dot(K_TILDE)) == (-1, -1)
+                count += 1
+    assert count == 7 * (162 * 6 + sum(mu[0] > 0 for mu in mu_patterns(5)))
 
 
 def test_kit_pieces_are_named():

@@ -7,6 +7,7 @@ them, may import it without a cycle.
 """
 
 import ast
+import errno
 import os
 import sys
 import time
@@ -132,3 +133,32 @@ def test_the_runner_forks_only_for_two_jobs_or_more(monkeypatch, count,
     work = [partial(pow, i, 2) for i in range(count)]
     assert jobs._run_jobs(work) == [i * i for i in range(count)]
     assert len(made) == forks
+
+
+def test_a_failed_fork_raises_its_error_and_leaves_no_pipe_open(
+        monkeypatch):
+    if not jobs._may_fork():
+        pytest.skip("this host runs jobs inline")
+    error = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    made = []
+    real_pipe = os.pipe
+
+    def recorded_pipe():
+        ends = real_pipe()
+        made.extend(ends)
+        return ends
+
+    def failing_fork():
+        raise error
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(OSError) as info:
+        jobs._run_jobs([partial(pow, 2, 2), partial(pow, 3, 2)])
+    assert info.value is error
+    # the token pipe and the answer pipe, every end closed
+    assert len(made) == 4
+    for fd in made:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib.util
 import pkgutil
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +31,7 @@ from osculant import (
     RhoOutOfRange,
     closed_conditions,
     decompose_type,
+    generate_nef_types,
     lambda_class,
     lambda_dot_exceptional_closed,
     linear_system_dims,
@@ -42,7 +44,8 @@ from osculant import (
     verify_minimizer_claim,
     z_divisor,
 )
-from osculant.catalog import exceptional_class, gamma_perp_class
+from osculant.catalog import (ExceptionalSpec, exceptional_class,
+                              gamma_perp_class)
 from osculant.lattice import QuotientClass
 from osculant.nef import _claim_report, _dims, _lambda, _minimizer, _moduli, _nearest
 
@@ -407,6 +410,25 @@ def test_z_divisor_reference():
     assert zd.anomalies == ()
     assert [(c.alpha, c.k) for c in zd.components] == [
         ((1, 0, 1, 1), 1), ((1, 1, 0, 1), 2), ((1, 1, 1, 0), 3)]
+
+
+def test_z_divisor_components_are_from_alphas_on_random_nef_specs():
+    # every triple generate_nef_types emits is nef
+    rng = random.Random(42)
+    patterns = nef_impl.mu_patterns(7)
+    seen = 0
+    for _ in range(40):
+        d, k = rng.randint(2, 12), rng.randint(0, 3)
+        for n, gamma, _eps in generate_nef_types(d, k, rng.choice(patterns)):
+            spec = LambdaSpec(n, d, gamma)
+            for p in (None, _least_prime_admitting(spec)):
+                comps = z_divisor(spec, p).components
+                assert comps == tuple(
+                    ExceptionalSpec.from_alpha(c.alpha) for c in comps)
+                assert all(ExceptionalSpec.from_alpha(c.alpha, p) == c
+                           for c in comps)
+                seen += len(comps)
+    assert seen > 0
 
 
 def test_z_divisor_requires_nef():
