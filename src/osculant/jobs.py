@@ -24,7 +24,6 @@ import pickle
 import select
 import signal
 import threading
-import traceback
 from collections.abc import Callable, Iterable
 from functools import partial
 from operator import itemgetter
@@ -48,7 +47,10 @@ class _ChildTraceback(Exception):
 def _sendable(exc: BaseException) -> tuple[BaseException, str]:
     """exc, or an InternalCheckFailure naming its type and text where exc
     does not survive a pickle round trip, and exc's traceback as text: a
-    traceback does not pickle, and the text names where exc rose."""
+    traceback does not pickle, and the text names where exc rose.
+    traceback is loaded here, on a failure only: a run that passes
+    loads neither it nor textwrap."""
+    import traceback
     text = "".join(traceback.format_exception(exc))
     try:
         pickle.loads(pickle.dumps(exc))

@@ -35,9 +35,8 @@ brute verdicts agree.
 """
 
 from dataclasses import field
-from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import (
     ExceptionalSpec,
@@ -72,6 +71,9 @@ from .vectors import (
     record,
     vec4,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -246,36 +248,71 @@ def decompose_type(gamma, d: int) -> Decomposition:
     return _decompose(gamma, d)
 
 
+def _split(g: int, w: int) -> tuple[int, int, int, int]:
+    """One coordinate of _decompose: (mu_i, eps_i, nat_mu_i, |r_i|) of
+    g = gamma_i >= 0 at w = 2d-1, with r_i = g - w*mu_i = 2*eps_i.
+
+    m = g // w moves up one when its parity differs from g's.  w is odd,
+    so g - w*m has the parity of g - m, and after the step r = g - w*m
+    is even and in [-w, w), hence inside the window [-(w-1), w-1] =
+    [-(2d-2), 2d-2].  An odd r raises InternalCheckFailure here, so every
+    entry is checked, from the table or not; _decompose checks the
+    window and the signs.
+    nat_mu_i steps toward the sign of eps_i, up at eps_i = 0 (r >= 0
+    exactly when eps_i >= 0)."""
+    m = g // w
+    m += (g - m) & 1
+    r = g - w * m
+    if r & 1:
+        raise InternalCheckFailure(
+            f"no window decomposition of gamma_i = {g} at d = {(w + 1) // 2}:"
+            f" odd remainder {r}")
+    return m, r >> 1, m + 1 if r >= 0 else m - 1, abs(r)
+
+
+_DEC_ROWS: list = [None] * 32   # _DEC_ROWS[w]: _dec_row(w), made on first use
+
+
+def _dec_row(w: int) -> list:
+    """[_split(g, w) for g < 256], made once per w < 32 into _DEC_ROWS:
+    the closed route's table, apart from the brute route's _ROWS."""
+    row = _DEC_ROWS[w] = [_split(g, w) for g in range(256)]
+    return row
+
+
 def _decompose(gamma: Vec4, d: int) -> Decomposition:
     """decompose_type of a nonnegative int 4-tuple at an int d >= 1.
 
-    Coordinate by coordinate, m = g // w moves up one when its parity
-    differs from g's (w is odd), which leaves the even remainder
-    g - w*m = 2*eps inside the window [-(2d-2), 2d-2]."""
+    Coordinate by coordinate, _split gives mu_i, eps_i, nat_mu_i and
+    |r_i| = |gamma_i - w*mu_i|.  When w < 32 and every gamma_i < 256 they
+    come from the table row _DEC_ROWS[w], whose entries are _split's own
+    results, so both paths give the same decomposition.  The bound is the
+    one _scan tests (a chain of int compares before any table read); it
+    admits every spec of the battery sweep and of the benchmark census.
+    The window and the signs of mu and nat_mu are checked here on every
+    path."""
     w = 2 * d - 1
     g0, g1, g2, g3 = gamma
-    m0, m1, m2, m3 = g0 // w, g1 // w, g2 // w, g3 // w
-    m0 += (g0 - m0) & 1
-    m1 += (g1 - m1) & 1
-    m2 += (g2 - m2) & 1
-    m3 += (g3 - m3) & 1
-    r0, r1, r2, r3 = g0 - w * m0, g1 - w * m1, g2 - w * m2, g3 - w * m3
-    if ((r0 | r1 | r2 | r3) & 1 or min(m0, m1, m2, m3) < 0
-            or max(abs(r0), abs(r1), abs(r2), abs(r3)) > 2 * d - 2):
+    if w < 32 and g0 < 256 and g1 < 256 and g2 < 256 and g3 < 256:
+        row = _DEC_ROWS[w] or _dec_row(w)
+        (m0, e0, n0, a0), (m1, e1, n1, a1), (m2, e2, n2, a2), (
+            m3, e3, n3, a3) = row[g0], row[g1], row[g2], row[g3]
+    else:
+        (m0, e0, n0, a0), (m1, e1, n1, a1), (m2, e2, n2, a2), (
+            m3, e3, n3, a3) = (_split(g0, w), _split(g1, w), _split(g2, w),
+                               _split(g3, w))
+    if min(m0, m1, m2, m3) < 0 or max(a0, a1, a2, a3) > 2 * d - 2:
         raise InternalCheckFailure(
             f"no window decomposition of gamma = {fmt_vec(gamma)} "
             f"at d = {d}")
     mu = (m0, m1, m2, m3)
-    eps = (r0 >> 1, r1 >> 1, r2 >> 1, r3 >> 1)
-    # r >= 0 exactly when eps >= 0
-    nat = (m0 + 1 if r0 >= 0 else m0 - 1, m1 + 1 if r1 >= 0 else m1 - 1,
-           m2 + 1 if r2 >= 0 else m2 - 1, m3 + 1 if r3 >= 0 else m3 - 1)
+    eps = (e0, e1, e2, e3)
+    nat = (n0, n1, n2, n3)
     if min(nat) < 0:
         raise InternalCheckFailure(
             f"nat_mu {fmt_vec(nat)} negative for gamma = {fmt_vec(gamma)}")
 
     # |r_i| = 2|eps_i| ranks the pairs as |eps_i| + |eps_j| does
-    a0, a1, a2, a3 = abs(r0), abs(r1), abs(r2), abs(r3)
     sums = (a0 + a1, a0 + a2, a0 + a3, a1 + a2, a1 + a3, a2 + a3)
     best = max(sums)
     if sums.count(best) == 1:
@@ -323,7 +360,7 @@ def _excess(gamma: Vec4, w: int, alpha: Vec4) -> int:
     return q - w * w - 3 + 2 * w
 
 
-def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
+def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> "Fraction":
     """Lambda . G~alpha as an exact rational, assuming the rational-image
     constraint fixes n:
 
@@ -332,6 +369,7 @@ def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> Fraction:
     the last summand vanishing exactly when k(alpha) = 0 (the branch
     where G~alpha meets s~0).
     """
+    from fractions import Fraction
     d, gamma = _type_args(d, gamma)
     w = 2 * d - 1
     if not isinstance(alpha, ExceptionalSpec):
@@ -576,10 +614,13 @@ def _closed_conditions(dec: Decomposition, d: int,
     pair reading that _pair_note has accepted."""
     note = _PAIR_NOTES[pair_reading]
     w = 2 * d - 1
-    a0, a1, a2, a3 = sorted(map(abs, dec.eps))
+    x0, x1, x2, x3 = dec.eps
+    a0, a1, a2, a3 = abs(x0), abs(x1), abs(x2), abs(x3)
     e2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     w_abs_sum = w * (a0 + a1 + a2 + a3)
-    pair = a2 + a3 if pair_reading == "literal" else w * (a2 + a3)
+    # the largest |eps_i| + |eps_j| over the six pairs i != j
+    top = max(a0 + a1, a0 + a2, a0 + a3, a1 + a2, a1 + a3, a2 + a3)
+    pair = top if pair_reading == "literal" else w * top
     # every field of each row, in field order (vectors.new_row)
     return (
         new_row(Check, ("eps-norm", e2 >= d * d - d + 1, e2, d * d - d + 1,
@@ -707,9 +748,9 @@ def _catalog_guard(spec: LambdaSpec, p: int | None) -> QuotientClass:
 
 class MinimizerReport(NamedTuple):
     holds: bool
-    min_value: Fraction
+    min_value: "Fraction"
     argmins: tuple[Vec4, ...]          # attaining the minimal pairing value
-    candidates: tuple[tuple[str, Vec4, Fraction], ...]
+    candidates: "tuple[tuple[str, Vec4, Fraction], ...]"
     counterexamples: tuple[Vec4, ...]  # argmins outside the candidate set
 
     def to_dict(self) -> dict:
@@ -724,7 +765,7 @@ class MinimizerReport(NamedTuple):
         }
 
 
-def _frac_json(x: Fraction):
+def _frac_json(x: "Fraction"):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -774,6 +815,7 @@ def _claim_report(w: int, dec: Decomposition, cand_xs: list[int],
     """The MinimizerReport of a _minimizer result at w = 2d-1: the
     excesses share the denominator 4w, so Fractions are built only for
     the values the report carries."""
+    from fractions import Fraction
     names = ["mu", "nat_mu"]
     names += [f"flat_mu[{i}]" for i in range(len(dec.flat_mu_set))]
     vecs = (dec.mu, dec.nat_mu, *dec.flat_mu_set)

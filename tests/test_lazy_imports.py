@@ -1,7 +1,10 @@
 """The package loads lazily: ``import osculant`` runs no submodule, the
 CLI parser runs only ``cli`` and ``errors``, and a subcommand runs only
 the modules it calls: ``nef`` runs neither the census nor the battery,
-and ``census`` not the battery.  The package's names resolve, on first
+and ``census`` not the battery.  Neither loads ``fractions`` (nor
+``decimal``, which it imports), since neither builds a Fraction, and a
+passing ``verify-paper`` loads neither ``traceback`` nor ``textwrap``,
+which only a failing job needs.  The package's names resolve, on first
 use, to the objects their submodules define."""
 
 import json
@@ -23,6 +26,10 @@ def executed():
                   if name.startswith("osculant.")
                   and type(module) is types.ModuleType)
 
+def stdlib():
+    return sorted(set(sys.modules) & {"fractions", "decimal", "traceback",
+                                      "textwrap"})
+
 import osculant
 stages = {"import": executed()}
 import osculant.cli
@@ -31,22 +38,38 @@ stages["parser"] = executed()
 with contextlib.redirect_stdout(io.StringIO()):
     stages["code"] = osculant.cli.main(["nef", "4", "2", "3,2,2,2"])
 stages["nef"] = executed()
+stages["nef_stdlib"] = stdlib()
 with contextlib.redirect_stdout(io.StringIO()):
     stages["census_code"] = osculant.cli.main(
         ["census", "--n-max", "4", "--d-max", "2", "--gamma-max", "9",
          "--output", "csv"])
 stages["census"] = executed()
+stages["census_stdlib"] = stdlib()
+spec = osculant.LambdaSpec(4, 2, (3, 2, 2, 2))
+report = osculant.verify_minimizer_claim(spec)
+stages["minimizer"] = [type(report.min_value).__name__,
+                       *{type(c[2]).__name__ for c in report.candidates}]
+stages["minimizer_stdlib"] = stdlib()
 print(json.dumps(stages))
 """
 
 
-def test_submodule_bodies_run_on_first_use():
+def _probe(script: str) -> dict:
+    """The JSON that script prints, run in a fresh interpreter."""
     src = str(Path(osculant.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _PROBE],
+    done = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    stages = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def stages():
+    return _probe(_PROBE)
+
+
+def test_submodule_bodies_run_on_first_use(stages):
     assert stages["import"] == []
     assert stages["parser"] == ["osculant.cli", "osculant.errors"]
     assert stages["code"] == 0
@@ -59,6 +82,27 @@ def test_submodule_bodies_run_on_first_use():
     assert "osculant.families" in stages["census"]
     for idle in ("osculant.verify", "osculant.expr"):
         assert idle not in stages["census"]
+
+
+def test_nef_and_census_load_no_fractions_until_one_is_built(stages):
+    assert stages["nef_stdlib"] == []
+    assert stages["census_stdlib"] == []
+    # the minimizer claim's values are still Fractions
+    assert stages["minimizer"] == ["Fraction", "Fraction"]
+    assert stages["minimizer_stdlib"] == ["decimal", "fractions"]
+
+
+_BATTERY = """
+import contextlib, io, json, sys
+import osculant.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = osculant.cli.main(["verify-paper", "--output", "json"])
+print(json.dumps([code, sorted(set(sys.modules) & {"traceback", "textwrap"})]))
+"""
+
+
+def test_a_passing_battery_loads_no_traceback():
+    assert _probe(_BATTERY) == [0, []]
 
 
 def test_exports_are_their_submodules_objects():

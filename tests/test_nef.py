@@ -22,6 +22,7 @@ from osculant import (
     ConstraintViolation,
     Decomposition,
     DomainError,
+    InternalCheckFailure,
     LambdaSpec,
     NefReport,
     NotNef,
@@ -47,7 +48,8 @@ from osculant import (
 from osculant.catalog import (ExceptionalSpec, exceptional_class,
                               gamma_perp_class)
 from osculant.lattice import QuotientClass
-from osculant.nef import _claim_report, _dims, _lambda, _minimizer, _moduli, _nearest
+from osculant.nef import (_claim_report, _dims, _lambda, _minimizer, _moduli,
+                          _nearest, _split)
 
 import minimizer_oracle
 from box_oracle import box_scan, class_of
@@ -292,6 +294,62 @@ def test_the_table_serves_w_below_32_and_gamma_below_256_only(monkeypatch):
     assert not any(nef_impl._ROWS)
     nef_impl._scan((255, 224, 48, 0), 31, None)
     assert [w for w, row in enumerate(nef_impl._ROWS) if row] == [31]
+
+
+# nef._decompose reads _split's results from its own table row, on the
+# bound _scan tests: w < 32 and every gamma_i < 256.  MIXED puts a
+# coordinate past 256 beside tabled ones, so the whole spec goes to _split.
+MIXED = [(255, 1000, 0, 7), (3, 2, 256, 300), (0, 0, 0, 4096),
+         (62, 255, 511, 1)]
+
+
+def test_every_decompose_row_holds_split_entries(monkeypatch):
+    monkeypatch.setattr(nef_impl, "_DEC_ROWS", [None] * 32)
+    for w in range(1, 32, 2):
+        nef_impl._decompose((255, 0, 0, 0), (w + 1) // 2)
+        assert nef_impl._DEC_ROWS[w] == [_split(g, w) for g in range(256)]
+    assert [w for w, row in enumerate(nef_impl._DEC_ROWS) if row] == list(
+        range(1, 32, 2))
+
+
+def test_the_decompose_table_serves_w_below_32_and_gamma_below_256_only(
+        monkeypatch):
+    monkeypatch.setattr(nef_impl, "_DEC_ROWS", [None] * 32)
+    for d, specs in TABLE_EDGE.items():
+        for gamma in specs + MIXED:
+            if d == 17 or max(gamma) > 255:
+                nef_impl._decompose(gamma, d)
+    assert not any(nef_impl._DEC_ROWS)
+    nef_impl._decompose((255, 224, 48, 0), 16)
+    assert [w for w, row in enumerate(nef_impl._DEC_ROWS) if row] == [31]
+
+
+@pytest.mark.parametrize("d", [2, 16, 17])
+def test_decompose_type_matches_decompose_oracle_at_the_table_bounds(d):
+    for gamma in TABLE_EDGE.get(d, []) + MIXED:
+        expected = decompose(gamma, d)
+        assert expected is not None
+        assert tuple(decompose_type(gamma, d)) == expected, gamma
+
+
+@pytest.mark.parametrize("entry,message", [
+    ((2, 2, 3, 6), "no window decomposition"),   # |r| = 6 > 2d-2 = 4
+    ((-1, 2, 0, 4), "no window decomposition"),  # mu negative
+    ((0, 0, -1, 0), "nat_mu"),                   # nat_mu negative
+])
+def test_a_doctored_decompose_row_entry_is_caught(monkeypatch, entry,
+                                                  message):
+    # d = 3, w = 5: 12 = 5*2 + 2 is (2, 1, 3, 2) in an honest row
+    row = [_split(g, 5) for g in range(256)]
+    assert row[12] == (2, 1, 3, 2)
+    row[12] = entry
+    rows = [None] * 32
+    rows[5] = row
+    monkeypatch.setattr(nef_impl, "_DEC_ROWS", rows)
+    with pytest.raises(InternalCheckFailure, match=message):
+        nef_impl._decompose((12, 0, 0, 0), 3)
+    # past the table bound _split computes the entry, so nothing fails
+    assert decompose_type((12, 0, 0, 256), 3) == decompose((12, 0, 0, 256), 3)
 
 
 def test_nef_check_mode_validation():

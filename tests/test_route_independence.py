@@ -9,7 +9,9 @@ kernels to the definitions it can reach:
 - brute kernels: ``nef._scan`` with its row filler ``nef._row``,
   ``nef._catalog_guard``, ``nef._thresholds``, ``nef._class_argmins``
   and the guard generator ``catalog._compile_guard``;
-- closed kernels: ``nef._decompose`` and ``nef._closed_conditions``.
+- closed kernels: ``nef._decompose`` with its per-coordinate kernel
+  ``nef._split`` and row filler ``nef._dec_row``, and
+  ``nef._closed_conditions``.
 
 A definition is a module-level function, class or assignment, or a
 method.  A bare or module-qualified name reaches the definition it is
@@ -28,7 +30,8 @@ SRC = Path(osculant.__file__).resolve().parent
 
 BRUTE = ("nef._scan", "nef._row", "nef._catalog_guard", "nef._thresholds",
          "nef._class_argmins", "catalog._compile_guard")
-CLOSED = ("nef._decompose", "nef._closed_conditions")
+CLOSED = ("nef._decompose", "nef._split", "nef._dec_row",
+          "nef._closed_conditions")
 
 
 def _package():
@@ -110,6 +113,8 @@ def test_neither_nef_route_reaches_the_others_kernels():
     # the walk follows names across modules, not only the kernels
     assert {"nef._nearest", "nef._ROWS", "catalog._row_guard",
             "vectors.define"} <= brute
-    assert "vectors.new_row" in closed
+    assert {"vectors.new_row", "nef._DEC_ROWS"} <= closed
+    # each route has its own table
+    assert "nef._DEC_ROWS" not in brute and "nef._ROWS" not in closed
     assert brute.isdisjoint(CLOSED), sorted(brute & set(CLOSED))
     assert closed.isdisjoint(BRUTE), sorted(closed & set(BRUTE))
