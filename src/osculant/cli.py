@@ -17,7 +17,6 @@ the collector's state on every way out.  Library calls leave it alone.
 import argparse
 import contextlib
 import gc
-import json
 import os
 import re
 import sys
@@ -102,6 +101,7 @@ def _render(payload, output: str) -> str:
     if isinstance(payload, str):
         return payload
     if output == "json":
+        import json  # here and in _render_text only: a CSV run never loads it
         return json.dumps(payload, indent=2, sort_keys=True)
     if output == "csv":
         return _render_csv(payload)
@@ -132,6 +132,7 @@ def _render_csv(payload) -> str:
 
 
 def _render_text(payload) -> str:
+    import json
     if isinstance(payload, list):
         return "\n".join(json.dumps(row, sort_keys=True) for row in payload)
     return "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}"

@@ -282,6 +282,9 @@ class CensusRecord(NamedTuple):
 CSV_COLUMNS = ("n,d,gamma0,gamma1,gamma2,gamma3,mu0,mu1,mu2,mu3,"
                "eps0,eps1,eps2,eps3,nef_closed,nef_brute,agreement,"
                "dim_moduli,genus_g,genus_tilde")
+# one census_csv row: a field per CSV_COLUMNS entry
+_CSV_ROW = ",".join(["%s"] * 20)
+_CSV_BOOL = {True: "true", False: "false"}
 
 
 def _pair_tables(top: int, cap: int) -> tuple[dict, dict]:
@@ -313,9 +316,18 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
 
     Cells (n, d) are dealt round-robin into the requested number of
     partitions, each computed independently, then merged by sorted key;
-    the output is identical for any partition count.  Partitions beyond
-    the number of cells would be empty, so no block is made for them.
-    In characteristic p the cells that admit no type are dropped first."""
+    the output is identical for any partition count.  One partition
+    walks the sorted cells, each in lexicographic gamma order, so its
+    records come out in key order and are not sorted again.  Partitions
+    beyond the number of cells would be empty, so no block is made for
+    them.  In characteristic p the cells that admit no type are dropped
+    first.
+
+    g~ is computed once per cell, on its first emitted row: every type
+    of a cell has gamma^(2) = _image_total(n, d), which LambdaSpec checks
+    on each row, so every row of the cell has the same g~ and passes or
+    fails its NegativeGenus and NotDivisible checks alike.  A cell that
+    emits no row (in char p) computes none."""
     p = validate_char_p(p)
     gamma_bound = as_int(gamma_bound, "gamma_bound")
     partitions = as_int(partitions, "partitions")
@@ -340,17 +352,23 @@ def census(n_range, d_range, gamma_bound: int, p: int | None = None,
     records = []
     for block in blocks:
         for n, d in block:
+            g_tilde = None
             for gamma in _cell_types(n, d, gamma_bound, tables):
                 if p is not None and not char_p_admits(gamma, 2 * d - 1, p):
                     continue
-                records.append(_census_record(n, d, gamma, p, pair_reading))
-    # (n, d, gamma), the order of CensusRecord.key
-    records.sort(key=itemgetter(0, 1, 2))
+                if g_tilde is None:
+                    g_tilde = _genus_tilde(n, d, 1, 1, gamma)
+                records.append(_census_record(n, d, gamma, p, pair_reading,
+                                              g_tilde))
+    # (n, d, gamma), the order of CensusRecord.key, in which a single
+    # partition already walks its cells and each cell its types
+    if partitions > 1:
+        records.sort(key=itemgetter(0, 1, 2))
     return records
 
 
 def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
-                   pair_reading: str) -> CensusRecord:
+                   pair_reading: str, g_tilde: int) -> CensusRecord:
     report = nef_check(LambdaSpec(n, d, gamma), mode="both", p=p,
                        pair_reading=pair_reading)
     dec = report.decomposition
@@ -362,23 +380,19 @@ def _census_record(n: int, d: int, gamma: Vec4, p: int | None,
     return new_row(CensusRecord, (
         n, d, gamma, dec.mu, dec.eps, report.failing_constraint is None,
         report.is_nef(), bool(report.agreement), _moduli(report),
-        (g1 - 1) // 2, _genus_tilde(n, d, 1, 1, gamma)))
+        (g1 - 1) // 2, g_tilde))
 
 
 def census_csv(records) -> str:
     """Fixed-column CSV; newline-terminated rows, '' for absent moduli
-    dimension, lowercase booleans."""
+    dimension, lowercase booleans.  Each row is one _CSV_ROW template."""
     lines = [CSV_COLUMNS]
     for r in records:
-        g, m, e = of_kind(r, CensusRecord).gamma, r.mu, r.eps
-        dim = "" if r.dim_moduli is None else r.dim_moduli
-        lines.append(
-            f"{r.n},{r.d},{g[0]},{g[1]},{g[2]},{g[3]},"
-            f"{m[0]},{m[1]},{m[2]},{m[3]},{e[0]},{e[1]},{e[2]},{e[3]},"
-            f"{'true' if r.nef_closed else 'false'},"
-            f"{'true' if r.nef_brute else 'false'},"
-            f"{'true' if r.agreement else 'false'},"
-            f"{dim},{r.genus_g},{r.genus_tilde}")
+        n, d, g, m, e, closed, brute, agree, dim, gg, gt = of_kind(
+            r, CensusRecord)
+        lines.append(_CSV_ROW % (
+            n, d, *g, *m, *e, _CSV_BOOL[closed], _CSV_BOOL[brute],
+            _CSV_BOOL[agree], "" if dim is None else dim, gg, gt))
     return "\n".join(lines) + "\n"
 
 

@@ -495,7 +495,12 @@ def _scan(gamma: Vec4, w: int, p: int | None) -> BoxScan:
     int compares, tested before any table read.  It admits every spec of
     the battery sweep (gamma_i <= 35, w <= 9) and of the benchmark census
     (gamma_i <= 80, w <= 15), but only 11.2% of the benchmark query's
-    spec queries, whose d reaches 40."""
+    spec queries, whose d reaches 40.
+
+    Per class, the least code sum and the codes that reach it come
+    first, and argmins are built for those winning codes only: the
+    single 4-tuple when one code wins with one minimizer per coordinate,
+    else the product of each winning code's minimizer sets."""
     g0, g1, g2, g3 = gamma
     if w < 32 and g0 < 256 and g1 < 256 and g2 < 256 and g3 < 256:
         row = _ROWS[w] or _row(w)
@@ -508,15 +513,24 @@ def _scan(gamma: Vec4, w: int, p: int | None) -> BoxScan:
     found = []
     for codes in _CLASS_PARITIES:
         # one pass over the codes keeps the least sum so far (sums are
-        # >= 0, so -1 is none yet) and the points of every code that
-        # reaches it
+        # >= 0, so -1 is none yet) and the codes that reach it
         low = -1
-        for b0, b1, b2, b3 in codes:
+        for code in codes:
+            b0, b1, b2, b3 = code
             s = c0[b0] + c1[b1] + c2[b2] + c3[b3]
             if s < low or low < 0:
-                low, hits = s, list(product(a0[b0], a1[b1], a2[b2], a3[b3]))
+                low, wins = s, [code]
             elif s == low:
-                hits += product(a0[b0], a1[b1], a2[b2], a3[b3])
+                wins.append(code)
+        b0, b1, b2, b3 = wins[0]
+        # each argmin tuple holds one or two points, so four points in
+        # all means one each: joined, they are the single minimizer
+        hit = a0[b0] + a1[b1] + a2[b2] + a3[b3]
+        if len(wins) == 1 and len(hit) == 4:
+            hits = [hit]
+        else:
+            hits = [a for b0, b1, b2, b3 in wins
+                    for a in product(a0[b0], a1[b1], a2[b2], a3[b3])]
         if p is not None:
             hits = [a for a in hits if sum(a) <= p]
         if not hits:

@@ -8,10 +8,12 @@ from math import isqrt
 
 import pytest
 
+import osculant.covers as covers
 import osculant.families as families
 from osculant import (
     CSV_COLUMNS,
     DomainError,
+    NegativeGenus,
     NoSolutions,
     ParityViolation,
     census,
@@ -20,6 +22,7 @@ from osculant import (
     construction_kit,
     generate_nef_types,
     generate_non_nef_types,
+    genus_tilde,
     moduli_dimension,
     nef_check,
     LambdaSpec,
@@ -352,6 +355,52 @@ def test_census_partition_determinism():
     assert base == census(range(1, 6), range(1, 4), 11, partitions=3)
     assert census_csv(base) == census_csv(
         census(range(1, 6), range(1, 4), 11, partitions=7))
+
+
+@pytest.mark.parametrize("grid", [
+    (range(1, 13), range(1, 6), 40, None),
+    (range(30, 0, -1), range(6, 0, -1), 60, None),
+    (range(1, 41), range(1, 9), 80, 7)])
+def test_one_partition_walks_the_grid_in_key_order(grid):
+    # the single-partition census is not sorted after its walk
+    ns, ds, bound, p = grid
+    rows = census(ns, ds, bound, p=p)
+    assert len(rows) > 100
+    assert all(a.key() < b.key() for a, b in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_census_genus_tilde_is_each_rows_own(monkeypatch, partitions, p):
+    # census computes g~ once per (n, d) cell; every row must read what
+    # covers.genus_tilde gives for it.  That is 0 on every rho = 1 type,
+    # so a second pass patches the numerator to 4(n + 2d - 1), one value
+    # per cell: g~ = n + 2d - 1
+    def rows():
+        return census(range(1, 13), range(1, 6), 40, p=p,
+                      partitions=partitions)
+
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(covers, "_genus_numerator",
+                                lambda n, w, rho, m, g2: 4 * (n + w))
+        got = rows()
+        assert len(got) > 50
+        assert [r.genus_tilde for r in got] == [
+            genus_tilde(r.n, r.d, 1, 1, r.gamma) for r in got]
+        assert {r.genus_tilde == r.n + 2 * r.d - 1 for r in got} == {patch}
+
+
+def test_census_genus_check_fails_as_each_row_would(monkeypatch):
+    monkeypatch.setattr(covers, "_genus_numerator", lambda *args: -4)
+    with pytest.raises(NegativeGenus) as info:
+        census(range(1, 13), range(1, 6), 40)
+    # the first cell, (1, 1), has gamma^(2) = 3
+    assert str(info.value) == (
+        "[genus-nonnegative] gamma^(2) = 3 exceeds -1; numerator -4 < 0")
+    with pytest.raises(NegativeGenus) as row:
+        genus_tilde(1, 1, 1, 1, (1, 1, 1, 0))
+    assert str(row.value) == str(info.value)
 
 
 def test_census_deals_no_more_blocks_than_cells():

@@ -4,9 +4,13 @@ the modules it calls: ``nef`` runs neither the census nor the battery,
 and ``census`` not the battery.  Neither loads ``fractions`` (nor
 ``decimal``, which it imports), since neither builds a Fraction, and a
 passing ``verify-paper`` loads neither ``traceback`` nor ``textwrap``,
-which only a failing job needs.  The package's names resolve, on first
-use, to the objects their submodules define."""
+which only a failing job needs.  ``json`` is loaded only to render JSON
+or text output, so neither the parser nor a CSV census loads it.  The
+package's names resolve, on first use, to the objects their submodules
+define."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,10 +20,12 @@ from pathlib import Path
 import pytest
 
 import osculant
+import osculant.cli
 
-# runs in a fresh interpreter; type() does not trigger a lazy load
+# runs in a fresh interpreter; type() does not trigger a lazy load.  It
+# imports json only to print, after every stage has been recorded
 _PROBE = """
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 
 def executed():
     return sorted(name for name, module in list(sys.modules.items())
@@ -35,9 +41,11 @@ stages = {"import": executed()}
 import osculant.cli
 osculant.cli.build_parser()
 stages["parser"] = executed()
-with contextlib.redirect_stdout(io.StringIO()):
+stages["parser_json"] = "json" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
     stages["code"] = osculant.cli.main(["nef", "4", "2", "3,2,2,2"])
 stages["nef"] = executed()
+stages["nef_out"] = out.getvalue()
 stages["nef_stdlib"] = stdlib()
 with contextlib.redirect_stdout(io.StringIO()):
     stages["census_code"] = osculant.cli.main(
@@ -50,6 +58,7 @@ report = osculant.verify_minimizer_claim(spec)
 stages["minimizer"] = [type(report.min_value).__name__,
                        *{type(c[2]).__name__ for c in report.candidates}]
 stages["minimizer_stdlib"] = stdlib()
+import json
 print(json.dumps(stages))
 """
 
@@ -82,6 +91,35 @@ def test_submodule_bodies_run_on_first_use(stages):
     assert "osculant.families" in stages["census"]
     for idle in ("osculant.verify", "osculant.expr"):
         assert idle not in stages["census"]
+
+
+def test_json_is_loaded_only_to_render_json(stages):
+    assert stages["parser_json"] is False
+    # the nef command's JSON output loads it, and its bytes are the ones
+    # rendered here, where json was loaded long before
+    out = stages["nef_out"]
+    with contextlib.redirect_stdout(io.StringIO()) as here:
+        assert osculant.cli.main(["nef", "4", "2", "3,2,2,2"]) == 0
+    assert out == here.getvalue()
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_CENSUS_CSV = """
+import contextlib, io, sys
+import osculant.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = osculant.cli.main(["census", "--n-max", "4", "--d-max", "2",
+                              "--gamma-max", "9", "--output", "csv"])
+loaded = "json" in sys.modules
+import json
+print(json.dumps([code, loaded, out.getvalue()]))
+"""
+
+
+def test_a_csv_census_loads_no_json():
+    code, loaded, text = _probe(_CENSUS_CSV)
+    assert (code, loaded) == (0, False)
+    assert text.startswith("n,d,gamma0,") and text.count("\n") > 1
 
 
 def test_nef_and_census_load_no_fractions_until_one_is_built(stages):

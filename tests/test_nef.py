@@ -195,9 +195,12 @@ def _enumerated_scan(gamma, d, p):
     w = 2 * d - 1
     best = {0: None, 1: None}
     arg = {0: [], 1: []}
-    for alpha in product(range(p + 1), repeat=4):
+    # every alpha in N^4 with alpha^(1) <= p, in lexicographic order
+    alphas = (head + (last,) for head in product(range(p + 1), repeat=3)
+              for last in range(p + 1 - sum(head)))
+    for alpha in alphas:
         cls = class_of(alpha)
-        if sum(alpha) > p or cls is None:
+        if cls is None:
             continue
         q = sum((g - w * a) ** 2 for g, a in zip(gamma, alpha))
         if best[cls] is None or q < best[cls]:
@@ -294,6 +297,92 @@ def test_the_table_serves_w_below_32_and_gamma_below_256_only(monkeypatch):
     assert not any(nef_impl._ROWS)
     nef_impl._scan((255, 224, 48, 0), 31, None)
     assert [w for w, row in enumerate(nef_impl._ROWS) if row] == [31]
+
+
+# nef._scan takes the least code sum of each class first and builds the
+# argmins of the codes that reach it only.  The cases below go through
+# each branch of that step: one winning code with one minimizer per
+# coordinate (a single 4-tuple), one winning code with a tie in some
+# coordinate, and several winning codes.  Each must equal the box oracle
+# and the enumeration, argmin order included.
+
+def _winning_codes(scan: "nef_impl.BoxScan") -> list[int]:
+    """How many parity codes the minimizers of each class come from."""
+    return [len({tuple(a & 1 for a in alpha) for alpha in argmins})
+            for argmins in (scan.argmin_k0, scan.argmin_other)]
+
+
+def _past_every_minimizer(gamma, d) -> int:
+    """A budget alpha^(1) <= P that no char-0 minimizer exceeds: each
+    coordinate's minimizers lie within 1 of gamma_i // (2d-1)."""
+    return sum(g // (2 * d - 1) for g in gamma) + 4
+
+
+def _assert_scan_matches_oracles(gamma, d, p):
+    scan = scan_box(gamma, d, p)
+    assert scan == box_scan(gamma, d, decompose_type(gamma, d).mu, p=p)
+    budget = _past_every_minimizer(gamma, d) if p is None else p
+    assert (scan.min_k0, scan.argmin_k0, scan.min_other,
+            scan.argmin_other) == _enumerated_scan(gamma, d, budget)
+    return scan
+
+
+# gamma = w*m with every m_i >= 1: each coordinate's other parity ties
+# between m_i - 1 and m_i + 1, so several codes reach a class minimum
+TIE_MULTIPLES = ((2, 1, 1, 1), (1, 2, 2, 2), (1, 1, 2, 2), (2, 2, 2, 2),
+                 (1, 3, 5, 7), (4, 1, 2, 3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+@pytest.mark.parametrize("m", TIE_MULTIPLES)
+def test_scan_of_tied_codes_matches_the_oracles(d, m):
+    gamma = tuple((2 * d - 1) * x for x in m)
+    scan = _assert_scan_matches_oracles(gamma, d, None)
+    assert max(_winning_codes(scan)) >= 2
+
+
+# At gamma^(1) near p(2d-1) the budget alpha^(1) <= p drops minimizers of
+# a tie.  One base per p: p = 5 and 7 are multiples of w again
+BUDGET_DROPS = {3: lambda w: (1, w - 1, w - 1, w + 1),
+                5: lambda w: (2 * w, w, w, w),
+                7: lambda w: (w, 2 * w, 2 * w, 2 * w)}
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("p", sorted(BUDGET_DROPS))
+def test_scan_where_the_budget_drops_minimizers_matches_the_oracles(p, d):
+    gamma = BUDGET_DROPS[p](2 * d - 1)
+    scan = _assert_scan_matches_oracles(gamma, d, p)
+    full = scan_box(gamma, d)
+    assert (scan.min_k0, scan.min_other) == (full.min_k0, full.min_other)
+    assert len(scan.argmins()) < len(full.argmins())
+    assert max(_winning_codes(full)) >= 2
+
+
+@pytest.mark.parametrize("p", [None, 17])
+@pytest.mark.parametrize("d", sorted(TABLE_EDGE))
+def test_scan_box_matches_enumeration_at_the_table_bounds(d, p):
+    for gamma in TABLE_EDGE[d]:
+        _assert_scan_matches_oracles(gamma, d, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_budget_filters_minimizers_after_the_class_minimum(p, d):
+    # one past p(2d-1), a type scan_box refuses, every k = 0 minimizer
+    # of q has alpha^(1) > p.  Filtered after the class minimum, as the
+    # scan does, that leaves none; filtered before it, as the oracles
+    # do, it would report a larger minimum at (1, 0, 0, p-1)
+    w = 2 * d - 1
+    gamma = (0, 0, 1, p * w)
+    with pytest.raises(CharPExcluded):
+        scan_box(gamma, d, p)
+    with pytest.raises(InternalCheckFailure, match="no minimizer of q"):
+        nef_impl._scan(gamma, w, p)
+    full = nef_impl._scan(gamma, w, None)
+    assert all(sum(a) > p for a in full.argmin_k0)
+    cut = _enumerated_scan(gamma, d, p)
+    assert cut[0] > full.min_k0 and cut[1] == ((1, 0, 0, p - 1),)
 
 
 # nef._decompose reads _split's results from its own table row, on the
