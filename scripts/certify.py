@@ -1,7 +1,7 @@
 """Certify both nef routes on a complete set of specs, one d at a time.
 
 In characteristic 0 the set is d's window.  By the period-2w lemma
-(nef._nearest), gamma_i -> gamma_i + 2wk, w = 2d-1, keeps a spec valid
+(brute._nearest), gamma_i -> gamma_i + 2wk, w = 2d-1, keeps a spec valid
 and keeps every verdict, failing constraint and pairing value, so the
 valid specs with gamma in [0, 2w]^4 stand for all of them: mu from
 mu_patterns(2) (a larger mu puts gamma past 2w), eps from _window(d),

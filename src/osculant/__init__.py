@@ -17,16 +17,19 @@ import sys
 
 __version__ = "0.2.0"
 
-_SUBMODULES = ("catalog", "cli", "covers", "errors", "expr", "families",
-               "jobs", "lattice", "nef", "vectors", "verify")
+_SUBMODULES = ("brute", "catalog", "cli", "closed", "covers", "errors",
+               "expr", "families", "jobs", "lattice", "nef", "vectors",
+               "verify")
 
 # public name -> (submodule, attribute there)
 _EXPORTS = {name: (module, name) for module, names in (
+    ("brute", ("BoxScan",)),
     ("catalog", (
         "ExceptionalSpec", "char_p_section", "enumerate_exceptional",
         "exceptional_class", "fiber_component_class", "gamma_perp_class",
         "negative_curve_catalog", "r_branch", "s_branch", "section_image",
         "validate_char_p")),
+    ("closed", ("Decomposition",)),
     ("covers", (
         "Check", "CoverInvariants", "CoverReport", "factorization_relations",
         "genus_tilde", "max_genus_dominated", "osculating_bound",
@@ -47,11 +50,11 @@ _EXPORTS = {name: (module, name) for module, names in (
         "QuotientClass", "arithmetic_genus", "canonical_class", "intersect",
         "quotient_genus", "quotient_intersect")),
     ("nef", (
-        "BoxScan", "ContactDivisor", "Decomposition", "LambdaSpec",
-        "MinimizerReport", "NefReport", "closed_conditions",
-        "decompose_type", "lambda_class", "lambda_dot_exceptional_closed",
-        "linear_system_dims", "moduli_dimension", "n_for_type", "nef_check",
-        "scan_box", "thresholds", "verify_minimizer_claim", "z_divisor")),
+        "ContactDivisor", "LambdaSpec", "MinimizerReport", "NefReport",
+        "closed_conditions", "decompose_type", "lambda_class",
+        "lambda_dot_exceptional_closed", "linear_system_dims",
+        "moduli_dimension", "n_for_type", "nef_check", "scan_box",
+        "thresholds", "verify_minimizer_claim", "z_divisor")),
     ("verify", ("CriterionResult", "run_all")),
 ) for name in names}
 _EXPORTS["format_divisor"] = ("expr", "format")

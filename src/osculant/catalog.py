@@ -315,7 +315,7 @@ def _guard_failure(up: int, name: str) -> InternalCheckFailure:
 
 
 def _compile_guard(base_forms, cp_slope, cp_base):
-    """The guard of nef._catalog_guard, generated from the form tables
+    """The guard of brute._catalog_guard, generated from the form tables
     once: _row_guard(n, w, rho, gamma, p) raises InternalCheckFailure
     (_guard_failure) at the first row of negative_curve_catalog(p)
     whose upstairs pairing with Lambda is odd or negative, p already

@@ -28,7 +28,7 @@ from . import catalog, expr, families, lattice, nef, verify
 from .errors import DomainError, InternalCheckFailure
 
 _ENV_PREFIX = "OSCULANT_"
-# the flags' and the environment's choices; nef._PAIR_NOTES's readings
+# the flags' and the environment's choices; closed._PAIR_NOTES's readings
 _PAIR_READINGS = ("factored", "literal")
 # nef --mode's choices; nef._MODES
 _MODES = ("closed", "brute", "both")

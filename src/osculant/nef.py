@@ -6,46 +6,34 @@ Everything here concerns rho = 1 with the rational-image constraint
 gamma^(2) = (2d-1)(2n-2) + 3, under which Lambda^2 = 2d-3 and
 Lambda.K~ = -(2d-1).
 
-Write w = 2d-1 and decompose gamma = w*mu + 2*eps with mu of the same
-parity as gamma and |eps_i| <= d-1; the decomposition is unique because
-the w even residues mod 2w exactly tile [-(2d-2), 2d-2].  Pairing against
-the exceptional class G~alpha then satisfies
+Write w = 2d-1 and decompose gamma = w*mu + 2*eps (closed._decompose).
+Pairing against the exceptional class G~alpha then satisfies
 
     4w * (Lambda . G~alpha) = q(alpha) - w^2 - 3 + (0 if k(alpha)=0 else 2w),
 
 where q(alpha) = ||gamma - w*alpha||^2, so nefness against the whole
 infinite exceptional family reduces to two finite minimizations of q:
 over the k(alpha) = 0 parity class with threshold w^2 + 3, and over
-k(alpha) != 0 with threshold w^2 + 3 - 2w.  The brute oracle performs
-those minimizations exactly over the whole orthant alpha >= 0 (scan_box):
-q is a sum of one term per coordinate, so its minimum over each parity
-code is taken coordinate by coordinate, and in characteristic p the
-bound alpha^(1) <= p only drops minimizers, never raises a minimum.  The
-closed criterion tests three integer inequalities on eps:
-
-    eps-norm:  eps^(2) >= d^2 - d + 1
-    eps-sum:   w * sum|eps_i| <= 3d^2 - 3d + eps^(2)
-    eps-pair:  w * max_{i!=j}(|eps_i| + |eps_j|) <= d^2 - 1 + eps^(2)
-
-eps-pair is stated here in its factored reading, with w multiplying the
-max; the unfactored literal reading is available behind a flag.  The
-three inequalities are exactly the q thresholds evaluated at the
-candidate minimizers mu, nat_mu and flat_mu, which is why closed and
-brute verdicts agree.
+k(alpha) != 0 with threshold w^2 + 3 - 2w.  Each route has a module of
+its own.  The brute route (brute) performs those minimizations exactly
+over the whole orthant alpha >= 0.  The closed route (closed) tests
+three integer inequalities on eps.  The three inequalities are exactly
+the q thresholds evaluated at the candidate minimizers mu, nat_mu and
+flat_mu, which is why closed and brute verdicts agree.  This module
+holds the spec layer, the validating public wrappers, nef_check and the
+readers of its report.
 """
 
 from dataclasses import field
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .catalog import (
-    ExceptionalSpec,
-    _cover_fields,
-    _perp_class,
-    _row_guard,
-    section_image,
-    validate_char_p,
-)
+from .brute import BoxScan, _catalog_guard, _class_argmins, _lambda, _scan, \
+    _thresholds
+from .catalog import ExceptionalSpec, _cover_fields, section_image, \
+    validate_char_p
+from .closed import Decomposition, _PAIR_NOTES, _closed_conditions, \
+    _decompose
 from .covers import Check, _validate_type, char_p_admits
 from .errors import (
     AnticanonicalDegreeTooSmall,
@@ -64,7 +52,6 @@ from .vectors import (
     coord_sum,
     fmt_vec,
     minority_index,
-    new_row,
     nonnegative,
     norm_sq,
     of_kind,
@@ -217,119 +204,9 @@ def lambda_class(spec: LambdaSpec, p: int | None = None) -> QuotientClass:
     return _lambda(spec)
 
 
-def _lambda(spec: LambdaSpec) -> QuotientClass:
-    """Lambda of a spec whose fields LambdaSpec has already checked:
-    the class of catalog.gamma_perp_class, built without checking the
-    same ranges a second time."""
-    return QuotientClass(_perp_class(spec.n, spec.d, spec.rho, spec.gamma))
-
-
-class Decomposition(NamedTuple):
-    """gamma = (2d-1)*mu + 2*eps plus the two perturbed candidates.
-
-    nat_mu bumps every coordinate of mu one step toward the sign of
-    eps_i (up at eps_i = 0, following the printed convention).  Each
-    flat_mu agrees with nat_mu on one pair {i, j} maximizing
-    |eps_i| + |eps_j| and with mu elsewhere; all maximizing pairs are
-    enumerated since ties are common.
-    """
-
-    mu: Vec4
-    eps: Vec4
-    nat_mu: Vec4
-    flat_mu_set: tuple[Vec4, ...]
-
-
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def decompose_type(gamma, d: int) -> Decomposition:
     d, gamma = _type_args(d, gamma)
     return _decompose(gamma, d)
-
-
-def _split(g: int, w: int) -> tuple[int, int, int, int]:
-    """One coordinate of _decompose: (mu_i, eps_i, nat_mu_i, |r_i|) of
-    g = gamma_i >= 0 at w = 2d-1, with r_i = g - w*mu_i = 2*eps_i.
-
-    m = g // w moves up one when its parity differs from g's.  w is odd,
-    so g - w*m has the parity of g - m, and after the step r = g - w*m
-    is even and in [-w, w), hence inside the window [-(w-1), w-1] =
-    [-(2d-2), 2d-2].  An odd r raises InternalCheckFailure here, so every
-    entry is checked, from the table or not; _decompose checks the
-    window and the signs.
-    nat_mu_i steps toward the sign of eps_i, up at eps_i = 0 (r >= 0
-    exactly when eps_i >= 0)."""
-    m = g // w
-    m += (g - m) & 1
-    r = g - w * m
-    if r & 1:
-        raise InternalCheckFailure(
-            f"no window decomposition of gamma_i = {g} at d = {(w + 1) // 2}:"
-            f" odd remainder {r}")
-    return m, r >> 1, m + 1 if r >= 0 else m - 1, abs(r)
-
-
-_DEC_ROWS: list = [None] * 32   # _DEC_ROWS[w]: _dec_row(w), made on first use
-
-
-def _dec_row(w: int) -> list:
-    """[_split(g, w) for g < 256], made once per w < 32 into _DEC_ROWS:
-    the closed route's table, apart from the brute route's _ROWS."""
-    row = _DEC_ROWS[w] = [_split(g, w) for g in range(256)]
-    return row
-
-
-def _decompose(gamma: Vec4, d: int) -> Decomposition:
-    """decompose_type of a nonnegative int 4-tuple at an int d >= 1.
-
-    Coordinate by coordinate, _split gives mu_i, eps_i, nat_mu_i and
-    |r_i| = |gamma_i - w*mu_i|.  When w < 32 and every gamma_i < 256 they
-    come from the table row _DEC_ROWS[w], whose entries are _split's own
-    results, so both paths give the same decomposition.  The bound is the
-    one _scan tests (a chain of int compares before any table read); it
-    admits every spec of the battery sweep and of the benchmark census.
-    The window and the signs of mu and nat_mu are checked here on every
-    path."""
-    w = 2 * d - 1
-    g0, g1, g2, g3 = gamma
-    if w < 32 and g0 < 256 and g1 < 256 and g2 < 256 and g3 < 256:
-        row = _DEC_ROWS[w] or _dec_row(w)
-        (m0, e0, n0, a0), (m1, e1, n1, a1), (m2, e2, n2, a2), (
-            m3, e3, n3, a3) = row[g0], row[g1], row[g2], row[g3]
-    else:
-        (m0, e0, n0, a0), (m1, e1, n1, a1), (m2, e2, n2, a2), (
-            m3, e3, n3, a3) = (_split(g0, w), _split(g1, w), _split(g2, w),
-                               _split(g3, w))
-    if min(m0, m1, m2, m3) < 0 or max(a0, a1, a2, a3) > 2 * d - 2:
-        raise InternalCheckFailure(
-            f"no window decomposition of gamma = {fmt_vec(gamma)} "
-            f"at d = {d}")
-    mu = (m0, m1, m2, m3)
-    eps = (e0, e1, e2, e3)
-    nat = (n0, n1, n2, n3)
-    if min(nat) < 0:
-        raise InternalCheckFailure(
-            f"nat_mu {fmt_vec(nat)} negative for gamma = {fmt_vec(gamma)}")
-
-    # |r_i| = 2|eps_i| ranks the pairs as |eps_i| + |eps_j| does
-    sums = (a0 + a1, a0 + a2, a0 + a3, a1 + a2, a1 + a3, a2 + a3)
-    best = max(sums)
-    if sums.count(best) == 1:
-        i, j = _PAIRS[sums.index(best)]
-        flat = list(mu)
-        flat[i], flat[j] = nat[i], nat[j]
-        return new_row(Decomposition, (mu, eps, nat, (tuple(flat),)))
-    # nat_mu and mu differ in every coordinate, so distinct pairs give
-    # distinct flat_mu
-    flats = []
-    for (i, j), s in zip(_PAIRS, sums):
-        if s == best:
-            flat = list(mu)
-            flat[i], flat[j] = nat[i], nat[j]
-            flats.append(tuple(flat))
-    flats.sort()
-    return new_row(Decomposition, (mu, eps, nat, tuple(flats)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +216,6 @@ def _decompose(gamma: Vec4, d: int) -> Decomposition:
 def thresholds(d: int) -> tuple[int, int]:
     """q-thresholds for nefness: k=0 class first, then k != 0."""
     return _thresholds(2 * at_least(d, 1, "d") - 1)
-
-
-def _thresholds(w: int) -> tuple[int, int]:
-    return w * w + 3, w * w + 3 - 2 * w
 
 
 def _excess(gamma: Vec4, w: int, alpha: Vec4) -> int:
@@ -380,166 +253,20 @@ def lambda_dot_exceptional_closed(d: int, gamma, alpha) -> "Fraction":
 # ---------------------------------------------------------------------------
 # exact minimization of q
 
-# coordinate parities of exceptional alpha (one or three odd), split into
-# the k(alpha) = 0 class and the k != 0 class
-_PARITIES = [bits for bits in product((0, 1), repeat=4) if sum(bits) % 2]
-_CLASS_PARITIES = (tuple(b for b in _PARITIES if minority_index(b) == 0),
-                   tuple(b for b in _PARITIES if minority_index(b) != 0))
-
-
-class BoxScan(NamedTuple):
-    """Minima of q over the k = 0 and k != 0 classes of exceptional
-    alpha, each with its sorted minimizers."""
-
-    min_k0: int
-    argmin_k0: tuple[Vec4, ...]
-    min_other: int
-    argmin_other: tuple[Vec4, ...]
-
-    def argmins(self) -> tuple[Vec4, ...]:
-        return _class_argmins(self, True, True)
-
-
-def _class_argmins(scan: BoxScan, k0: bool, other: bool) -> tuple[Vec4, ...]:
-    """The sorted minimizers of the picked classes, which are disjoint."""
-    if k0 and other:
-        return tuple(sorted(scan.argmin_k0 + scan.argmin_other))
-    return scan.argmin_k0 if k0 else scan.argmin_other if other else ()
-
-
-def _nearest(g: int, w: int
-             ) -> tuple[tuple[int, int], tuple[tuple[int, ...], ...]]:
-    """The minimum of (g - w*a)^2 over a >= 0 of parity b, and its
-    minimizers, for b = 0 and b = 1: ((min_0, min_1), (argmin_0,
-    argmin_1)).
-
-    With m = g // w, g/w lies in [m, m+1): the nearest point of m's
-    parity is m, and of the other parity m+1, except that m-1 and m+1
-    tie when g = w*m and m >= 1.
-
-    Period 2w, T_b(g) the minimum at parity b: T_b(g + 2w) = T_b(g) for
-    g >= 0 and the minimizers move up by 2, except that {1} becomes
-    {1, 3} at g = 0, b = 1.  Proof: a = a' + 2 turns (g + 2w - w*a)^2
-    into (g - w*a')^2, which adds one candidate a' < 0 of parity b.
-    a' = -2 loses to a' = 0, as (g + 2w)^2 > g^2; a' = -1 loses to a' = 1,
-    as (g + w)^2 - (g - w)^2 = 4gw, and ties it at g = 0.  So gamma_i ->
-    gamma_i + 2w*k keeps a spec valid (n grows by 2k*gamma_i + 2w*k^2)
-    and keeps eps and both class minima of q, hence every verdict and
-    pairing value, while the minimizers move by 2k in coordinate i if
-    gamma_i > 0: gamma in [0, 2w]^4 stands for every gamma at its d."""
-    m = g // w
-    r = g - w * m
-    if r == 0 and m > 0:
-        cost, near = w * w, (m - 1, m + 1)
-    else:
-        cost, near = (w - r) ** 2, (m + 1,)
-    if m & 1:
-        return (cost, r * r), (near, (m,))
-    return (r * r, cost), ((m,), near)
-
 
 def scan_box(gamma, d: int, p: int | None = None) -> BoxScan:
     """Minimize q(alpha) = ||gamma - w*alpha||^2 exactly over the
     exceptional alpha >= 0 of each class, with alpha^(1) <= p in
     characteristic p.
 
-    q is a sum of one term per coordinate, so over the alpha of one
-    parity code its minimum is the sum of the per-coordinate minima
-    (_nearest), attained exactly on the product of their minimizer sets.
-    The codes of one class cover disjoint points, so the class minimum is
-    the least of its code sums, and its minimizers are the products of
-    the codes that reach it.
-
     p must be an odd prime, and gamma^(1) > p*w raises CharPExcluded
-    (both checked as in LambdaSpec.check_char_p).  Then the budget
-    alpha^(1) <= p never raises a class minimum, so its minimizers are
-    the ones above with alpha^(1) <= p.  Proof: let alpha be a class
-    minimizer with alpha^(1) > p.  Both are odd, so the offsets
-    e_i = alpha_i - gamma_i/w, each in [-1, 1], sum to at least 2.
-    Flipping every parity keeps the minority index, so the class also
-    holds beta, the nearest points of the other parities (the lower one
-    of a tie): beta_i = alpha_i - 1 where e_i > 0 or e_i = 0 < alpha_i,
-    and alpha_i + 1 elsewhere.  They lie 1 - |e_i| from gamma_i/w, so
-    (q(beta) - q(alpha))/w^2 = 4 - 2*sum|e_i| <= 0: beta is a minimizer
-    too, every e_i >= 0, sum e_i = 2 and alpha^(1) = p + 2.  With three
-    e_i > 0, beta^(1) <= alpha^(1) - 3 + 1 = p.  With two, both are 1:
-    an alpha_i >= 2 among them ties with alpha_i - 2, and if both are 1
-    the other two coordinates carry gamma^(1) = p*w, so one has
-    alpha_i > 0 and again beta^(1) <= p.
+    (both checked as in LambdaSpec.check_char_p).  The minimization and
+    the proof that the budget never raises a class minimum are in the
+    docstring of brute, which holds the kernel _scan.
     """
     d, gamma = _type_args(d, gamma)
     w = 2 * d - 1
     return _scan(gamma, w, _char_p_for_type(gamma, w, p))
-
-
-_ROWS: list = [None] * 32   # _ROWS[w]: _row(w), filled on first use
-
-
-def _row(w: int) -> list:
-    """[_nearest(g, w) for g < 256], made once per w < 32 into _ROWS.
-    Equal cost pairs and equal minimizer pairs share one tuple, which
-    cuts all 16 rows from about 1.1 MB to 0.4 MB."""
-    parts: dict = {}
-    row = _ROWS[w] = [tuple([parts.setdefault(x, x) for x in _nearest(g, w)])
-                      for g in range(256)]
-    return row
-
-
-def _scan(gamma: Vec4, w: int, p: int | None) -> BoxScan:
-    """scan_box of a nonnegative int 4-tuple at w = 2d-1, with p None or
-    an odd prime that admits gamma (LambdaSpec.check_char_p).
-
-    When w < 32 and every gamma_i < 256, the per-coordinate minima come
-    from the table row _ROWS[w].  Its entries are _nearest's own
-    results, so both paths give the same scan.  The bound is a chain of
-    int compares, tested before any table read.  It admits every spec of
-    the battery sweep (gamma_i <= 35, w <= 9) and of the benchmark census
-    (gamma_i <= 80, w <= 15), but only 11.2% of the benchmark query's
-    spec queries, whose d reaches 40.
-
-    Per class, the least code sum and the codes that reach it come
-    first, and argmins are built for those winning codes only: the
-    single 4-tuple when one code wins with one minimizer per coordinate,
-    else the product of each winning code's minimizer sets."""
-    g0, g1, g2, g3 = gamma
-    if w < 32 and g0 < 256 and g1 < 256 and g2 < 256 and g3 < 256:
-        row = _ROWS[w] or _row(w)
-        (c0, a0), (c1, a1), (c2, a2), (c3, a3) = (
-            row[g0], row[g1], row[g2], row[g3])
-    else:
-        (c0, a0), (c1, a1), (c2, a2), (c3, a3) = (
-            _nearest(g0, w), _nearest(g1, w), _nearest(g2, w),
-            _nearest(g3, w))
-    found = []
-    for codes in _CLASS_PARITIES:
-        # one pass over the codes keeps the least sum so far (sums are
-        # >= 0, so -1 is none yet) and the codes that reach it
-        low = -1
-        for code in codes:
-            b0, b1, b2, b3 = code
-            s = c0[b0] + c1[b1] + c2[b2] + c3[b3]
-            if s < low or low < 0:
-                low, wins = s, [code]
-            elif s == low:
-                wins.append(code)
-        b0, b1, b2, b3 = wins[0]
-        # each argmin tuple holds one or two points, so four points in
-        # all means one each: joined, they are the single minimizer
-        hit = a0[b0] + a1[b1] + a2[b2] + a3[b3]
-        if len(wins) == 1 and len(hit) == 4:
-            hits = [hit]
-        else:
-            hits = [a for b0, b1, b2, b3 in wins
-                    for a in product(a0[b0], a1[b1], a2[b2], a3[b3])]
-        if p is not None:
-            hits = [a for a in hits if sum(a) <= p]
-        if not hits:
-            raise InternalCheckFailure(
-                f"no minimizer of q within alpha^(1) <= {p} for "
-                f"gamma = {fmt_vec(gamma)}, d = {(w + 1) // 2}")
-        hits.sort()
-        found += low, tuple(hits)
-    return new_row(BoxScan, found)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +328,6 @@ class NefReport:
         }
 
 
-_PAIR_NOTES = {"factored": "factored reading", "literal": "literal reading"}
-
-
 def closed_conditions(dec: Decomposition, d: int,
                       pair_reading: str = "factored") -> tuple[Check, ...]:
     """The three closed inequalities on eps, as check rows."""
@@ -620,30 +344,6 @@ def _pair_note(pair_reading: str) -> str:
         raise DomainError(f"unknown pair reading {pair_reading!r}",
                           constraint="pair-reading")
     return note
-
-
-def _closed_conditions(dec: Decomposition, d: int,
-                       pair_reading: str) -> tuple[Check, ...]:
-    """closed_conditions of a Decomposition at an int d >= 1, under a
-    pair reading that _pair_note has accepted."""
-    note = _PAIR_NOTES[pair_reading]
-    w = 2 * d - 1
-    x0, x1, x2, x3 = dec.eps
-    a0, a1, a2, a3 = abs(x0), abs(x1), abs(x2), abs(x3)
-    e2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-    w_abs_sum = w * (a0 + a1 + a2 + a3)
-    # the largest |eps_i| + |eps_j| over the six pairs i != j
-    top = max(a0 + a1, a0 + a2, a0 + a3, a1 + a2, a1 + a3, a2 + a3)
-    pair = top if pair_reading == "literal" else w * top
-    # every field of each row, in field order (vectors.new_row)
-    return (
-        new_row(Check, ("eps-norm", e2 >= d * d - d + 1, e2, d * d - d + 1,
-                        "", False)),
-        new_row(Check, ("eps-sum", w_abs_sum <= 3 * d * d - 3 * d + e2,
-                        w_abs_sum, 3 * d * d - 3 * d + e2, "", False)),
-        new_row(Check, ("eps-pair", pair <= d * d - 1 + e2, pair,
-                        d * d - 1 + e2, note, False)),
-    )
 
 
 def _admit(spec: LambdaSpec, p: int | None) -> int | None:
@@ -732,28 +432,6 @@ def nef_check(spec: LambdaSpec, mode: str = "both", p: int | None = None,
     return NefReport("nef" if final else "not_nef", mode, failing, witness,
                      contacts, agreement, conditions, spec, p, dec, scan,
                      lam)
-
-
-def _catalog_guard(spec: LambdaSpec, p: int | None) -> QuotientClass:
-    """Check Lambda . N >= 0 for each row N of negative_curve_catalog(p),
-    and Lambda . Lambda = 2d - 3, for an unramified spec admitted at p;
-    returns Lambda.
-
-    The rows are checked by catalog._row_guard, one straight-line check
-    per row compiled at import from the row's integer form: twice the
-    pairing, evaluated at (n, w, rho, gamma) and checked even, then
-    nonnegative.  The square is taken on the lattice (_lambda,
-    QuotientClass.dot), and is the rational-image constraint that
-    _excess rests on.  Both hold for every valid spec, so a failure
-    means the validation or the lattice arithmetic is broken."""
-    d = spec.d
-    _row_guard(spec.n, 2 * d - 1, spec.rho, spec.gamma, p)
-    lam = _lambda(spec)
-    square = lam.dot(lam)
-    if square != 2 * d - 3:
-        raise InternalCheckFailure(
-            f"Lambda^2 = {square} for a valid spec, not 2d-3 = {2 * d - 3}")
-    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 import osculant
+import osculant.brute as brute
 import osculant.catalog as catalog
 import osculant.nef as nef
 from osculant import (
@@ -37,7 +38,7 @@ from osculant import (
     validate_type,
 )
 from osculant.errors import InternalCheckFailure
-from osculant.nef import _catalog_guard, _lambda
+from osculant.brute import _catalog_guard, _lambda
 
 from test_benchmark_bindings import tracer
 from test_catalog import _largest_prime_below_bound, _twelve_base_verdict
@@ -99,7 +100,7 @@ def _compiled_failure(spec, p, tables):
 def _install(monkeypatch, **tables):
     """Compile the guard from the tables, the real ones where not
     given, and install it for _catalog_guard."""
-    monkeypatch.setattr(nef, "_row_guard",
+    monkeypatch.setattr(brute, "_row_guard",
                         catalog._compile_guard(**{**TABLES, **tables}))
 
 
@@ -256,21 +257,21 @@ def test_guard_builds_no_char_p_class(monkeypatch, mode):
 def test_wrong_lambda_square_fails_the_guard(monkeypatch):
     wrong = catalog.QuotientClass(catalog.gamma_perp_class(4, 2, 1,
                                                            (3, 2, 2, 4)))
-    monkeypatch.setattr(nef, "_lambda", lambda spec: wrong)
+    monkeypatch.setattr(brute, "_lambda", lambda spec: wrong)
     with pytest.raises(InternalCheckFailure, match="Lambda\\^2 = "):
         nef_check(REF, mode="brute")
 
 
 _UNDER_O = """
+import osculant.brute as brute
 import osculant.catalog as catalog
-import osculant.nef as nef
 from osculant import LambdaSpec, nef_check
 from osculant.errors import InternalCheckFailure
 assert False  # stripped under -O
 forms = list(catalog._BASE_FORMS)
 forms[5] = forms[5][0], (0, 0, 0, -2, 0, 0, 0)
-nef._row_guard = catalog._compile_guard(tuple(forms), catalog._CP_SLOPE,
-                                        catalog._CP_BASE)
+brute._row_guard = catalog._compile_guard(tuple(forms), catalog._CP_SLOPE,
+                                          catalog._CP_BASE)
 try:
     nef_check(LambdaSpec(4, 2, (3, 2, 2, 2)))
 except InternalCheckFailure as exc:

@@ -1,7 +1,8 @@
 """The package loads lazily: ``import osculant`` runs no submodule, the
 CLI parser runs only ``cli`` and ``errors``, and a subcommand runs only
-the modules it calls: ``nef`` runs neither the census nor the battery,
-and ``census`` not the battery.  Neither loads ``fractions`` (nor
+the modules it calls: ``nef`` runs both route modules (``closed`` and
+``brute``) but neither the census nor the battery, and ``census`` not
+the battery.  Neither loads ``fractions`` (nor
 ``decimal``, which it imports), since neither builds a Fraction, and a
 passing ``verify-paper`` loads neither ``traceback`` nor ``textwrap``,
 which only a failing job needs.  ``json`` is loaded only to render JSON
@@ -91,6 +92,13 @@ def test_submodule_bodies_run_on_first_use(stages):
     assert "osculant.families" in stages["census"]
     for idle in ("osculant.verify", "osculant.expr"):
         assert idle not in stages["census"]
+
+
+def test_the_route_modules_load_with_nef(stages):
+    routes = {"osculant.closed", "osculant.brute"}
+    assert routes.isdisjoint(stages["import"] + stages["parser"])
+    assert stages["parser"] == ["osculant.cli", "osculant.errors"]
+    assert routes <= set(stages["nef"])
 
 
 def test_json_is_loaded_only_to_render_json(stages):

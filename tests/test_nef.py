@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import osculant
+import osculant.brute as brute
+import osculant.closed as closed
 import osculant.nef as nef_impl
 
 from osculant import (
@@ -48,8 +50,9 @@ from osculant import (
 from osculant.catalog import (ExceptionalSpec, exceptional_class,
                               gamma_perp_class)
 from osculant.lattice import QuotientClass
-from osculant.nef import (_claim_report, _dims, _lambda, _minimizer, _moduli,
-                          _nearest, _split)
+from osculant.brute import _nearest
+from osculant.closed import _split
+from osculant.nef import _claim_report, _dims, _lambda, _minimizer, _moduli
 
 import minimizer_oracle
 from box_oracle import box_scan, class_of
@@ -262,7 +265,7 @@ def test_scan_box_huge_entries_use_pure_path():
     assert scan == box_scan(gamma, d, gamma)
 
 
-# nef._scan reads _nearest's results from a table row for w < 32 and
+# brute._scan reads _nearest's results from a table row for w < 32 and
 # gamma_i < 256.  These specs put a 255 or a 256 in each coordinate, at
 # the last w in the table (d = 16) and the first past it (d = 17).  Each
 # sums to 17w, and at p = 17 the budget drops minimizers of each base.
@@ -272,11 +275,11 @@ TABLE_EDGE = {d: [base[k:] + base[:k] for base in bases for k in range(4)]
 
 
 def test_every_table_row_holds_nearest_entries(monkeypatch):
-    monkeypatch.setattr(nef_impl, "_ROWS", [None] * 32)
+    monkeypatch.setattr(brute, "_ROWS", [None] * 32)
     for w in range(1, 32, 2):
-        nef_impl._scan((255, 0, 0, 0), w, None)
-        assert nef_impl._ROWS[w] == [_nearest(g, w) for g in range(256)]
-    assert [w for w, row in enumerate(nef_impl._ROWS) if row] == list(
+        brute._scan((255, 0, 0, 0), w, None)
+        assert brute._ROWS[w] == [_nearest(g, w) for g in range(256)]
+    assert [w for w, row in enumerate(brute._ROWS) if row] == list(
         range(1, 32, 2))
 
 
@@ -289,24 +292,24 @@ def test_scan_box_matches_box_oracle_at_the_table_bounds(d, p):
 
 
 def test_the_table_serves_w_below_32_and_gamma_below_256_only(monkeypatch):
-    monkeypatch.setattr(nef_impl, "_ROWS", [None] * 32)
+    monkeypatch.setattr(brute, "_ROWS", [None] * 32)
     for d, specs in TABLE_EDGE.items():
         for gamma in specs:
             if d == 17 or 256 in gamma:
-                nef_impl._scan(gamma, 2 * d - 1, None)
-    assert not any(nef_impl._ROWS)
-    nef_impl._scan((255, 224, 48, 0), 31, None)
-    assert [w for w, row in enumerate(nef_impl._ROWS) if row] == [31]
+                brute._scan(gamma, 2 * d - 1, None)
+    assert not any(brute._ROWS)
+    brute._scan((255, 224, 48, 0), 31, None)
+    assert [w for w, row in enumerate(brute._ROWS) if row] == [31]
 
 
-# nef._scan takes the least code sum of each class first and builds the
+# brute._scan takes the least code sum of each class first and builds the
 # argmins of the codes that reach it only.  The cases below go through
 # each branch of that step: one winning code with one minimizer per
 # coordinate (a single 4-tuple), one winning code with a tie in some
 # coordinate, and several winning codes.  Each must equal the box oracle
 # and the enumeration, argmin order included.
 
-def _winning_codes(scan: "nef_impl.BoxScan") -> list[int]:
+def _winning_codes(scan: "brute.BoxScan") -> list[int]:
     """How many parity codes the minimizers of each class come from."""
     return [len({tuple(a & 1 for a in alpha) for alpha in argmins})
             for argmins in (scan.argmin_k0, scan.argmin_other)]
@@ -378,14 +381,14 @@ def test_the_budget_filters_minimizers_after_the_class_minimum(p, d):
     with pytest.raises(CharPExcluded):
         scan_box(gamma, d, p)
     with pytest.raises(InternalCheckFailure, match="no minimizer of q"):
-        nef_impl._scan(gamma, w, p)
-    full = nef_impl._scan(gamma, w, None)
+        brute._scan(gamma, w, p)
+    full = brute._scan(gamma, w, None)
     assert all(sum(a) > p for a in full.argmin_k0)
     cut = _enumerated_scan(gamma, d, p)
     assert cut[0] > full.min_k0 and cut[1] == ((1, 0, 0, p - 1),)
 
 
-# nef._decompose reads _split's results from its own table row, on the
+# closed._decompose reads _split's results from its own table row, on the
 # bound _scan tests: w < 32 and every gamma_i < 256.  MIXED puts a
 # coordinate past 256 beside tabled ones, so the whole spec goes to _split.
 MIXED = [(255, 1000, 0, 7), (3, 2, 256, 300), (0, 0, 0, 4096),
@@ -393,24 +396,24 @@ MIXED = [(255, 1000, 0, 7), (3, 2, 256, 300), (0, 0, 0, 4096),
 
 
 def test_every_decompose_row_holds_split_entries(monkeypatch):
-    monkeypatch.setattr(nef_impl, "_DEC_ROWS", [None] * 32)
+    monkeypatch.setattr(closed, "_DEC_ROWS", [None] * 32)
     for w in range(1, 32, 2):
-        nef_impl._decompose((255, 0, 0, 0), (w + 1) // 2)
-        assert nef_impl._DEC_ROWS[w] == [_split(g, w) for g in range(256)]
-    assert [w for w, row in enumerate(nef_impl._DEC_ROWS) if row] == list(
+        closed._decompose((255, 0, 0, 0), (w + 1) // 2)
+        assert closed._DEC_ROWS[w] == [_split(g, w) for g in range(256)]
+    assert [w for w, row in enumerate(closed._DEC_ROWS) if row] == list(
         range(1, 32, 2))
 
 
 def test_the_decompose_table_serves_w_below_32_and_gamma_below_256_only(
         monkeypatch):
-    monkeypatch.setattr(nef_impl, "_DEC_ROWS", [None] * 32)
+    monkeypatch.setattr(closed, "_DEC_ROWS", [None] * 32)
     for d, specs in TABLE_EDGE.items():
         for gamma in specs + MIXED:
             if d == 17 or max(gamma) > 255:
-                nef_impl._decompose(gamma, d)
-    assert not any(nef_impl._DEC_ROWS)
-    nef_impl._decompose((255, 224, 48, 0), 16)
-    assert [w for w, row in enumerate(nef_impl._DEC_ROWS) if row] == [31]
+                closed._decompose(gamma, d)
+    assert not any(closed._DEC_ROWS)
+    closed._decompose((255, 224, 48, 0), 16)
+    assert [w for w, row in enumerate(closed._DEC_ROWS) if row] == [31]
 
 
 @pytest.mark.parametrize("d", [2, 16, 17])
@@ -434,9 +437,9 @@ def test_a_doctored_decompose_row_entry_is_caught(monkeypatch, entry,
     row[12] = entry
     rows = [None] * 32
     rows[5] = row
-    monkeypatch.setattr(nef_impl, "_DEC_ROWS", rows)
+    monkeypatch.setattr(closed, "_DEC_ROWS", rows)
     with pytest.raises(InternalCheckFailure, match=message):
-        nef_impl._decompose((12, 0, 0, 0), 3)
+        closed._decompose((12, 0, 0, 0), 3)
     # past the table bound _split computes the entry, so nothing fails
     assert decompose_type((12, 0, 0, 256), 3) == decompose((12, 0, 0, 256), 3)
 

@@ -38,8 +38,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 from hypothesis import given, settings, strategies as st
 
-from osculant.nef import (Decomposition, _closed_conditions, _nearest, _scan,
-                          _thresholds)
+from osculant.brute import _nearest, _scan, _thresholds
+from osculant.closed import Decomposition, _closed_conditions
 from osculant.vectors import new_row
 
 

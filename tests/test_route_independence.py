@@ -2,16 +2,19 @@
 
 The two routes agree because they are two derivations of one verdict
 (tests/test_route_algebra.py); the agreement is only evidence while
-neither route computes through the other.  This test reads the package's
-source with ``ast`` and follows every reference from each route's
-kernels to the definitions it can reach:
+neither route computes through the other.  Each route has a module of
+its own, and the module boundary decides which code belongs to which:
 
-- brute kernels: ``nef._scan`` with its row filler ``nef._row``,
-  ``nef._catalog_guard``, ``nef._thresholds``, ``nef._class_argmins``
-  and the guard generator ``catalog._compile_guard``;
-- closed kernels: ``nef._decompose`` with its per-coordinate kernel
-  ``nef._split`` and row filler ``nef._dec_row``, and
-  ``nef._closed_conditions``.
+- brute kernels: every definition in ``brute`` (the scan of q, its
+  tables, the (-2)-catalog guard and the Lambda it builds), plus the
+  guard generator ``catalog._compile_guard``;
+- closed kernels: every definition in ``closed`` (the window
+  decomposition, its table and the eps inequalities).
+
+Neither module imports the other or ``nef``.  This test reads the
+package's source with ``ast``, checks those imports, and follows every
+reference from each route's kernels to the definitions it can reach, so
+a kernel added to either module is covered without an edit here.
 
 A definition is a module-level function, class or assignment, or a
 method.  A bare or module-qualified name reaches the definition it is
@@ -24,14 +27,18 @@ reach, so the disjointness below is the stronger for it.
 import ast
 from pathlib import Path
 
+import pytest
+
 import osculant
 
 SRC = Path(osculant.__file__).resolve().parent
 
-BRUTE = ("nef._scan", "nef._row", "nef._catalog_guard", "nef._thresholds",
-         "nef._class_argmins", "catalog._compile_guard")
-CLOSED = ("nef._decompose", "nef._split", "nef._dec_row",
-          "nef._closed_conditions")
+# the kernels the boundary held before it was a module boundary
+NAMED_BRUTE = ("brute._scan", "brute._row", "brute._catalog_guard",
+               "brute._thresholds", "brute._class_argmins",
+               "catalog._compile_guard")
+NAMED_CLOSED = ("closed._decompose", "closed._split", "closed._dec_row",
+                "closed._closed_conditions")
 
 
 def _package():
@@ -107,14 +114,75 @@ def _reach(kernels, package):
     return reached
 
 
+def _roots(package):
+    """(brute, closed): the qualified names of every definition of each
+    route's module, with the guard generator on the brute side."""
+    defs = package[0]
+    brute = {q for q, (_, mod) in defs.items() if mod == "brute"}
+    closed = {q for q, (_, mod) in defs.items() if mod == "closed"}
+    return brute | {"catalog._compile_guard"}, closed
+
+
+def test_the_roots_are_the_route_modules():
+    brute, closed = _roots(_package())
+    assert set(NAMED_BRUTE) <= brute and set(NAMED_CLOSED) <= closed
+
+
 def test_neither_nef_route_reaches_the_others_kernels():
     package = _package()
-    brute, closed = _reach(BRUTE, package), _reach(CLOSED, package)
+    brute_roots, closed_roots = _roots(package)
+    brute = _reach(brute_roots, package)
+    closed = _reach(closed_roots, package)
     # the walk follows names across modules, not only the kernels
-    assert {"nef._nearest", "nef._ROWS", "catalog._row_guard",
-            "vectors.define"} <= brute
-    assert {"vectors.new_row", "nef._DEC_ROWS"} <= closed
+    assert {"catalog._row_guard", "vectors.define",
+            "lattice.QuotientClass"} <= brute
+    assert {"vectors.new_row", "covers.Check"} <= closed
     # each route has its own table
-    assert "nef._DEC_ROWS" not in brute and "nef._ROWS" not in closed
-    assert brute.isdisjoint(CLOSED), sorted(brute & set(CLOSED))
-    assert closed.isdisjoint(BRUTE), sorted(closed & set(BRUTE))
+    assert "closed._DEC_ROWS" not in brute and "brute._ROWS" not in closed
+    assert brute.isdisjoint(closed_roots), sorted(brute & closed_roots)
+    assert closed.isdisjoint(brute_roots), sorted(closed & brute_roots)
+
+
+def _imported(tree) -> set:
+    """The osculant submodules a module's source imports anywhere, by
+    relative or absolute name; "osculant" for the package itself or a
+    name it exports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 0 else ".".join(
+                filter(None, ("osculant", node.module)))
+            names += ([f"osculant.{a.name}" for a in node.names]
+                      if base == "osculant" else [base])
+    found = set()
+    for name in names:
+        parts = name.split(".")
+        if parts[0] == "osculant":
+            found.add(parts[1] if len(parts) > 1
+                      and parts[1] in osculant._SUBMODULES else "osculant")
+    return found
+
+
+@pytest.mark.parametrize("route,other", [("brute", "closed"),
+                                         ("closed", "brute")])
+def test_a_route_module_imports_neither_the_other_nor_nef(route, other):
+    path = SRC / f"{route}.py"
+    imported = _imported(ast.parse(path.read_text(), path.name))
+    assert imported, route
+    assert not imported & {other, "nef", "osculant"}, sorted(imported)
+
+
+def test_the_import_reader_sees_every_spelling():
+    spellings = ["from .nef import _excess", "from . import nef",
+                 "from osculant.nef import _excess",
+                 "from osculant import nef", "import osculant.nef",
+                 "import osculant.nef as n",
+                 "def f():\n    from .nef import _excess"]
+    for text in spellings:
+        assert _imported(ast.parse(text)) == {"nef"}, text
+    for text in ("import osculant", "from osculant import LambdaSpec",
+                 "from . import nef_check"):
+        assert _imported(ast.parse(text)) == {"osculant"}, text
+    assert _imported(ast.parse("import os, itertools")) == set()

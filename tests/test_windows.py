@@ -1,6 +1,6 @@
 """Both nef routes at every n and gamma of a degree d.
 
-The period-2w lemma in nef._nearest says that gamma_i -> gamma_i + 2wk
+The period-2w lemma in brute._nearest says that gamma_i -> gamma_i + 2wk
 (w = 2d-1) keeps a spec valid and keeps what both routes decide.  The
 property test checks that on shifted specs.  The lemma makes the valid
 specs with gamma in [0, 2w]^4 a complete set of representatives, so the
